@@ -47,12 +47,10 @@ class EngagementEnvironment(Protocol):
     """What the engine needs from an engagement simulator.
 
     engage must be a pure function of its arguments and the seed material in
-    ``rng`` (an unspawned numpy SeedSequence). thread_safe declares whether
-    concurrent calls are allowed.
+    ``rng`` (an unspawned numpy SeedSequence).
     """
 
     environment_id: str
-    thread_safe: bool
 
     def engage(self, attack: Strategy, defense: Strategy, rng: np.random.SeedSequence) -> EngagementOutcome:
         ...

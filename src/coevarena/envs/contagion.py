@@ -9,7 +9,9 @@ delay accrual. The attacker's score is the mean mission delay over trials
 
 Random draws are consumed on a fixed, state-independent schedule (always
 drawn, conditionally used), so reusing a trial's stream across parameter
-variations yields exact common-random-number coupling.
+variations yields exact common-random-number coupling. A trial's whole
+schedule is drawn in one call; PCG64 yields the same numbers as drawing it
+tick by tick.
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ class ContagionDefense:
 class TrialResult:
     delay: float
     detections: int
-    cleanses: int
     first_infected_tick: int | None
     first_cleanse_tick: int | None
 
@@ -263,101 +264,132 @@ def simulate_trials(
     mc: MonteCarloConfig,
     rng: np.random.SeedSequence,
 ) -> list[TrialResult]:
-    """Run mc.trials independent trials, one spawned sub-stream each."""
+    """Run mc.trials independent trials, one spawned sub-stream each.
+
+    Each enclave's infected slots are an int bitmask and its susceptible
+    slots a sorted list, so "the k-th susceptible slot" is a list pop. A tick
+    with no infection and no scheduled attack changes nothing and is skipped;
+    its draws stay in the schedule, so every later offset is unchanged.
+    """
     sizes = network.enclave_sizes
     n = len(sizes)
     mission_count = [0] * n
     for enclave in defense.mission_placement:
         mission_count[enclave] += 1
+    # mission devices occupy the lowest slots of their enclave
+    mission_masks = [(e, (1 << count) - 1) for e, count in enumerate(mission_count) if count]
     per_tick_attacks = _attack_windows(attack, mc.horizon)
-    total_devices = sum(sizes)
-    draws_per_tick = [
-        2 * len(per_tick_attacks[t]) + 2 * total_devices + 4 * len(network.links) + n
-        for t in range(mc.horizon)
-    ]
-    enclave_base = []
+    directed = [pair for a, b in network.links for pair in ((a, b), (b, a))]
+    # per tick: draw offset of its attacks, of each enclave's spread block,
+    # of the cross links and of the taps
+    ticks = []
     offset = 0
-    for size in sizes:
-        enclave_base.append(offset)
-        offset += 2 * size
+    for t, attacks in enumerate(per_tick_attacks):
+        spread_base = []
+        cross = offset + 2 * len(attacks)
+        for size in sizes:
+            spread_base.append(cross)
+            cross += 2 * size
+        taps = cross + 2 * len(directed)
+        ticks.append((t, offset, attacks, spread_base, cross, taps))
+        offset = taps + n
+    total_draws = offset
+    spread_rate = network.spread_rate
+    cross_rate = network.cross_rate
+    sensitivity = defense.tap_sensitivity
+    tapped = [e for e in range(n) if sensitivity[e] > 0]  # a zero tap never trips
+    rest = 1 + network.cleanse_duration
+    per_infected_tick = mc.delay_per_infected_tick
+    per_cleanse = mc.delay_per_cleanse
+    enclaves = range(n)
+    all_online = [True] * n
+    slots_of: dict[int, tuple[int, ...]] = {}
 
     results: list[TrialResult] = []
     for child in rng.spawn(mc.trials):
-        gen = np.random.Generator(np.random.PCG64(child))
-        infected: list[set[int]] = [set() for _ in range(n)]
+        draws = np.random.Generator(np.random.PCG64(child)).random(total_draws).data
+        infected = [0] * n
+        susceptible = [list(range(size)) for size in sizes]
         offline_until = [0] * n
+        back_online = 0
         delay = 0.0
         detections = 0
         first_infected = None
         first_cleanse = None
-        for t in range(mc.horizon):
-            draws = gen.random(draws_per_tick[t])
-            online = [t >= offline_until[e] for e in range(n)]
-
-            def infect(enclave: int, pick: float) -> bool:
-                susceptible = [s for s in range(sizes[enclave]) if s not in infected[enclave]]
-                if not susceptible:
-                    return False
-                infected[enclave].add(susceptible[int(pick * len(susceptible))])
-                return True
-
+        for t, cursor, attacks, spread_base, cross, taps in ticks:
+            if not attacks and not any(infected):
+                continue
+            if t >= back_online:
+                online = all_online
+            else:
+                online = [t >= until for until in offline_until]
             # 1. scheduled attacks attempt initial compromise
-            cursor = 0
-            for enclave, strength in per_tick_attacks[t]:
-                attempt, pick = draws[cursor], draws[cursor + 1]
-                cursor += 2
-                if online[enclave] and attempt < strength and infect(enclave, pick):
+            for enclave, strength in attacks:
+                if online[enclave] and draws[cursor] < strength and susceptible[enclave]:
+                    free = susceptible[enclave]
+                    infected[enclave] |= 1 << free.pop(int(draws[cursor + 1] * len(free)))
                     if first_infected is None:
                         first_infected = t
+                cursor += 2
             # 2. intra-enclave spread (snapshot of infectors; draws indexed by slot)
-            intra_base = cursor
-            for e in range(n):
-                if online[e] and infected[e]:
-                    for slot in sorted(infected[e]):
-                        spread, pick = (
-                            draws[intra_base + enclave_base[e] + 2 * slot],
-                            draws[intra_base + enclave_base[e] + 2 * slot + 1],
+            for e in enclaves:
+                mask = infected[e]
+                free = susceptible[e]
+                if mask and free and online[e]:
+                    slots = slots_of.get(mask)
+                    if slots is None:
+                        slots = slots_of[mask] = tuple(
+                            s for s in range(mask.bit_length()) if mask >> s & 1
                         )
-                        if spread < network.spread_rate:
-                            infect(e, pick)
-            cursor = intra_base + 2 * total_devices
+                    base = spread_base[e]
+                    for slot in slots:
+                        at = base + 2 * slot
+                        if draws[at] < spread_rate:
+                            infected[e] |= 1 << free.pop(int(draws[at + 1] * len(free)))
+                            if not free:
+                                break
             # 3. cross-enclave seeding, one chance per link direction
-            for a, b in network.links:
-                for src, dst in ((a, b), (b, a)):
-                    seeded, pick = draws[cursor], draws[cursor + 1]
-                    cursor += 2
-                    if online[src] and online[dst] and infected[src] and seeded < network.cross_rate:
-                        if infect(dst, pick) and first_infected is None:
-                            first_infected = t
+            cursor = cross
+            for src, dst in directed:
+                if (
+                    infected[src]
+                    and online[src]
+                    and online[dst]
+                    and draws[cursor] < cross_rate
+                    and susceptible[dst]
+                ):
+                    # an infected source implies an earlier attack infection,
+                    # so first_infected is already set
+                    free = susceptible[dst]
+                    infected[dst] |= 1 << free.pop(int(draws[cursor + 1] * len(free)))
+                cursor += 2
             # 4. detection and cleansing
-            cleansed_now = []
-            for e in range(n):
-                trip = draws[cursor]
-                cursor += 1
-                if online[e] and infected[e]:
-                    if trip < defense.tap_sensitivity[e] * (len(infected[e]) / sizes[e]):
-                        cleansed_now.append(e)
-            for e in cleansed_now:
-                infected[e].clear()
-                offline_until[e] = t + 1 + network.cleanse_duration
-                detections += 1
+            cleansed_now = [
+                e
+                for e in tapped
+                if infected[e]
+                and online[e]
+                and draws[taps + e] < sensitivity[e] * (infected[e].bit_count() / sizes[e])
+            ]
+            if cleansed_now:
+                for e in cleansed_now:
+                    infected[e] = 0
+                    susceptible[e] = list(range(sizes[e]))
+                    offline_until[e] = back_online = t + rest
+                    detections += 1
                 if first_cleanse is None:
                     first_cleanse = t
-            for e in range(n):
-                assert online[e] or not infected[e], "offline enclave gained an infection"
             # 5. delay accrual
-            infected_mission = sum(
-                sum(1 for slot in infected[e] if slot < mission_count[e]) for e in range(n)
-            )
-            delay += infected_mission * mc.delay_per_infected_tick
-            delay += sum(
-                mc.delay_per_cleanse for e in cleansed_now if mission_count[e] > 0
-            )
+            infected_mission = 0
+            for e, mask in mission_masks:
+                infected_mission += (infected[e] & mask).bit_count()
+            delay += infected_mission * per_infected_tick
+            if cleansed_now:
+                delay += sum(per_cleanse for e in cleansed_now if mission_count[e] > 0)
         results.append(
             TrialResult(
                 delay=delay,
                 detections=detections,
-                cleanses=detections,
                 first_infected_tick=first_infected,
                 first_cleanse_tick=first_cleanse,
             )
@@ -390,7 +422,7 @@ def engage(
             "mean_delay": mean_delay,
             "delay_variance": statistics.pvariance(delays),
             "detections": float(sum(trial.detections for trial in trials)),
-            "cleanses": float(sum(trial.cleanses for trial in trials)),
+            "cleanses": float(sum(trial.detections for trial in trials)),
             "trials": float(mc.trials),
             "mission_duration": mc.base_mission_duration + mean_delay,
         },
@@ -424,7 +456,6 @@ class ContagionEnvironment:
     """Engine-facing adapter: interprets sentences, then runs the trials."""
 
     environment_id = "contagion"
-    thread_safe = True
 
     def __init__(self, scenario: ContagionScenario):
         self.scenario = scenario

@@ -376,7 +376,6 @@ class DdosEnvironment:
     """Engine-facing adapter: interprets sentences, then runs the simulator."""
 
     environment_id = "ddos"
-    thread_safe = True
 
     def __init__(self, scenario: NetworkScenario):
         self.scenario = scenario

@@ -57,7 +57,6 @@ class ScriptedEnvironment:
     """Zero-sum stand-in environment: score is a pure function of the sentences."""
 
     environment_id = "scripted"
-    thread_safe = True
 
     def __init__(self, score_fn=None):
         self.score_fn = score_fn or (lambda attack, defense: 0.0)

@@ -3,11 +3,22 @@
 These deliberately re-derive results with different algorithms and data
 structures than the package: list-rewriting instead of a stack for grammar
 mapping, union-find instead of BFS for connectivity, full pairwise scans for
-dominance and best responses.
+dominance and best responses, and for the contagion Monte Carlo one draw call
+per tick with sets of infected slots instead of one per trial with bitmasks.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from coevarena.envs.contagion import (
+    ContagionAttack,
+    ContagionDefense,
+    MonteCarloConfig,
+    SegmentedNetwork,
+    TrialResult,
+    _attack_windows,
+)
 from coevarena.grammar import CONSUME_ON_CHOICE, Genotype, Grammar, MappingConfig
 
 ORACLE_FAILED = "failed"
@@ -134,3 +145,111 @@ def nash_oracle(cells, attacker_direction="max", defender_direction="min"):
             if attacker_ok and defender_ok:
                 pairs.append((i, j))
     return pairs
+
+
+def oracle_simulate_trials(
+    attack: ContagionAttack,
+    defense: ContagionDefense,
+    network: SegmentedNetwork,
+    mc: MonteCarloConfig,
+    rng: np.random.SeedSequence,
+) -> list[TrialResult]:
+    """Run mc.trials independent trials, one spawned sub-stream each."""
+    sizes = network.enclave_sizes
+    n = len(sizes)
+    mission_count = [0] * n
+    for enclave in defense.mission_placement:
+        mission_count[enclave] += 1
+    per_tick_attacks = _attack_windows(attack, mc.horizon)
+    total_devices = sum(sizes)
+    draws_per_tick = [
+        2 * len(per_tick_attacks[t]) + 2 * total_devices + 4 * len(network.links) + n
+        for t in range(mc.horizon)
+    ]
+    enclave_base = []
+    offset = 0
+    for size in sizes:
+        enclave_base.append(offset)
+        offset += 2 * size
+
+    results: list[TrialResult] = []
+    for child in rng.spawn(mc.trials):
+        gen = np.random.Generator(np.random.PCG64(child))
+        infected: list[set[int]] = [set() for _ in range(n)]
+        offline_until = [0] * n
+        delay = 0.0
+        detections = 0
+        first_infected = None
+        first_cleanse = None
+        for t in range(mc.horizon):
+            draws = gen.random(draws_per_tick[t])
+            online = [t >= offline_until[e] for e in range(n)]
+
+            def infect(enclave: int, pick: float) -> bool:
+                susceptible = [s for s in range(sizes[enclave]) if s not in infected[enclave]]
+                if not susceptible:
+                    return False
+                infected[enclave].add(susceptible[int(pick * len(susceptible))])
+                return True
+
+            # 1. scheduled attacks attempt initial compromise
+            cursor = 0
+            for enclave, strength in per_tick_attacks[t]:
+                attempt, pick = draws[cursor], draws[cursor + 1]
+                cursor += 2
+                if online[enclave] and attempt < strength and infect(enclave, pick):
+                    if first_infected is None:
+                        first_infected = t
+            # 2. intra-enclave spread (snapshot of infectors; draws indexed by slot)
+            intra_base = cursor
+            for e in range(n):
+                if online[e] and infected[e]:
+                    for slot in sorted(infected[e]):
+                        spread, pick = (
+                            draws[intra_base + enclave_base[e] + 2 * slot],
+                            draws[intra_base + enclave_base[e] + 2 * slot + 1],
+                        )
+                        if spread < network.spread_rate:
+                            infect(e, pick)
+            cursor = intra_base + 2 * total_devices
+            # 3. cross-enclave seeding, one chance per link direction
+            for a, b in network.links:
+                for src, dst in ((a, b), (b, a)):
+                    seeded, pick = draws[cursor], draws[cursor + 1]
+                    cursor += 2
+                    if online[src] and online[dst] and infected[src] and seeded < network.cross_rate:
+                        if infect(dst, pick) and first_infected is None:
+                            first_infected = t
+            # 4. detection and cleansing
+            cleansed_now = []
+            for e in range(n):
+                trip = draws[cursor]
+                cursor += 1
+                if online[e] and infected[e]:
+                    if trip < defense.tap_sensitivity[e] * (len(infected[e]) / sizes[e]):
+                        cleansed_now.append(e)
+            for e in cleansed_now:
+                infected[e].clear()
+                offline_until[e] = t + 1 + network.cleanse_duration
+                detections += 1
+                if first_cleanse is None:
+                    first_cleanse = t
+            for e in range(n):
+                assert online[e] or not infected[e], "offline enclave gained an infection"
+            # 5. delay accrual
+            infected_mission = sum(
+                sum(1 for slot in infected[e] if slot < mission_count[e]) for e in range(n)
+            )
+            delay += infected_mission * mc.delay_per_infected_tick
+            delay += sum(
+                mc.delay_per_cleanse for e in cleansed_now if mission_count[e] > 0
+            )
+        results.append(
+            TrialResult(
+                delay=delay,
+                detections=detections,
+                first_infected_tick=first_infected,
+                first_cleanse_tick=first_cleanse,
+            )
+        )
+    return results

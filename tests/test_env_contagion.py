@@ -1,8 +1,13 @@
+import hashlib
+import json
 import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coevarena.data import data_path
 from coevarena.engagement import InterpretError, ScenarioError
 from coevarena.engine.rng import seed_sequence
 from coevarena.envs.contagion import (
@@ -22,6 +27,7 @@ from coevarena.envs.contagion import (
 from coevarena.grammar import Genotype, Strategy
 
 from conftest import small_contagion
+from oracles import oracle_simulate_trials
 
 
 def strategy(text: str) -> Strategy:
@@ -161,7 +167,7 @@ class TestEngageDegenerate:
         trials = simulate_trials(attack, shields, network, mc, np.random.SeedSequence(2))
         for trial in trials:
             assert trial.first_cleanse_tick == trial.first_infected_tick
-            assert trial.cleanses >= 1
+            assert trial.detections >= 1
 
 
 class TestRandomnessContracts:
@@ -219,6 +225,91 @@ class TestRandomnessContracts:
         # seeded infection in 1 is itself cleansed within a tick of arriving.
         for trial in trials:
             assert trial.delay <= mc.horizon  # never the full blow-up of 2 devices x horizon
+
+
+@st.composite
+def contagion_cases(draw):
+    sizes = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=6)))
+    n = len(sizes)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    links = tuple(p for p in pairs if draw(st.booleans()))
+    rate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    network = SegmentedNetwork(
+        enclave_sizes=sizes,
+        links=links,
+        spread_rate=draw(rate),
+        cross_rate=draw(rate),
+        cleanse_duration=draw(st.integers(0, 4)),
+    )
+    mc = MonteCarloConfig(
+        trials=draw(st.integers(1, 6)),
+        horizon=draw(st.integers(1, 30)),
+        base_mission_duration=10.0,
+        delay_per_infected_tick=draw(st.floats(0.0, 3.0)),
+        delay_per_cleanse=draw(st.floats(0.0, 10.0)),
+    )
+    plans = tuple(
+        ContagionPlan(
+            enclave=draw(st.integers(0, n - 1)),
+            strength=draw(rate),
+            duration=draw(st.integers(1, mc.horizon)),
+            count=draw(st.integers(1, mc.horizon)),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    )
+    mission_devices = draw(st.integers(0, sum(sizes)))
+    free = list(sizes)
+    placement = []
+    for _ in range(mission_devices):
+        enclave = draw(st.sampled_from([e for e in range(n) if free[e] > 0]))
+        free[enclave] -= 1
+        placement.append(enclave)
+    shields = ContagionDefense(
+        mission_placement=tuple(placement),
+        tap_sensitivity=tuple(draw(rate) for _ in range(n)),
+    )
+    return ContagionAttack(plans), shields, network, mc, draw(st.integers(0, 2**32 - 1))
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(contagion_cases())
+    def test_matches_scalar_loop(self, case):
+        attack, shields, network, mc, seed = case
+        # SeedSequence.spawn is stateful: each side needs its own fresh one
+        fast = simulate_trials(attack, shields, network, mc, np.random.SeedSequence(seed))
+        slow = oracle_simulate_trials(attack, shields, network, mc, np.random.SeedSequence(seed))
+        assert fast == slow
+
+    def test_shipped_networks_golden_digest(self):
+        # sha256 of engagement outcomes computed with the per-tick scalar loop
+        # before the bitmask rewrite; catches drift even if the oracle changes
+        attacks = (
+            "hit e0 strength 0.8 for 5 x 3 hit e2 strength 0.5 for 10 x 2",
+            "hit e1 strength 1.0 for 40 x 1 hit e3 strength 0.3 for 2 x 8",
+        )
+        defenses = (
+            "place d0 in e1 place d1 in e2 place d2 in e0 tap e0 at 0.3 tap e1 at 0.6 tap e2 at 0.1",
+            "place d3 in e3 tap e0 at 1.0 tap e1 at 0.9 tap e3 at 0.05",
+        )
+        records = []
+        for network in ("star", "twotier", "chain", "clique"):
+            environment = ContagionEnvironment.from_file(data_path("scenarios", f"{network}.scenario"))
+            for i, attack in enumerate(attacks):
+                for j, shields in enumerate(defenses):
+                    outcome = environment.engage(
+                        strategy(attack), strategy(shields), np.random.SeedSequence([17, i, j])
+                    )
+                    records.append(
+                        {
+                            "network": network,
+                            "attacker_score": outcome.attacker_score,
+                            "costs": outcome.costs,
+                            "telemetry": outcome.telemetry,
+                        }
+                    )
+        digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+        assert digest == "522a3499b98eef4c6a164049aab06f6f1a3a0da097f5d748c650b6c34f798536"
 
 
 class TestEngageOutcome:
