@@ -54,26 +54,42 @@ def small_contagion(
 
 
 class ScriptedEnvironment:
-    """Zero-sum stand-in environment: score is a pure function of the sentences."""
+    """Zero-sum stand-in environment: score is a pure function of the sentences.
+
+    cost_fn, when given, maps (attack, defense) to (attacker_cost, defender_cost).
+    """
 
     environment_id = "scripted"
 
-    def __init__(self, score_fn=None):
+    def __init__(self, score_fn=None, cost_fn=None):
         self.score_fn = score_fn or (lambda attack, defense: 0.0)
+        self.cost_fn = cost_fn
 
     def engage(self, attack, defense, rng):
         value = float(self.score_fn(attack, defense))
+        costs = {}
+        if self.cost_fn is not None:
+            attacker_cost, defender_cost = self.cost_fn(attack, defense)
+            costs = {"attacker_cost": attacker_cost, "defender_cost": defender_cost}
         return EngagementOutcome(
             attacker_id=-1,
             defender_id=-1,
             generation=-1,
             attacker_score=value,
             defender_score=-value,
+            costs=costs,
         )
 
 
 def hash_score(attack, defense):
     return zlib.crc32(f"{attack.text}|{defense.text}".encode()) / 2**32
+
+
+def hash_costs(attack, defense):
+    return (
+        zlib.crc32(f"cost|{attack.text}".encode()) / 2**32,
+        zlib.crc32(f"cost|{defense.text}|{attack.text}".encode()) / 2**32,
+    )
 
 
 SMALL_CONTAGION_SCENARIO = """\

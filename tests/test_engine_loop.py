@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -7,12 +10,13 @@ from coevarena.engine import (
     ArchiveEntry,
     CompetitionStructure,
     EvolutionConfig,
+    SelectionScheme,
     StructureMismatch,
     run_alternating,
 )
 from coevarena.grammar import Genotype, GenotypeLimits, MappingConfig, parse_bnf
 
-from conftest import ScriptedEnvironment, hash_score
+from conftest import ScriptedEnvironment, hash_costs, hash_score
 
 # Non-recursive, so every genotype maps: loop-shape assertions stay clean of
 # invalid individuals. The invalid-individual test builds its own grammar.
@@ -212,3 +216,59 @@ class TestArchive:
     def test_zero_capacity_archive_stays_empty(self):
         record = run(config(archive_capacity=0))
         assert record.archive_entries == []
+
+
+# sha256 of every run_alternating output over GOLDEN_GRID, computed on the loop
+# before its role-symmetric rewrite. A change to any engagement, half-step,
+# champion or archive entry changes it.
+GOLDEN_LOOP_DIGEST = "8115ad8dec6cc53d8f2aa1c9b791f1e76f462807474cda9040762d0b73f2d0f3"
+
+GOLDEN_GRID = list(
+    itertools.product(
+        (
+            CompetitionStructure("one-vs-one"),
+            CompetitionStructure("all-vs-all"),
+            CompetitionStructure("tournament", rounds=2),
+            CompetitionStructure("spatial", grid_side=2, neighborhood=1),
+        ),
+        ("meu", "best-worst", "pareto"),
+        ("mean", "max", "min", "median"),
+        ("best-of-generation", "pareto-nondominated"),
+    )
+)
+
+
+class TestGoldenDigest:
+    def test_loop_output_digest_is_pinned(self):
+        # Recursive grammars with no wraps leave some individuals invalid, and
+        # the environment charges both sides, so every fitness and champion
+        # path that folds in cost or skips an invalid pair is exercised.
+        digest = hashlib.sha256()
+        selections = (SelectionScheme("tournament", size=2), SelectionScheme("truncation", 0.5))
+        for k, (structure, concept, aggregation, admission) in enumerate(GOLDEN_GRID):
+            cfg = config(
+                generations=3,
+                master_seed=k,
+                structure=structure,
+                solution_concept=concept,
+                aggregation=aggregation,
+                archive_admission=admission,
+                selection=selections[k % 2],
+                secondary_weight=0.3,
+                limits=GenotypeLimits(min_length=1, max_length=8, codon_max=64),
+                mapping=MappingConfig(max_wraps=0, max_derivation_steps=50),
+            )
+            record = run_alternating(
+                cfg,
+                RECURSIVE_ATTACK_GRAMMAR,
+                RECURSIVE_DEFENSE_GRAMMAR,
+                ScriptedEnvironment(hash_score, hash_costs),
+            )
+            payload = {
+                "engagements": record.engagements,
+                "half_steps": [asdict(step) for step in record.half_steps],
+                "champions": [asdict(record.best_attacker), asdict(record.best_defender)],
+                "archive": [asdict(entry) for entry in record.archive_entries],
+            }
+            digest.update(json.dumps(payload, sort_keys=True).encode("utf-8"))
+        assert digest.hexdigest() == GOLDEN_LOOP_DIGEST
