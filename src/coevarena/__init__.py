@@ -13,7 +13,6 @@ from .engine import (
     DimensionMismatch,
     EvolutionConfig,
     HalfStepStats,
-    MissingOutcomes,
     Population,
     RunRecord,
     SelectionScheme,

@@ -66,6 +66,34 @@ def _get(parser: ConfigParser, section: str, option: str, cast, default=None):
         raise ConfigError(f"config [{section}] {option}: bad value {raw!r} ({exc})") from exc
 
 
+_EVOLUTION_FIELDS = {
+    "generations": int,
+    "attacker_population": int,
+    "defender_population": int,
+    "mutation_rate": float,
+    "crossover_rate": float,
+    "selection": SelectionScheme.parse,
+    "structure": CompetitionStructure.parse,
+    "aggregation": str,
+    "solution_concept": str,
+    "archive_capacity": int,
+    "archive_admission": str,
+    "secondary_weight": float,
+    "invalid_fitness": float,
+}
+_GENOTYPE_FIELDS = {"min_length": int, "max_length": int, "codon_max": int}
+_MAPPING_FIELDS = {"max_wraps": int, "codon_policy": str, "max_derivation_steps": int}
+
+
+def _present(parser: ConfigParser, section: str, fields: dict) -> dict:
+    """The entries of section that the file sets, cast; the rest keep their dataclass defaults."""
+    return {
+        option: _get(parser, section, option, cast)
+        for option, cast in fields.items()
+        if parser.has_option(section, option)
+    }
+
+
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     parser = ConfigParser()
@@ -99,40 +127,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
     try:
         evolution = EvolutionConfig(
-            generations=_get(parser, "evolution", "generations", int, default=10),
-            attacker_population=_get(parser, "evolution", "attacker_population", int, default=16),
-            defender_population=_get(parser, "evolution", "defender_population", int, default=16),
-            mutation_rate=_get(parser, "evolution", "mutation_rate", float, default=0.1),
-            crossover_rate=_get(parser, "evolution", "crossover_rate", float, default=0.8),
-            selection=_get(
-                parser, "evolution", "selection", SelectionScheme.parse,
-                default=SelectionScheme("tournament", size=3),
-            ),
-            structure=_get(
-                parser, "evolution", "structure", CompetitionStructure.parse,
-                default=CompetitionStructure("one-vs-one"),
-            ),
-            aggregation=_get(parser, "evolution", "aggregation", str, default="mean"),
-            solution_concept=_get(parser, "evolution", "solution_concept", str, default="meu"),
-            archive_capacity=_get(parser, "evolution", "archive_capacity", int, default=16),
-            archive_admission=_get(
-                parser, "evolution", "archive_admission", str, default="best-of-generation"
-            ),
-            secondary_weight=_get(parser, "evolution", "secondary_weight", float, default=0.2),
-            invalid_fitness=_get(parser, "evolution", "invalid_fitness", float, default=-1e18),
+            **_present(parser, "evolution", _EVOLUTION_FIELDS),
             master_seed=seed,
-            limits=GenotypeLimits(
-                min_length=_get(parser, "genotype", "min_length", int, default=8),
-                max_length=_get(parser, "genotype", "max_length", int, default=64),
-                codon_max=_get(parser, "genotype", "codon_max", int, default=2**16),
-            ),
-            mapping=MappingConfig(
-                max_wraps=_get(parser, "mapping", "max_wraps", int, default=2),
-                codon_policy=_get(parser, "mapping", "codon_policy", str, default="consume-on-choice"),
-                max_derivation_steps=_get(
-                    parser, "mapping", "max_derivation_steps", int, default=10_000
-                ),
-            ),
+            limits=GenotypeLimits(**_present(parser, "genotype", _GENOTYPE_FIELDS)),
+            mapping=MappingConfig(**_present(parser, "mapping", _MAPPING_FIELDS)),
         )
     except ValueError as exc:
         raise ConfigError(f"config [evolution]: {exc}") from exc

@@ -8,7 +8,7 @@ from .config import (
     SelectionScheme,
     opposite,
 )
-from .fitness import DimensionMismatch, MissingOutcomes, assign_fitness, dominates, pareto_front
+from .fitness import DimensionMismatch, assign_fitness, dominates, pareto_front
 from .loop import Champion, HalfStepStats, RunRecord, run_alternating
 from .pairing import Population, StructureMismatch, pair
 from .variation import crossover, mutate, select
@@ -24,7 +24,6 @@ __all__ = [
     "DimensionMismatch",
     "EvolutionConfig",
     "HalfStepStats",
-    "MissingOutcomes",
     "Population",
     "RunRecord",
     "SelectionScheme",

@@ -9,15 +9,6 @@ from typing import Iterable, Sequence
 from ..engagement import EngagementOutcome
 
 
-class MissingOutcomes(Exception):
-    """An individual that should have engaged never appears in the outcomes."""
-
-    def __init__(self, ids):
-        ids = sorted(ids)
-        super().__init__(f"no outcomes recorded for ids {ids}")
-        self.ids = ids
-
-
 class DimensionMismatch(Exception):
     """Outcome vectors disagree on dimensionality."""
 
@@ -34,31 +25,25 @@ def aggregate(values: Sequence[float], aggregation: str) -> float:
     return float(_AGGREGATORS[aggregation](values))
 
 
+def effective_score(outcome: EngagementOutcome, role: str, weight: float) -> float:
+    """The role's own score minus weight times the role's own cost."""
+    return outcome.score_for(role) - weight * outcome.cost_for(role)
+
+
 def assign_fitness(
     outcomes: Iterable[EngagementOutcome],
     aggregation: str,
     role: str,
     *,
-    expected_ids: Iterable[int] | None = None,
     secondary_weight: float = 0.0,
 ) -> dict[int, float]:
-    """Aggregate each individual's engagement scores into one fitness value.
-
-    The score of an outcome is the role's own score minus secondary_weight
-    times the role's own cost. With expected_ids given, raises MissingOutcomes
-    for any listed individual that never engaged.
-    """
+    """Aggregate each individual's effective scores into one fitness value."""
     if aggregation not in _AGGREGATORS:
         raise ValueError(f"unknown aggregation {aggregation!r}")
     per_id: dict[int, list[float]] = defaultdict(list)
     for outcome in outcomes:
         own_id = outcome.attacker_id if role == "attacker" else outcome.defender_id
-        value = outcome.score_for(role) - secondary_weight * outcome.cost_for(role)
-        per_id[own_id].append(value)
-    if expected_ids is not None:
-        missing = set(expected_ids) - per_id.keys()
-        if missing:
-            raise MissingOutcomes(missing)
+        per_id[own_id].append(effective_score(outcome, role, secondary_weight))
     return {own_id: aggregate(values, aggregation) for own_id, values in per_id.items()}
 
 

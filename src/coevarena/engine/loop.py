@@ -1,12 +1,17 @@
 """The alternating two-population coevolutionary loop.
 
-Each generation runs two half-steps. A half-step evolves one role against the
-frozen opposing population: select parents, cross over, mutate, map genotypes
-to sentences, pair per the competition structure, engage, and aggregate the
-outcomes into fitness. The previous champion (incumbent) is re-evaluated
-against the same frozen opponents and swapped in for the worst newcomer when
-it is strictly better, so the best fitness against a fixed opponent set never
-worsens between consecutive generations.
+Each generation runs two half-steps. A half-step evolves one role, the own
+side, against the frozen population of the other role, the opponent: select
+parents, cross over, mutate, map genotypes to sentences, pair per the
+competition structure, engage, and aggregate the outcomes into fitness. The
+previous champion (incumbent) is re-evaluated against the same frozen
+opponents and swapped in for the worst newcomer when it is strictly better, so
+the best fitness against a fixed opponent set never worsens between
+consecutive generations.
+
+The loop is written once, in (own, opponent) terms, for both roles. Only
+pairing and engaging need to know which side attacks; ``_oriented`` turns an
+(own, opponent) pair into (attacker, defender) order and back.
 
 Every engagement is logged. Identical config and master seed reproduce the
 log byte for byte.
@@ -22,7 +27,7 @@ from ..grammar import Genotype, Grammar, MappingFailure, Strategy, map_genotype,
 from . import rng as streams
 from .archive import Archive, ArchiveEntry
 from .config import ATTACKER, DEFENDER, EvolutionConfig, opposite
-from .fitness import aggregate, assign_fitness, pareto_front
+from .fitness import assign_fitness, effective_score, pareto_front
 from .pairing import Population, pair
 from .variation import crossover, mutate, select
 
@@ -79,8 +84,30 @@ def _worst_index(fitness: dict[int, float], n: int) -> int:
     return min(range(n), key=lambda i: (fitness[i], i))
 
 
-def _sentence_text(strategy: Strategy | None) -> str | None:
-    return strategy.text if strategy is not None else None
+def _oriented(role: str, own, opponent):
+    """Put an (own, opponent) pair in (attacker, defender) order, or back again."""
+    return (own, opponent) if role == ATTACKER else (opponent, own)
+
+
+@dataclass
+class _Side:
+    """One role's population with its strategies, fitness and the outcomes behind it.
+
+    strategies[i] is None when members[i] failed to map. outcomes[i] holds the
+    engagements that gave fitness[i]; fitness is None before the first
+    half-step of the role.
+    """
+
+    role: str
+    generation: int
+    members: list[Genotype]
+    strategies: list[Strategy | None]
+    fitness: dict[int, float] | None = None
+    outcomes: dict[int, list[EngagementOutcome]] = field(default_factory=dict)
+
+    @property
+    def population(self) -> Population:
+        return Population(role=self.role, members=tuple(self.members), generation=self.generation)
 
 
 class _AlternatingRun:
@@ -90,17 +117,14 @@ class _AlternatingRun:
         self.environment = environment
         self.run_id = run_id
         self.seed = cfg.master_seed
-        self.populations: dict[str, Population] = {}
-        self.strategies: dict[str, list[Strategy | None]] = {}
-        self.fitness: dict[str, dict[int, float] | None] = {ATTACKER: None, DEFENDER: None}
-        self.outcomes: dict[str, dict[int, list[EngagementOutcome]]] = {ATTACKER: {}, DEFENDER: {}}
+        self.sides: dict[str, _Side] = {}
         self.log: list[dict] = []
         self.half_steps: list[HalfStepStats] = []
         self.archive = Archive(cfg.archive_capacity, cfg.archive_admission)
 
     def initialize(self):
         for role in (ATTACKER, DEFENDER):
-            members = tuple(
+            members = [
                 random_genotype(
                     streams.generator(self.seed, "init", role, i),
                     self.cfg.limits.min_length,
@@ -108,40 +132,52 @@ class _AlternatingRun:
                     self.cfg.limits.codon_max,
                 )
                 for i in range(self.cfg.population_size(role))
-            )
-            self.populations[role] = Population(role=role, members=members, generation=0)
-            self.strategies[role] = [self._map(role, member) for member in members]
+            ]
+            self.sides[role] = self._side(role, 0, members)
 
-    def _map(self, role: str, genotype: Genotype) -> Strategy | None:
-        try:
-            return map_genotype(genotype, self.grammars[role], self.cfg.mapping)
-        except MappingFailure:
+    def _side(self, role: str, generation: int, members: list[Genotype]) -> _Side:
+        strategies = []
+        for member in members:
+            try:
+                strategies.append(map_genotype(member, self.grammars[role], self.cfg.mapping))
+            except MappingFailure:
+                strategies.append(None)
+        return _Side(role, generation, members, strategies)
+
+    def _engage(self, generation, role, kind, k, own: _Side, i: int, opponent: _Side, j: int):
+        """Engage own's member i with opponent's member j and log the engagement.
+
+        Returns None, and engages nothing, when either member failed to map.
+        """
+        (attackers, a), (defenders, d) = _oriented(role, (own, i), (opponent, j))
+        attack, defense = attackers.strategies[a], defenders.strategies[d]
+        if attack is None or defense is None:
             return None
-
-    def _engage(self, attack: Strategy, defense: Strategy, *key) -> EngagementOutcome:
-        return self.environment.engage(attack, defense, streams.seed_sequence(self.seed, *key))
-
-    def _record(self, generation, phase, kind, pair_index, outcome, att_geno, att_strat, def_geno, def_strat):
+        stream = "engage" if kind == CANDIDATE else "elite"
+        outcome = self.environment.engage(
+            attack, defense, streams.seed_sequence(self.seed, stream, generation, role, k)
+        ).with_identity(a, d, generation)
         self.log.append(
             {
                 "record": "engagement",
                 "run": self.run_id,
                 "generation": generation,
-                "phase": phase,
+                "phase": role,
                 "kind": kind,
-                "pair_index": pair_index,
-                "attacker_id": outcome.attacker_id,
-                "defender_id": outcome.defender_id,
-                "attacker_genotype": list(att_geno.codons),
-                "attacker_sentence": _sentence_text(att_strat),
-                "defender_genotype": list(def_geno.codons),
-                "defender_sentence": _sentence_text(def_strat),
+                "pair_index": k,
+                "attacker_id": a,
+                "defender_id": d,
+                "attacker_genotype": list(attackers.members[a].codons),
+                "attacker_sentence": attack.text,
+                "defender_genotype": list(defenders.members[d].codons),
+                "defender_sentence": defense.text,
                 "attacker_score": outcome.attacker_score,
                 "defender_score": outcome.defender_score,
                 "costs": dict(outcome.costs),
                 "telemetry": dict(outcome.telemetry),
             }
         )
+        return outcome
 
     def _variation(self, generation, role, parents):
         n = self.cfg.population_size(role)
@@ -169,111 +205,67 @@ class _AlternatingRun:
 
     def half_step(self, generation: int, role: str):
         cfg = self.cfg
-        opp = opposite(role)
         n = cfg.population_size(role)
-        previous = self.populations[role]
-        previous_fitness = self.fitness[role]
+        own, opponent = self.sides[role], self.sides[opposite(role)]
 
-        incumbent_index = incumbent_geno = incumbent_strat = None
-        if previous_fitness is None:
-            parents = list(previous.members)
+        incumbent = None
+        if own.fitness is None:
+            parents = own.members
         else:
-            incumbent_index = _best_index(previous_fitness, n)
-            incumbent_geno = previous.members[incumbent_index]
-            incumbent_strat = self.strategies[role][incumbent_index]
-            parents = list(
-                select(
-                    previous,
-                    previous_fitness,
-                    cfg.selection,
-                    streams.generator(self.seed, "select", generation, role),
-                ).members
-            )
+            incumbent = _best_index(own.fitness, n)
+            parents = select(
+                own.population,
+                own.fitness,
+                cfg.selection,
+                streams.generator(self.seed, "select", generation, role),
+            ).members
+        candidates = self._side(role, generation, self._variation(generation, role, parents))
 
-        children = self._variation(generation, role, parents)
-        child_strategies = [self._map(role, child) for child in children]
-
-        candidates = Population(role=role, members=tuple(children), generation=generation)
-        if role == ATTACKER:
-            att_pop, def_pop = candidates, self.populations[opp]
-            att_strats, def_strats = child_strategies, self.strategies[opp]
-        else:
-            att_pop, def_pop = self.populations[opp], candidates
-            att_strats, def_strats = self.strategies[opp], child_strategies
-
-        pairs = pair(cfg.structure, att_pop, def_pop, streams.generator(self.seed, "pair", generation, role))
+        pairs = pair(
+            cfg.structure,
+            *_oriented(role, candidates.population, opponent.population),
+            streams.generator(self.seed, "pair", generation, role),
+        )
         outcomes: list[EngagementOutcome] = []
-        for k, (ai, di) in enumerate(pairs):
-            attack, defense = att_strats[ai], def_strats[di]
-            if attack is None or defense is None:
-                continue
-            outcome = self._engage(attack, defense, "engage", generation, role, k)
-            outcome = outcome.with_identity(ai, di, generation)
-            outcomes.append(outcome)
-            self._record(
-                generation, role, CANDIDATE, k, outcome,
-                att_pop.members[ai], attack, def_pop.members[di], defense,
-            )
-
+        for k, ids in enumerate(pairs):
+            i, j = _oriented(role, *ids)
+            outcome = self._engage(generation, role, CANDIDATE, k, candidates, i, opponent, j)
+            if outcome is not None:
+                outcomes.append(outcome)
+                candidates.outcomes.setdefault(i, []).append(outcome)
         fitness = assign_fitness(
             outcomes, cfg.aggregation, role, secondary_weight=cfg.secondary_weight
         )
-        per_individual: dict[int, list[EngagementOutcome]] = {}
-        for outcome in outcomes:
-            own = outcome.attacker_id if role == ATTACKER else outcome.defender_id
-            per_individual.setdefault(own, []).append(outcome)
         for i in range(n):
             fitness.setdefault(i, cfg.invalid_fitness)
+        candidates.fitness = fitness
 
         # Elitism: re-evaluate the incumbent against every valid frozen
         # opponent and swap it in for the worst newcomer if strictly better.
         incumbent_fitness = None
-        if incumbent_strat is not None and previous_fitness is not None:
+        if incumbent is not None:
             incumbent_outcomes = []
-            for j, opponent in enumerate(self.strategies[opp]):
-                if opponent is None:
-                    continue
-                if role == ATTACKER:
-                    outcome = self._engage(incumbent_strat, opponent, "elite", generation, role, j)
-                    outcome = outcome.with_identity(incumbent_index, j, generation)
-                    self._record(
-                        generation, role, INCUMBENT, j, outcome,
-                        incumbent_geno, incumbent_strat,
-                        self.populations[opp].members[j], opponent,
-                    )
-                else:
-                    outcome = self._engage(opponent, incumbent_strat, "elite", generation, role, j)
-                    outcome = outcome.with_identity(j, incumbent_index, generation)
-                    self._record(
-                        generation, role, INCUMBENT, j, outcome,
-                        self.populations[opp].members[j], opponent,
-                        incumbent_geno, incumbent_strat,
-                    )
-                incumbent_outcomes.append(outcome)
+            for j in range(len(opponent.members)):
+                outcome = self._engage(generation, role, INCUMBENT, j, own, incumbent, opponent, j)
+                if outcome is not None:
+                    incumbent_outcomes.append(outcome)
             if incumbent_outcomes:
-                incumbent_fitness = aggregate(
-                    [
-                        o.score_for(role) - cfg.secondary_weight * o.cost_for(role)
-                        for o in incumbent_outcomes
-                    ],
-                    cfg.aggregation,
-                )
+                incumbent_fitness = assign_fitness(
+                    incumbent_outcomes, cfg.aggregation, role, secondary_weight=cfg.secondary_weight
+                )[incumbent]
                 worst = _worst_index(fitness, n)
                 if incumbent_fitness > fitness[worst]:
-                    children[worst] = incumbent_geno
-                    child_strategies[worst] = incumbent_strat
+                    candidates.members[worst] = own.members[incumbent]
+                    candidates.strategies[worst] = own.strategies[incumbent]
+                    candidates.outcomes[worst] = incumbent_outcomes
                     fitness[worst] = incumbent_fitness
-                    per_individual[worst] = incumbent_outcomes
 
-        self.populations[role] = Population(role=role, members=tuple(children), generation=generation)
-        self.strategies[role] = child_strategies
-        self.fitness[role] = fitness
-        self.outcomes[role] = per_individual
-
+        self.sides[role] = candidates
         values = [fitness[i] for i in range(n)]
         best = _best_index(fitness, n)
-        best_strategy = child_strategies[best]
-        best_outcomes = per_individual.get(best, [])
+        best_strategy = candidates.strategies[best]
+        best_sentence = best_strategy.sentence if best_strategy else None
+        best_outcomes = candidates.outcomes.get(best, [])
         best_cost = (
             statistics.fmean([o.cost_for(role) for o in best_outcomes]) if best_outcomes else None
         )
@@ -286,62 +278,57 @@ class _AlternatingRun:
                 mean_fitness=statistics.fmean(values),
                 fitness_variance=statistics.pvariance(values),
                 incumbent_fitness=incumbent_fitness,
-                best_genotype=children[best],
-                best_sentence=best_strategy.sentence if best_strategy else None,
+                best_genotype=candidates.members[best],
+                best_sentence=best_sentence,
                 best_cost=best_cost,
             )
         )
         if fitness[best] > cfg.invalid_fitness:
             self.archive.admit(
                 ArchiveEntry(
-                    genotype=children[best],
+                    genotype=candidates.members[best],
                     role=role,
                     generation=generation,
                     score=fitness[best],
                     cost=best_cost if best_cost is not None else 0.0,
-                    sentence=best_strategy.sentence if best_strategy else None,
+                    sentence=best_sentence,
                 )
             )
 
     def champion(self, role: str) -> Champion:
         cfg = self.cfg
-        n = cfg.population_size(role)
-        fitness = self.fitness[role]
-        per_individual = self.outcomes[role]
-        evaluated = sorted(per_individual)
-
-        def effective(outcome):
-            return outcome.score_for(role) - cfg.secondary_weight * outcome.cost_for(role)
-
+        side = self.sides[role]
+        evaluated = sorted(side.outcomes)
         if not evaluated:
             index, score = 0, cfg.invalid_fitness
-        elif cfg.solution_concept == "best-worst":
-            scored = {i: min(effective(o) for o in per_individual[i]) for i in evaluated}
-            index = max(evaluated, key=lambda i: (scored[i], -i))
-            score = scored[index]
         elif cfg.solution_concept == "pareto":
             points = [
                 (
-                    statistics.fmean([o.score_for(role) for o in per_individual[i]]),
-                    statistics.fmean([o.cost_for(role) for o in per_individual[i]]),
+                    statistics.fmean([o.score_for(role) for o in side.outcomes[i]]),
+                    statistics.fmean([o.cost_for(role) for o in side.outcomes[i]]),
                 )
                 for i in evaluated
             ]
             front = pareto_front(points, ("max", "min"))
             index = evaluated[front[0]]
             score = points[front[0]][0]
-        else:  # meu
-            scored = {i: statistics.fmean([effective(o) for o in per_individual[i]]) for i in evaluated}
+        else:
+            # meu takes the mean effective score, best-worst the worst one.
+            reduce = min if cfg.solution_concept == "best-worst" else statistics.fmean
+            scored = {
+                i: reduce([effective_score(o, role, cfg.secondary_weight) for o in side.outcomes[i]])
+                for i in evaluated
+            }
             index = max(evaluated, key=lambda i: (scored[i], -i))
             score = scored[index]
 
-        strategy = self.strategies[role][index]
+        strategy = side.strategies[index]
         return Champion(
             role=role,
             index=index,
-            genotype=self.populations[role].members[index],
+            genotype=side.members[index],
             sentence=strategy.sentence if strategy else None,
-            fitness=fitness[index],
+            fitness=side.fitness[index],
             concept=cfg.solution_concept,
             concept_score=score,
         )
@@ -355,14 +342,6 @@ def run_alternating(
     run_id: str | None = None,
 ) -> RunRecord:
     """Run the full alternating loop and return the complete run record."""
-    if cfg.structure.kind == "spatial":
-        side = cfg.structure.grid_side
-        if cfg.attacker_population != side * side or cfg.defender_population != side * side:
-            from .pairing import StructureMismatch
-
-            raise StructureMismatch(
-                f"spatial structure needs both populations of size {side * side}"
-            )
     if run_id is None:
         run_id = f"run-s{cfg.master_seed}"
     state = _AlternatingRun(

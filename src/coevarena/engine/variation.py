@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Mapping
 
 import numpy as np
 
@@ -12,30 +11,22 @@ from .config import SelectionScheme
 from .pairing import Population
 
 
-def _fitness_list(fitnesses, n: int) -> list[float]:
-    if isinstance(fitnesses, Mapping):
-        return [fitnesses[i] for i in range(n)]
-    return list(fitnesses)
-
-
 def select(
     population: Population,
     fitnesses,
     scheme: SelectionScheme,
     rng: np.random.Generator,
-    minimize: bool = False,
 ) -> Population:
-    """Pick len(population) parents with replacement.
+    """Pick len(population) parents with replacement, maximizing fitness.
 
+    fitnesses[i] is member i's fitness; a list or an index-keyed dict both do.
     tournament(k): best of k i.i.d. uniform draws. truncation(f): uniform over
     the best ceil(f*N). Ties always go to the lowest index.
     """
     n = len(population)
-    fit = _fitness_list(fitnesses, n)
-    sign = 1.0 if minimize else -1.0
 
     def better(i: int, j: int) -> int:
-        return i if (sign * fit[i], i) < (sign * fit[j], j) else j
+        return i if (-fitnesses[i], i) < (-fitnesses[j], j) else j
 
     parents: list[Genotype] = []
     if scheme.kind == "tournament":
@@ -47,7 +38,7 @@ def select(
             parents.append(population.members[winner])
     else:
         keep = math.ceil(scheme.fraction * n)
-        elite = sorted(range(n), key=lambda i: (sign * fit[i], i))[:keep]
+        elite = sorted(range(n), key=lambda i: (-fitnesses[i], i))[:keep]
         for _ in range(n):
             parents.append(population.members[elite[int(rng.integers(0, keep))]])
     return Population(role=population.role, members=tuple(parents), generation=population.generation)

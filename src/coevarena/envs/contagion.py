@@ -429,29 +429,6 @@ def engage(
     )
 
 
-def estimate_meu(
-    attack: ContagionAttack,
-    defenses: list[ContagionDefense],
-    network: SegmentedNetwork,
-    mc: MonteCarloConfig,
-    seed: int,
-) -> float:
-    """Mean of the attack's scores over the supplied defenses.
-
-    Opponent j is engaged with the keyed stream (seed, "meu", j), so the
-    result can be recomputed engagement by engagement.
-    """
-    if not defenses:
-        raise ValueError("estimate_meu needs at least one opposing defense")
-    from ..engine.rng import seed_sequence
-
-    scores = [
-        engage(attack, defense, network, mc, seed_sequence(seed, "meu", j)).attacker_score
-        for j, defense in enumerate(defenses)
-    ]
-    return statistics.fmean(scores)
-
-
 class ContagionEnvironment:
     """Engine-facing adapter: interprets sentences, then runs the trials."""
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from coevarena.data import data_path
 from coevarena.engagement import InterpretError, ScenarioError
-from coevarena.engine.rng import seed_sequence
 from coevarena.envs.contagion import (
     ContagionAttack,
     ContagionDefense,
@@ -18,7 +17,6 @@ from coevarena.envs.contagion import (
     MonteCarloConfig,
     SegmentedNetwork,
     engage,
-    estimate_meu,
     interpret_attack,
     interpret_defense,
     load_scenario,
@@ -325,36 +323,6 @@ class TestEngageOutcome:
         attack = ContagionAttack((plan(strength=0.5, duration=4, count=2),))
         outcome = engage(attack, defense(), scenario.network, scenario.mc, np.random.SeedSequence(5))
         assert outcome.costs["attacker_cost"] == (0.5 * 4 * 2) / (15 * 3)
-
-
-class TestEstimateMeu:
-    def test_two_defense_average_recomputed_from_parts(self):
-        scenario = small_contagion(trials=10)
-        attack = ContagionAttack((plan(strength=0.9, duration=5, count=2),))
-        defenses = [
-            defense(sensitivity=(0.0, 0.0, 0.0)),
-            defense(sensitivity=(0.9, 0.9, 0.9)),
-        ]
-        meu = estimate_meu(attack, defenses, scenario.network, scenario.mc, seed=13)
-        parts = [
-            engage(attack, d, scenario.network, scenario.mc, seed_sequence(13, "meu", j)).attacker_score
-            for j, d in enumerate(defenses)
-        ]
-        assert meu == statistics.fmean(parts)
-        assert parts[0] != parts[1]  # sensitivity actually matters
-
-    def test_single_opponent_is_that_score(self):
-        scenario = small_contagion(trials=5)
-        attack = ContagionAttack((plan(strength=0.9, duration=5, count=1),))
-        only = defense()
-        meu = estimate_meu(attack, [only], scenario.network, scenario.mc, seed=3)
-        direct = engage(attack, only, scenario.network, scenario.mc, seed_sequence(3, "meu", 0))
-        assert meu == direct.attacker_score
-
-    def test_empty_opponents_rejected(self):
-        scenario = small_contagion()
-        with pytest.raises(ValueError):
-            estimate_meu(ContagionAttack(()), [], scenario.network, scenario.mc, seed=0)
 
 
 class TestScenarioLoading:

@@ -4,8 +4,9 @@ from collections import defaultdict
 
 import pytest
 
-from coevarena.cli import main
+from coevarena.cli import load_experiment_config, main
 from coevarena.data import data_path
+from coevarena.engine import EvolutionConfig
 from coevarena.store import ResultsStore, UnknownRun
 
 from conftest import write_experiment_config
@@ -121,6 +122,22 @@ scenario = {ddos_scenario_file}
         config = write_experiment_config(tmp_path, "ddos", ddos_scenario_file)
         assert run_cli("run", "--config", config) == 1
         assert "store" in capsys.readouterr().err
+
+
+class TestLoadExperimentConfig:
+    def test_empty_sections_take_the_dataclass_defaults(self, tmp_path, ddos_scenario_file):
+        path = tmp_path / "bare.cfg"
+        path.write_text(
+            "[experiment]\n"
+            "environment = ddos\n"
+            f"attack_grammar = {data_path('grammars', 'ddos_attack.bnf')}\n"
+            f"defense_grammar = {data_path('grammars', 'ddos_defense.bnf')}\n"
+            f"scenario = {ddos_scenario_file}\n"
+            "seed = 4\n"
+            "\n[evolution]\n\n[genotype]\n\n[mapping]\n",
+            encoding="utf-8",
+        )
+        assert load_experiment_config(path).evolution == EvolutionConfig(master_seed=4)
 
 
 class TestCmdInspect:
