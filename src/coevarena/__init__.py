@@ -13,7 +13,6 @@ from .engine import (
     DimensionMismatch,
     EvolutionConfig,
     HalfStepStats,
-    Population,
     RunRecord,
     SelectionScheme,
     StructureMismatch,

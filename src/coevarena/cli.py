@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import establo as establo_mod
 from .engagement import InterpretError, ScenarioError
-from .engine.config import EvolutionConfig, SelectionScheme, CompetitionStructure
+from .engine.config import EvolutionConfig, cast_entries
 from .engine.loop import run_alternating
 from .engine.pairing import StructureMismatch
 from .envs import ENVIRONMENTS, load_environment
@@ -66,32 +66,12 @@ def _get(parser: ConfigParser, section: str, option: str, cast, default=None):
         raise ConfigError(f"config [{section}] {option}: bad value {raw!r} ({exc})") from exc
 
 
-_EVOLUTION_FIELDS = {
-    "generations": int,
-    "attacker_population": int,
-    "defender_population": int,
-    "mutation_rate": float,
-    "crossover_rate": float,
-    "selection": SelectionScheme.parse,
-    "structure": CompetitionStructure.parse,
-    "aggregation": str,
-    "solution_concept": str,
-    "archive_capacity": int,
-    "archive_admission": str,
-    "secondary_weight": float,
-    "invalid_fitness": float,
-}
-_GENOTYPE_FIELDS = {"min_length": int, "max_length": int, "codon_max": int}
-_MAPPING_FIELDS = {"max_wraps": int, "codon_policy": str, "max_derivation_steps": int}
-
-
-def _present(parser: ConfigParser, section: str, fields: dict) -> dict:
+def _section(parser: ConfigParser, section: str, schema: type) -> dict:
     """The entries of section that the file sets, cast; the rest keep their dataclass defaults."""
-    return {
-        option: _get(parser, section, option, cast)
-        for option, cast in fields.items()
-        if parser.has_option(section, option)
-    }
+    try:
+        return cast_entries(schema, parser[section] if parser.has_section(section) else {})
+    except ValueError as exc:
+        raise ConfigError(f"config [{section}] {exc}") from exc
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -127,10 +107,9 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
     try:
         evolution = EvolutionConfig(
-            **_present(parser, "evolution", _EVOLUTION_FIELDS),
-            master_seed=seed,
-            limits=GenotypeLimits(**_present(parser, "genotype", _GENOTYPE_FIELDS)),
-            mapping=MappingConfig(**_present(parser, "mapping", _MAPPING_FIELDS)),
+            **{**_section(parser, "evolution", EvolutionConfig), "master_seed": seed},
+            limits=GenotypeLimits(**_section(parser, "genotype", GenotypeLimits)),
+            mapping=MappingConfig(**_section(parser, "mapping", MappingConfig)),
         )
     except ValueError as exc:
         raise ConfigError(f"config [evolution]: {exc}") from exc

@@ -10,7 +10,7 @@ zero-sum environment defender_score == -attacker_score.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -20,9 +20,6 @@ from .grammar import Strategy
 
 @dataclass(frozen=True)
 class EngagementOutcome:
-    attacker_id: int
-    defender_id: int
-    generation: int
     attacker_score: float
     defender_score: float
     costs: dict[str, float] = field(default_factory=dict)
@@ -37,9 +34,6 @@ class EngagementOutcome:
 
     def cost_for(self, role: str) -> float:
         return float(self.costs.get(f"{role}_cost", 0.0))
-
-    def with_identity(self, attacker_id: int, defender_id: int, generation: int) -> "EngagementOutcome":
-        return replace(self, attacker_id=attacker_id, defender_id=defender_id, generation=generation)
 
 
 @runtime_checkable

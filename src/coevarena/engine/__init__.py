@@ -10,7 +10,7 @@ from .config import (
 )
 from .fitness import DimensionMismatch, assign_fitness, dominates, pareto_front
 from .loop import Champion, HalfStepStats, RunRecord, run_alternating
-from .pairing import Population, StructureMismatch, pair
+from .pairing import StructureMismatch, pair
 from .variation import crossover, mutate, select
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "DimensionMismatch",
     "EvolutionConfig",
     "HalfStepStats",
-    "Population",
     "RunRecord",
     "SelectionScheme",
     "StructureMismatch",

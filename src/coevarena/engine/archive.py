@@ -41,9 +41,6 @@ class Archive:
         self.admission = admission
         self.entries: list[ArchiveEntry] = []
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def admit(self, entry: ArchiveEntry) -> bool:
         if self.capacity == 0:
             return False

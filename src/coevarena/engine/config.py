@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Mapping, get_type_hints
 
 from ..grammar import GenotypeLimits, MappingConfig
 
@@ -146,54 +147,62 @@ class EvolutionConfig:
         return self.attacker_population if role == ATTACKER else self.defender_population
 
     def to_dict(self) -> dict:
-        return {
-            "generations": self.generations,
-            "attacker_population": self.attacker_population,
-            "defender_population": self.defender_population,
-            "mutation_rate": self.mutation_rate,
-            "crossover_rate": self.crossover_rate,
-            "selection": self.selection.render(),
-            "structure": self.structure.render(),
-            "aggregation": self.aggregation,
-            "solution_concept": self.solution_concept,
-            "archive_capacity": self.archive_capacity,
-            "archive_admission": self.archive_admission,
-            "secondary_weight": self.secondary_weight,
-            "invalid_fitness": self.invalid_fitness,
-            "master_seed": self.master_seed,
-            "min_length": self.limits.min_length,
-            "max_length": self.limits.max_length,
-            "codon_max": self.limits.codon_max,
-            "max_wraps": self.mapping.max_wraps,
-            "codon_policy": self.mapping.codon_policy,
-            "max_derivation_steps": self.mapping.max_derivation_steps,
-        }
+        """Every settable field by name, limits and mapping flattened, schemes rendered."""
+        data = {}
+        for owner in (self, self.limits, self.mapping):
+            for name, _ in _settable(type(owner)):
+                value = getattr(owner, name)
+                data[name] = value.render() if isinstance(value, _SCHEMES) else value
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvolutionConfig":
+        """The inverse of to_dict. Raises KeyError when data lacks a field."""
+
+        def section(schema):
+            return cast_entries(schema, {name: data[name] for name, _ in _settable(schema)})
+
         return cls(
-            generations=int(data["generations"]),
-            attacker_population=int(data["attacker_population"]),
-            defender_population=int(data["defender_population"]),
-            mutation_rate=float(data["mutation_rate"]),
-            crossover_rate=float(data["crossover_rate"]),
-            selection=SelectionScheme.parse(data["selection"]),
-            structure=CompetitionStructure.parse(data["structure"]),
-            aggregation=data["aggregation"],
-            solution_concept=data["solution_concept"],
-            archive_capacity=int(data["archive_capacity"]),
-            archive_admission=data["archive_admission"],
-            secondary_weight=float(data["secondary_weight"]),
-            invalid_fitness=float(data["invalid_fitness"]),
-            master_seed=int(data["master_seed"]),
-            limits=GenotypeLimits(
-                min_length=int(data["min_length"]),
-                max_length=int(data["max_length"]),
-                codon_max=int(data["codon_max"]),
-            ),
-            mapping=MappingConfig(
-                max_wraps=int(data["max_wraps"]),
-                codon_policy=data["codon_policy"],
-                max_derivation_steps=int(data["max_derivation_steps"]),
-            ),
+            **section(cls),
+            limits=GenotypeLimits(**section(GenotypeLimits)),
+            mapping=MappingConfig(**section(MappingConfig)),
         )
+
+
+_SCHEMES = (SelectionScheme, CompetitionStructure)
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    SelectionScheme: SelectionScheme.parse,
+    CompetitionStructure: CompetitionStructure.parse,
+}
+
+
+def _settable(schema: type) -> list[tuple[str, Callable]]:
+    """(name, parser) of each field of a config dataclass that is set by name.
+
+    The nested limits and mapping of EvolutionConfig are not; their own
+    fields are.
+    """
+    hints = get_type_hints(schema)
+    return [(f.name, _PARSERS[hints[f.name]]) for f in fields(schema) if hints[f.name] in _PARSERS]
+
+
+def cast_entries(schema: type, entries: Mapping[str, object]) -> dict:
+    """The entries that set a field of schema, cast by the field's type.
+
+    schema is EvolutionConfig, GenotypeLimits or MappingConfig. int, float and
+    str fields go through that type, selection and structure through their
+    parse. Entries that name no such field are ignored; a value that does not
+    cast raises ValueError naming its field.
+    """
+    cast = {}
+    for name, parse in _settable(schema):
+        if name in entries:
+            raw = entries[name]
+            try:
+                cast[name] = parse(raw)
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{name}: bad value {raw!r} ({exc})") from exc
+    return cast

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import statistics
-from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from ..engagement import EngagementOutcome
 
@@ -31,20 +30,23 @@ def effective_score(outcome: EngagementOutcome, role: str, weight: float) -> flo
 
 
 def assign_fitness(
-    outcomes: Iterable[EngagementOutcome],
+    outcomes: Mapping[int, Sequence[EngagementOutcome]],
     aggregation: str,
     role: str,
     *,
     secondary_weight: float = 0.0,
 ) -> dict[int, float]:
-    """Aggregate each individual's effective scores into one fitness value."""
+    """Aggregate each individual's effective scores into one fitness value.
+
+    outcomes maps an individual's index to the engagements it took part in,
+    on the side of ``role``; the result has the same keys.
+    """
     if aggregation not in _AGGREGATORS:
         raise ValueError(f"unknown aggregation {aggregation!r}")
-    per_id: dict[int, list[float]] = defaultdict(list)
-    for outcome in outcomes:
-        own_id = outcome.attacker_id if role == "attacker" else outcome.defender_id
-        per_id[own_id].append(effective_score(outcome, role, secondary_weight))
-    return {own_id: aggregate(values, aggregation) for own_id, values in per_id.items()}
+    return {
+        index: aggregate([effective_score(o, role, secondary_weight) for o in own], aggregation)
+        for index, own in outcomes.items()
+    }
 
 
 def _adjusted(point: Sequence[float], directions: Sequence[str]) -> tuple[float, ...]:

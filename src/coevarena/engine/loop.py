@@ -28,7 +28,7 @@ from . import rng as streams
 from .archive import Archive, ArchiveEntry
 from .config import ATTACKER, DEFENDER, EvolutionConfig, opposite
 from .fitness import assign_fitness, effective_score, pareto_front
-from .pairing import Population, pair
+from .pairing import pair
 from .variation import crossover, mutate, select
 
 CANDIDATE = "candidate"
@@ -72,9 +72,6 @@ class RunRecord:
     engagements: list[dict] = field(default_factory=list)
     archive_entries: list[ArchiveEntry] = field(default_factory=list)
 
-    def trajectory(self, role: str) -> list[tuple[int, float]]:
-        return [(s.generation, s.best_fitness) for s in self.half_steps if s.phase == role]
-
 
 def _best_index(fitness: dict[int, float], n: int) -> int:
     return max(range(n), key=lambda i: (fitness[i], -i))
@@ -98,16 +95,10 @@ class _Side:
     half-step of the role.
     """
 
-    role: str
-    generation: int
     members: list[Genotype]
     strategies: list[Strategy | None]
     fitness: dict[int, float] | None = None
     outcomes: dict[int, list[EngagementOutcome]] = field(default_factory=dict)
-
-    @property
-    def population(self) -> Population:
-        return Population(role=self.role, members=tuple(self.members), generation=self.generation)
 
 
 class _AlternatingRun:
@@ -133,16 +124,16 @@ class _AlternatingRun:
                 )
                 for i in range(self.cfg.population_size(role))
             ]
-            self.sides[role] = self._side(role, 0, members)
+            self.sides[role] = self._side(role, members)
 
-    def _side(self, role: str, generation: int, members: list[Genotype]) -> _Side:
+    def _side(self, role: str, members: list[Genotype]) -> _Side:
         strategies = []
         for member in members:
             try:
                 strategies.append(map_genotype(member, self.grammars[role], self.cfg.mapping))
             except MappingFailure:
                 strategies.append(None)
-        return _Side(role, generation, members, strategies)
+        return _Side(members, strategies)
 
     def _engage(self, generation, role, kind, k, own: _Side, i: int, opponent: _Side, j: int):
         """Engage own's member i with opponent's member j and log the engagement.
@@ -156,7 +147,7 @@ class _AlternatingRun:
         stream = "engage" if kind == CANDIDATE else "elite"
         outcome = self.environment.engage(
             attack, defense, streams.seed_sequence(self.seed, stream, generation, role, k)
-        ).with_identity(a, d, generation)
+        )
         self.log.append(
             {
                 "record": "engagement",
@@ -214,27 +205,25 @@ class _AlternatingRun:
         else:
             incumbent = _best_index(own.fitness, n)
             parents = select(
-                own.population,
+                own.members,
                 own.fitness,
                 cfg.selection,
                 streams.generator(self.seed, "select", generation, role),
-            ).members
-        candidates = self._side(role, generation, self._variation(generation, role, parents))
+            )
+        candidates = self._side(role, self._variation(generation, role, parents))
 
         pairs = pair(
             cfg.structure,
-            *_oriented(role, candidates.population, opponent.population),
+            *_oriented(role, n, len(opponent.members)),
             streams.generator(self.seed, "pair", generation, role),
         )
-        outcomes: list[EngagementOutcome] = []
         for k, ids in enumerate(pairs):
             i, j = _oriented(role, *ids)
             outcome = self._engage(generation, role, CANDIDATE, k, candidates, i, opponent, j)
             if outcome is not None:
-                outcomes.append(outcome)
                 candidates.outcomes.setdefault(i, []).append(outcome)
         fitness = assign_fitness(
-            outcomes, cfg.aggregation, role, secondary_weight=cfg.secondary_weight
+            candidates.outcomes, cfg.aggregation, role, secondary_weight=cfg.secondary_weight
         )
         for i in range(n):
             fitness.setdefault(i, cfg.invalid_fitness)
@@ -251,7 +240,10 @@ class _AlternatingRun:
                     incumbent_outcomes.append(outcome)
             if incumbent_outcomes:
                 incumbent_fitness = assign_fitness(
-                    incumbent_outcomes, cfg.aggregation, role, secondary_weight=cfg.secondary_weight
+                    {incumbent: incumbent_outcomes},
+                    cfg.aggregation,
+                    role,
+                    secondary_weight=cfg.secondary_weight,
                 )[incumbent]
                 worst = _worst_index(fitness, n)
                 if incumbent_fitness > fitness[worst]:

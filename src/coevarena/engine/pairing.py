@@ -2,32 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..grammar import Genotype
 from .config import CompetitionStructure
 
 
 class StructureMismatch(Exception):
     """Population sizes violate the chosen structure's invariants."""
-
-
-@dataclass(frozen=True)
-class Population:
-    role: str
-    members: tuple[Genotype, ...]
-    generation: int
-
-    def __post_init__(self):
-        if self.role not in ("attacker", "defender"):
-            raise ValueError(f"unknown role {self.role!r}")
-        if not self.members:
-            raise ValueError("population cannot be empty")
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def _round_one_vs_one(n_att: int, n_def: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -46,16 +27,16 @@ def _round_one_vs_one(n_att: int, n_def: int, rng: np.random.Generator) -> list[
 
 def pair(
     structure: CompetitionStructure,
-    attackers: Population,
-    defenders: Population,
+    n_att: int,
+    n_def: int,
     rng: np.random.Generator,
 ) -> list[tuple[int, int]]:
     """Return the (attacker index, defender index) pairs for one half-generation.
 
+    n_att and n_def are the sizes of the attacker and defender populations.
     Exact pair counts: one-vs-one max(N_att, N_def); all-vs-all N_att * N_def;
     tournament(r) r * max(N_att, N_def); spatial(M, c) M^2 * c^2.
     """
-    n_att, n_def = len(attackers), len(defenders)
     if structure.kind == "one-vs-one":
         return _round_one_vs_one(n_att, n_def, rng)
     if structure.kind == "all-vs-all":

@@ -8,22 +8,21 @@ import numpy as np
 
 from ..grammar import Genotype, GenotypeLimits
 from .config import SelectionScheme
-from .pairing import Population
 
 
 def select(
-    population: Population,
+    members: list[Genotype],
     fitnesses,
     scheme: SelectionScheme,
     rng: np.random.Generator,
-) -> Population:
-    """Pick len(population) parents with replacement, maximizing fitness.
+) -> list[Genotype]:
+    """Pick len(members) parents with replacement, maximizing fitness.
 
-    fitnesses[i] is member i's fitness; a list or an index-keyed dict both do.
+    fitnesses[i] is members[i]'s fitness; a list or an index-keyed dict both do.
     tournament(k): best of k i.i.d. uniform draws. truncation(f): uniform over
     the best ceil(f*N). Ties always go to the lowest index.
     """
-    n = len(population)
+    n = len(members)
 
     def better(i: int, j: int) -> int:
         return i if (-fitnesses[i], i) < (-fitnesses[j], j) else j
@@ -35,13 +34,13 @@ def select(
             winner = draws[0]
             for other in draws[1:]:
                 winner = better(winner, other)
-            parents.append(population.members[winner])
+            parents.append(members[winner])
     else:
         keep = math.ceil(scheme.fraction * n)
         elite = sorted(range(n), key=lambda i: (-fitnesses[i], i))[:keep]
         for _ in range(n):
-            parents.append(population.members[elite[int(rng.integers(0, keep))]])
-    return Population(role=population.role, members=tuple(parents), generation=population.generation)
+            parents.append(members[elite[int(rng.integers(0, keep))]])
+    return parents
 
 
 def mutate(

@@ -409,9 +409,6 @@ def engage(
     mean_delay = statistics.fmean(delays)
     effort_upper = mc.horizon * len(network.enclave_sizes)
     return EngagementOutcome(
-        attacker_id=-1,
-        defender_id=-1,
-        generation=-1,
         attacker_score=mean_delay,
         defender_score=-mean_delay,
         costs={

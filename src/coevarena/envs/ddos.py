@@ -352,9 +352,6 @@ def engage(
         * sum(task.deadline - task.start + 1 for task in scenario.tasks)
     )
     return EngagementOutcome(
-        attacker_id=-1,
-        defender_id=-1,
-        generation=-1,
         attacker_score=attacker_score,
         defender_score=1.0 - attacker_score,
         costs={

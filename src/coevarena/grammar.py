@@ -142,7 +142,6 @@ class Strategy:
     """A derived sentence plus the bookkeeping of how it was derived."""
 
     sentence: tuple[str, ...]
-    source_genotype: Genotype
     codons_used: int
     wraps_used: int
 
@@ -157,9 +156,6 @@ class Grammar:
     productions: dict[str, tuple[tuple[Symbol, ...], ...]]
     nonterminals: frozenset[str]
     terminals: frozenset[str]
-
-    def alternatives(self, nonterminal: str) -> tuple[tuple[Symbol, ...], ...]:
-        return self.productions[nonterminal]
 
 
 def _strip_comment(line: str) -> str:
@@ -329,7 +325,6 @@ def map_genotype(genotype: Genotype, grammar: Grammar, cfg: MappingConfig = Mapp
         stack.extend(reversed(alternatives[choice]))
     return Strategy(
         sentence=tuple(sentence),
-        source_genotype=genotype,
         codons_used=used,
         wraps_used=wraps,
     )

@@ -72,9 +72,6 @@ class ScriptedEnvironment:
             attacker_cost, defender_cost = self.cost_fn(attack, defense)
             costs = {"attacker_cost": attacker_cost, "defender_cost": defender_cost}
         return EngagementOutcome(
-            attacker_id=-1,
-            defender_id=-1,
-            generation=-1,
             attacker_score=value,
             defender_score=-value,
             costs=costs,

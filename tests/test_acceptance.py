@@ -15,7 +15,6 @@ from coevarena.data import data_path
 from coevarena.engine import (
     CompetitionStructure,
     EvolutionConfig,
-    Population,
     pair,
     pareto_front,
     run_alternating,
@@ -53,12 +52,6 @@ from oracles import (
 )
 
 
-def genotypes_of(size):
-    return Population(
-        role="attacker", members=tuple(Genotype((i,)) for i in range(size)), generation=0
-    )
-
-
 def test_criterion_1_ge_mapping_oracle_equivalence():
     rng = np.random.default_rng(1001)
     cfg = MappingConfig(max_wraps=2, max_derivation_steps=200)
@@ -92,16 +85,11 @@ def test_criterion_1_ge_mapping_oracle_equivalence():
 def test_criterion_2_engagement_count_exactness():
     rng = np.random.default_rng(7)
     for n in (2, 4, 8):
-        one = pair(CompetitionStructure("one-vs-one"), genotypes_of(n), genotypes_of(n), rng)
+        one = pair(CompetitionStructure("one-vs-one"), n, n, rng)
         assert len(one) == n
-        full = pair(CompetitionStructure("all-vs-all"), genotypes_of(n), genotypes_of(n), rng)
+        full = pair(CompetitionStructure("all-vs-all"), n, n, rng)
         assert len(full) == n * n
-    spatial = pair(
-        CompetitionStructure("spatial", grid_side=4, neighborhood=3),
-        genotypes_of(16),
-        genotypes_of(16),
-        rng,
-    )
+    spatial = pair(CompetitionStructure("spatial", grid_side=4, neighborhood=3), 16, 16, rng)
     assert len(spatial) == 144
     print("ACCEPTANCE 2 PASS: one-vs-one=N, all-vs-all=N^2 for N in {2,4,8}; spatial(4,3)=144")
 

@@ -9,7 +9,6 @@ from coevarena.engagement import EngagementOutcome
 from coevarena.engine import (
     CompetitionStructure,
     DimensionMismatch,
-    Population,
     SelectionScheme,
     StructureMismatch,
     assign_fitness,
@@ -24,19 +23,12 @@ from coevarena.grammar import Genotype, GenotypeLimits
 from oracles import pareto_oracle
 
 
-def population(role, size, generation=0):
-    return Population(
-        role=role,
-        members=tuple(Genotype((i + 1,)) for i in range(size)),
-        generation=generation,
-    )
+def members(size):
+    return [Genotype((i + 1,)) for i in range(size)]
 
 
-def outcome(attacker_id=0, defender_id=0, attacker_score=0.0, defender_score=0.0, costs=None):
+def outcome(attacker_score=0.0, defender_score=0.0, costs=None):
     return EngagementOutcome(
-        attacker_id=attacker_id,
-        defender_id=defender_id,
-        generation=1,
         attacker_score=attacker_score,
         defender_score=defender_score,
         costs=costs or {},
@@ -45,23 +37,13 @@ def outcome(attacker_id=0, defender_id=0, attacker_score=0.0, defender_score=0.0
 
 class TestPair:
     def test_one_vs_one_equal_sizes_is_bijection(self):
-        pairs = pair(
-            CompetitionStructure("one-vs-one"),
-            population("attacker", 4),
-            population("defender", 4),
-            np.random.default_rng(0),
-        )
+        pairs = pair(CompetitionStructure("one-vs-one"), 4, 4, np.random.default_rng(0))
         assert len(pairs) == 4
         assert sorted(a for a, _ in pairs) == [0, 1, 2, 3]
         assert sorted(d for _, d in pairs) == [0, 1, 2, 3]
 
     def test_one_vs_one_reuses_smaller_side(self):
-        pairs = pair(
-            CompetitionStructure("one-vs-one"),
-            population("attacker", 6),
-            population("defender", 3),
-            np.random.default_rng(1),
-        )
+        pairs = pair(CompetitionStructure("one-vs-one"), 6, 3, np.random.default_rng(1))
         assert len(pairs) == 6
         assert sorted(a for a, _ in pairs) == [0, 1, 2, 3, 4, 5]
         defender_counts = Counter(d for _, d in pairs)
@@ -69,22 +51,12 @@ class TestPair:
         assert all(count == 2 for count in defender_counts.values())
 
     def test_all_vs_all_counts(self):
-        pairs = pair(
-            CompetitionStructure("all-vs-all"),
-            population("attacker", 4),
-            population("defender", 3),
-            np.random.default_rng(0),
-        )
+        pairs = pair(CompetitionStructure("all-vs-all"), 4, 3, np.random.default_rng(0))
         assert len(pairs) == 12
         assert len(set(pairs)) == 12
 
     def test_tournament_rounds(self):
-        pairs = pair(
-            CompetitionStructure("tournament", rounds=3),
-            population("attacker", 4),
-            population("defender", 4),
-            np.random.default_rng(0),
-        )
+        pairs = pair(CompetitionStructure("tournament", rounds=3), 4, 4, np.random.default_rng(0))
         assert len(pairs) == 12
         assert Counter(a for a, _ in pairs) == {0: 3, 1: 3, 2: 3, 3: 3}
 
@@ -92,8 +64,8 @@ class TestPair:
         side, hood = 4, 3
         pairs = pair(
             CompetitionStructure("spatial", grid_side=side, neighborhood=hood),
-            population("attacker", 16),
-            population("defender", 16),
+            16,
+            16,
             np.random.default_rng(0),
         )
         assert len(pairs) == side * side * hood * hood
@@ -115,8 +87,8 @@ class TestPair:
         with pytest.raises(StructureMismatch):
             pair(
                 CompetitionStructure("spatial", grid_side=4, neighborhood=3),
-                population("attacker", 8),
-                population("defender", 16),
+                8,
+                16,
                 np.random.default_rng(0),
             )
 
@@ -125,38 +97,34 @@ class TestPair:
             CompetitionStructure("spatial", grid_side=4, neighborhood=2)
 
     def test_pairing_is_seed_deterministic(self):
-        args = (
-            CompetitionStructure("one-vs-one"),
-            population("attacker", 8),
-            population("defender", 8),
-        )
+        args = (CompetitionStructure("one-vs-one"), 8, 8)
         assert pair(*args, np.random.default_rng(5)) == pair(*args, np.random.default_rng(5))
 
 
 class TestAssignFitness:
     def test_mean(self):
-        outs = [outcome(attacker_id=0, attacker_score=s) for s in (1, 2, 3)]
-        assert assign_fitness(outs, "mean", "attacker") == {0: 2.0}
+        outs = [outcome(attacker_score=s) for s in (1, 2, 3)]
+        assert assign_fitness({0: outs}, "mean", "attacker") == {0: 2.0}
 
     def test_median_midpoint(self):
-        outs = [outcome(attacker_id=0, attacker_score=s) for s in (1, 2, 3, 4)]
-        assert assign_fitness(outs, "median", "attacker") == {0: 2.5}
+        outs = [outcome(attacker_score=s) for s in (1, 2, 3, 4)]
+        assert assign_fitness({0: outs}, "median", "attacker") == {0: 2.5}
 
     def test_singleton_any_aggregation(self):
-        outs = [outcome(defender_id=3, defender_score=5.0)]
+        outs = {3: [outcome(defender_score=5.0)]}
         for aggregation in ("mean", "max", "min", "median"):
             assert assign_fitness(outs, aggregation, "defender") == {3: 5.0}
 
     def test_fitness_depends_only_on_outcome_multiset(self):
-        outs = [outcome(attacker_id=0, attacker_score=s) for s in (3.0, 1.0, 2.0, 2.0)]
+        outs = [outcome(attacker_score=s) for s in (3.0, 1.0, 2.0, 2.0)]
         shuffled = [outs[2], outs[0], outs[3], outs[1]]
         for aggregation in ("mean", "max", "min", "median"):
-            assert assign_fitness(outs, aggregation, "attacker") == assign_fitness(
-                shuffled, aggregation, "attacker"
+            assert assign_fitness({0: outs}, aggregation, "attacker") == assign_fitness(
+                {0: shuffled}, aggregation, "attacker"
             )
 
     def test_secondary_weight_folds_cost(self):
-        outs = [outcome(attacker_id=0, attacker_score=1.0, costs={"attacker_cost": 0.5})]
+        outs = {0: [outcome(attacker_score=1.0, costs={"attacker_cost": 0.5})]}
         assert assign_fitness(outs, "mean", "attacker", secondary_weight=0.2) == {0: 0.9}
         assert assign_fitness(outs, "mean", "attacker") == {0: 1.0}
 
@@ -166,54 +134,54 @@ class TestSelect:
         # draws are i.i.d. with replacement, so k=N yields the optimum
         # whenever it is drawn: probability 1 - ((N-1)/N)^N per slot.
         n = 4
-        pop = population("attacker", n)
+        pop = members(n)
         fitness = {0: 1.0, 1: 9.0, 2: 3.0, 3: 7.0}
         rng = np.random.default_rng(17)
         hits = total = 0
         for _ in range(400):
-            parents = select(pop, fitness, SelectionScheme("tournament", size=n), rng).members
-            hits += sum(1 for p in parents if p == pop.members[1])
+            parents = select(pop, fitness, SelectionScheme("tournament", size=n), rng)
+            hits += sum(1 for p in parents if p == pop[1])
             total += len(parents)
         expected = 1 - ((n - 1) / n) ** n
         assert abs(hits / total - expected) < 0.04
 
     def test_truncation_full_fraction_is_uniform(self):
-        pop = population("attacker", 4)
+        pop = members(4)
         fitness = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
         rng = np.random.default_rng(3)
         counts = Counter()
         for _ in range(2000):
-            for parent in select(pop, fitness, SelectionScheme("truncation", fraction=1.0), rng).members:
+            for parent in select(pop, fitness, SelectionScheme("truncation", fraction=1.0), rng):
                 counts[parent.codons[0]] += 1
         assert set(counts) == {1, 2, 3, 4}
         assert all(abs(c / sum(counts.values()) - 0.25) < 0.02 for c in counts.values())
 
     def test_truncation_keeps_best_half(self):
-        pop = population("attacker", 4)
+        pop = members(4)
         fitness = {0: 1.0, 1: 9.0, 2: 3.0, 3: 7.0}
         parents = select(
             pop, fitness, SelectionScheme("truncation", fraction=0.5), np.random.default_rng(0)
-        ).members
+        )
         assert set(p.codons[0] for p in parents) <= {2, 4}  # members 1 and 3
 
     def test_binary_tournament_exact_probability(self):
         # two members, fitnesses [9, 1]: enumerating the draw pairs
         # (0,0) (0,1) (1,0) (1,1) gives the better member 3/4 of slots.
-        pop = population("attacker", 2)
+        pop = members(2)
         fitness = {0: 9.0, 1: 1.0}
         rng = np.random.default_rng(123)
         picked = total = 0
         for _ in range(5000):
-            for parent in select(pop, fitness, SelectionScheme("tournament", size=2), rng).members:
-                picked += parent == pop.members[0]
+            for parent in select(pop, fitness, SelectionScheme("tournament", size=2), rng):
+                picked += parent == pop[0]
                 total += 1
         assert abs(picked / total - 0.75) < 0.02
 
     def test_direction_flips_winner(self):
-        pop = population("attacker", 2)
+        pop = members(2)
         fitness = {0: 1.0, 1: 9.0}
         maxi = select(pop, fitness, SelectionScheme("tournament", size=8), np.random.default_rng(1))
-        assert Counter(p.codons[0] for p in maxi.members)[2] >= 1
+        assert Counter(p.codons[0] for p in maxi)[2] >= 1
 
 
 class _ScriptedRng:

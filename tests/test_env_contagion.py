@@ -22,14 +22,14 @@ from coevarena.envs.contagion import (
     load_scenario,
     simulate_trials,
 )
-from coevarena.grammar import Genotype, Strategy
+from coevarena.grammar import Strategy
 
 from conftest import small_contagion
 from oracles import oracle_simulate_trials
 
 
 def strategy(text: str) -> Strategy:
-    return Strategy(tuple(text.split()), Genotype((0,)), 0, 0)
+    return Strategy(tuple(text.split()), 0, 0)
 
 
 def plan(enclave=0, strength=1.0, duration=5, count=1):

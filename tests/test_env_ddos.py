@@ -20,14 +20,14 @@ from coevarena.envs.ddos import (
     load_scenario,
     ring_route,
 )
-from coevarena.grammar import Genotype, Strategy
+from coevarena.grammar import Strategy
 
 from conftest import path_scenario
 from oracles import components_by_union_find
 
 
 def strategy(text: str) -> Strategy:
-    return Strategy(tuple(text.split()), Genotype((0,)), 0, 0)
+    return Strategy(tuple(text.split()), 0, 0)
 
 
 SCENARIO = path_scenario()

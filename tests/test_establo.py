@@ -42,7 +42,7 @@ def entry(role, name, sentence_text, fitness=0.0, cost=0.0, algorithm="alternati
         generation=generation,
         genotype=Genotype((1,)),
         sentence=sentence,
-        strategy=Strategy(sentence, Genotype((1,)), 0, 0),
+        strategy=Strategy(sentence, 0, 0),
         fitness=fitness,
         cost=cost,
     )

@@ -243,5 +243,5 @@ class TestRandomGenotype:
             random_genotype(np.random.default_rng(0), 3, 2, 10)
 
     def test_strategy_text_joins_tokens(self):
-        strategy = Strategy(("a", "b"), Genotype((1,)), 1, 0)
+        strategy = Strategy(("a", "b"), 1, 0)
         assert strategy.text == "a b"

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import statistics
 from collections import defaultdict
 
 import pytest
 
-from coevarena.cli import load_experiment_config, main
+from coevarena.cli import ConfigError, load_experiment_config, main
 from coevarena.data import data_path
-from coevarena.engine import EvolutionConfig
+from coevarena.engine import CompetitionStructure, EvolutionConfig, SelectionScheme
+from coevarena.grammar import GenotypeLimits, MappingConfig
 from coevarena.store import ResultsStore, UnknownRun
 
 from conftest import write_experiment_config
@@ -124,20 +126,66 @@ scenario = {ddos_scenario_file}
         assert "store" in capsys.readouterr().err
 
 
+def bare_config(tmp_path, scenario, evolution=""):
+    """A ddos config with seed 4 that sets nothing else but the given [evolution] lines."""
+    path = tmp_path / "bare.cfg"
+    path.write_text(
+        "[experiment]\n"
+        "environment = ddos\n"
+        f"attack_grammar = {data_path('grammars', 'ddos_attack.bnf')}\n"
+        f"defense_grammar = {data_path('grammars', 'ddos_defense.bnf')}\n"
+        f"scenario = {scenario}\n"
+        "seed = 4\n"
+        f"\n[evolution]\n{evolution}\n[genotype]\n\n[mapping]\n",
+        encoding="utf-8",
+    )
+    return path
+
+
 class TestLoadExperimentConfig:
     def test_empty_sections_take_the_dataclass_defaults(self, tmp_path, ddos_scenario_file):
-        path = tmp_path / "bare.cfg"
-        path.write_text(
-            "[experiment]\n"
-            "environment = ddos\n"
-            f"attack_grammar = {data_path('grammars', 'ddos_attack.bnf')}\n"
-            f"defense_grammar = {data_path('grammars', 'ddos_defense.bnf')}\n"
-            f"scenario = {ddos_scenario_file}\n"
-            "seed = 4\n"
-            "\n[evolution]\n\n[genotype]\n\n[mapping]\n",
-            encoding="utf-8",
-        )
+        path = bare_config(tmp_path, ddos_scenario_file)
         assert load_experiment_config(path).evolution == EvolutionConfig(master_seed=4)
+
+    def test_bad_value_names_section_and_option(self, tmp_path, ddos_scenario_file):
+        path = bare_config(tmp_path, ddos_scenario_file, "generations = x\n")
+        with pytest.raises(ConfigError, match=r"config \[evolution\] generations: bad value 'x'"):
+            load_experiment_config(path)
+
+    def test_experiment_seed_overrides_evolution_master_seed(self, tmp_path, ddos_scenario_file):
+        path = bare_config(tmp_path, ddos_scenario_file, "master_seed = 99\n")
+        assert load_experiment_config(path).evolution.master_seed == 4
+
+    def test_dict_round_trip_with_every_field_set(self):
+        cfg = EvolutionConfig(
+            generations=3,
+            attacker_population=9,
+            defender_population=9,
+            mutation_rate=0.3,
+            crossover_rate=0.5,
+            selection=SelectionScheme("truncation", fraction=0.25),
+            structure=CompetitionStructure("spatial", grid_side=3, neighborhood=3),
+            aggregation="median",
+            solution_concept="pareto",
+            archive_capacity=4,
+            archive_admission="pareto-nondominated",
+            secondary_weight=0.7,
+            invalid_fitness=-5.0,
+            master_seed=17,
+            limits=GenotypeLimits(min_length=2, max_length=9, codon_max=100),
+            mapping=MappingConfig(
+                max_wraps=1, codon_policy="consume-always", max_derivation_steps=77
+            ),
+        )
+        defaults = EvolutionConfig().to_dict()
+        assert all(value != defaults[name] for name, value in cfg.to_dict().items())
+        assert EvolutionConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_manifest_missing_a_field_is_rejected(self):
+        data = EvolutionConfig().to_dict()
+        del data["max_wraps"]
+        with pytest.raises(KeyError):
+            EvolutionConfig.from_dict(data)
 
 
 class TestCmdInspect:
@@ -315,3 +363,31 @@ class TestShippedData:
         config = tmp_path / "small.cfg"
         config.write_text(small)
         assert run_cli("run", "--config", config, "--store", tmp_path / "store", "--quiet") == 0
+
+    def test_shipped_config_logs_are_pinned(self, tmp_path):
+        # The deterministic outputs of both shipped configs, byte for byte. A
+        # change to the log format (the compact log, FORMAT_VERSION 2) must
+        # update these digests in the same change.
+        expected = {
+            ("ddos_smoke.cfg", 11): (
+                "eda06bc32d6fa786485528d6499b739ffe0ab9ff86ba378a200ec76d483f8944",
+                "3db83db27899614f41f36c0378b748f3d8a8576a269a304b6931acf2e5827d04",
+                "9b996276a6387e267ad15c7b123d86afd85012d9a9bf841ed02d854760941c77",
+            ),
+            ("contagion_star.cfg", 7): (
+                "5515713dbdcbacb44a7f8d08cfe6a43ca6490c41f65f49c17c9020965b3166b5",
+                "efcdbf990e0e1d83a4e097c7040e0fe9c5973fe98e9fd2d22b1b57580c84ad2b",
+                "e76d47d9ec8525cd06498d5747fb21c0b8d4b81a9de95b810c2772dcd02082b9",
+            ),
+        }
+        for (name, seed), digests in expected.items():
+            store_dir = tmp_path / name
+            config = data_path("configs", name)
+            argv = ("run", "--config", config, "--seed", seed, "--store", store_dir, "--quiet")
+            assert run_cli(*argv) == 0
+            run_dir = store_dir / ResultsStore(store_dir).entries()[0]["dir"]
+            actual = tuple(
+                hashlib.sha256((run_dir / log).read_bytes()).hexdigest()
+                for log in ("engagements.jsonl", "halfsteps.jsonl", "archive.json")
+            )
+            assert actual == digests, name
