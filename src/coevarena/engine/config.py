@@ -180,11 +180,7 @@ _PARSERS = {
 
 
 def _settable(schema: type) -> list[tuple[str, Callable]]:
-    """(name, parser) of each field of a config dataclass that is set by name.
-
-    The nested limits and mapping of EvolutionConfig are not; their own
-    fields are.
-    """
+    """(name, parser) of each field of schema that is set by name; nested dataclasses are not."""
     hints = get_type_hints(schema)
     return [(f.name, _PARSERS[hints[f.name]]) for f in fields(schema) if hints[f.name] in _PARSERS]
 

@@ -48,6 +48,9 @@ class Champion:
 
 @dataclass(frozen=True)
 class HalfStepStats:
+    """One half-step's result. mean_fitness and fitness_variance cover the scored
+    individuals only; with none scored they are invalid_fitness and 0.0."""
+
     generation: int
     phase: str
     best_id: int
@@ -253,7 +256,7 @@ class _AlternatingRun:
                     fitness[worst] = incumbent_fitness
 
         self.sides[role] = candidates
-        values = [fitness[i] for i in range(n)]
+        values = [fitness[i] for i in sorted(candidates.outcomes)] or [cfg.invalid_fitness]
         best = _best_index(fitness, n)
         best_strategy = candidates.strategies[best]
         best_sentence = best_strategy.sentence if best_strategy else None
