@@ -194,10 +194,11 @@ class TestInvalidIndividuals:
         # individuals that were scored, replayed here from the log.
         partly_scored = 0
         for step in record.half_steps:
-            scored = replay_scored_fitness(record.engagements, step.generation, step.phase, 8)
+            n = cfg.population_size(step.phase)
+            scored = replay_scored_fitness(record.engagements, step.generation, step.phase, n)
             if scored:
                 assert step.mean_fitness == statistics.fmean(scored)
-                partly_scored += len(scored) < 8
+                partly_scored += len(scored) < n
         assert partly_scored > 0
 
 
