@@ -66,12 +66,20 @@ def _get(parser: ConfigParser, section: str, option: str, cast, default=None):
         raise ConfigError(f"config [{section}] {option}: bad value {raw!r} ({exc})") from exc
 
 
-def _section(parser: ConfigParser, section: str, schema: type) -> dict:
-    """The entries of section that the file sets, cast; the rest keep their dataclass defaults."""
+def _section(parser: ConfigParser, section: str, schema: type, **fixed):
+    """Build schema from the entries the file sets in section, cast, and the fixed fields.
+
+    Fields set by neither keep their dataclass defaults. A value that does not
+    cast, or that fails schema's own checks, is reported under section.
+    """
     try:
-        return cast_entries(schema, parser[section] if parser.has_section(section) else {})
+        entries = cast_entries(schema, parser[section] if parser.has_section(section) else {})
     except ValueError as exc:
         raise ConfigError(f"config [{section}] {exc}") from exc
+    try:
+        return schema(**{**entries, **fixed})
+    except ValueError as exc:
+        raise ConfigError(f"config [{section}]: {exc}") from exc
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -105,14 +113,14 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     if seed < 0:
         raise ConfigError("config [experiment] seed: must be >= 0")
 
-    try:
-        evolution = EvolutionConfig(
-            **{**_section(parser, "evolution", EvolutionConfig), "master_seed": seed},
-            limits=GenotypeLimits(**_section(parser, "genotype", GenotypeLimits)),
-            mapping=MappingConfig(**_section(parser, "mapping", MappingConfig)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config [evolution]: {exc}") from exc
+    evolution = _section(
+        parser,
+        "evolution",
+        EvolutionConfig,
+        master_seed=seed,
+        limits=_section(parser, "genotype", GenotypeLimits),
+        mapping=_section(parser, "mapping", MappingConfig),
+    )
 
     return ExperimentConfig(
         environment=environment,

@@ -41,7 +41,8 @@ class EngagementEnvironment(Protocol):
     """What the engine needs from an engagement simulator.
 
     engage must be a pure function of its arguments and the seed material in
-    ``rng`` (an unspawned numpy SeedSequence).
+    ``rng`` (an unspawned numpy SeedSequence). It may return one outcome object
+    for several engagements, so callers copy costs and telemetry to change them.
     """
 
     environment_id: str

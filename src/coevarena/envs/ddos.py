@@ -7,7 +7,10 @@ finds a route over the currently enabled nodes. The attacker scores the
 fraction of tasks it disrupted; the defender scores the fraction completed.
 
 The simple languages here are fully deterministic: engage never consumes the
-random stream it is handed.
+random stream it is handed. So DdosEnvironment memoises each outcome by its
+(attack sentence, defense sentence) pair for as long as the environment lives,
+and hands the same outcome object to every caller of that pair; a caller that
+changes an outcome's costs or telemetry copies them first.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import re
 from collections import deque
 from configparser import ConfigParser
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -70,12 +74,33 @@ class NetworkScenario:
         if not self._connected():
             raise ScenarioError("graph must be connected at t=0")
 
+    # Facts engage reads on every call; the scenario is frozen, so each is built once.
+    @cached_property
+    def adjacency(self) -> dict[str, list[str]]:
+        return adjacency_map(self.nodes, self.edges)
+
+    @cached_property
+    def ring_order(self) -> list[str]:
+        return sorted(self.nodes)
+
+    @cached_property
+    def node_set(self) -> frozenset[str]:
+        return frozenset(self.nodes)
+
+    @cached_property
+    def flood_upper(self) -> float:
+        """Message cost of flooding every edge on every tick of every task window."""
+        return (
+            self.message_cost
+            * len(self.edges)
+            * sum(task.deadline - task.start + 1 for task in self.tasks)
+        )
+
     def _connected(self) -> bool:
-        adjacency = adjacency_map(self.nodes, self.edges)
         seen = {self.nodes[0]}
         queue = deque(seen)
         while queue:
-            for neighbor in adjacency[queue.popleft()]:
+            for neighbor in self.adjacency[queue.popleft()]:
                 if neighbor not in seen:
                     seen.add(neighbor)
                     queue.append(neighbor)
@@ -295,48 +320,56 @@ def ring_route(ring_order, enabled, source, destination, successors) -> int | No
     return search(source)
 
 
+def _route(
+    defense: DdosDefense, scenario: NetworkScenario, enabled: frozenset[str], task: Task
+) -> tuple[bool, float]:
+    """(delivered, message cost) of one attempt at task over the enabled nodes."""
+    if defense.routing == "flooding":
+        delivered, flooded = flood(scenario.adjacency, enabled, task.source, task.destination)
+        return delivered, flooded * scenario.message_cost
+    if defense.routing == "shortest-path":
+        hops = bfs_route(scenario.adjacency, enabled, task.source, task.destination)
+    else:
+        hops = ring_route(
+            scenario.ring_order, enabled, task.source, task.destination, defense.ring_successors
+        )
+    return hops is not None, hops * scenario.message_cost if hops is not None else 0.0
+
+
 def engage(
     attack: DdosAttack,
     defense: DdosDefense,
     scenario: NetworkScenario,
     rng: np.random.SeedSequence | None = None,
 ) -> EngagementOutcome:
-    """Simulate the mission under attack. Pure and deterministic; rng unused."""
+    """Simulate the mission under attack. Pure and deterministic; rng unused.
+
+    The disabled set changes only where an action starts or ends, so each
+    task's route is found once per distinct disabled set and reused.
+    """
     horizon = scenario.horizon
     disabled_at: list[set[str]] = [set() for _ in range(horizon)]
     for action in attack.actions:
         for t in range(action.start, min(action.start + action.duration, horizon)):
             disabled_at[t].add(action.node)
 
-    adjacency = adjacency_map(scenario.nodes, scenario.edges)
-    ring_order = sorted(scenario.nodes)
-    all_nodes = set(scenario.nodes)
-
     deliveries = [0] * len(scenario.tasks)
     completed = [False] * len(scenario.tasks)
     attempts = 0
     total_deliveries = 0
     message_cost_total = 0.0
+    routes: dict[tuple[frozenset[str], int], tuple[bool, float]] = {}
 
     for t in range(horizon):
-        enabled = all_nodes - disabled_at[t]
+        disabled = frozenset(disabled_at[t])
         for index, task in enumerate(scenario.tasks):
             if completed[index] or t < task.start or t > task.deadline:
                 continue
             attempts += 1
-            if defense.routing == "shortest-path":
-                hops = bfs_route(adjacency, enabled, task.source, task.destination)
-                success = hops is not None
-                cost = hops * scenario.message_cost if success else 0.0
-            elif defense.routing == "flooding":
-                success, flooded = flood(adjacency, enabled, task.source, task.destination)
-                cost = flooded * scenario.message_cost
-            else:
-                hops = ring_route(
-                    ring_order, enabled, task.source, task.destination, defense.ring_successors
-                )
-                success = hops is not None
-                cost = hops * scenario.message_cost if success else 0.0
+            key = (disabled, index)
+            if key not in routes:
+                routes[key] = _route(defense, scenario, scenario.node_set - disabled, task)
+            success, cost = routes[key]
             message_cost_total += cost
             if success:
                 deliveries[index] += 1
@@ -346,17 +379,14 @@ def engage(
 
     disrupted = sum(1 for done in completed if not done)
     attacker_score = disrupted / len(scenario.tasks)
-    flood_upper = (
-        scenario.message_cost
-        * len(scenario.edges)
-        * sum(task.deadline - task.start + 1 for task in scenario.tasks)
-    )
     return EngagementOutcome(
         attacker_score=attacker_score,
         defender_score=1.0 - attacker_score,
         costs={
             "attacker_cost": attack.total_duration() / scenario.attack_budget,
-            "defender_cost": message_cost_total / flood_upper if flood_upper > 0 else 0.0,
+            "defender_cost": (
+                message_cost_total / scenario.flood_upper if scenario.flood_upper > 0 else 0.0
+            ),
         },
         telemetry={
             "tasks_total": float(len(scenario.tasks)),
@@ -370,7 +400,13 @@ def engage(
 
 
 class DdosEnvironment:
-    """Engine-facing adapter: interprets sentences, then runs the simulator."""
+    """Engine-facing adapter: interprets sentences, then runs the simulator.
+
+    Outcomes are memoised per environment by (attack sentence, defense
+    sentence): a repeated pair returns the outcome object of its first
+    engagement, whatever rng is passed. Callers that change its costs or
+    telemetry copy them first.
+    """
 
     environment_id = "ddos"
 
@@ -378,19 +414,23 @@ class DdosEnvironment:
         self.scenario = scenario
         self._attack_cache: dict[tuple[str, ...], DdosAttack] = {}
         self._defense_cache: dict[tuple[str, ...], DdosDefense] = {}
+        self._outcomes: dict[tuple[tuple[str, ...], tuple[str, ...]], EngagementOutcome] = {}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DdosEnvironment":
         return cls(load_scenario(path))
 
     def engage(self, attack: Strategy, defense: Strategy, rng: np.random.SeedSequence) -> EngagementOutcome:
-        if attack.sentence not in self._attack_cache:
-            self._attack_cache[attack.sentence] = interpret_attack(attack, self.scenario)
-        if defense.sentence not in self._defense_cache:
-            self._defense_cache[defense.sentence] = interpret_defense(defense, self.scenario)
-        return engage(
-            self._attack_cache[attack.sentence],
-            self._defense_cache[defense.sentence],
-            self.scenario,
-            rng,
-        )
+        key = (attack.sentence, defense.sentence)
+        if key not in self._outcomes:
+            if attack.sentence not in self._attack_cache:
+                self._attack_cache[attack.sentence] = interpret_attack(attack, self.scenario)
+            if defense.sentence not in self._defense_cache:
+                self._defense_cache[defense.sentence] = interpret_defense(defense, self.scenario)
+            self._outcomes[key] = engage(
+                self._attack_cache[attack.sentence],
+                self._defense_cache[defense.sentence],
+                self.scenario,
+                rng,
+            )
+        return self._outcomes[key]

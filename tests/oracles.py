@@ -3,14 +3,17 @@
 These deliberately re-derive results with different algorithms and data
 structures than the package: list-rewriting instead of a stack for grammar
 mapping, union-find instead of BFS for connectivity, full pairwise scans for
-dominance and best responses, and for the contagion Monte Carlo one draw call
-per tick with sets of infected slots instead of one per trial with bitmasks.
+dominance and best responses, for the contagion Monte Carlo one draw call
+per tick with sets of infected slots instead of one per trial with bitmasks,
+and for the ddos simulator a fresh route for every task on every tick instead
+of one per distinct disabled set.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from coevarena.engagement import EngagementOutcome
 from coevarena.envs.contagion import (
     ContagionAttack,
     ContagionDefense,
@@ -18,6 +21,15 @@ from coevarena.envs.contagion import (
     SegmentedNetwork,
     TrialResult,
     _attack_windows,
+)
+from coevarena.envs.ddos import (
+    DdosAttack,
+    DdosDefense,
+    NetworkScenario,
+    adjacency_map,
+    bfs_route,
+    flood,
+    ring_route,
 )
 from coevarena.grammar import CONSUME_ON_CHOICE, Genotype, Grammar, MappingConfig
 
@@ -253,3 +265,80 @@ def oracle_simulate_trials(
             )
         )
     return results
+
+
+def oracle_ddos_engage(
+    attack: DdosAttack,
+    defense: DdosDefense,
+    scenario: NetworkScenario,
+    rng: np.random.SeedSequence | None = None,
+) -> EngagementOutcome:
+    """Simulate the mission, routing every active task afresh on every tick.
+
+    Adjacency, ring order and the flood cost bound are rebuilt on every call.
+    """
+    horizon = scenario.horizon
+    disabled_at: list[set[str]] = [set() for _ in range(horizon)]
+    for action in attack.actions:
+        for t in range(action.start, min(action.start + action.duration, horizon)):
+            disabled_at[t].add(action.node)
+
+    adjacency = adjacency_map(scenario.nodes, scenario.edges)
+    ring_order = sorted(scenario.nodes)
+    all_nodes = set(scenario.nodes)
+
+    deliveries = [0] * len(scenario.tasks)
+    completed = [False] * len(scenario.tasks)
+    attempts = 0
+    total_deliveries = 0
+    message_cost_total = 0.0
+
+    for t in range(horizon):
+        enabled = all_nodes - disabled_at[t]
+        for index, task in enumerate(scenario.tasks):
+            if completed[index] or t < task.start or t > task.deadline:
+                continue
+            attempts += 1
+            if defense.routing == "shortest-path":
+                hops = bfs_route(adjacency, enabled, task.source, task.destination)
+                success = hops is not None
+                cost = hops * scenario.message_cost if success else 0.0
+            elif defense.routing == "flooding":
+                success, flooded = flood(adjacency, enabled, task.source, task.destination)
+                cost = flooded * scenario.message_cost
+            else:
+                hops = ring_route(
+                    ring_order, enabled, task.source, task.destination, defense.ring_successors
+                )
+                success = hops is not None
+                cost = hops * scenario.message_cost if success else 0.0
+            message_cost_total += cost
+            if success:
+                deliveries[index] += 1
+                total_deliveries += 1
+                if deliveries[index] >= task.required_deliveries:
+                    completed[index] = True
+
+    disrupted = sum(1 for done in completed if not done)
+    attacker_score = disrupted / len(scenario.tasks)
+    flood_upper = (
+        scenario.message_cost
+        * len(scenario.edges)
+        * sum(task.deadline - task.start + 1 for task in scenario.tasks)
+    )
+    return EngagementOutcome(
+        attacker_score=attacker_score,
+        defender_score=1.0 - attacker_score,
+        costs={
+            "attacker_cost": attack.total_duration() / scenario.attack_budget,
+            "defender_cost": message_cost_total / flood_upper if flood_upper > 0 else 0.0,
+        },
+        telemetry={
+            "tasks_total": float(len(scenario.tasks)),
+            "tasks_completed": float(len(scenario.tasks) - disrupted),
+            "attempts": float(attempts),
+            "deliveries": float(total_deliveries),
+            "message_cost": message_cost_total,
+            "node_cost": len(scenario.nodes) * horizon * scenario.node_cost,
+        },
+    )

@@ -2,9 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coevarena.engagement import InterpretError, ScenarioError
+from coevarena.envs import ddos
 from coevarena.envs.ddos import (
+    ROUTINGS,
     DdosAction,
     DdosAttack,
     DdosDefense,
@@ -23,7 +27,7 @@ from coevarena.envs.ddos import (
 from coevarena.grammar import Strategy
 
 from conftest import path_scenario
-from oracles import components_by_union_find
+from oracles import components_by_union_find, oracle_ddos_engage
 
 
 def strategy(text: str) -> Strategy:
@@ -223,6 +227,107 @@ class TestEngage:
         engage(DdosAttack(()), DdosDefense("shortest-path"), SCENARIO, seed)
         # an unspawned SeedSequence still spawns the same children afterwards
         assert seed.spawn(1)[0].entropy == np.random.SeedSequence(5).spawn(1)[0].entropy
+
+
+@st.composite
+def ddos_cases(draw):
+    """A connected scenario, an interpreted attack and a defense for it.
+
+    Attack clauses name few nodes and early ticks, so windows overlap; the
+    budget is often smaller than the durations asked for, so clauses get
+    trimmed or dropped.
+    """
+    n = draw(st.integers(2, 7))
+    # listed out of id order, so the ring order differs from the node order
+    nodes = tuple(draw(st.permutations([f"n{i}" for i in range(n)])))
+    edges = {(nodes[draw(st.integers(0, i - 1))], nodes[i]) for i in range(1, n)}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        if a != b and (nodes[b], nodes[a]) not in edges:
+            edges.add((nodes[a], nodes[b]))
+    horizon = draw(st.integers(1, 14))
+    tasks = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, horizon))
+        tasks.append(
+            Task(
+                draw(st.sampled_from(nodes)),
+                draw(st.sampled_from(nodes)),
+                start,
+                draw(st.integers(start, horizon)),
+                draw(st.integers(1, 4)),
+            )
+        )
+    scenario = NetworkScenario(
+        nodes=nodes,
+        edges=tuple(sorted(edges)),
+        tasks=tuple(tasks),
+        horizon=horizon,
+        message_cost=draw(st.floats(0.0, 5.0)),
+        node_cost=draw(st.floats(0.0, 1.0)),
+        attack_budget=draw(st.integers(1, 12)),
+    )
+    clauses = [
+        f"disable n{draw(st.integers(0, n))} at {draw(st.integers(0, horizon))} "
+        f"for {draw(st.integers(1, 6))}"
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    attack = interpret_attack(strategy(" ".join(clauses) or "noop"), scenario)
+    routing = draw(st.sampled_from(ROUTINGS))
+    defense = DdosDefense(routing, ring_successors=draw(st.integers(1, n - 1)))
+    return attack, defense, scenario
+
+
+class TestFastSimulator:
+    @settings(max_examples=400, deadline=None)
+    @given(ddos_cases())
+    def test_equals_per_tick_oracle(self, case):
+        attack, defense, scenario = case
+        outcome = engage(attack, defense, scenario)
+        expected = oracle_ddos_engage(attack, defense, scenario)
+        # dataclass equality compares every score, cost and telemetry float with ==
+        assert outcome == expected
+        # a second call reuses the scenario's cached facts
+        assert engage(attack, defense, scenario) == expected
+
+
+class TestOutcomeMemo:
+    @pytest.fixture
+    def simulations(self, monkeypatch):
+        """Counts the calls DdosEnvironment makes to the module-level simulator."""
+        calls = []
+        simulate = ddos.engage
+
+        def counting(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(ddos, "engage", counting)
+        return calls
+
+    def test_repeated_pair_simulates_once(self, simulations):
+        environment = DdosEnvironment(SCENARIO)
+        attack, defense = strategy("disable n2 at 3 for 4"), strategy("route flooding")
+        first = environment.engage(attack, defense, np.random.SeedSequence(0))
+        second = environment.engage(attack, defense, np.random.SeedSequence(0))
+        assert len(simulations) == 1
+        assert second == first
+        assert first == DdosEnvironment(SCENARIO).engage(attack, defense, np.random.SeedSequence(0))
+
+    def test_hit_ignores_rng(self, simulations):
+        environment = DdosEnvironment(SCENARIO)
+        attack, defense = strategy("disable n1 at 0 for 6"), strategy("route ring 2")
+        first = environment.engage(attack, defense, np.random.SeedSequence(1))
+        assert environment.engage(attack, defense, np.random.SeedSequence(99)) is first
+        assert len(simulations) == 1
+
+    def test_environments_do_not_share_outcomes(self, simulations):
+        attack, defense = strategy("disable n2 at 0 for 12"), strategy("route shortest")
+        rng = np.random.SeedSequence(2)
+        wide = DdosEnvironment(path_scenario(budget=100)).engage(attack, defense, rng)
+        tight = DdosEnvironment(path_scenario(budget=4)).engage(attack, defense, rng)
+        assert len(simulations) == 2
+        assert wide.attacker_score == 0.5 and wide.costs["attacker_cost"] == 12 / 100
+        assert tight.attacker_score == 0.0 and tight.costs["attacker_cost"] == 4 / 4
 
 
 class TestScenarioLoading:

@@ -126,8 +126,8 @@ scenario = {ddos_scenario_file}
         assert "store" in capsys.readouterr().err
 
 
-def bare_config(tmp_path, scenario, evolution=""):
-    """A ddos config with seed 4 that sets nothing else but the given [evolution] lines."""
+def bare_config(tmp_path, scenario, evolution="", genotype="", mapping=""):
+    """A ddos config with seed 4 that sets nothing else but the given section lines."""
     path = tmp_path / "bare.cfg"
     path.write_text(
         "[experiment]\n"
@@ -136,7 +136,7 @@ def bare_config(tmp_path, scenario, evolution=""):
         f"defense_grammar = {data_path('grammars', 'ddos_defense.bnf')}\n"
         f"scenario = {scenario}\n"
         "seed = 4\n"
-        f"\n[evolution]\n{evolution}\n[genotype]\n\n[mapping]\n",
+        f"\n[evolution]\n{evolution}\n[genotype]\n{genotype}\n[mapping]\n{mapping}\n",
         encoding="utf-8",
     )
     return path
@@ -150,6 +150,19 @@ class TestLoadExperimentConfig:
     def test_bad_value_names_section_and_option(self, tmp_path, ddos_scenario_file):
         path = bare_config(tmp_path, ddos_scenario_file, "generations = x\n")
         with pytest.raises(ConfigError, match=r"config \[evolution\] generations: bad value 'x'"):
+            load_experiment_config(path)
+
+    @pytest.mark.parametrize(
+        "section, line, message",
+        [
+            ("genotype", "min_length = 0", "need 1 <= min_length <= max_length"),
+            ("mapping", "max_wraps = -1", "max_wraps must be >= 0"),
+            ("evolution", "generations = 0", "generations must be >= 1"),
+        ],
+    )
+    def test_failed_check_names_its_own_section(self, tmp_path, ddos_scenario_file, section, line, message):
+        path = bare_config(tmp_path, ddos_scenario_file, **{section: line + "\n"})
+        with pytest.raises(ConfigError, match=rf"^config \[{section}\]: {message}"):
             load_experiment_config(path)
 
     def test_experiment_seed_overrides_evolution_master_seed(self, tmp_path, ddos_scenario_file):
