@@ -6,8 +6,6 @@ from .engagement import EngagementEnvironment, EngagementOutcome, InterpretError
 from .engine import (
     ATTACKER,
     DEFENDER,
-    Archive,
-    ArchiveEntry,
     Champion,
     CompetitionStructure,
     DimensionMismatch,

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from configparser import ConfigParser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -69,8 +69,9 @@ def _get(parser: ConfigParser, section: str, option: str, cast, default=None):
 def _section(parser: ConfigParser, section: str, schema: type, **fixed):
     """Build schema from the entries the file sets in section, cast, and the fixed fields.
 
-    Fields set by neither keep their dataclass defaults. A value that does not
-    cast, or that fails schema's own checks, is reported under section.
+    Fields set by neither keep their dataclass defaults. An entry that names no
+    field, a value that does not cast, and a value that fails schema's own
+    checks are reported under section.
     """
     try:
         entries = cast_entries(schema, parser[section] if parser.has_section(section) else {})
@@ -88,6 +89,11 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     if not parser.read(path, encoding="utf-8"):
         raise ConfigError(f"config file not found: {path}")
     base = path.parent
+    if parser.has_section("experiment"):
+        known = {f.name for f in fields(ExperimentConfig)} - {"evolution"}
+        for option in parser["experiment"]:
+            if option not in known:
+                raise ConfigError(f"config [experiment] {option}: unknown option")
 
     def resolve(section, option):
         value = _get(parser, section, option, str)
@@ -135,8 +141,15 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     )
 
 
+# The champion archive's two options, at the values every shipped config set,
+# before the archive was removed. They never changed a search, so the run id
+# still hashes them: the same search keeps its id, and so do the establo
+# entries keyed by it.
+_RETIRED_ID_FIELDS = {"archive_capacity": 16, "archive_admission": "best-of-generation"}
+
+
 def make_run_id(cfg: ExperimentConfig, seed: int) -> str:
-    config_echo = cfg.evolution.to_dict()
+    config_echo = {**cfg.evolution.to_dict(), **_RETIRED_ID_FIELDS}
     config_echo.pop("master_seed")
     payload = json.dumps(
         {

@@ -1,4 +1,3 @@
-from .archive import Archive, ArchiveEntry
 from .config import (
     ATTACKER,
     DEFENDER,
@@ -9,7 +8,7 @@ from .config import (
     opposite,
 )
 from .fitness import DimensionMismatch, assign_fitness, dominates, pareto_front
-from .loop import Champion, HalfStepStats, RunRecord, run_alternating
+from .loop import Champion, Cohort, Engagement, HalfStepStats, RunRecord, run_alternating
 from .pairing import StructureMismatch, pair
 from .variation import crossover, mutate, select
 
@@ -17,11 +16,11 @@ __all__ = [
     "ATTACKER",
     "DEFENDER",
     "ROLES",
-    "Archive",
-    "ArchiveEntry",
     "Champion",
+    "Cohort",
     "CompetitionStructure",
     "DimensionMismatch",
+    "Engagement",
     "EvolutionConfig",
     "HalfStepStats",
     "RunRecord",

@@ -13,7 +13,6 @@ ROLES = (ATTACKER, DEFENDER)
 
 AGGREGATIONS = ("mean", "max", "min", "median")
 SOLUTION_CONCEPTS = ("meu", "best-worst", "pareto")
-ADMISSION_RULES = ("best-of-generation", "pareto-nondominated")
 
 
 def opposite(role: str) -> str:
@@ -110,8 +109,6 @@ class EvolutionConfig:
     structure: CompetitionStructure = field(default_factory=lambda: CompetitionStructure("one-vs-one"))
     aggregation: str = "mean"
     solution_concept: str = "meu"
-    archive_capacity: int = 16
-    archive_admission: str = "best-of-generation"
     secondary_weight: float = 0.2
     invalid_fitness: float = -1e18
     master_seed: int = 0
@@ -131,10 +128,6 @@ class EvolutionConfig:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if self.solution_concept not in SOLUTION_CONCEPTS:
             raise ValueError(f"unknown solution concept {self.solution_concept!r}")
-        if self.archive_capacity < 0:
-            raise ValueError("archive capacity must be >= 0")
-        if self.archive_admission not in ADMISSION_RULES:
-            raise ValueError(f"unknown archive admission rule {self.archive_admission!r}")
         if self.secondary_weight < 0.0:
             raise ValueError("secondary_weight must be >= 0")
         if self.master_seed < 0:
@@ -186,19 +179,20 @@ def _settable(schema: type) -> list[tuple[str, Callable]]:
 
 
 def cast_entries(schema: type, entries: Mapping[str, object]) -> dict:
-    """The entries that set a field of schema, cast by the field's type.
+    """Each entry cast by the type of the field of schema it sets.
 
     schema is EvolutionConfig, GenotypeLimits or MappingConfig. int, float and
     str fields go through that type, selection and structure through their
-    parse. Entries that name no such field are ignored; a value that does not
-    cast raises ValueError naming its field.
+    parse. An entry that names no such field, or whose value does not cast,
+    raises ValueError naming the entry.
     """
+    parsers = dict(_settable(schema))
     cast = {}
-    for name, parse in _settable(schema):
-        if name in entries:
-            raw = entries[name]
-            try:
-                cast[name] = parse(raw)
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"{name}: bad value {raw!r} ({exc})") from exc
+    for name, raw in entries.items():
+        if name not in parsers:
+            raise ValueError(f"{name}: unknown option")
+        try:
+            cast[name] = parsers[name](raw)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{name}: bad value {raw!r} ({exc})") from exc
     return cast

@@ -13,19 +13,21 @@ The loop is written once, in (own, opponent) terms, for both roles. Only
 pairing and engaging need to know which side attacks; ``_oriented`` turns an
 (own, opponent) pair into (attacker, defender) order and back.
 
-Every engagement is logged. Identical config and master seed reproduce the
-log byte for byte.
+Every engagement is logged, in the cohort of the half-step that played it:
+the population the half-step bred, before the elitism swap, holds the
+genotypes its engagements refer to by index. Identical config and master seed
+reproduce the log byte for byte.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..engagement import EngagementEnvironment, EngagementOutcome
 from ..grammar import Genotype, Grammar, MappingFailure, Strategy, map_genotype, random_genotype
 from . import rng as streams
-from .archive import Archive, ArchiveEntry
 from .config import ATTACKER, DEFENDER, EvolutionConfig, opposite
 from .fitness import assign_fitness, effective_score, pareto_front
 from .pairing import pair
@@ -63,6 +65,38 @@ class HalfStepStats:
     best_cost: float | None
 
 
+class Engagement(NamedTuple):
+    """One engagement of a half-step.
+
+    A candidate engagement's own-role id indexes its cohort's members, an
+    incumbent engagement's the role's population before the half-step. The
+    opponent id indexes the opponent's population as the half-step found it.
+    """
+
+    kind: str
+    pair_index: int
+    attacker_id: int
+    defender_id: int
+    outcome: EngagementOutcome
+
+
+@dataclass
+class Cohort:
+    """The population one half-step bred, before the elitism swap, and its engagements.
+
+    Generation 0 holds an initial population, which plays no engagement.
+    replaced is the slot the incumbent took in the elitism swap, or None.
+    members and strategies share their genotypes and strategies with the run.
+    """
+
+    generation: int
+    phase: str
+    members: list[Genotype]
+    strategies: list[Strategy | None]
+    engagements: list[Engagement] = field(default_factory=list)
+    replaced: int | None = None
+
+
 @dataclass
 class RunRecord:
     run_id: str
@@ -72,8 +106,7 @@ class RunRecord:
     best_attacker: Champion
     best_defender: Champion
     half_steps: list[HalfStepStats] = field(default_factory=list)
-    engagements: list[dict] = field(default_factory=list)
-    archive_entries: list[ArchiveEntry] = field(default_factory=list)
+    cohorts: list[Cohort] = field(default_factory=list)
 
 
 def _best_index(fitness: dict[int, float], n: int) -> int:
@@ -105,16 +138,14 @@ class _Side:
 
 
 class _AlternatingRun:
-    def __init__(self, cfg, grammars, environment, run_id):
+    def __init__(self, cfg, grammars, environment):
         self.cfg = cfg
         self.grammars = grammars
         self.environment = environment
-        self.run_id = run_id
         self.seed = cfg.master_seed
         self.sides: dict[str, _Side] = {}
-        self.log: list[dict] = []
+        self.cohorts: list[Cohort] = []
         self.half_steps: list[HalfStepStats] = []
-        self.archive = Archive(cfg.archive_capacity, cfg.archive_admission)
 
     def initialize(self):
         for role in (ATTACKER, DEFENDER):
@@ -128,6 +159,7 @@ class _AlternatingRun:
                 for i in range(self.cfg.population_size(role))
             ]
             self.sides[role] = self._side(role, members)
+            self._record_cohort(0, role, self.sides[role])
 
     def _side(self, role: str, members: list[Genotype]) -> _Side:
         strategies = []
@@ -138,39 +170,27 @@ class _AlternatingRun:
                 strategies.append(None)
         return _Side(members, strategies)
 
-    def _engage(self, generation, role, kind, k, own: _Side, i: int, opponent: _Side, j: int):
-        """Engage own's member i with opponent's member j and log the engagement.
+    def _record_cohort(self, generation: int, role: str, side: _Side) -> Cohort:
+        cohort = Cohort(generation, role, list(side.members), list(side.strategies))
+        self.cohorts.append(cohort)
+        return cohort
+
+    def _engage(self, cohort: Cohort, kind, k, own: _Side, i: int, opponent: _Side, j: int):
+        """Engage own's member i with opponent's member j and log it in cohort.
 
         Returns None, and engages nothing, when either member failed to map.
         """
-        (attackers, a), (defenders, d) = _oriented(role, (own, i), (opponent, j))
+        (attackers, a), (defenders, d) = _oriented(cohort.phase, (own, i), (opponent, j))
         attack, defense = attackers.strategies[a], defenders.strategies[d]
         if attack is None or defense is None:
             return None
         stream = "engage" if kind == CANDIDATE else "elite"
         outcome = self.environment.engage(
-            attack, defense, streams.seed_sequence(self.seed, stream, generation, role, k)
+            attack,
+            defense,
+            streams.seed_sequence(self.seed, stream, cohort.generation, cohort.phase, k),
         )
-        self.log.append(
-            {
-                "record": "engagement",
-                "run": self.run_id,
-                "generation": generation,
-                "phase": role,
-                "kind": kind,
-                "pair_index": k,
-                "attacker_id": a,
-                "defender_id": d,
-                "attacker_genotype": list(attackers.members[a].codons),
-                "attacker_sentence": attack.text,
-                "defender_genotype": list(defenders.members[d].codons),
-                "defender_sentence": defense.text,
-                "attacker_score": outcome.attacker_score,
-                "defender_score": outcome.defender_score,
-                "costs": dict(outcome.costs),
-                "telemetry": dict(outcome.telemetry),
-            }
-        )
+        cohort.engagements.append(Engagement(kind, k, a, d, outcome))
         return outcome
 
     def _variation(self, generation, role, parents):
@@ -214,6 +234,7 @@ class _AlternatingRun:
                 streams.generator(self.seed, "select", generation, role),
             )
         candidates = self._side(role, self._variation(generation, role, parents))
+        cohort = self._record_cohort(generation, role, candidates)
 
         pairs = pair(
             cfg.structure,
@@ -222,7 +243,7 @@ class _AlternatingRun:
         )
         for k, ids in enumerate(pairs):
             i, j = _oriented(role, *ids)
-            outcome = self._engage(generation, role, CANDIDATE, k, candidates, i, opponent, j)
+            outcome = self._engage(cohort, CANDIDATE, k, candidates, i, opponent, j)
             if outcome is not None:
                 candidates.outcomes.setdefault(i, []).append(outcome)
         fitness = assign_fitness(
@@ -238,7 +259,7 @@ class _AlternatingRun:
         if incumbent is not None:
             incumbent_outcomes = []
             for j in range(len(opponent.members)):
-                outcome = self._engage(generation, role, INCUMBENT, j, own, incumbent, opponent, j)
+                outcome = self._engage(cohort, INCUMBENT, j, own, incumbent, opponent, j)
                 if outcome is not None:
                     incumbent_outcomes.append(outcome)
             if incumbent_outcomes:
@@ -250,6 +271,7 @@ class _AlternatingRun:
                 )[incumbent]
                 worst = _worst_index(fitness, n)
                 if incumbent_fitness > fitness[worst]:
+                    cohort.replaced = worst
                     candidates.members[worst] = own.members[incumbent]
                     candidates.strategies[worst] = own.strategies[incumbent]
                     candidates.outcomes[worst] = incumbent_outcomes
@@ -278,17 +300,6 @@ class _AlternatingRun:
                 best_cost=best_cost,
             )
         )
-        if fitness[best] > cfg.invalid_fitness:
-            self.archive.admit(
-                ArchiveEntry(
-                    genotype=candidates.members[best],
-                    role=role,
-                    generation=generation,
-                    score=fitness[best],
-                    cost=best_cost if best_cost is not None else 0.0,
-                    sentence=best_sentence,
-                )
-            )
 
     def champion(self, role: str) -> Champion:
         cfg = self.cfg
@@ -339,12 +350,7 @@ def run_alternating(
     """Run the full alternating loop and return the complete run record."""
     if run_id is None:
         run_id = f"run-s{cfg.master_seed}"
-    state = _AlternatingRun(
-        cfg,
-        {ATTACKER: attack_grammar, DEFENDER: defense_grammar},
-        environment,
-        run_id,
-    )
+    state = _AlternatingRun(cfg, {ATTACKER: attack_grammar, DEFENDER: defense_grammar}, environment)
     state.initialize()
     for generation in range(1, cfg.generations + 1):
         state.half_step(generation, ATTACKER)
@@ -357,6 +363,5 @@ def run_alternating(
         best_attacker=state.champion(ATTACKER),
         best_defender=state.champion(DEFENDER),
         half_steps=state.half_steps,
-        engagements=state.log,
-        archive_entries=list(state.archive.entries),
+        cohorts=state.cohorts,
     )

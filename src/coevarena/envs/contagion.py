@@ -416,12 +416,8 @@ def engage(
             "defender_cost": 0.0,
         },
         telemetry={
-            "mean_delay": mean_delay,
             "delay_variance": statistics.pvariance(delays),
             "detections": float(sum(trial.detections for trial in trials)),
-            "cleanses": float(sum(trial.detections for trial in trials)),
-            "trials": float(mc.trials),
-            "mission_duration": mc.base_mission_duration + mean_delay,
         },
     )
 

@@ -389,7 +389,6 @@ def engage(
             ),
         },
         telemetry={
-            "tasks_total": float(len(scenario.tasks)),
             "tasks_completed": float(len(scenario.tasks) - disrupted),
             "attempts": float(attempts),
             "deliveries": float(total_deliveries),

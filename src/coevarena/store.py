@@ -4,10 +4,21 @@ Layout::
 
     <root>/index.jsonl            one line per run directory
     <root>/<dir>/manifest.json    config echo, seed, file hashes, timestamp
-    <root>/<dir>/engagements.jsonl  header line + one record per engagement
+    <root>/<dir>/engagements.jsonl  header, then population lines and engagement rows
     <root>/<dir>/halfsteps.jsonl  per-half-step champion and fitness stats
-    <root>/<dir>/archive.json     archived champions
     <root>/<dir>/attack.bnf, defense.bnf, scenario.cfg   verbatim input copies
+
+engagements.jsonl starts with a header object that carries ``run``,
+``format_version`` and ``columns``. Then come the two initial populations
+(generation 0) and, for each half-step, its population line followed by its
+engagement rows. A population line is an object with ``record``
+("population"), ``generation``, ``phase``, ``genotypes`` (codon lists),
+``sentences`` (text, null for an individual that failed to map) and
+``replaced`` (the slot the incumbent took in the elitism swap, or null). It
+holds the population the half-step bred, before the swap. An engagement row
+is a JSON array in ``columns`` order; its ids index the populations as
+``coevarena.engine.loop.Engagement`` describes, and it takes its generation
+and phase from the population line before it.
 
 Runs only ever append. The engagement log and halfsteps files are free of
 timestamps, so identical config and seed reproduce them byte for byte; the
@@ -25,7 +36,18 @@ from typing import Iterator
 
 from .engine.loop import RunRecord
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+ENGAGEMENT_COLUMNS = (
+    "kind",
+    "pair_index",
+    "attacker_id",
+    "defender_id",
+    "attacker_score",
+    "defender_score",
+    "costs",
+    "telemetry",
+)
 
 STORED_ATTACK_GRAMMAR = "attack.bnf"
 STORED_DEFENSE_GRAMMAR = "defense.bnf"
@@ -54,8 +76,7 @@ def verify_file_hash(path: str | Path, expected: str):
         raise CorruptRecord(f"{path}: sha256 {actual} does not match recorded {expected}")
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass
@@ -79,15 +100,15 @@ class StoredRun:
         return Path(recorded)
 
     def engagement_records(self) -> Iterator[dict]:
-        path = self.run_dir / "engagements.jsonl"
-        with path.open(encoding="utf-8") as handle:
+        """Each engagement row as a dict of its columns, generation and phase."""
+        with (self.run_dir / "engagements.jsonl").open(encoding="utf-8") as handle:
+            columns = json.loads(next(handle))["columns"]
             for line in handle:
-                record = json.loads(line)
-                if record.get("record") == "engagement":
-                    yield record
-
-    def archive_entries(self) -> list[dict]:
-        return json.loads((self.run_dir / "archive.json").read_text(encoding="utf-8"))["entries"]
+                row = json.loads(line)
+                if isinstance(row, dict):
+                    half_step = {"generation": row["generation"], "phase": row["phase"]}
+                else:
+                    yield {**half_step, **dict(zip(columns, row))}
 
 
 class ResultsStore:
@@ -135,11 +156,38 @@ class ResultsStore:
 
         with (run_dir / "engagements.jsonl").open("w", encoding="utf-8") as handle:
             handle.write(
-                _dump({"record": "header", "format_version": FORMAT_VERSION, "run": record.run_id})
+                _dump(
+                    {
+                        "record": "header",
+                        "format_version": FORMAT_VERSION,
+                        "run": record.run_id,
+                        "columns": ENGAGEMENT_COLUMNS,
+                    }
+                )
                 + "\n"
             )
-            for engagement in record.engagements:
-                handle.write(_dump(engagement) + "\n")
+            encoded: dict[int, str] = {}  # id(outcome) -> the row's last four columns
+            for cohort in record.cohorts:
+                handle.write(
+                    _dump(
+                        {
+                            "record": "population",
+                            "generation": cohort.generation,
+                            "phase": cohort.phase,
+                            "genotypes": [member.codons for member in cohort.members],
+                            "sentences": [s.text if s else None for s in cohort.strategies],
+                            "replaced": cohort.replaced,
+                        }
+                    )
+                    + "\n"
+                )
+                for kind, k, a, d, outcome in cohort.engagements:
+                    # A row in ENGAGEMENT_COLUMNS order. An environment may return
+                    # one outcome for many engagements, so each is encoded once.
+                    if id(outcome) not in encoded:
+                        scores = (outcome.attacker_score, outcome.defender_score)
+                        encoded[id(outcome)] = _dump((*scores, outcome.costs, outcome.telemetry))[1:]
+                    handle.write(f'["{kind}",{k},{a},{d},{encoded[id(outcome)]}\n')
 
         with (run_dir / "halfsteps.jsonl").open("w", encoding="utf-8") as handle:
             handle.write(
@@ -167,29 +215,6 @@ class ResultsStore:
                     )
                     + "\n"
                 )
-
-        (run_dir / "archive.json").write_text(
-            json.dumps(
-                {
-                    "format_version": FORMAT_VERSION,
-                    "entries": [
-                        {
-                            "role": entry.role,
-                            "generation": entry.generation,
-                            "score": entry.score,
-                            "cost": entry.cost,
-                            "genotype": list(entry.genotype.codons),
-                            "sentence": list(entry.sentence) if entry.sentence else None,
-                        }
-                        for entry in record.archive_entries
-                    ],
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
 
         with self.index_path.open("a", encoding="utf-8") as handle:
             handle.write(
@@ -231,9 +256,10 @@ class ResultsStore:
                     half_steps.append(record)
         except (OSError, json.JSONDecodeError) as exc:
             raise CorruptRecord(f"run directory {run_dir} is unreadable: {exc}") from exc
-        if manifest.get("format_version") != FORMAT_VERSION:
+        version = manifest.get("format_version")
+        if version != FORMAT_VERSION:
             raise CorruptRecord(
-                f"{run_dir}: format_version {manifest.get('format_version')!r} "
-                f"is not {FORMAT_VERSION}"
+                f"{run_dir}: stored in format_version {version!r}, but this coevarena reads "
+                f"format_version {FORMAT_VERSION}; re-run its config to store it again"
             )
         return StoredRun(run_dir=run_dir, manifest=manifest, half_steps=half_steps)

@@ -5,11 +5,15 @@ structures than the package: list-rewriting instead of a stack for grammar
 mapping, union-find instead of BFS for connectivity, full pairwise scans for
 dominance and best responses, for the contagion Monte Carlo one draw call
 per tick with sets of infected slots instead of one per trial with bitmasks,
-and for the ddos simulator a fresh route for every task on every tick instead
-of one per distinct disabled set.
+for the ddos simulator a fresh route for every task on every tick instead
+of one per distinct disabled set, and for the engagement log a reader of the
+raw file that puts the genotypes and sentences back on every record.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -334,7 +338,6 @@ def oracle_ddos_engage(
             "defender_cost": message_cost_total / flood_upper if flood_upper > 0 else 0.0,
         },
         telemetry={
-            "tasks_total": float(len(scenario.tasks)),
             "tasks_completed": float(len(scenario.tasks) - disrupted),
             "attempts": float(attempts),
             "deliveries": float(total_deliveries),
@@ -342,3 +345,47 @@ def oracle_ddos_engage(
             "node_cost": len(scenario.nodes) * horizon * scenario.node_cost,
         },
     )
+
+
+def v1_engagements(run_dir) -> list[dict]:
+    """The engagement records of a stored run as format 1 wrote them, less run.
+
+    Each record gets back both individuals' genotype and sentence. A candidate
+    row's own individual comes from its half-step's population line, an
+    incumbent row's from the role's population before the half-step, and the
+    opponent from the other role's latest population. After a half-step's
+    rows, its incumbent takes the replaced slot of its population.
+    """
+    lines = (Path(run_dir) / "engagements.jsonl").read_text(encoding="utf-8").splitlines()
+    columns = json.loads(lines[0])["columns"]
+    half_steps = []
+    for line in lines[1:]:
+        item = json.loads(line)
+        if isinstance(item, dict):
+            half_steps.append((item, []))
+        else:
+            half_steps[-1][1].append(dict(zip(columns, item)))
+    latest = {}  # role -> [(genotype, sentence)] after its latest swap
+    records = []
+    for population, rows in half_steps:
+        role = population["phase"]
+        other = "defender" if role == "attacker" else "attacker"
+        bred = list(zip(population["genotypes"], population["sentences"]))
+        before = latest.get(role)
+        incumbent = None
+        for row in rows:
+            if row["kind"] == "candidate":
+                own = bred[row[f"{role}_id"]]
+            else:
+                incumbent = row[f"{role}_id"]
+                own = before[incumbent]
+            individuals = {role: own, other: latest[other][row[f"{other}_id"]]}
+            record = {"record": "engagement", "generation": population["generation"], "phase": role}
+            record.update(row)
+            for side in ("attacker", "defender"):
+                record[f"{side}_genotype"], record[f"{side}_sentence"] = individuals[side]
+            records.append(record)
+        if population["replaced"] is not None:
+            bred[population["replaced"]] = before[incumbent]
+        latest[role] = bred
+    return records

@@ -8,15 +8,14 @@ from dataclasses import asdict
 import pytest
 
 from coevarena.engine import (
-    Archive,
-    ArchiveEntry,
     CompetitionStructure,
     EvolutionConfig,
     SelectionScheme,
     StructureMismatch,
     run_alternating,
 )
-from coevarena.grammar import Genotype, GenotypeLimits, MappingConfig, parse_bnf
+from coevarena.grammar import GenotypeLimits, MappingConfig, parse_bnf
+from coevarena.store import FORMAT_VERSION, ResultsStore
 
 from conftest import ScriptedEnvironment, hash_costs, hash_score
 
@@ -30,12 +29,12 @@ DEFENSE_GRAMMAR = parse_bnf(
     "<defense> ::= <word> | <word> <word> | <word> <word> <word>\n"
     "<word> ::= block | dodge | parry | brace"
 )
-RECURSIVE_ATTACK_GRAMMAR = parse_bnf(
-    "<attack> ::= <word> | <word> <attack>\n<word> ::= jab | hook | feint | wait"
-)
-RECURSIVE_DEFENSE_GRAMMAR = parse_bnf(
+RECURSIVE_ATTACK_BNF = "<attack> ::= <word> | <word> <attack>\n<word> ::= jab | hook | feint | wait"
+RECURSIVE_DEFENSE_BNF = (
     "<defense> ::= <word> | <word> <defense>\n<word> ::= block | dodge | parry | brace"
 )
+RECURSIVE_ATTACK_GRAMMAR = parse_bnf(RECURSIVE_ATTACK_BNF)
+RECURSIVE_DEFENSE_GRAMMAR = parse_bnf(RECURSIVE_DEFENSE_BNF)
 
 
 def config(**overrides) -> EvolutionConfig:
@@ -47,7 +46,6 @@ def config(**overrides) -> EvolutionConfig:
         crossover_rate=0.7,
         master_seed=9,
         limits=GenotypeLimits(min_length=4, max_length=16, codon_max=64),
-        archive_capacity=8,
     )
     base.update(overrides)
     return EvolutionConfig(**base)
@@ -59,11 +57,25 @@ def run(cfg, environment=None):
     )
 
 
+def rows(record):
+    """Every engagement of a run with its half-step and scores, in log order."""
+    return [
+        {
+            "generation": cohort.generation,
+            "phase": cohort.phase,
+            **engagement._asdict(),
+            "attacker_score": engagement.outcome.attacker_score,
+            "defender_score": engagement.outcome.defender_score,
+        }
+        for cohort in record.cohorts
+        for engagement in cohort.engagements
+    ]
+
+
 class TestLoopShape:
     def test_t1_n1_is_exactly_two_half_step_engagements(self):
         record = run(config(generations=1, attacker_population=1, defender_population=1))
-        assert len(record.engagements) == 2
-        assert [(e["generation"], e["phase"], e["kind"]) for e in record.engagements] == [
+        assert [(e["generation"], e["phase"], e["kind"]) for e in rows(record)] == [
             (1, "attacker", "candidate"),
             (1, "defender", "candidate"),
         ]
@@ -77,7 +89,7 @@ class TestLoopShape:
         ]
         for structure, expected in cases:
             record = run(config(structure=structure))
-            candidates = [e for e in record.engagements if e["kind"] == "candidate"]
+            candidates = [e for e in rows(record) if e["kind"] == "candidate"]
             per_half_step = {}
             for engagement in candidates:
                 key = (engagement["generation"], engagement["phase"])
@@ -86,7 +98,7 @@ class TestLoopShape:
 
     def test_incumbent_records_start_at_generation_two(self):
         record = run(config(generations=3))
-        incumbents = [e for e in record.engagements if e["kind"] == "incumbent"]
+        incumbents = [e for e in rows(record) if e["kind"] == "incumbent"]
         assert incumbents
         assert all(e["generation"] >= 2 for e in incumbents)
         # re-evaluation runs against the whole frozen opponent population
@@ -109,20 +121,48 @@ class TestLoopShape:
             run(cfg)
 
 
+class TestCohorts:
+    def test_one_cohort_per_population(self):
+        record = run(config(generations=3))
+        assert [(c.generation, c.phase) for c in record.cohorts] == [
+            (g, role) for g in (0, 1, 2, 3) for role in ("attacker", "defender")
+        ]
+        assert all(not c.engagements and c.replaced is None for c in record.cohorts[:2])
+
+    def test_cohorts_and_swaps_rebuild_every_half_steps_best(self):
+        # Replay the elitism swaps: a swap puts the incumbent, an individual of
+        # the role's previous population, into the replaced slot.
+        record = run(config(generations=12, master_seed=5))
+        current = {}
+        swaps = 0
+        for cohort, step in zip(record.cohorts, [None, None, *record.half_steps]):
+            members = list(cohort.members)
+            if cohort.replaced is not None:
+                own = f"{cohort.phase}_id"
+                (incumbent,) = {e._asdict()[own] for e in cohort.engagements if e.kind == "incumbent"}
+                members[cohort.replaced] = current[cohort.phase][incumbent]
+                swaps += 1
+            current[cohort.phase] = members
+            if step is not None:
+                assert (step.generation, step.phase) == (cohort.generation, cohort.phase)
+                assert members[step.best_id] == step.best_genotype
+        assert swaps > 0
+        assert current["attacker"][record.best_attacker.index] == record.best_attacker.genotype
+        assert current["defender"][record.best_defender.index] == record.best_defender.genotype
+
+
 class TestDeterminism:
     def test_identical_seed_gives_identical_record(self):
         first = run(config(generations=4, master_seed=21))
         second = run(config(generations=4, master_seed=21))
-        assert json.dumps(first.engagements, sort_keys=True) == json.dumps(
-            second.engagements, sort_keys=True
-        )
+        assert first.cohorts == second.cohorts
         assert first.best_attacker == second.best_attacker
         assert first.half_steps == second.half_steps
 
     def test_different_seed_differs(self):
         first = run(config(generations=4, master_seed=21))
         second = run(config(generations=4, master_seed=22))
-        assert first.engagements != second.engagements
+        assert first.cohorts != second.cohorts
 
 
 class TestDegenerateEnvironment:
@@ -188,70 +228,28 @@ class TestInvalidIndividuals:
         record = run_alternating(
             cfg, RECURSIVE_ATTACK_GRAMMAR, RECURSIVE_DEFENSE_GRAMMAR, ScriptedEnvironment(hash_score)
         )
-        assert record.engagements  # some pairs still engaged
+        assert rows(record)  # some pairs still engaged
         assert any(step.best_fitness > cfg.invalid_fitness for step in record.half_steps)
         # mean_fitness leaves out the sentinel: it is the mean over the
         # individuals that were scored, replayed here from the log.
         partly_scored = 0
         for step in record.half_steps:
             n = cfg.population_size(step.phase)
-            scored = replay_scored_fitness(record.engagements, step.generation, step.phase, n)
+            scored = replay_scored_fitness(rows(record), step.generation, step.phase, n)
             if scored:
                 assert step.mean_fitness == statistics.fmean(scored)
                 partly_scored += len(scored) < n
         assert partly_scored > 0
 
 
-class TestArchive:
-    def test_loop_archives_champions(self):
-        record = run(config(generations=4, archive_capacity=6))
-        assert 0 < len(record.archive_entries) <= 6
-        roles = {entry.role for entry in record.archive_entries}
-        assert roles == {"attacker", "defender"}
-
-    def test_best_of_generation_evicts_oldest(self):
-        archive = Archive(capacity=2, admission="best-of-generation")
-        for generation in range(4):
-            archive.admit(
-                ArchiveEntry(
-                    genotype=Genotype((generation,)),
-                    role="attacker",
-                    generation=generation,
-                    score=float(generation),
-                    cost=0.0,
-                )
-            )
-        assert [entry.generation for entry in archive.entries] == [2, 3]
-
-    def test_pareto_admission_keeps_front_only(self):
-        archive = Archive(capacity=10, admission="pareto-nondominated")
-        points = [(1.0, 1.0), (2.0, 2.0), (3.0, 1.0), (2.5, 0.5), (0.5, 0.1)]
-        for generation, (score, cost) in enumerate(points):
-            archive.admit(
-                ArchiveEntry(
-                    genotype=Genotype((generation,)),
-                    role="attacker",
-                    generation=generation,
-                    score=score,
-                    cost=cost,
-                )
-            )
-        from coevarena.engine import dominates
-
-        objectives = [entry.objectives() for entry in archive.entries]
-        for i, p in enumerate(objectives):
-            for j, q in enumerate(objectives):
-                if i != j:
-                    assert not dominates(p, q, ("max", "min"))
-
-    def test_zero_capacity_archive_stays_empty(self):
-        record = run(config(archive_capacity=0))
-        assert record.archive_entries == []
-
-
 # sha256 of every run_alternating output over GOLDEN_GRID. A change to any
-# engagement, half-step, champion or archive entry changes it.
-GOLDEN_LOOP_DIGEST = "dc43d543b246ba3afc95aa82e9af19d529e2cf29bd1ac9bf2f436edeb080fc22"
+# cohort, engagement, half-step or champion changes it.
+GOLDEN_LOOP_DIGEST = "b49b6ccfba41b3c09ffb2406c510ca7a06e32eb8164c49aeb849d9ee9f5c9a1a"
+
+# sha256 of what the GOLDEN_GRID runs decide, read back through the store:
+# engagement ids, kinds, scores and costs, half-step bests and champions. It
+# does not depend on the log layout, so a layout change must leave it alone.
+GOLDEN_OUTCOME_DIGEST = "5264ec485c8b00651855faeecd29a11a8528a694420c633c02ff597ac7f01e05"
 
 GOLDEN_GRID = list(
     itertools.product(
@@ -263,42 +261,74 @@ GOLDEN_GRID = list(
         ),
         ("meu", "best-worst", "pareto"),
         ("mean", "max", "min", "median"),
-        ("best-of-generation", "pareto-nondominated"),
+        (0.0, 0.3),
     )
 )
 
 
+def golden_runs():
+    """(config, record) of each GOLDEN_GRID run.
+
+    Recursive grammars with no wraps leave some individuals invalid, and the
+    environment charges both sides, so every fitness and champion path that
+    folds in cost or skips an invalid pair is exercised.
+    """
+    selections = (SelectionScheme("tournament", size=2), SelectionScheme("truncation", 0.5))
+    for k, (structure, concept, aggregation, weight) in enumerate(GOLDEN_GRID):
+        cfg = config(
+            generations=3,
+            master_seed=k,
+            structure=structure,
+            solution_concept=concept,
+            aggregation=aggregation,
+            selection=selections[k % 2],
+            secondary_weight=weight,
+            limits=GenotypeLimits(min_length=1, max_length=8, codon_max=64),
+            mapping=MappingConfig(max_wraps=0, max_derivation_steps=50),
+        )
+        record = run_alternating(
+            cfg,
+            RECURSIVE_ATTACK_GRAMMAR,
+            RECURSIVE_DEFENSE_GRAMMAR,
+            ScriptedEnvironment(hash_score, hash_costs),
+        )
+        yield cfg, record
+
+
 class TestGoldenDigest:
     def test_loop_output_digest_is_pinned(self):
-        # Recursive grammars with no wraps leave some individuals invalid, and
-        # the environment charges both sides, so every fitness and champion
-        # path that folds in cost or skips an invalid pair is exercised.
         digest = hashlib.sha256()
-        selections = (SelectionScheme("tournament", size=2), SelectionScheme("truncation", 0.5))
-        for k, (structure, concept, aggregation, admission) in enumerate(GOLDEN_GRID):
-            cfg = config(
-                generations=3,
-                master_seed=k,
-                structure=structure,
-                solution_concept=concept,
-                aggregation=aggregation,
-                archive_admission=admission,
-                selection=selections[k % 2],
-                secondary_weight=0.3,
-                limits=GenotypeLimits(min_length=1, max_length=8, codon_max=64),
-                mapping=MappingConfig(max_wraps=0, max_derivation_steps=50),
-            )
-            record = run_alternating(
-                cfg,
-                RECURSIVE_ATTACK_GRAMMAR,
-                RECURSIVE_DEFENSE_GRAMMAR,
-                ScriptedEnvironment(hash_score, hash_costs),
-            )
+        for _, record in golden_runs():
             payload = {
-                "engagements": record.engagements,
+                "cohorts": [asdict(cohort) for cohort in record.cohorts],
                 "half_steps": [asdict(step) for step in record.half_steps],
                 "champions": [asdict(record.best_attacker), asdict(record.best_defender)],
-                "archive": [asdict(entry) for entry in record.archive_entries],
             }
             digest.update(json.dumps(payload, sort_keys=True).encode("utf-8"))
         assert digest.hexdigest() == GOLDEN_LOOP_DIGEST
+
+    def test_stored_outcome_digest_is_pinned(self, tmp_path):
+        inputs = {"attack.bnf": RECURSIVE_ATTACK_BNF, "defense.bnf": RECURSIVE_DEFENSE_BNF, "none.cfg": ""}
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        store = ResultsStore(tmp_path / "store")
+        digest = hashlib.sha256()
+        for cfg, record in golden_runs():
+            manifest = {"format_version": FORMAT_VERSION, "run_id": record.run_id}
+            stored = store.load(store.add_run(record, manifest, *(tmp_path / name for name in inputs)))
+            engagements = [
+                [r[key] for key in (
+                    "generation", "phase", "kind", "pair_index", "attacker_id", "defender_id",
+                    "attacker_score", "defender_score", "costs",
+                )]
+                for r in stored.engagement_records()
+            ]
+            bests = [
+                [s[key] for key in (
+                    "generation", "phase", "best_id", "best_fitness", "best_sentence", "best_cost",
+                )]
+                for s in stored.half_steps
+            ]
+            champions = [asdict(record.best_attacker), asdict(record.best_defender)]
+            digest.update(json.dumps([engagements, bests, champions], sort_keys=True).encode("utf-8"))
+        assert digest.hexdigest() == GOLDEN_OUTCOME_DIGEST

@@ -281,7 +281,9 @@ class TestAgainstOracle:
 
     def test_shipped_networks_golden_digest(self):
         # sha256 of engagement outcomes computed with the per-tick scalar loop
-        # before the bitmask rewrite; catches drift even if the oracle changes
+        # before the bitmask rewrite, re-taken on the same outcomes without the
+        # telemetry keys that repeated other fields; catches drift even if the
+        # oracle changes
         attacks = (
             "hit e0 strength 0.8 for 5 x 3 hit e2 strength 0.5 for 10 x 2",
             "hit e1 strength 1.0 for 40 x 1 hit e3 strength 0.3 for 2 x 8",
@@ -307,7 +309,7 @@ class TestAgainstOracle:
                         }
                     )
         digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
-        assert digest == "522a3499b98eef4c6a164049aab06f6f1a3a0da097f5d748c650b6c34f798536"
+        assert digest == "f9d04ad5fd950ddd90a6fb0309558671a34efdfd9958e197ae5841f28fde4d32"
 
 
 class TestEngageOutcome:
@@ -316,7 +318,7 @@ class TestEngageOutcome:
         attack = ContagionAttack((plan(strength=0.8, duration=4, count=2),))
         outcome = engage(attack, defense(), scenario.network, scenario.mc, np.random.SeedSequence(5))
         assert outcome.defender_score == -outcome.attacker_score
-        assert outcome.telemetry["trials"] == 10.0
+        assert set(outcome.telemetry) == {"delay_variance", "detections"}
 
     def test_attacker_cost_normalization(self):
         scenario = small_contagion()

@@ -9,9 +9,10 @@ from coevarena.cli import ConfigError, load_experiment_config, main
 from coevarena.data import data_path
 from coevarena.engine import CompetitionStructure, EvolutionConfig, SelectionScheme
 from coevarena.grammar import GenotypeLimits, MappingConfig
-from coevarena.store import ResultsStore, UnknownRun
+from coevarena.store import CorruptRecord, ResultsStore, UnknownRun
 
 from conftest import write_experiment_config
+from oracles import v1_engagements
 
 
 def run_cli(*argv):
@@ -126,7 +127,7 @@ scenario = {ddos_scenario_file}
         assert "store" in capsys.readouterr().err
 
 
-def bare_config(tmp_path, scenario, evolution="", genotype="", mapping=""):
+def bare_config(tmp_path, scenario, evolution="", genotype="", mapping="", experiment=""):
     """A ddos config with seed 4 that sets nothing else but the given section lines."""
     path = tmp_path / "bare.cfg"
     path.write_text(
@@ -136,7 +137,7 @@ def bare_config(tmp_path, scenario, evolution="", genotype="", mapping=""):
         f"defense_grammar = {data_path('grammars', 'ddos_defense.bnf')}\n"
         f"scenario = {scenario}\n"
         "seed = 4\n"
-        f"\n[evolution]\n{evolution}\n[genotype]\n{genotype}\n[mapping]\n{mapping}\n",
+        f"{experiment}\n[evolution]\n{evolution}\n[genotype]\n{genotype}\n[mapping]\n{mapping}\n",
         encoding="utf-8",
     )
     return path
@@ -165,6 +166,22 @@ class TestLoadExperimentConfig:
         with pytest.raises(ConfigError, match=rf"^config \[{section}\]: {message}"):
             load_experiment_config(path)
 
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("experiment", "sead = 3"),
+            ("evolution", "mutaton_rate = 0.9"),
+            ("evolution", "archive_capacity = 16"),
+            ("genotype", "max_lenght = 9"),
+            ("mapping", "max_wrap = 1"),
+        ],
+    )
+    def test_unknown_option_names_section_and_option(self, tmp_path, ddos_scenario_file, section, line):
+        path = bare_config(tmp_path, ddos_scenario_file, **{section: line + "\n"})
+        option = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"^config \[{section}\] {option}: unknown option$"):
+            load_experiment_config(path)
+
     def test_experiment_seed_overrides_evolution_master_seed(self, tmp_path, ddos_scenario_file):
         path = bare_config(tmp_path, ddos_scenario_file, "master_seed = 99\n")
         assert load_experiment_config(path).evolution.master_seed == 4
@@ -180,8 +197,6 @@ class TestLoadExperimentConfig:
             structure=CompetitionStructure("spatial", grid_side=3, neighborhood=3),
             aggregation="median",
             solution_concept="pareto",
-            archive_capacity=4,
-            archive_admission="pareto-nondominated",
             secondary_weight=0.7,
             invalid_fitness=-5.0,
             master_seed=17,
@@ -232,6 +247,15 @@ class TestCmdInspect:
             assert replayed[(step["generation"], step["phase"])] == pytest.approx(
                 step["best_fitness"], abs=1e-12
             )
+
+    def test_format_1_run_is_rejected(self, store_with_run):
+        store = ResultsStore(store_with_run)
+        manifest_path = store_with_run / store.entries()[0]["dir"] / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps({**manifest, "format_version": 1}))
+        message = r"format_version 1, but this coevarena reads format_version 2; re-run its config"
+        with pytest.raises(CorruptRecord, match=message):
+            store.load_all()
 
     def test_load_by_run_id(self, store_with_run):
         store = ResultsStore(store_with_run)
@@ -377,30 +401,49 @@ class TestShippedData:
         config.write_text(small)
         assert run_cli("run", "--config", config, "--store", tmp_path / "store", "--quiet") == 0
 
-    def test_shipped_config_logs_are_pinned(self, tmp_path):
+    def test_shipped_config_logs_are_pinned(self, shipped_runs):
         # The deterministic outputs of both shipped configs, byte for byte. A
-        # change to the log format (the compact log, FORMAT_VERSION 2) must
-        # update these digests in the same change.
+        # change to the log format must update these digests in the same change.
         expected = {
             ("ddos_smoke.cfg", 11): (
-                "eda06bc32d6fa786485528d6499b739ffe0ab9ff86ba378a200ec76d483f8944",
-                "3db83db27899614f41f36c0378b748f3d8a8576a269a304b6931acf2e5827d04",
-                "9b996276a6387e267ad15c7b123d86afd85012d9a9bf841ed02d854760941c77",
+                "a882d81c1854331a58c9183581fd0bcf8866c39355ea873100604ac758aaac3c",
+                "1ea0d889661cfbcb69426de5c5db98894e86c71c67862f0f4c87032cf5ba1e8b",
             ),
             ("contagion_star.cfg", 7): (
-                "5515713dbdcbacb44a7f8d08cfe6a43ca6490c41f65f49c17c9020965b3166b5",
-                "efcdbf990e0e1d83a4e097c7040e0fe9c5973fe98e9fd2d22b1b57580c84ad2b",
-                "e76d47d9ec8525cd06498d5747fb21c0b8d4b81a9de95b810c2772dcd02082b9",
+                "fe57825d097d54f23fe568fff0863cd022d99ecfba3766c1829f9ce55d1cadf1",
+                "fbd2aaa6f87465c9cff5e1b92bb17f4685bcc06c22c8c54d2dae8c7af5ace1c4",
             ),
         }
-        for (name, seed), digests in expected.items():
-            store_dir = tmp_path / name
-            config = data_path("configs", name)
-            argv = ("run", "--config", config, "--seed", seed, "--store", store_dir, "--quiet")
-            assert run_cli(*argv) == 0
-            run_dir = store_dir / ResultsStore(store_dir).entries()[0]["dir"]
+        for key, digests in expected.items():
             actual = tuple(
-                hashlib.sha256((run_dir / log).read_bytes()).hexdigest()
-                for log in ("engagements.jsonl", "halfsteps.jsonl", "archive.json")
+                hashlib.sha256((shipped_runs[key] / log).read_bytes()).hexdigest()
+                for log in ("engagements.jsonl", "halfsteps.jsonl")
             )
-            assert actual == digests, name
+            assert actual == digests, key
+
+    def test_shipped_config_logs_rebuild_the_format_1_records(self, shipped_runs):
+        # sha256 of the format 1 engagement records of both shipped configs,
+        # taken before format 2, with run and the telemetry keys cleanses,
+        # mean_delay, mission_duration, trials and tasks_total removed. The
+        # format 2 log, with genotypes and sentences put back, must match.
+        expected = {
+            ("ddos_smoke.cfg", 11): "84100335087c74f56655d40368cfd59c0ad0686bcc11f29c0dada4f1bb615c9c",
+            ("contagion_star.cfg", 7): "dff4af542356fd7b856594708e36899baf8ef1b083f3bad49118202b955df7f3",
+        }
+        for key, expected_digest in expected.items():
+            digest = hashlib.sha256()
+            for record in v1_engagements(shipped_runs[key]):
+                digest.update((json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode())
+            assert digest.hexdigest() == expected_digest, key
+
+
+@pytest.fixture(scope="module")
+def shipped_runs(tmp_path_factory):
+    """The run directory of each shipped config at its pinned seed."""
+    runs = {}
+    for name, seed in (("ddos_smoke.cfg", 11), ("contagion_star.cfg", 7)):
+        store_dir = tmp_path_factory.mktemp("shipped") / name
+        config = data_path("configs", name)
+        assert run_cli("run", "--config", config, "--seed", seed, "--store", store_dir, "--quiet") == 0
+        runs[name, seed] = store_dir / ResultsStore(store_dir).entries()[0]["dir"]
+    return runs
