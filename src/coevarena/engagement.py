@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from .grammar import Strategy
+
+if TYPE_CHECKING:
+    from .engine.rng import Key
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,17 @@ class EngagementOutcome:
 class EngagementEnvironment(Protocol):
     """What the engine needs from an engagement simulator.
 
-    engage must be a pure function of its arguments and the seed material in
-    ``rng`` (an unspawned numpy SeedSequence). It may return one outcome object
-    for several engagements, so callers copy costs and telemetry to change them.
+    engage must be a pure function of its arguments and of ``key``, the
+    engagement's stream key (an engine ``rng.Key``). An environment that draws
+    random numbers builds the engagement's stream with ``key.seed_sequence()``,
+    a fresh unspawned numpy SeedSequence; a deterministic one ignores the key
+    and so never builds a stream. engage may return one outcome object for
+    several engagements, so callers copy costs and telemetry to change them.
     """
 
     environment_id: str
 
-    def engage(self, attack: Strategy, defense: Strategy, rng: np.random.SeedSequence) -> EngagementOutcome:
+    def engage(self, attack: Strategy, defense: Strategy, key: Key) -> EngagementOutcome:
         ...
 
 

@@ -188,7 +188,7 @@ class _AlternatingRun:
         outcome = self.environment.engage(
             attack,
             defense,
-            streams.seed_sequence(self.seed, stream, cohort.generation, cohort.phase, k),
+            streams.Key(self.seed, stream, cohort.generation, cohort.phase, k),
         )
         cohort.engagements.append(Engagement(kind, k, a, d, outcome))
         return outcome

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ..engagement import EngagementOutcome, InterpretError, ScenarioError
+from ..engine.rng import Key
 from ..grammar import Strategy
 
 _ENCLAVE_TOKEN = re.compile(r"^e(\d+)$")
@@ -436,7 +437,7 @@ class ContagionEnvironment:
     def from_file(cls, path: str | Path) -> "ContagionEnvironment":
         return cls(load_scenario(path))
 
-    def engage(self, attack: Strategy, defense: Strategy, rng: np.random.SeedSequence) -> EngagementOutcome:
+    def engage(self, attack: Strategy, defense: Strategy, key: Key) -> EngagementOutcome:
         scenario = self.scenario
         if attack.sentence not in self._attack_cache:
             self._attack_cache[attack.sentence] = interpret_attack(
@@ -451,5 +452,5 @@ class ContagionEnvironment:
             self._defense_cache[defense.sentence],
             scenario.network,
             scenario.mc,
-            rng,
+            key.seed_sequence(),
         )

@@ -6,8 +6,8 @@ every active task emits one message attempt, which succeeds when the protocol
 finds a route over the currently enabled nodes. The attacker scores the
 fraction of tasks it disrupted; the defender scores the fraction completed.
 
-The simple languages here are fully deterministic: engage never consumes the
-random stream it is handed. So DdosEnvironment memoises each outcome by its
+The simple languages here are fully deterministic: no random stream is ever
+built for an engagement. So DdosEnvironment memoises each outcome by its
 (attack sentence, defense sentence) pair for as long as the environment lives,
 and hands the same outcome object to every caller of that pair; a caller that
 changes an outcome's costs or telemetry copies them first.
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
 from ..engagement import EngagementOutcome, InterpretError, ScenarioError
+from ..engine.rng import Key
 from ..grammar import Strategy
 
 ROUTINGS = ("shortest-path", "flooding", "p2p-ring")
@@ -340,9 +339,8 @@ def engage(
     attack: DdosAttack,
     defense: DdosDefense,
     scenario: NetworkScenario,
-    rng: np.random.SeedSequence | None = None,
 ) -> EngagementOutcome:
-    """Simulate the mission under attack. Pure and deterministic; rng unused.
+    """Simulate the mission under attack. Pure and deterministic.
 
     The disabled set changes only where an action starts or ends, so each
     task's route is found once per distinct disabled set and reused.
@@ -403,7 +401,7 @@ class DdosEnvironment:
 
     Outcomes are memoised per environment by (attack sentence, defense
     sentence): a repeated pair returns the outcome object of its first
-    engagement, whatever rng is passed. Callers that change its costs or
+    engagement. The key is never used. Callers that change its costs or
     telemetry copy them first.
     """
 
@@ -419,17 +417,16 @@ class DdosEnvironment:
     def from_file(cls, path: str | Path) -> "DdosEnvironment":
         return cls(load_scenario(path))
 
-    def engage(self, attack: Strategy, defense: Strategy, rng: np.random.SeedSequence) -> EngagementOutcome:
-        key = (attack.sentence, defense.sentence)
-        if key not in self._outcomes:
+    def engage(self, attack: Strategy, defense: Strategy, key: Key) -> EngagementOutcome:
+        pair = (attack.sentence, defense.sentence)
+        if pair not in self._outcomes:
             if attack.sentence not in self._attack_cache:
                 self._attack_cache[attack.sentence] = interpret_attack(attack, self.scenario)
             if defense.sentence not in self._defense_cache:
                 self._defense_cache[defense.sentence] = interpret_defense(defense, self.scenario)
-            self._outcomes[key] = engage(
+            self._outcomes[pair] = engage(
                 self._attack_cache[attack.sentence],
                 self._defense_cache[defense.sentence],
                 self.scenario,
-                rng,
             )
-        return self._outcomes[key]
+        return self._outcomes[pair]

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .engagement import EngagementEnvironment
 from .engine.config import EvolutionConfig
-from .engine.rng import seed_sequence
+from .engine.rng import Key
 from .grammar import Genotype, Grammar, MappingFailure, Strategy, load_grammar, map_genotype
 from .store import StoredRun, verify_file_hash
 
@@ -165,8 +165,9 @@ def cross_tournament(
 ) -> PayoffMatrix:
     """All compendium attacks against all compendium defenses, one scenario.
 
-    Cell (i, j) engages with the stream keyed (seed, "cell", i, j), so cells
-    are reproducible individually and in parallel.
+    Cell (i, j) engages with the key Key(seed, "cell", i, j), so cells are
+    reproducible individually and in parallel; an environment that draws
+    random numbers builds that cell's stream from it, once.
     """
     attackers = sorted((e for e in entries if e.role == "attacker"), key=lambda e: e.entry_id)
     defenders = sorted((e for e in entries if e.role == "defender"), key=lambda e: e.entry_id)
@@ -175,7 +176,7 @@ def cross_tournament(
     cells = tuple(
         tuple(
             environment.engage(
-                attacker.strategy, defender.strategy, seed_sequence(seed, "cell", i, j)
+                attacker.strategy, defender.strategy, Key(seed, "cell", i, j)
             ).attacker_score
             for j, defender in enumerate(defenders)
         )

@@ -65,7 +65,7 @@ class ScriptedEnvironment:
         self.score_fn = score_fn or (lambda attack, defense: 0.0)
         self.cost_fn = cost_fn
 
-    def engage(self, attack, defense, rng):
+    def engage(self, attack, defense, key):
         value = float(self.score_fn(attack, defense))
         costs = {}
         if self.cost_fn is not None:

@@ -6,13 +6,16 @@ mapping, union-find instead of BFS for connectivity, full pairwise scans for
 dominance and best responses, for the contagion Monte Carlo one draw call
 per tick with sets of infected slots instead of one per trial with bitmasks,
 for the ddos simulator a fresh route for every task on every tick instead
-of one per distinct disabled set, and for the engagement log a reader of the
-raw file that puts the genotypes and sentences back on every record.
+of one per distinct disabled set, for the engagement log a reader of the
+raw file that puts the genotypes and sentences back on every record, and for
+keyed random streams numpy's own encoding of a list of ints instead of an
+array of 32-bit words.
 """
 
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,25 @@ from coevarena.envs.ddos import (
 from coevarena.grammar import CONSUME_ON_CHOICE, Genotype, Grammar, MappingConfig
 
 ORACLE_FAILED = "failed"
+
+
+def _oracle_encode(part) -> int:
+    if isinstance(part, bool):
+        raise TypeError("bool key parts are ambiguous")
+    if isinstance(part, int):
+        if part < 0:
+            raise ValueError(f"key part {part} is negative")
+        return part
+    if isinstance(part, str):
+        return zlib.crc32(part.encode("utf-8"))
+    raise TypeError(f"cannot key a random stream on {type(part).__name__}")
+
+
+def oracle_seed_sequence(master_seed: int, *key) -> np.random.SeedSequence:
+    """The keyed stream as a list of ints, each str part as its crc32, that
+    numpy itself splits into 32-bit words."""
+    entropy = [_oracle_encode(master_seed)] + [_oracle_encode(part) for part in key]
+    return np.random.SeedSequence(entropy)
 
 
 def oracle_map(genotype: Genotype, grammar: Grammar, cfg: MappingConfig):
@@ -275,7 +297,6 @@ def oracle_ddos_engage(
     attack: DdosAttack,
     defense: DdosDefense,
     scenario: NetworkScenario,
-    rng: np.random.SeedSequence | None = None,
 ) -> EngagementOutcome:
     """Simulate the mission, routing every active task afresh on every tick.
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coevarena.data import data_path
 from coevarena.engagement import InterpretError, ScenarioError
+from coevarena.engine.rng import Key
 from coevarena.envs.contagion import (
     ContagionAttack,
     ContagionDefense,
@@ -298,7 +299,7 @@ class TestAgainstOracle:
             for i, attack in enumerate(attacks):
                 for j, shields in enumerate(defenses):
                     outcome = environment.engage(
-                        strategy(attack), strategy(shields), np.random.SeedSequence([17, i, j])
+                        strategy(attack), strategy(shields), Key(17, i, j)
                     )
                     records.append(
                         {
@@ -343,6 +344,6 @@ class TestScenarioLoading:
         outcome = environment.engage(
             strategy("hit e0 strength 1.0 for 3 x 1"),
             strategy("place d0 in e0 tap e0 at 0.5"),
-            np.random.SeedSequence(7),
+            Key(7),
         )
         assert outcome.attacker_score >= 0.0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coevarena.engagement import InterpretError, ScenarioError
+from coevarena.engine.rng import Key
 from coevarena.envs import ddos
 from coevarena.envs.ddos import (
     ROUTINGS,
@@ -222,12 +223,6 @@ class TestEngage:
         assert first.costs["attacker_cost"] == 6 / SCENARIO.attack_budget
         assert 0.0 <= first.costs["defender_cost"] <= 1.0
 
-    def test_rng_stream_not_consumed(self):
-        seed = np.random.SeedSequence(5)
-        engage(DdosAttack(()), DdosDefense("shortest-path"), SCENARIO, seed)
-        # an unspawned SeedSequence still spawns the same children afterwards
-        assert seed.spawn(1)[0].entropy == np.random.SeedSequence(5).spawn(1)[0].entropy
-
 
 @st.composite
 def ddos_cases(draw):
@@ -307,24 +302,34 @@ class TestOutcomeMemo:
     def test_repeated_pair_simulates_once(self, simulations):
         environment = DdosEnvironment(SCENARIO)
         attack, defense = strategy("disable n2 at 3 for 4"), strategy("route flooding")
-        first = environment.engage(attack, defense, np.random.SeedSequence(0))
-        second = environment.engage(attack, defense, np.random.SeedSequence(0))
+        first = environment.engage(attack, defense, Key(0))
+        second = environment.engage(attack, defense, Key(0))
         assert len(simulations) == 1
         assert second == first
-        assert first == DdosEnvironment(SCENARIO).engage(attack, defense, np.random.SeedSequence(0))
+        assert first == DdosEnvironment(SCENARIO).engage(attack, defense, Key(0))
 
     def test_hit_ignores_rng(self, simulations):
         environment = DdosEnvironment(SCENARIO)
         attack, defense = strategy("disable n1 at 0 for 6"), strategy("route ring 2")
-        first = environment.engage(attack, defense, np.random.SeedSequence(1))
-        assert environment.engage(attack, defense, np.random.SeedSequence(99)) is first
+        first = environment.engage(attack, defense, Key(1))
+        assert environment.engage(attack, defense, Key(99)) is first
         assert len(simulations) == 1
+
+    def test_never_builds_a_stream(self, monkeypatch):
+        def unbuildable(key):
+            raise AssertionError("the ddos environment built a random stream")
+
+        monkeypatch.setattr(Key, "seed_sequence", unbuildable)
+        environment = DdosEnvironment(SCENARIO)
+        attack, defense = strategy("disable n2 at 3 for 4"), strategy("route shortest")
+        first = environment.engage(attack, defense, Key(5))
+        assert environment.engage(attack, defense, Key(6)) is first
 
     def test_environments_do_not_share_outcomes(self, simulations):
         attack, defense = strategy("disable n2 at 0 for 12"), strategy("route shortest")
-        rng = np.random.SeedSequence(2)
-        wide = DdosEnvironment(path_scenario(budget=100)).engage(attack, defense, rng)
-        tight = DdosEnvironment(path_scenario(budget=4)).engage(attack, defense, rng)
+        key = Key(2)
+        wide = DdosEnvironment(path_scenario(budget=100)).engage(attack, defense, key)
+        tight = DdosEnvironment(path_scenario(budget=4)).engage(attack, defense, key)
         assert len(simulations) == 2
         assert wide.attacker_score == 0.5 and wide.costs["attacker_cost"] == 12 / 100
         assert tight.attacker_score == 0.0 and tight.costs["attacker_cost"] == 4 / 4
@@ -367,7 +372,5 @@ class TestScenarioLoading:
 
     def test_environment_adapter(self, ddos_scenario_file):
         environment = DdosEnvironment.from_file(ddos_scenario_file)
-        outcome = environment.engage(
-            strategy("noop"), strategy("route shortest"), np.random.SeedSequence(0)
-        )
+        outcome = environment.engage(strategy("noop"), strategy("route shortest"), Key(0))
         assert outcome.attacker_score == 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coevarena.cli import main
-from coevarena.engine.rng import seed_sequence
+from coevarena.engine.rng import Key
 from coevarena.establo import (
     CompendiumEntry,
     GrammarMismatch,
@@ -161,9 +161,7 @@ class TestCrossTournament:
         one_each = [self.ENTRIES[0], self.ENTRIES[2]]
         environment = ScriptedEnvironment(hash_score)
         matrix = cross_tournament(one_each, environment, seed=9, context="ctx")
-        direct = environment.engage(
-            one_each[0].strategy, one_each[1].strategy, seed_sequence(9, "cell", 0, 0)
-        )
+        direct = environment.engage(one_each[0].strategy, one_each[1].strategy, Key(9, "cell", 0, 0))
         assert matrix.cells[0][0] == direct.attacker_score
 
     def test_needs_both_roles(self):
