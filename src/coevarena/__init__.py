@@ -8,7 +8,6 @@ from .engine import (
     DEFENDER,
     Champion,
     CompetitionStructure,
-    DimensionMismatch,
     EvolutionConfig,
     HalfStepStats,
     RunRecord,

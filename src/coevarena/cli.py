@@ -221,6 +221,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_establo(args) -> int:
+    if args.stride < 1:
+        raise ConfigError("--stride must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     store = ResultsStore(_resolve_store(args))
     runs = store.load_all()
     environments = {run.manifest["environment"] for run in runs}
@@ -229,8 +233,9 @@ def cmd_establo(args) -> int:
     environment_id = environments.pop()
 
     compendium = establo_mod.build_compendium(runs, args.filter, args.stride)
-    if not compendium:
-        raise EmptyStore("compendium is empty after filtering")
+    for role in ("attacker", "defender"):
+        if not any(entry.role == role for entry in compendium):
+            raise EmptyStore(f"compendium holds no {role} entry after filtering")
     entries_by_id = {entry.entry_id: entry for entry in compendium}
 
     contexts: list[tuple[str, Path]] = []
@@ -246,7 +251,7 @@ def cmd_establo(args) -> int:
             raise ConfigError(
                 "runs use different scenarios; pass --scenario to pick evaluation contexts"
             )
-        contexts.append(("same-run", runs[0].resolve_path(runs[0].manifest["scenario"]["path"])))
+        contexts.append(("same-run", runs[0].input_path("scenario")))
 
     rankings = []
     matrices = []

@@ -7,7 +7,7 @@ from .config import (
     SelectionScheme,
     opposite,
 )
-from .fitness import DimensionMismatch, assign_fitness, dominates, pareto_front
+from .fitness import assign_fitness, pareto_front
 from .loop import Champion, Cohort, Engagement, HalfStepStats, RunRecord, run_alternating
 from .pairing import StructureMismatch, pair
 from .variation import crossover, mutate, select
@@ -19,7 +19,6 @@ __all__ = [
     "Champion",
     "Cohort",
     "CompetitionStructure",
-    "DimensionMismatch",
     "Engagement",
     "EvolutionConfig",
     "HalfStepStats",
@@ -28,7 +27,6 @@ __all__ = [
     "StructureMismatch",
     "assign_fitness",
     "crossover",
-    "dominates",
     "mutate",
     "opposite",
     "pair",

@@ -1,4 +1,4 @@
-"""Fitness assignment from engagement outcomes, plus Pareto utilities."""
+"""Fitness assignment from engagement outcomes, plus the (score, cost) Pareto front."""
 
 from __future__ import annotations
 
@@ -6,10 +6,6 @@ import statistics
 from typing import Mapping, Sequence
 
 from ..engagement import EngagementOutcome
-
-
-class DimensionMismatch(Exception):
-    """Outcome vectors disagree on dimensionality."""
 
 
 _AGGREGATORS = {
@@ -49,28 +45,13 @@ def assign_fitness(
     }
 
 
-def _adjusted(point: Sequence[float], directions: Sequence[str]) -> tuple[float, ...]:
-    return tuple(v if d == "max" else -v for v, d in zip(point, directions))
+def pareto_front(points: Sequence[tuple[float, float]]) -> list[int]:
+    """Indices of the nondominated (score, cost) points, ascending.
 
-
-def dominates(p: Sequence[float], q: Sequence[float], directions: Sequence[str]) -> bool:
-    """True when p is at least as good as q everywhere and better somewhere."""
-    ap, aq = _adjusted(p, directions), _adjusted(q, directions)
-    return all(x >= y for x, y in zip(ap, aq)) and any(x > y for x, y in zip(ap, aq))
-
-
-def pareto_front(points: Sequence[Sequence[float]], directions: Sequence[str]) -> list[int]:
-    """Indices of the nondominated points, ascending. Duplicates all survive."""
-    for direction in directions:
-        if direction not in ("max", "min"):
-            raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    for point in points:
-        if len(point) != len(directions):
-            raise DimensionMismatch(
-                f"point of dimension {len(point)} does not match {len(directions)} directions"
-            )
-    front = []
-    for i, p in enumerate(points):
-        if not any(dominates(q, p, directions) for j, q in enumerate(points) if j != i):
-            front.append(i)
-    return front
+    Score is maximised and cost minimised. Duplicates all survive.
+    """
+    return [
+        i
+        for i, (score, cost) in enumerate(points)
+        if not any(s >= score and c <= cost and (s > score or c < cost) for s, c in points)
+    ]

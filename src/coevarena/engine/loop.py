@@ -315,7 +315,7 @@ class _AlternatingRun:
                 )
                 for i in evaluated
             ]
-            front = pareto_front(points, ("max", "min"))
+            front = pareto_front(points)
             index = evaluated[front[0]]
             score = points[front[0]][0]
         else:

@@ -76,9 +76,5 @@ class Key:
         return np.random.SeedSequence(np.array(self.words, dtype=np.uint32))
 
 
-def seed_sequence(master_seed: int, *key) -> np.random.SeedSequence:
-    return Key(master_seed, *key).seed_sequence()
-
-
 def generator(master_seed: int, *key) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed_sequence(master_seed, *key)))
+    return np.random.Generator(np.random.PCG64(Key(master_seed, *key).seed_sequence()))

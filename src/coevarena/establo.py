@@ -20,12 +20,12 @@ from typing import Iterable, Mapping, Sequence
 
 from .engagement import EngagementEnvironment
 from .engine.config import EvolutionConfig
+from .engine.fitness import pareto_front
 from .engine.rng import Key
 from .grammar import Genotype, Grammar, MappingFailure, Strategy, load_grammar, map_genotype
 from .store import StoredRun, verify_file_hash
 
 FILTERS = ("best-per-generation", "best-per-run", "pareto-per-run")
-CRITERIA = ("meu", "best-worst", "combined")
 
 
 class GrammarMismatch(Exception):
@@ -87,13 +87,11 @@ def _select_champions(steps: list[dict], compendium_filter: str, stride: int) ->
     if compendium_filter == "best-per-generation":
         return strided
     if compendium_filter == "pareto-per-run":
-        from .engine.fitness import pareto_front
-
         points = [
             (step["best_fitness"], step["best_cost"] if step["best_cost"] is not None else 0.0)
             for step in strided
         ]
-        return [strided[i] for i in pareto_front(points, ("max", "min"))]
+        return [strided[i] for i in pareto_front(points)]
     raise ValueError(f"unknown compendium filter {compendium_filter!r}")
 
 
@@ -117,7 +115,7 @@ def build_compendium(
         config = EvolutionConfig.from_dict(manifest["config"])
         grammars: dict[str, Grammar] = {}
         for role, key in (("attacker", "attack_grammar"), ("defender", "defense_grammar")):
-            path = run.resolve_path(manifest[key]["path"])
+            path = run.input_path(key)
             verify_file_hash(path, manifest[key]["sha256"])
             grammars[role] = load_grammar(path)
         for role in ("attacker", "defender"):
@@ -197,13 +195,9 @@ def _rank_ids(ids: Sequence[str], scores: Mapping[str, float], higher_is_better:
 
 
 def _rank_side(
-    ids: Sequence[str],
-    vectors: Mapping[str, Sequence[float]],
-    direction: str,
-    role: str,
-    context: str,
+    ids: Sequence[str], vectors: Mapping[str, Sequence[float]], role: str, context: str
 ) -> list[RankingRow]:
-    maximizing = direction == "max"
+    maximizing = role == "attacker"
     meu = {i: statistics.fmean(vectors[i]) for i in ids}
     best_worst = {i: (min(vectors[i]) if maximizing else max(vectors[i])) for i in ids}
     meu_rank = _rank_ids(ids, meu, maximizing)
@@ -226,15 +220,11 @@ def _rank_side(
     ]
 
 
-def rank(
-    matrix: PayoffMatrix,
-    attacker_direction: str = "max",
-    defender_direction: str = "min",
-) -> list[RankingRow]:
+def rank(matrix: PayoffMatrix) -> list[RankingRow]:
     """Rank both sides under MEU, best-worst, and their combination.
 
-    Cells hold attacker scores, so by default attackers rank by maximizing
-    and defenders by minimizing them. best-worst is each entry's worst case
+    Cells hold attacker scores, so attackers rank by maximizing and
+    defenders by minimizing them. best-worst is each entry's worst case
     over its opponents; combined is the mean of the two normalized ranks
     (lower is better). Ties always break by entry id.
     """
@@ -246,31 +236,22 @@ def rank(
     defender_vectors = {
         entry_id: matrix.column(j) for j, entry_id in enumerate(matrix.defender_ids)
     }
-    rows = _rank_side(matrix.attacker_ids, attacker_vectors, attacker_direction, "attacker", matrix.context)
-    rows += _rank_side(matrix.defender_ids, defender_vectors, defender_direction, "defender", matrix.context)
+    rows = _rank_side(matrix.attacker_ids, attacker_vectors, "attacker", matrix.context)
+    rows += _rank_side(matrix.defender_ids, defender_vectors, "defender", matrix.context)
     return rows
 
 
-def pure_nash_pairs(
-    matrix: PayoffMatrix,
-    attacker_direction: str = "max",
-    defender_direction: str = "min",
-) -> list[tuple[str, str]]:
+def pure_nash_pairs(matrix: PayoffMatrix) -> list[tuple[str, str]]:
     """All cells where both sides are best responses to each other.
 
-    Ties count as best responses: a cell qualifies when it attains the
-    attacker's optimum of its column and the defender's optimum of its row.
+    Ties count as best responses: a cell qualifies when it is the maximum of
+    its column (the attacker's best reply) and the minimum of its row (the
+    defender's).
     """
     if not matrix.attacker_ids or not matrix.defender_ids:
         raise ValueError("cannot scan an empty payoff matrix")
-    att_best = [
-        (max if attacker_direction == "max" else min)(matrix.column(j))
-        for j in range(len(matrix.defender_ids))
-    ]
-    def_best = [
-        (max if defender_direction == "max" else min)(matrix.row(i))
-        for i in range(len(matrix.attacker_ids))
-    ]
+    att_best = [max(matrix.column(j)) for j in range(len(matrix.defender_ids))]
+    def_best = [min(matrix.row(i)) for i in range(len(matrix.attacker_ids))]
     pairs = []
     for i, attacker_id in enumerate(matrix.attacker_ids):
         for j, defender_id in enumerate(matrix.defender_ids):
@@ -288,25 +269,23 @@ def emit_report(
     rankings: Sequence[RankingRow],
     matrices: Sequence[PayoffMatrix],
     out_dir: str | Path,
-    entries: Mapping[str, CompendiumEntry] | None = None,
+    entries: Mapping[str, CompendiumEntry],
 ) -> list[Path]:
     """Write ranking CSV, payoff CSVs, plot data, and a text summary.
 
-    Re-emission over identical inputs is byte-identical: no timestamps, all
-    orderings fixed.
+    entries maps every ranked entry id to its compendium entry. Re-emission
+    over identical inputs is byte-identical: no timestamps, all orderings
+    fixed.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = entries or {}
     written: list[Path] = []
 
     def algorithm_of(entry_id: str) -> str:
-        entry = entries.get(entry_id)
-        return entry.algorithm if entry is not None else "unknown"
+        return entries[entry_id].algorithm
 
     def sentence_of(entry_id: str) -> str:
-        entry = entries.get(entry_id)
-        return " ".join(entry.sentence) if entry is not None else ""
+        return " ".join(entries[entry_id].sentence)
 
     ranking_path = out / "rankings.csv"
     with ranking_path.open("w", newline="", encoding="utf-8") as handle:

@@ -71,12 +71,6 @@ class MappingFailure(Exception):
     the caller's decision, not the grammar's.
     """
 
-    def __init__(self, reason: str, codons_used: int, wraps_used: int, steps: int):
-        super().__init__(reason)
-        self.codons_used = codons_used
-        self.wraps_used = wraps_used
-        self.steps = steps
-
 
 class Symbol(NamedTuple):
     text: str
@@ -299,7 +293,7 @@ def map_genotype(genotype: Genotype, grammar: Grammar, cfg: MappingConfig = Mapp
         nonlocal cursor, wraps, used
         if cursor >= len(codons):
             if wraps >= cfg.max_wraps:
-                raise MappingFailure("codon supply exhausted", used, wraps, steps)
+                raise MappingFailure("codon supply exhausted")
             wraps += 1
             cursor = 0
         value = codons[cursor]
@@ -316,7 +310,7 @@ def map_genotype(genotype: Genotype, grammar: Grammar, cfg: MappingConfig = Mapp
             continue
         steps += 1
         if steps > cfg.max_derivation_steps:
-            raise MappingFailure("derivation step budget exhausted", used, wraps, steps)
+            raise MappingFailure("derivation step budget exhausted")
         alternatives = grammar.productions[sym.text]
         if len(alternatives) == 1 and cfg.codon_policy == CONSUME_ON_CHOICE:
             choice = 0

@@ -49,9 +49,12 @@ ENGAGEMENT_COLUMNS = (
     "telemetry",
 )
 
-STORED_ATTACK_GRAMMAR = "attack.bnf"
-STORED_DEFENSE_GRAMMAR = "defense.bnf"
-STORED_SCENARIO = "scenario.cfg"
+# The manifest entry of each input file, and the name of its verbatim copy.
+STORED_INPUTS = {
+    "attack_grammar": "attack.bnf",
+    "defense_grammar": "defense.bnf",
+    "scenario": "scenario.cfg",
+}
 
 
 class CorruptRecord(Exception):
@@ -85,19 +88,9 @@ class StoredRun:
     manifest: dict
     half_steps: list[dict]
 
-    def resolve_path(self, recorded: str) -> Path:
-        """Prefer the verbatim copy inside the run directory."""
-        for entry_key, stored in (
-            ("attack_grammar", STORED_ATTACK_GRAMMAR),
-            ("defense_grammar", STORED_DEFENSE_GRAMMAR),
-            ("scenario", STORED_SCENARIO),
-        ):
-            entry = self.manifest.get(entry_key)
-            if entry and entry.get("path") == recorded:
-                candidate = self.run_dir / stored
-                if candidate.exists():
-                    return candidate
-        return Path(recorded)
+    def input_path(self, key: str) -> Path:
+        """The run directory's copy of the input file the manifest records under key."""
+        return self.run_dir / STORED_INPUTS[key]
 
     def engagement_records(self) -> Iterator[dict]:
         """Each engagement row as a dict of its columns, generation and phase."""
@@ -146,9 +139,9 @@ class ResultsStore:
         run_dir = self.root / dir_name
         run_dir.mkdir()
 
-        shutil.copyfile(attack_grammar_path, run_dir / STORED_ATTACK_GRAMMAR)
-        shutil.copyfile(defense_grammar_path, run_dir / STORED_DEFENSE_GRAMMAR)
-        shutil.copyfile(scenario_path, run_dir / STORED_SCENARIO)
+        shutil.copyfile(attack_grammar_path, run_dir / STORED_INPUTS["attack_grammar"])
+        shutil.copyfile(defense_grammar_path, run_dir / STORED_INPUTS["defense_grammar"])
+        shutil.copyfile(scenario_path, run_dir / STORED_INPUTS["scenario"])
 
         (run_dir / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -170,20 +170,27 @@ class TestCrossTournament:
 
 
 class TestRank:
-    def test_two_by_two_hand_example_minimizing_attacker(self):
-        # A scores [1,3], B scores [2,2]; minimizing attacker:
-        # MEU ties at 2 -> A first by id; worst cases 3 vs 2 -> B first.
+    def test_two_by_two_hand_example(self):
+        # Attacker A scores [1,3], B scores [2,2]: MEU ties at 2 -> A first by
+        # id; worst cases (minima) 1 vs 2 -> B first; combined ties -> A first.
+        # Defender d1 concedes [1,2], d2 concedes [3,2]: d1 is better on the
+        # mean (1.5 vs 2.5) and on the worst case (maxima, 2 vs 3).
         matrix = PayoffMatrix(
             context="ctx",
             attacker_ids=("A", "B"),
             defender_ids=("d1", "d2"),
             cells=((1.0, 3.0), (2.0, 2.0)),
         )
-        rows = {r.entry_id: r for r in rank(matrix, attacker_direction="min") if r.role == "attacker"}
+        rows = {r.entry_id: r for r in rank(matrix)}
         assert rows["A"].meu_score == 2.0 and rows["B"].meu_score == 2.0
         assert rows["A"].meu_rank == 1 and rows["B"].meu_rank == 2
-        assert rows["A"].best_worst_score == 3.0 and rows["B"].best_worst_score == 2.0
+        assert rows["A"].best_worst_score == 1.0 and rows["B"].best_worst_score == 2.0
         assert rows["B"].best_worst_rank == 1 and rows["A"].best_worst_rank == 2
+        assert rows["A"].combined_rank == 1 and rows["B"].combined_rank == 2
+        assert (rows["d1"].meu_score, rows["d2"].meu_score) == (1.5, 2.5)
+        assert (rows["d1"].best_worst_score, rows["d2"].best_worst_score) == (2.0, 3.0)
+        for criterion in ("meu_rank", "best_worst_rank", "combined_rank"):
+            assert (getattr(rows["d1"], criterion), getattr(rows["d2"], criterion)) == (1, 2)
 
     def test_single_entry_ranks_one(self):
         matrix = matrix_of([[5.0]])
@@ -247,22 +254,25 @@ class TestPureNash:
 
 
 class TestEmitReport:
+    ENTRIES = {
+        **{name: entry("attacker", name, f"jab {name}") for name in ("A0", "A1")},
+        **{name: entry("defender", name, f"block {name}") for name in ("D0", "D1")},
+    }
+
     def make_rankings(self, context="ctx"):
         matrix = matrix_of([[2.0, 0.5], [1.0, 1.5]], context=context)
         return rank(matrix), matrix
 
     def test_row_count_matches_entries(self, tmp_path):
         rankings, matrix = self.make_rankings()
-        entries = {name: entry("attacker", name, "jab") for name in matrix.attacker_ids}
-        entries |= {name: entry("defender", name, "block") for name in matrix.defender_ids}
-        emit_report(rankings, [matrix], tmp_path, entries)
+        emit_report(rankings, [matrix], tmp_path, self.ENTRIES)
         lines = (tmp_path / "rankings.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 4  # header + 2 attackers + 2 defenders
 
     def test_two_contexts_two_series_per_role(self, tmp_path):
         rankings_a, matrix_a = self.make_rankings("same-run")
         rankings_b, matrix_b = self.make_rankings("unseen")
-        emit_report(rankings_a + rankings_b, [matrix_a, matrix_b], tmp_path)
+        emit_report(rankings_a + rankings_b, [matrix_a, matrix_b], tmp_path, self.ENTRIES)
         series = [json.loads(line) for line in (tmp_path / "rank_curves.jsonl").read_text().splitlines()]
         assert {(s["context"], s["role"]) for s in series} == {
             ("same-run", "attacker"),
@@ -274,13 +284,16 @@ class TestEmitReport:
     def test_reemission_is_byte_identical(self, tmp_path):
         rankings, matrix = self.make_rankings()
         first_dir, second_dir = tmp_path / "one", tmp_path / "two"
-        emit_report(rankings, [matrix], first_dir)
-        emit_report(rankings, [matrix], second_dir)
+        emit_report(rankings, [matrix], first_dir, self.ENTRIES)
+        emit_report(rankings, [matrix], second_dir, self.ENTRIES)
         for name in ("rankings.csv", "payoff_ctx.csv", "rank_curves.jsonl", "summary.txt"):
             assert (first_dir / name).read_bytes() == (second_dir / name).read_bytes()
 
     def test_summary_names_top_entries(self, tmp_path):
         rankings, matrix = self.make_rankings()
-        emit_report(rankings, [matrix], tmp_path)
+        emit_report(rankings, [matrix], tmp_path, self.ENTRIES)
         text = (tmp_path / "summary.txt").read_text()
         assert "top by meu" in text and "top by best-worst" in text
+        # A1's worst case (1.0) beats A0's (0.5); D1 concedes less on the mean.
+        assert "top by best-worst: A1  jab A1" in text
+        assert "top by meu:        D1  block D1" in text

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import shutil
 import statistics
 from collections import defaultdict
 
@@ -17,6 +19,21 @@ from oracles import v1_engagements
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def point_inputs_at(config, **paths):
+    """Rewrite the config's [experiment] file entries to the given paths."""
+    text = config.read_text()
+    for option, path in paths.items():
+        text = re.sub(rf"^{option} = .*$", f"{option} = {path}", text, flags=re.M)
+    config.write_text(text)
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    return err
 
 
 def replay_best_fitness(records, config):
@@ -280,6 +297,46 @@ class TestCmdEstablo:
         assert run_cli("establo", "--store", tmp_path / "empty", "--out", tmp_path / "out") == 1
         assert "EmptyStore" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--stride", 0), ("--seed", -1)])
+    def test_bad_flag_is_one_error_line(self, populated_store, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "out"
+        assert run_cli("establo", "--store", populated_store, "--out", out_dir, flag, value) == 1
+        assert flag in assert_one_error_line(capsys)
+
+    def test_role_that_never_maps_is_one_error_line(self, tmp_path, ddos_scenario_file, capsys):
+        # Every derivation of <more> recurses forever, so no defender maps and
+        # no half-step records a defender champion.
+        unmappable = tmp_path / "unmappable.bnf"
+        unmappable.write_text("<defense> ::= route shortest <more>\n<more> ::= x <more>\n")
+        config = write_experiment_config(tmp_path, "ddos", ddos_scenario_file, generations=2)
+        point_inputs_at(config, defense_grammar=unmappable)
+        store_dir = tmp_path / "store"
+        assert run_cli("run", "--config", config, "--store", store_dir, "--quiet") == 0
+        assert run_cli("establo", "--store", store_dir, "--out", tmp_path / "out") == 1
+        err = assert_one_error_line(capsys)
+        assert "EmptyStore" in err and "defender" in err
+
+    def test_runs_on_stored_copies_after_originals_are_deleted(
+        self, tmp_path, ddos_scenario_file
+    ):
+        inputs = {
+            "attack_grammar": tmp_path / "attack-original.bnf",
+            "defense_grammar": tmp_path / "defense-original.bnf",
+        }
+        shutil.copyfile(data_path("grammars", "ddos_attack.bnf"), inputs["attack_grammar"])
+        shutil.copyfile(data_path("grammars", "ddos_defense.bnf"), inputs["defense_grammar"])
+        config = write_experiment_config(tmp_path, "ddos", ddos_scenario_file, generations=3)
+        point_inputs_at(config, **inputs)
+        store_dir = tmp_path / "store"
+        assert run_cli("run", "--config", config, "--store", store_dir, "--quiet") == 0
+        before, after = tmp_path / "before", tmp_path / "after"
+        assert run_cli("establo", "--store", store_dir, "--out", before, "--quiet") == 0
+        for path in (*inputs.values(), ddos_scenario_file):
+            path.unlink()
+        assert run_cli("establo", "--store", store_dir, "--out", after, "--quiet") == 0
+        for name in ("rankings.csv", "payoff_same-run.csv", "summary.txt"):
+            assert (before / name).read_bytes() == (after / name).read_bytes()
+
     def test_single_run_best_per_run_gives_one_by_one_matrix(self, tmp_path, ddos_scenario_file):
         config = write_experiment_config(tmp_path, "ddos", ddos_scenario_file, generations=3)
         store_dir = tmp_path / "solo-store"
@@ -347,7 +404,7 @@ class TestCmdEstablo:
         store = ResultsStore(populated_store)
         runs = store.load_all()
         compendium = establo_mod.build_compendium(runs, "best-per-generation", 2)
-        scenario = runs[0].resolve_path(runs[0].manifest["scenario"]["path"])
+        scenario = runs[0].input_path("scenario")
         environment = load_environment("ddos", scenario)
         matrix = establo_mod.cross_tournament(compendium, environment, 77, "same-run")
         rankings = establo_mod.rank(matrix)
