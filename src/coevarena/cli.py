@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from configparser import ConfigParser
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, InitVar, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,6 +27,7 @@ from .envs import ENVIRONMENTS, load_environment
 from .grammar import GenotypeLimits, GrammarError, MappingConfig, load_grammar
 from .store import (
     FORMAT_VERSION,
+    STORED_INPUTS,
     CorruptRecord,
     EmptyStore,
     ResultsStore,
@@ -43,42 +44,65 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
+    """The [experiment] section, with the run's evolution settings.
+
+    Relative paths resolve against base_dir, the config file's directory, and
+    evolution takes seed as its master_seed.
+    """
+
     environment: str
     attack_grammar: Path
     defense_grammar: Path
     scenario: Path
-    store: Path | None
-    repetitions: int
-    seed: int
-    algorithm_label: str
     evolution: EvolutionConfig
+    store: Path | None = None
+    repetitions: int = 1
+    seed: int = 0
+    algorithm_label: str = "alternating"
+    base_dir: InitVar[Path] = Path()
 
+    def __post_init__(self, base_dir: Path):
+        if self.environment not in ENVIRONMENTS:
+            raise ValueError(f"unknown environment {self.environment!r}, known: {sorted(ENVIRONMENTS)}")
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Path) and not value.is_absolute():
+                setattr(self, f.name, (base_dir / value).resolve())
+        for key, path in self.inputs().items():
+            if not path.is_file():
+                raise ValueError(f"{key} is not a file: {path}")
+        self.evolution = self.evolution.with_seed(self.seed)
 
-def _get(parser: ConfigParser, section: str, option: str, cast, default=None):
-    if not parser.has_option(section, option):
-        if default is not None:
-            return default
-        raise ConfigError(f"config [{section}] {option}: missing required entry")
-    raw = parser.get(section, option)
-    try:
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config [{section}] {option}: bad value {raw!r} ({exc})") from exc
+    def inputs(self) -> dict[str, Path]:
+        """Each input file under its STORED_INPUTS key."""
+        return {key: getattr(self, key) for key in STORED_INPUTS}
 
 
 def _section(parser: ConfigParser, section: str, schema: type, **fixed):
     """Build schema from the entries the file sets in section, cast, and the fixed fields.
 
-    Fields set by neither keep their dataclass defaults. An entry that names no
-    field, a value that does not cast, and a value that fails schema's own
-    checks are reported under section.
+    Fields set by neither keep their dataclass defaults; the file may not set a
+    fixed field. An entry that names no other field, a value that does not
+    cast, a missing required field and a value that fails schema's own checks
+    are reported under section.
     """
+    entries = parser[section] if parser.has_section(section) else {}
     try:
-        entries = cast_entries(schema, parser[section] if parser.has_section(section) else {})
+        for name in entries:
+            if name in fixed:
+                raise ValueError(f"{name}: unknown option")
+        values = {**cast_entries(schema, entries), **fixed}
     except ValueError as exc:
         raise ConfigError(f"config [{section}] {exc}") from exc
+    for f in fields(schema):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config [{section}] {f.name}: missing required entry")
     try:
-        return schema(**{**entries, **fixed})
+        return schema(**values)
     except ValueError as exc:
         raise ConfigError(f"config [{section}]: {exc}") from exc
 
@@ -88,56 +112,16 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     parser = ConfigParser()
     if not parser.read(path, encoding="utf-8"):
         raise ConfigError(f"config file not found: {path}")
-    base = path.parent
-    if parser.has_section("experiment"):
-        known = {f.name for f in fields(ExperimentConfig)} - {"evolution"}
-        for option in parser["experiment"]:
-            if option not in known:
-                raise ConfigError(f"config [experiment] {option}: unknown option")
-
-    def resolve(section, option):
-        value = _get(parser, section, option, str)
-        resolved = (base / value).resolve() if not Path(value).is_absolute() else Path(value)
-        if not resolved.exists():
-            raise ConfigError(f"config [{section}] {option}: file not found: {resolved}")
-        return resolved
-
-    environment = _get(parser, "experiment", "environment", str)
-    if environment not in ENVIRONMENTS:
-        raise ConfigError(
-            f"config [experiment] environment: unknown {environment!r}, known: {sorted(ENVIRONMENTS)}"
-        )
-    store_value = _get(parser, "experiment", "store", str, default="")
-    store = None
-    if store_value:
-        store = (base / store_value).resolve() if not Path(store_value).is_absolute() else Path(store_value)
-
-    repetitions = _get(parser, "experiment", "repetitions", int, default=1)
-    if repetitions < 1:
-        raise ConfigError("config [experiment] repetitions: must be >= 1")
-    seed = _get(parser, "experiment", "seed", int, default=0)
-    if seed < 0:
-        raise ConfigError("config [experiment] seed: must be >= 0")
-
     evolution = _section(
         parser,
         "evolution",
         EvolutionConfig,
-        master_seed=seed,
+        master_seed=0,  # set from [experiment] seed
         limits=_section(parser, "genotype", GenotypeLimits),
         mapping=_section(parser, "mapping", MappingConfig),
     )
-
-    return ExperimentConfig(
-        environment=environment,
-        attack_grammar=resolve("experiment", "attack_grammar"),
-        defense_grammar=resolve("experiment", "defense_grammar"),
-        scenario=resolve("experiment", "scenario"),
-        store=store,
-        repetitions=repetitions,
-        seed=seed,
-        algorithm_label=_get(parser, "experiment", "algorithm_label", str, default="alternating"),
-        evolution=evolution,
+    return _section(
+        parser, "experiment", ExperimentConfig, base_dir=path.parent, evolution=evolution
     )
 
 
@@ -156,9 +140,7 @@ def make_run_id(cfg: ExperimentConfig, seed: int) -> str:
             "environment": cfg.environment,
             "algorithm_label": cfg.algorithm_label,
             "config": config_echo,
-            "attack_grammar": sha256_file(cfg.attack_grammar),
-            "defense_grammar": sha256_file(cfg.defense_grammar),
-            "scenario": sha256_file(cfg.scenario),
+            **{key: sha256_file(path) for key, path in cfg.inputs().items()},
         },
         sort_keys=True,
     )
@@ -204,14 +186,10 @@ def cmd_run(args) -> int:
             "environment": cfg.environment,
             "algorithm_label": cfg.algorithm_label,
             "config": record.config.to_dict(),
-            "attack_grammar": {"path": str(cfg.attack_grammar), "sha256": sha256_file(cfg.attack_grammar)},
-            "defense_grammar": {"path": str(cfg.defense_grammar), "sha256": sha256_file(cfg.defense_grammar)},
-            "scenario": {"path": str(cfg.scenario), "sha256": sha256_file(cfg.scenario)},
+            **{key: {"path": str(p), "sha256": sha256_file(p)} for key, p in cfg.inputs().items()},
             "created_at": datetime.now(timezone.utc).isoformat(),
         }
-        dir_name = store.add_run(
-            record, manifest, cfg.attack_grammar, cfg.defense_grammar, cfg.scenario
-        )
+        dir_name = store.add_run(record, manifest, *cfg.inputs().values())
         if not args.quiet:
             print(f"{dir_name}")
             for champion in (record.best_attacker, record.best_defender):
@@ -238,24 +216,28 @@ def cmd_establo(args) -> int:
             raise EmptyStore(f"compendium holds no {role} entry after filtering")
     entries_by_id = {entry.entry_id: entry for entry in compendium}
 
-    contexts: list[tuple[str, Path]] = []
+    contexts: dict[str, Path] = {}
     if args.scenario:
         for scenario in args.scenario:
             scenario_path = Path(scenario)
             if not scenario_path.exists():
                 raise ConfigError(f"--scenario: file not found: {scenario_path}")
-            contexts.append((scenario_path.stem, scenario_path))
+            label = scenario_path.stem
+            if label in contexts:
+                other = contexts[label]
+                raise ConfigError(f"--scenario: {other} and {scenario_path} are both context {label!r}")
+            contexts[label] = scenario_path
     else:
         hashes = {run.manifest["scenario"]["sha256"] for run in runs}
         if len(hashes) != 1:
             raise ConfigError(
                 "runs use different scenarios; pass --scenario to pick evaluation contexts"
             )
-        contexts.append(("same-run", runs[0].input_path("scenario")))
+        contexts["same-run"] = runs[0].input_path("scenario")
 
     rankings = []
     matrices = []
-    for label, scenario_path in contexts:
+    for label, scenario_path in contexts.items():
         environment = load_environment(environment_id, scenario_path)
         matrix = establo_mod.cross_tournament(compendium, environment, args.seed, label)
         matrices.append(matrix)

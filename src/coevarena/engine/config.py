@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 from typing import Callable, Mapping, get_type_hints
 
 from ..grammar import GenotypeLimits, MappingConfig
@@ -167,6 +168,8 @@ _PARSERS = {
     int: int,
     float: float,
     str: str,
+    Path: Path,
+    Path | None: lambda raw: Path(raw) if raw else None,
     SelectionScheme: SelectionScheme.parse,
     CompetitionStructure: CompetitionStructure.parse,
 }
@@ -181,10 +184,10 @@ def _settable(schema: type) -> list[tuple[str, Callable]]:
 def cast_entries(schema: type, entries: Mapping[str, object]) -> dict:
     """Each entry cast by the type of the field of schema it sets.
 
-    schema is EvolutionConfig, GenotypeLimits or MappingConfig. int, float and
-    str fields go through that type, selection and structure through their
-    parse. An entry that names no such field, or whose value does not cast,
-    raises ValueError naming the entry.
+    schema is a config section's dataclass. int, float, str and path fields go
+    through that type, an optional path's empty value is None, and selection
+    and structure go through their parse. An entry that names no such field,
+    or whose value does not cast, raises ValueError naming the entry.
     """
     parsers = dict(_settable(schema))
     cast = {}

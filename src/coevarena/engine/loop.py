@@ -29,7 +29,7 @@ from ..engagement import EngagementEnvironment, EngagementOutcome
 from ..grammar import Genotype, Grammar, MappingFailure, Strategy, map_genotype, random_genotype
 from . import rng as streams
 from .config import ATTACKER, DEFENDER, EvolutionConfig, opposite
-from .fitness import assign_fitness, effective_score, pareto_front
+from .fitness import assign_fitness, pareto_front
 from .pairing import pair
 from .variation import crossover, mutate, select
 
@@ -320,11 +320,10 @@ class _AlternatingRun:
             score = points[front[0]][0]
         else:
             # meu takes the mean effective score, best-worst the worst one.
-            reduce = min if cfg.solution_concept == "best-worst" else statistics.fmean
-            scored = {
-                i: reduce([effective_score(o, role, cfg.secondary_weight) for o in side.outcomes[i]])
-                for i in evaluated
-            }
+            aggregation = "min" if cfg.solution_concept == "best-worst" else "mean"
+            scored = assign_fitness(
+                side.outcomes, aggregation, role, secondary_weight=cfg.secondary_weight
+            )
             index = max(evaluated, key=lambda i: (scored[i], -i))
             score = scored[index]
 

@@ -39,11 +39,8 @@ class CompendiumEntry:
     run_id: str
     algorithm: str
     generation: int
-    genotype: Genotype
     sentence: tuple[str, ...]
     strategy: Strategy
-    fitness: float
-    cost: float
 
 
 @dataclass(frozen=True)
@@ -145,11 +142,8 @@ def build_compendium(
                         run_id=manifest["run_id"],
                         algorithm=manifest.get("algorithm_label", "alternating"),
                         generation=step["generation"],
-                        genotype=genotype,
                         sentence=recorded,
                         strategy=strategy,
-                        fitness=float(step["best_fitness"]),
-                        cost=float(step["best_cost"]) if step["best_cost"] is not None else 0.0,
                     )
                 )
     return entries

@@ -5,7 +5,7 @@ Layout::
     <root>/index.jsonl            one line per run directory
     <root>/<dir>/manifest.json    config echo, seed, file hashes, timestamp
     <root>/<dir>/engagements.jsonl  header, then population lines and engagement rows
-    <root>/<dir>/halfsteps.jsonl  per-half-step champion and fitness stats
+    <root>/<dir>/halfsteps.jsonl  header, then one HalfStepStats record per half-step
     <root>/<dir>/attack.bnf, defense.bnf, scenario.cfg   verbatim input copies
 
 engagements.jsonl starts with a header object that carries ``run``,
@@ -139,9 +139,9 @@ class ResultsStore:
         run_dir = self.root / dir_name
         run_dir.mkdir()
 
-        shutil.copyfile(attack_grammar_path, run_dir / STORED_INPUTS["attack_grammar"])
-        shutil.copyfile(defense_grammar_path, run_dir / STORED_INPUTS["defense_grammar"])
-        shutil.copyfile(scenario_path, run_dir / STORED_INPUTS["scenario"])
+        sources = (attack_grammar_path, defense_grammar_path, scenario_path)
+        for source, copy_name in zip(sources, STORED_INPUTS.values()):
+            shutil.copyfile(source, run_dir / copy_name)
 
         (run_dir / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -188,26 +188,9 @@ class ResultsStore:
                 + "\n"
             )
             for step in record.half_steps:
-                handle.write(
-                    _dump(
-                        {
-                            "record": "halfstep",
-                            "generation": step.generation,
-                            "phase": step.phase,
-                            "best_id": step.best_id,
-                            "best_fitness": step.best_fitness,
-                            "mean_fitness": step.mean_fitness,
-                            "fitness_variance": step.fitness_variance,
-                            "incumbent_fitness": step.incumbent_fitness,
-                            "best_genotype": list(step.best_genotype.codons),
-                            "best_sentence": list(step.best_sentence)
-                            if step.best_sentence is not None
-                            else None,
-                            "best_cost": step.best_cost,
-                        }
-                    )
-                    + "\n"
-                )
+                # vars gives asdict's keys without deep-copying every codon.
+                fields = {**vars(step), "best_genotype": step.best_genotype.codons}
+                handle.write(_dump({"record": "halfstep", **fields}) + "\n")
 
         with self.index_path.open("a", encoding="utf-8") as handle:
             handle.write(

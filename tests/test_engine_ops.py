@@ -176,11 +176,21 @@ class TestSelect:
                 total += 1
         assert abs(picked / total - 0.75) < 0.02
 
-    def test_direction_flips_winner(self):
-        pop = members(2)
-        fitness = {0: 1.0, 1: 9.0}
-        maxi = select(pop, fitness, SelectionScheme("tournament", size=8), np.random.default_rng(1))
-        assert Counter(p.codons[0] for p in maxi)[2] >= 1
+    @pytest.mark.parametrize(
+        "scheme, draws, winners",
+        [
+            # draws (3,2) (2,3) (1,3) (0,2): a tie goes low, member 0 is less fit
+            (SelectionScheme("tournament", size=2), [3, 2, 2, 3, 1, 3, 0, 2], [2, 2, 1, 2]),
+            # the best half is members 1 and 2, not 3; draws pick from it
+            (SelectionScheme("truncation", fraction=0.5), [0, 1, 1, 0], [1, 2, 2, 1]),
+        ],
+        ids=["tournament", "truncation"],
+    )
+    def test_ties_go_to_the_lowest_index(self, scheme, draws, winners):
+        pop = members(4)
+        fitness = {0: 1.0, 1: 5.0, 2: 5.0, 3: 5.0}
+        parents = select(pop, fitness, scheme, _ScriptedRng(integers=draws))
+        assert parents == [pop[i] for i in winners]
 
 
 class _ScriptedRng:

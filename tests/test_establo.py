@@ -15,7 +15,7 @@ from coevarena.establo import (
     pure_nash_pairs,
     rank,
 )
-from coevarena.grammar import Genotype, Strategy
+from coevarena.grammar import Strategy
 from coevarena.store import CorruptRecord, ResultsStore
 
 from conftest import ScriptedEnvironment, hash_score, write_experiment_config
@@ -32,7 +32,7 @@ def ddos_store(tmp_path, ddos_scenario_file):
     return store_dir
 
 
-def entry(role, name, sentence_text, fitness=0.0, cost=0.0, algorithm="alternating", generation=1):
+def entry(role, name, sentence_text, algorithm="alternating", generation=1):
     sentence = tuple(sentence_text.split())
     return CompendiumEntry(
         entry_id=name,
@@ -40,11 +40,8 @@ def entry(role, name, sentence_text, fitness=0.0, cost=0.0, algorithm="alternati
         run_id="synthetic",
         algorithm=algorithm,
         generation=generation,
-        genotype=Genotype((1,)),
         sentence=sentence,
         strategy=Strategy(sentence, 0, 0),
-        fitness=fitness,
-        cost=cost,
     )
 
 

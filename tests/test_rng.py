@@ -16,7 +16,7 @@ from coevarena.engine.loop import run_alternating
 from coevarena.engine.rng import Key
 from coevarena.envs import ContagionEnvironment, load_environment
 from coevarena.establo import CompendiumEntry, cross_tournament
-from coevarena.grammar import Genotype, Strategy, load_grammar
+from coevarena.grammar import Strategy, load_grammar
 
 from oracles import oracle_seed_sequence
 
@@ -111,11 +111,8 @@ def compendium_entry(role: str, name: str, text: str) -> CompendiumEntry:
         run_id="synthetic",
         algorithm="alternating",
         generation=0,
-        genotype=Genotype((1,)),
         sentence=sentence,
         strategy=Strategy(sentence, 0, 0),
-        fitness=0.0,
-        cost=0.0,
     )
 
 

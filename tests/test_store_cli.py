@@ -145,19 +145,38 @@ scenario = {ddos_scenario_file}
 
 
 def bare_config(tmp_path, scenario, evolution="", genotype="", mapping="", experiment=""):
-    """A ddos config with seed 4 that sets nothing else but the given section lines."""
+    """A ddos config with seed 4 that sets nothing else but the given section lines.
+
+    An [experiment] line replaces the entry of the option it sets.
+    """
+    options = {
+        "environment": "ddos",
+        "attack_grammar": data_path("grammars", "ddos_attack.bnf"),
+        "defense_grammar": data_path("grammars", "ddos_defense.bnf"),
+        "scenario": scenario,
+        "seed": 4,
+    }
+    for line in experiment.splitlines():
+        option, _, value = line.partition("=")
+        options[option.strip()] = value.strip()
+    lines = "".join(f"{option} = {value}\n" for option, value in options.items())
     path = tmp_path / "bare.cfg"
     path.write_text(
-        "[experiment]\n"
-        "environment = ddos\n"
-        f"attack_grammar = {data_path('grammars', 'ddos_attack.bnf')}\n"
-        f"defense_grammar = {data_path('grammars', 'ddos_defense.bnf')}\n"
-        f"scenario = {scenario}\n"
-        "seed = 4\n"
-        f"{experiment}\n[evolution]\n{evolution}\n[genotype]\n{genotype}\n[mapping]\n{mapping}\n",
+        f"[experiment]\n{lines}\n[evolution]\n{evolution}\n[genotype]\n{genotype}\n"
+        f"[mapping]\n{mapping}\n",
         encoding="utf-8",
     )
     return path
+
+
+BAD_EXPERIMENT_LINES = [
+    "repetitions = 0",
+    "seed = -1",
+    "seed = x",
+    "environment = nope",
+    "colour = red",
+    "attack_grammar =",
+]
 
 
 class TestLoadExperimentConfig:
@@ -166,9 +185,10 @@ class TestLoadExperimentConfig:
         assert load_experiment_config(path).evolution == EvolutionConfig(master_seed=4)
 
     def test_bad_value_names_section_and_option(self, tmp_path, ddos_scenario_file):
-        path = bare_config(tmp_path, ddos_scenario_file, "generations = x\n")
-        with pytest.raises(ConfigError, match=r"config \[evolution\] generations: bad value 'x'"):
-            load_experiment_config(path)
+        for section, option in (("evolution", "generations"), ("experiment", "seed")):
+            path = bare_config(tmp_path, ddos_scenario_file, **{section: f"{option} = x\n"})
+            with pytest.raises(ConfigError, match=rf"^config \[{section}\] {option}: bad value 'x'"):
+                load_experiment_config(path)
 
     @pytest.mark.parametrize(
         "section, line, message",
@@ -176,6 +196,9 @@ class TestLoadExperimentConfig:
             ("genotype", "min_length = 0", "need 1 <= min_length <= max_length"),
             ("mapping", "max_wraps = -1", "max_wraps must be >= 0"),
             ("evolution", "generations = 0", "generations must be >= 1"),
+            ("experiment", "repetitions = 0", "repetitions must be >= 1"),
+            ("experiment", "seed = -1", "seed must be >= 0"),
+            ("experiment", "environment = nope", "unknown environment 'nope'"),
         ],
     )
     def test_failed_check_names_its_own_section(self, tmp_path, ddos_scenario_file, section, line, message):
@@ -191,6 +214,8 @@ class TestLoadExperimentConfig:
             ("evolution", "archive_capacity = 16"),
             ("genotype", "max_lenght = 9"),
             ("mapping", "max_wrap = 1"),
+            ("experiment", "colour = red"),
+            ("evolution", "master_seed = 99"),
         ],
     )
     def test_unknown_option_names_section_and_option(self, tmp_path, ddos_scenario_file, section, line):
@@ -200,8 +225,35 @@ class TestLoadExperimentConfig:
             load_experiment_config(path)
 
     def test_experiment_seed_overrides_evolution_master_seed(self, tmp_path, ddos_scenario_file):
-        path = bare_config(tmp_path, ddos_scenario_file, "master_seed = 99\n")
-        assert load_experiment_config(path).evolution.master_seed == 4
+        path = bare_config(tmp_path, ddos_scenario_file, experiment="seed = 9\n")
+        assert load_experiment_config(path).evolution.master_seed == 9
+        path = bare_config(tmp_path, ddos_scenario_file, "master_seed = 99\n", experiment="seed = 9\n")
+        with pytest.raises(ConfigError, match=r"^config \[evolution\] master_seed: unknown option$"):
+            load_experiment_config(path)
+
+    @pytest.mark.parametrize("option", ["environment", "attack_grammar", "defense_grammar", "scenario"])
+    def test_missing_required_entry_names_it(self, tmp_path, ddos_scenario_file, option):
+        path = bare_config(tmp_path, ddos_scenario_file)
+        path.write_text(re.sub(rf"^{option} = .*\n", "", path.read_text(), flags=re.M))
+        with pytest.raises(ConfigError, match=rf"^config \[experiment\] {option}: missing required entry$"):
+            load_experiment_config(path)
+
+    def test_empty_store_means_no_store(self, tmp_path, ddos_scenario_file):
+        path = bare_config(tmp_path, ddos_scenario_file, experiment="store =\n")
+        assert load_experiment_config(path).store is None
+
+    def test_relative_paths_resolve_against_the_config_directory(self, tmp_path, ddos_scenario_file):
+        lines = f"scenario = {ddos_scenario_file.name}\nstore = runs\n"
+        cfg = load_experiment_config(bare_config(tmp_path, ddos_scenario_file, experiment=lines))
+        assert cfg.scenario == ddos_scenario_file.resolve()
+        assert cfg.store == (tmp_path / "runs").resolve()
+
+    @pytest.mark.parametrize("line", BAD_EXPERIMENT_LINES)
+    def test_bad_experiment_entry_is_one_error_line(self, tmp_path, ddos_scenario_file, capsys, line):
+        config = bare_config(tmp_path, ddos_scenario_file, experiment=line)
+        assert run_cli("run", "--config", config, "--store", tmp_path / "s") == 1
+        assert "config [experiment]" in assert_one_error_line(capsys)
+        assert not (tmp_path / "s").exists()
 
     def test_dict_round_trip_with_every_field_set(self):
         cfg = EvolutionConfig(
@@ -388,6 +440,20 @@ class TestCmdEstablo:
         assert contexts == {ddos_scenario_file.stem, "alt"}
         assert (out_dir / f"payoff_{ddos_scenario_file.stem}.csv").exists()
         assert (out_dir / "payoff_alt.csv").exists()
+
+    def test_same_stem_scenarios_are_one_error_line(
+        self, populated_store, tmp_path, ddos_scenario_file, capsys
+    ):
+        scenarios = [tmp_path / "a" / "net.scenario", tmp_path / "b" / "net.scenario"]
+        for scenario in scenarios:
+            scenario.parent.mkdir()
+            shutil.copyfile(ddos_scenario_file, scenario)
+        out_dir = tmp_path / "reports"
+        argv = ["establo", "--store", populated_store, "--out", out_dir]
+        assert run_cli(*argv, "--scenario", scenarios[0], "--scenario", scenarios[1]) == 1
+        err = assert_one_error_line(capsys)
+        assert "ConfigError" in err and all(str(scenario) in err for scenario in scenarios)
+        assert not out_dir.exists()
 
     def test_cli_matches_library_invocation(self, populated_store, tmp_path):
         from coevarena import establo as establo_mod
