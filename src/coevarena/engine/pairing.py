@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .config import CompetitionStructure
+from .rng import Stream
 
 
 class StructureMismatch(Exception):
     """Population sizes violate the chosen structure's invariants."""
 
 
-def _round_one_vs_one(n_att: int, n_def: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+def _round_one_vs_one(n_att: int, n_def: int, rng: Stream) -> list[tuple[int, int]]:
     # Both sides shuffled; the smaller side is re-shuffled and reused until
     # the larger side is covered exactly once.
     total = max(n_att, n_def)
@@ -19,7 +18,7 @@ def _round_one_vs_one(n_att: int, n_def: int, rng: np.random.Generator) -> list[
     def column(n: int) -> list[int]:
         ids: list[int] = []
         while len(ids) < total:
-            ids.extend(int(i) for i in rng.permutation(n))
+            ids.extend(rng.permutation(n))
         return ids[:total]
 
     return list(zip(column(n_att), column(n_def)))
@@ -29,7 +28,7 @@ def pair(
     structure: CompetitionStructure,
     n_att: int,
     n_def: int,
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> list[tuple[int, int]]:
     """Return the (attacker index, defender index) pairs for one half-generation.
 

@@ -10,6 +10,14 @@ engagement a key, and an environment that draws random numbers builds the
 stream with ``key.seed_sequence()``; a deterministic one never pays for it.
 A key's words are the 32-bit words numpy would make of the list
 ``[master_seed, *parts]``, so its stream is the one that list seeds.
+
+The engine draws from a ``Stream``: numpy's ``Generator`` algorithms for
+``random``, ``integers`` and ``permutation``, re-done in plain Python over the
+raw 64-bit words of ``PCG64``, which skips numpy's per-call overhead on scalar
+draws. numpy's stream-compatibility policy (NEP 19) promises the bit
+generators' raw streams, not ``Generator``'s distribution algorithms, so
+``tests/test_rng.py::TestStreamMatchesGenerator`` checks every draw against
+the installed numpy's ``Generator``; it fails if a numpy release changes them.
 """
 
 from __future__ import annotations
@@ -20,6 +28,9 @@ import zlib
 import numpy as np
 
 _WORD_MASK = 0xFFFFFFFF
+_RAW_MASK = 2**64 - 1
+# Raw words taken from the bit generator at a time; most streams are short.
+_BLOCK = 32
 
 
 @functools.lru_cache(maxsize=256)
@@ -76,5 +87,74 @@ class Key:
         return np.random.SeedSequence(np.array(self.words, dtype=np.uint32))
 
 
-def generator(master_seed: int, *key) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(Key(master_seed, *key).seed_sequence()))
+class Stream:
+    """The draws of ``np.random.Generator(np.random.PCG64(key.seed_sequence()))``.
+
+    Each method returns what the same call on that Generator returns, call
+    for call. A 32-bit draw takes the low half of a raw word and keeps the
+    high half for the next one, as PCG64's ``next_uint32`` does; 64-bit
+    draws leave a kept half in place.
+    """
+
+    __slots__ = ("_bits", "_words", "_half")
+
+    def __init__(self, key: Key):
+        self._bits = np.random.PCG64(key.seed_sequence())
+        self._words: list[int] = []
+        self._half: int | None = None
+
+    def _word(self) -> int:
+        if not self._words:
+            self._words = self._bits.random_raw(_BLOCK).tolist()[::-1]
+        return self._words.pop()
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._word()
+            self._half = word >> 32
+            return word & _WORD_MASK
+        self._half = None
+        return half
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2**-53
+
+    def integers(self, low: int, high: int) -> int:
+        """An int in [low, high), for high - low <= 2**64, by Lemire's method.
+
+        high - low == 2**32 (2**64) gives the raw half (word) unchanged, as
+        numpy's special case for it does; high - low == 1 draws nothing.
+        """
+        span = high - low - 1
+        if span <= 0:
+            if span < 0:
+                raise ValueError("low >= high")
+            return low
+        if span <= _WORD_MASK:
+            draw, bits, mask = self._uint32, 32, _WORD_MASK
+        else:
+            draw, bits, mask = self._word, 64, _RAW_MASK
+        bound = span + 1
+        product = draw() * bound
+        if (product & mask) < bound:
+            threshold = (mask - span) % bound
+            while (product & mask) < threshold:
+                product = draw() * bound
+        return low + (product >> bits)
+
+    def permutation(self, n: int) -> list[int]:
+        """Fisher-Yates with numpy's random_interval: mask a 32-bit half to
+        i's bit length and reject values above i. Holds for n <= 2**32."""
+        values = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._uint32() & mask
+            while j > i:
+                j = self._uint32() & mask
+            values[i], values[j] = values[j], values[i]
+        return values
+
+
+def generator(master_seed: int, *key) -> Stream:
+    return Stream(Key(master_seed, *key))

@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..grammar import Genotype, GenotypeLimits
 from .config import SelectionScheme
+from .rng import Stream
 
 
 def select(
     members: list[Genotype],
     fitnesses,
     scheme: SelectionScheme,
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> list[Genotype]:
     """Pick len(members) parents with replacement, maximizing fitness.
 
@@ -30,7 +29,7 @@ def select(
     parents: list[Genotype] = []
     if scheme.kind == "tournament":
         for _ in range(n):
-            draws = [int(d) for d in rng.integers(0, n, size=scheme.size)]
+            draws = [rng.integers(0, n) for _ in range(scheme.size)]
             winner = draws[0]
             for other in draws[1:]:
                 winner = better(winner, other)
@@ -39,14 +38,14 @@ def select(
         keep = math.ceil(scheme.fraction * n)
         elite = sorted(range(n), key=lambda i: (-fitnesses[i], i))[:keep]
         for _ in range(n):
-            parents.append(members[elite[int(rng.integers(0, keep))]])
+            parents.append(members[elite[rng.integers(0, keep)]])
     return parents
 
 
 def mutate(
     genotype: Genotype,
     mutation_rate: float,
-    rng: np.random.Generator,
+    rng: Stream,
     limits: GenotypeLimits,
 ) -> Genotype:
     """Per-codon uniform resets, then possibly one insert-or-delete length step.
@@ -59,15 +58,15 @@ def mutate(
     codons = list(genotype.codons)
     for i in range(len(codons)):
         if rng.random() < mutation_rate:
-            codons[i] = int(rng.integers(0, limits.codon_max))
+            codons[i] = rng.integers(0, limits.codon_max)
     if rng.random() < mutation_rate:
         if rng.random() < 0.5:
             if len(codons) < limits.max_length:
-                position = int(rng.integers(0, len(codons) + 1))
-                codons.insert(position, int(rng.integers(0, limits.codon_max)))
+                position = rng.integers(0, len(codons) + 1)
+                codons.insert(position, rng.integers(0, limits.codon_max))
         else:
             if len(codons) > limits.min_length:
-                position = int(rng.integers(0, len(codons)))
+                position = rng.integers(0, len(codons))
                 del codons[position]
     return Genotype(tuple(codons))
 
@@ -76,7 +75,7 @@ def crossover(
     parent_a: Genotype,
     parent_b: Genotype,
     crossover_rate: float,
-    rng: np.random.Generator,
+    rng: Stream,
     limits: GenotypeLimits,
 ) -> tuple[Genotype, Genotype]:
     """One-point crossover with independent cut points in each parent.
@@ -88,8 +87,8 @@ def crossover(
         return parent_a, parent_b
     a, b = parent_a.codons, parent_b.codons
     for _ in range(100):
-        cut_a = int(rng.integers(0, len(a) + 1))
-        cut_b = int(rng.integers(0, len(b) + 1))
+        cut_a = rng.integers(0, len(a) + 1)
+        cut_b = rng.integers(0, len(b) + 1)
         len_first = cut_a + len(b) - cut_b
         len_second = cut_b + len(a) - cut_a
         if (

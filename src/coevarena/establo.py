@@ -23,7 +23,7 @@ from .engine.config import EvolutionConfig
 from .engine.fitness import pareto_front
 from .engine.rng import Key
 from .grammar import Genotype, Grammar, MappingFailure, Strategy, load_grammar, map_genotype
-from .store import StoredRun, verify_file_hash
+from .store import StoredRun
 
 FILTERS = ("best-per-generation", "best-per-run", "pareto-per-run")
 
@@ -112,9 +112,7 @@ def build_compendium(
         config = EvolutionConfig.from_dict(manifest["config"])
         grammars: dict[str, Grammar] = {}
         for role, key in (("attacker", "attack_grammar"), ("defender", "defense_grammar")):
-            path = run.input_path(key)
-            verify_file_hash(path, manifest[key]["sha256"])
-            grammars[role] = load_grammar(path)
+            grammars[role] = load_grammar(run.input_path(key))
         for role in ("attacker", "defender"):
             for step in _select_champions(_champion_steps(run, role), compendium_filter, stride):
                 genotype = Genotype(tuple(step["best_genotype"]))

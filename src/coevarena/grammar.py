@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    from .engine.rng import Stream
 
 CONSUME_ALWAYS = "consume-always"
 CONSUME_ON_CHOICE = "consume-on-choice"
@@ -105,8 +106,9 @@ class GenotypeLimits:
     def __post_init__(self):
         if not 1 <= self.min_length <= self.max_length:
             raise ValueError("need 1 <= min_length <= max_length")
-        if self.codon_max < 1:
-            raise ValueError("codon_max must be positive")
+        # codon draws follow numpy's int64 integers(), whose exclusive high is at most 2**63
+        if not 1 <= self.codon_max <= 2**63:
+            raise ValueError("need 1 <= codon_max <= 2**63")
 
 
 @dataclass(frozen=True)
@@ -324,9 +326,9 @@ def map_genotype(genotype: Genotype, grammar: Grammar, cfg: MappingConfig = Mapp
     )
 
 
-def random_genotype(rng: np.random.Generator, min_length: int, max_length: int, codon_max: int) -> Genotype:
+def random_genotype(rng: Stream, min_length: int, max_length: int, codon_max: int) -> Genotype:
     """Uniform random genotype: length in [min_length, max_length], codons in [0, codon_max)."""
     if not 1 <= min_length <= max_length:
         raise ValueError("need 1 <= min_length <= max_length")
-    length = int(rng.integers(min_length, max_length + 1))
-    return Genotype(tuple(int(c) for c in rng.integers(0, codon_max, size=length)))
+    length = rng.integers(min_length, max_length + 1)
+    return Genotype(tuple(rng.integers(0, codon_max) for _ in range(length)))

@@ -73,12 +73,6 @@ def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def verify_file_hash(path: str | Path, expected: str):
-    actual = sha256_file(path)
-    if actual != expected:
-        raise CorruptRecord(f"{path}: sha256 {actual} does not match recorded {expected}")
-
-
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -89,8 +83,16 @@ class StoredRun:
     half_steps: list[dict]
 
     def input_path(self, key: str) -> Path:
-        """The run directory's copy of the input file the manifest records under key."""
-        return self.run_dir / STORED_INPUTS[key]
+        """The run directory's copy of the input file the manifest records under key.
+
+        Raises CorruptRecord unless the copy's sha256 is the one the manifest
+        records, so every read of a stored input is a verified one.
+        """
+        path = self.run_dir / STORED_INPUTS[key]
+        actual, expected = sha256_file(path), self.manifest[key]["sha256"]
+        if actual != expected:
+            raise CorruptRecord(f"{path}: sha256 {actual} does not match recorded {expected}")
+        return path
 
     def engagement_records(self) -> Iterator[dict]:
         """Each engagement row as a dict of its columns, generation and phase."""

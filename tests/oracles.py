@@ -7,20 +7,23 @@ dominance and best responses, for the contagion Monte Carlo one draw call
 per tick with sets of infected slots instead of one per trial with bitmasks,
 for the ddos simulator a fresh route for every task on every tick instead
 of one per distinct disabled set, for the engagement log a reader of the
-raw file that puts the genotypes and sentences back on every record, and for
+raw file that puts the genotypes and sentences back on every record, for
 keyed random streams numpy's own encoding of a list of ints instead of an
-array of 32-bit words.
+array of 32-bit words, and for the engine's draws numpy's own Generator,
+drawing a tournament's entrants and a genotype's codons as one array each.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from pathlib import Path
 
 import numpy as np
 
 from coevarena.engagement import EngagementOutcome
+from coevarena.engine.config import SelectionScheme
 from coevarena.envs.contagion import (
     ContagionAttack,
     ContagionDefense,
@@ -60,6 +63,23 @@ def oracle_seed_sequence(master_seed: int, *key) -> np.random.SeedSequence:
     numpy itself splits into 32-bit words."""
     entropy = [_oracle_encode(master_seed)] + [_oracle_encode(part) for part in key]
     return np.random.SeedSequence(entropy)
+
+
+def oracle_select(members, fitnesses, scheme: SelectionScheme, gen: np.random.Generator):
+    """Tournaments draw their k entrants as one array; ties go to the lowest index."""
+    n = len(members)
+    rank = sorted(range(n), key=lambda i: (-fitnesses[i], i))
+    if scheme.kind == "tournament":
+        winners = [min(gen.integers(0, n, size=scheme.size), key=rank.index) for _ in range(n)]
+    else:
+        elite = rank[: math.ceil(scheme.fraction * n)]
+        winners = [elite[gen.integers(0, len(elite))] for _ in range(n)]
+    return [members[i] for i in winners]
+
+
+def oracle_random_genotype(gen: np.random.Generator, min_length, max_length, codon_max) -> Genotype:
+    length = gen.integers(min_length, max_length + 1)
+    return Genotype(tuple(gen.integers(0, codon_max, size=length).tolist()))
 
 
 def oracle_map(genotype: Genotype, grammar: Grammar, cfg: MappingConfig):

@@ -203,9 +203,7 @@ class _ScriptedRng:
     def random(self):
         return self._randoms.pop(0)
 
-    def integers(self, low, high, size=None):
-        if size is not None:
-            return np.array([self._integers.pop(0) for _ in range(size)])
+    def integers(self, low, high):
         return self._integers.pop(0)
 
 

@@ -1,5 +1,5 @@
-"""Keyed random streams: the same streams as numpy's list encoding, built only
-where an environment draws from them."""
+"""Keyed random streams: the same streams as numpy's list encoding, the same
+draws as numpy's Generator, built only where they are drawn from."""
 
 from collections import Counter
 from dataclasses import replace
@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from coevarena.cli import load_experiment_config
 from coevarena.data import data_path
+from coevarena.engine import CompetitionStructure, SelectionScheme, crossover, mutate, pair, select
 from coevarena.engine import rng as streams
 from coevarena.engine.loop import run_alternating
-from coevarena.engine.rng import Key
+from coevarena.engine.rng import Key, Stream
 from coevarena.envs import ContagionEnvironment, load_environment
 from coevarena.establo import CompendiumEntry, cross_tournament
-from coevarena.grammar import Strategy, load_grammar
+from coevarena.grammar import Genotype, GenotypeLimits, Strategy, load_grammar, random_genotype
 
-from oracles import oracle_seed_sequence
+from oracles import oracle_random_genotype, oracle_seed_sequence, oracle_select
 
 WIDE_INTS = st.integers(0, 2**96 - 1)
 KEY_PARTS = st.lists(st.one_of(st.integers(0, 2**32), WIDE_INTS, st.text(max_size=12)), max_size=6)
@@ -40,6 +41,117 @@ class TestKeyMatchesListEntropy:
         assert np.array_equal(built.generate_state(8), oracle.generate_state(8))
         for child, oracle_child in zip(built.spawn(30), oracle.spawn(30), strict=True):
             assert np.array_equal(draws(child), draws(oracle_child))
+
+
+KEYS = st.builds(lambda seed, parts: Key(seed, *parts), WIDE_INTS, KEY_PARTS)
+# span edges: one value draws nothing, 2**32 - 1 and 2**32 sit either side of
+# the raw 32-bit half, and wider spans take a whole word
+SPANS = st.one_of(
+    st.sampled_from([1, 2, 65536, 2**32 - 1, 2**32, 2**32 + 1]),
+    st.integers(3, 100),
+    st.integers(1, 2**63),
+)
+CODON_MAXES = st.one_of(st.sampled_from([1, 2, 65536, 2**32, 2**32 + 1, 2**63]), st.integers(1, 2**63))
+
+
+def numpy_generator(key: Key) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(key.seed_sequence()))
+
+
+@st.composite
+def calls(draw):
+    name = draw(st.sampled_from(["random", "integers", "permutation"]))
+    if name == "random":
+        return (name,)
+    if name == "permutation":
+        return (name, draw(st.integers(0, 40)))
+    span = draw(SPANS)
+    low = draw(st.integers(0, 2**63 - span))
+    return (name, low, low + span)
+
+
+@st.composite
+def genotypes_and_limits(draw, count=1):
+    min_length = draw(st.integers(1, 8))
+    limits = GenotypeLimits(min_length, draw(st.integers(min_length, 12)), draw(CODON_MAXES))
+    codons = st.integers(0, limits.codon_max - 1)
+    sized = st.lists(codons, min_size=limits.min_length, max_size=limits.max_length)
+    return [Genotype(tuple(draw(sized))) for _ in range(count)], limits
+
+
+class TestStreamMatchesGenerator:
+    """Stream re-does numpy's Generator over PCG64's raw words; these fail if a
+    numpy release changes the Generator's algorithms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=KEYS, sequence=st.lists(calls(), max_size=80))
+    @example(key=Key(0), sequence=[("integers", 0, 10), ("random",), ("integers", 0, 10), ("permutation", 9)])
+    @example(key=Key(1), sequence=[("integers", 0, 2**31 + 1)] * 40 + [("integers", 0, 2**63)] * 20)
+    def test_call_for_call(self, key, sequence):
+        stream, oracle = Stream(key), numpy_generator(key)
+        for name, *args in sequence:
+            expected = getattr(oracle, name)(*args)
+            if name == "permutation":
+                expected = expected.tolist()
+            assert getattr(stream, name)(*args) == expected, (name, args)
+
+    def test_empty_span_raises_as_numpy_does(self):
+        with pytest.raises(ValueError):
+            numpy_generator(Key(0)).integers(3, 3)
+        with pytest.raises(ValueError):
+            Stream(Key(0)).integers(3, 3)
+
+
+class TestEngineDrawsMatchGenerator:
+    """Each variation, pairing and init operator draws from a Stream what it
+    drew from numpy's Generator on the same key."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        key=KEYS,
+        fitnesses=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=1, max_size=12),
+        scheme=st.one_of(
+            st.builds(lambda k: SelectionScheme("tournament", size=k), st.integers(1, 5)),
+            st.builds(lambda f: SelectionScheme("truncation", fraction=f), st.floats(0.01, 1.0)),
+        ),
+    )
+    def test_select(self, key, fitnesses, scheme):
+        members = [Genotype((i,)) for i in range(len(fitnesses))]
+        expected = oracle_select(members, fitnesses, scheme, numpy_generator(key))
+        assert select(members, fitnesses, scheme, Stream(key)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=KEYS, drawn=genotypes_and_limits(), rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    def test_mutate(self, key, drawn, rate):
+        (genotype,), limits = drawn
+        expected = mutate(genotype, rate, numpy_generator(key), limits)
+        assert mutate(genotype, rate, Stream(key), limits) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=KEYS, drawn=genotypes_and_limits(count=2), rate=st.sampled_from([0.0, 0.8, 1.0]))
+    def test_crossover(self, key, drawn, rate):
+        (a, b), limits = drawn
+        expected = crossover(a, b, rate, numpy_generator(key), limits)
+        assert crossover(a, b, rate, Stream(key), limits) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        key=KEYS,
+        structure=st.builds(lambda r: CompetitionStructure("tournament", rounds=r), st.integers(1, 3)),
+        n_att=st.integers(1, 40),
+        n_def=st.integers(1, 40),
+    )
+    def test_pair(self, key, structure, n_att, n_def):
+        expected = pair(structure, n_att, n_def, numpy_generator(key))
+        assert pair(structure, n_att, n_def, Stream(key)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=KEYS, drawn=genotypes_and_limits())
+    def test_random_genotype(self, key, drawn):
+        _, limits = drawn
+        args = (limits.min_length, limits.max_length, limits.codon_max)
+        expected = oracle_random_genotype(numpy_generator(key), *args)
+        assert random_genotype(Stream(key), *args) == expected
 
 
 class TestKeyValidation:

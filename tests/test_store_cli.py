@@ -194,6 +194,7 @@ class TestLoadExperimentConfig:
         "section, line, message",
         [
             ("genotype", "min_length = 0", "need 1 <= min_length <= max_length"),
+            ("genotype", "codon_max = 36893488147419103232", r"need 1 <= codon_max <= 2\*\*63"),
             ("mapping", "max_wraps = -1", "max_wraps must be >= 0"),
             ("evolution", "generations = 0", "generations must be >= 1"),
             ("experiment", "repetitions = 0", "repetitions must be >= 1"),
@@ -453,6 +454,20 @@ class TestCmdEstablo:
         assert run_cli(*argv, "--scenario", scenarios[0], "--scenario", scenarios[1]) == 1
         err = assert_one_error_line(capsys)
         assert "ConfigError" in err and all(str(scenario) in err for scenario in scenarios)
+        assert not out_dir.exists()
+
+    def test_edited_scenario_copy_is_one_error_line(self, shipped_runs, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        run_dir = shipped_runs["ddos_smoke.cfg", 11]
+        shutil.copytree(run_dir.parent, store_dir)
+        scenario = store_dir / run_dir.name / "scenario.cfg"
+        text = scenario.read_text()
+        assert "attack_budget = 24\n" in text
+        scenario.write_text(text.replace("attack_budget = 24\n", "attack_budget = 25\n"))
+        out_dir = tmp_path / "reports"
+        assert run_cli("establo", "--store", store_dir, "--out", out_dir) == 1
+        err = assert_one_error_line(capsys)
+        assert "CorruptRecord" in err and "scenario.cfg" in err
         assert not out_dir.exists()
 
     def test_cli_matches_library_invocation(self, populated_store, tmp_path):
