@@ -79,6 +79,10 @@ class Key:
     def __setattr__(self, name, value):
         raise AttributeError("Key is immutable")
 
+    def __reduce__(self):
+        # Each word, as an int part, encodes as itself; __setattr__ blocks slot restore.
+        return Key, self.words
+
     def __repr__(self):
         return f"Key(words={self.words})"
 

@@ -7,10 +7,14 @@ finds a route over the currently enabled nodes. The attacker scores the
 fraction of tasks it disrupted; the defender scores the fraction completed.
 
 The simple languages here are fully deterministic: no random stream is ever
-built for an engagement. So DdosEnvironment memoises each outcome by its
-(attack sentence, defense sentence) pair for as long as the environment lives,
-and hands the same outcome object to every caller of that pair; a caller that
-changes an outcome's costs or telemetry copies them first.
+built for an engagement, and both memos here are pure. Each NetworkScenario
+keeps a route table, defense -> disabled set -> (delivered, message cost) of
+each task, that every simulation on it fills and reads; a simulation adds at
+most 2 x (attack actions) + 1 rows, and no (defense, node subset) gets two.
+DdosEnvironment memoises each outcome by its (attack sentence, defense
+sentence) pair for as long as the environment lives, and hands the same
+outcome object to every caller of that pair; a caller that changes an
+outcome's costs or telemetry copies them first.
 """
 
 from __future__ import annotations
@@ -73,10 +77,22 @@ class NetworkScenario:
         if not self._connected():
             raise ScenarioError("graph must be connected at t=0")
 
-    # Facts engage reads on every call; the scenario is frozen, so each is built once.
+    # What engage reads on every call, each built once; engage fills the route table.
     @cached_property
     def adjacency(self) -> dict[str, list[str]]:
         return adjacency_map(self.nodes, self.edges)
+
+    @cached_property
+    def active_tasks(self) -> list[list[int]]:
+        """The indices of the tasks whose window holds tick t, for each tick t."""
+        return [
+            [i for i, task in enumerate(self.tasks) if task.start <= t <= task.deadline]
+            for t in range(self.horizon)
+        ]
+
+    @cached_property
+    def routes(self) -> dict[DdosDefense, dict[frozenset[str], list[tuple[bool, float]]]]:
+        return {}
 
     @cached_property
     def ring_order(self) -> list[str]:
@@ -289,7 +305,7 @@ def ring_route(ring_order, enabled, source, destination, successors) -> int | No
     and must strictly reduce clockwise distance to the destination (no
     passing). Hops are explored farthest-first with backtracking, so delivery
     is exactly reachability in the progress graph and disabling more nodes
-    can never help the mission.
+    can never help the mission. An explicit stack lets a ring of any size route.
     """
     if source not in enabled or destination not in enabled:
         return None
@@ -298,25 +314,23 @@ def ring_route(ring_order, enabled, source, destination, successors) -> int | No
     size = len(ring_order)
     position = {node: i for i, node in enumerate(ring_order)}
     target = position[destination]
-    memo: dict[str, int | None] = {}
 
-    def search(node: str) -> int | None:
-        if node == destination:
-            return 0
-        if node in memo:
-            return memo[node]
-        remaining = (target - position[node]) % size
-        for jump in range(min(successors, remaining), 0, -1):
-            candidate = ring_order[(position[node] + jump) % size]
-            if candidate in enabled:
-                tail = search(candidate)
-                if tail is not None:
-                    memo[node] = tail + 1
-                    return tail + 1
-        memo[node] = None
-        return None
+    def hops(at: int):  # `at` and the positions one hop on from it, farthest first
+        farthest = min(successors, (target - at) % size)
+        return at, ((at + jump) % size for jump in range(farthest, 0, -1))
 
-    return search(source)
+    # Depth-first with backtracking: a position whose hops all failed is dead.
+    stack, dead = [hops(position[source])], set()
+    while stack:
+        for candidate in stack[-1][1]:
+            if candidate == target:
+                return len(stack)
+            if candidate not in dead and ring_order[candidate] in enabled:
+                stack.append(hops(candidate))
+                break
+        else:
+            dead.add(stack.pop()[0])
+    return None
 
 
 def _route(
@@ -342,41 +356,44 @@ def engage(
 ) -> EngagementOutcome:
     """Simulate the mission under attack. Pure and deterministic.
 
-    The disabled set changes only where an action starts or ends, so each
-    task's route is found once per distinct disabled set and reused.
+    The disabled set changes only where an action starts or ends, so it is
+    rebuilt only there, and its row of the scenario's route table is routed
+    the first time any simulation meets it. Costs are summed one attempt at a
+    time in (tick, task) order.
     """
-    horizon = scenario.horizon
-    disabled_at: list[set[str]] = [set() for _ in range(horizon)]
-    for action in attack.actions:
-        for t in range(action.start, min(action.start + action.duration, horizon)):
-            disabled_at[t].add(action.node)
+    boundaries = {0}.union(*((a.start, a.start + a.duration) for a in attack.actions))
+    table = scenario.routes.setdefault(defense, {})
 
-    deliveries = [0] * len(scenario.tasks)
-    completed = [False] * len(scenario.tasks)
+    tasks = scenario.tasks
+    deliveries = [0] * len(tasks)
+    completed = [False] * len(tasks)
     attempts = 0
     total_deliveries = 0
     message_cost_total = 0.0
-    routes: dict[tuple[frozenset[str], int], tuple[bool, float]] = {}
 
-    for t in range(horizon):
-        disabled = frozenset(disabled_at[t])
-        for index, task in enumerate(scenario.tasks):
-            if completed[index] or t < task.start or t > task.deadline:
+    for t, active in enumerate(scenario.active_tasks):
+        if t in boundaries:
+            disabled = frozenset(
+                a.node for a in attack.actions if a.start <= t < a.start + a.duration
+            )
+            row = table.get(disabled)
+            if row is None:
+                enabled = scenario.node_set - disabled
+                row = table[disabled] = [_route(defense, scenario, enabled, task) for task in tasks]
+        for index in active:
+            if completed[index]:
                 continue
             attempts += 1
-            key = (disabled, index)
-            if key not in routes:
-                routes[key] = _route(defense, scenario, scenario.node_set - disabled, task)
-            success, cost = routes[key]
+            success, cost = row[index]
             message_cost_total += cost
             if success:
                 deliveries[index] += 1
                 total_deliveries += 1
-                if deliveries[index] >= task.required_deliveries:
+                if deliveries[index] >= tasks[index].required_deliveries:
                     completed[index] = True
 
     disrupted = sum(1 for done in completed if not done)
-    attacker_score = disrupted / len(scenario.tasks)
+    attacker_score = disrupted / len(tasks)
     return EngagementOutcome(
         attacker_score=attacker_score,
         defender_score=1.0 - attacker_score,
@@ -387,11 +404,11 @@ def engage(
             ),
         },
         telemetry={
-            "tasks_completed": float(len(scenario.tasks) - disrupted),
+            "tasks_completed": float(len(tasks) - disrupted),
             "attempts": float(attempts),
             "deliveries": float(total_deliveries),
             "message_cost": message_cost_total,
-            "node_cost": len(scenario.nodes) * horizon * scenario.node_cost,
+            "node_cost": len(scenario.nodes) * scenario.horizon * scenario.node_cost,
         },
     )
 

@@ -6,7 +6,8 @@ mapping, union-find instead of BFS for connectivity, full pairwise scans for
 dominance and best responses, for the contagion Monte Carlo one draw call
 per tick with sets of infected slots instead of one per trial with bitmasks,
 for the ddos simulator a fresh route for every task on every tick instead
-of one per distinct disabled set, for the engagement log a reader of the
+of a route table kept on the scenario, and ring routes by recursion instead
+of an explicit stack, for the engagement log a reader of the
 raw file that puts the genotypes and sentences back on every record, for
 keyed random streams numpy's own encoding of a list of ints instead of an
 array of 32-bit words, and for the engine's draws numpy's own Generator,
@@ -39,7 +40,6 @@ from coevarena.envs.ddos import (
     adjacency_map,
     bfs_route,
     flood,
-    ring_route,
 )
 from coevarena.grammar import CONSUME_ON_CHOICE, Genotype, Grammar, MappingConfig
 
@@ -313,6 +313,40 @@ def oracle_simulate_trials(
     return results
 
 
+def oracle_ring_route(ring_order, enabled, source, destination, successors) -> int | None:
+    """Hop count over the sorted-id ring by recursive farthest-first search, or None.
+
+    The recursion is as deep as the path, so a ring of about a thousand nodes
+    or more can exceed Python's recursion limit.
+    """
+    if source not in enabled or destination not in enabled:
+        return None
+    if source == destination:
+        return 0
+    size = len(ring_order)
+    position = {node: i for i, node in enumerate(ring_order)}
+    target = position[destination]
+    memo: dict[str, int | None] = {}
+
+    def search(node: str) -> int | None:
+        if node == destination:
+            return 0
+        if node in memo:
+            return memo[node]
+        remaining = (target - position[node]) % size
+        for jump in range(min(successors, remaining), 0, -1):
+            candidate = ring_order[(position[node] + jump) % size]
+            if candidate in enabled:
+                tail = search(candidate)
+                if tail is not None:
+                    memo[node] = tail + 1
+                    return tail + 1
+        memo[node] = None
+        return None
+
+    return search(source)
+
+
 def oracle_ddos_engage(
     attack: DdosAttack,
     defense: DdosDefense,
@@ -352,7 +386,7 @@ def oracle_ddos_engage(
                 success, flooded = flood(adjacency, enabled, task.source, task.destination)
                 cost = flooded * scenario.message_cost
             else:
-                hops = ring_route(
+                hops = oracle_ring_route(
                     ring_order, enabled, task.source, task.destination, defense.ring_successors
                 )
                 success = hops is not None

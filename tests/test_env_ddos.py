@@ -28,7 +28,7 @@ from coevarena.envs.ddos import (
 from coevarena.grammar import Strategy
 
 from conftest import path_scenario
-from oracles import components_by_union_find, oracle_ddos_engage
+from oracles import components_by_union_find, oracle_ddos_engage, oracle_ring_route
 
 
 def strategy(text: str) -> Strategy:
@@ -133,6 +133,22 @@ class TestRouting:
         # with k=4 a single hop lands exactly on the target, never beyond
         assert ring_route(order, self.ALL, "n0", "n1", 4) == 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_ring_route_equals_recursive_oracle(self, data):
+        n = data.draw(st.integers(1, 12))
+        order = [f"n{i:02d}" for i in range(n)]
+        enabled = frozenset(data.draw(st.sets(st.sampled_from(order))))
+        source, destination = data.draw(st.sampled_from(order)), data.draw(st.sampled_from(order))
+        successors = data.draw(st.integers(1, n + 1))
+        assert ring_route(order, enabled, source, destination, successors) == oracle_ring_route(
+            order, enabled, source, destination, successors
+        )
+
+    def test_ring_route_on_a_ring_deeper_than_the_recursion_limit(self):
+        order = [f"n{i:04d}" for i in range(1500)]
+        assert ring_route(order, frozenset(order), order[0], order[-1], 1) == 1499
+
 
 class TestEngage:
     def test_no_attack_completes_everything(self):
@@ -225,13 +241,8 @@ class TestEngage:
 
 
 @st.composite
-def ddos_cases(draw):
-    """A connected scenario, an interpreted attack and a defense for it.
-
-    Attack clauses name few nodes and early ticks, so windows overlap; the
-    budget is often smaller than the durations asked for, so clauses get
-    trimmed or dropped.
-    """
+def scenarios(draw):
+    """A connected scenario."""
     n = draw(st.integers(2, 7))
     # listed out of id order, so the ring order differs from the node order
     nodes = tuple(draw(st.permutations([f"n{i}" for i in range(n)])))
@@ -252,7 +263,7 @@ def ddos_cases(draw):
                 draw(st.integers(1, 4)),
             )
         )
-    scenario = NetworkScenario(
+    return NetworkScenario(
         nodes=nodes,
         edges=tuple(sorted(edges)),
         tasks=tuple(tasks),
@@ -261,15 +272,50 @@ def ddos_cases(draw):
         node_cost=draw(st.floats(0.0, 1.0)),
         attack_budget=draw(st.integers(1, 12)),
     )
+
+
+@st.composite
+def attacks(draw, scenario):
+    """An interpreted attack on scenario.
+
+    Clauses name few nodes and early ticks, so windows overlap; the budget is
+    often smaller than the durations asked for, so clauses get trimmed or
+    dropped.
+    """
     clauses = [
-        f"disable n{draw(st.integers(0, n))} at {draw(st.integers(0, horizon))} "
-        f"for {draw(st.integers(1, 6))}"
+        f"disable n{draw(st.integers(0, len(scenario.nodes)))} "
+        f"at {draw(st.integers(0, scenario.horizon))} for {draw(st.integers(1, 6))}"
         for _ in range(draw(st.integers(0, 4)))
     ]
-    attack = interpret_attack(strategy(" ".join(clauses) or "noop"), scenario)
+    return interpret_attack(strategy(" ".join(clauses) or "noop"), scenario)
+
+
+@st.composite
+def defenses(draw, scenario):
     routing = draw(st.sampled_from(ROUTINGS))
-    defense = DdosDefense(routing, ring_successors=draw(st.integers(1, n - 1)))
-    return attack, defense, scenario
+    return DdosDefense(routing, ring_successors=draw(st.integers(1, len(scenario.nodes) - 1)))
+
+
+@st.composite
+def ddos_cases(draw):
+    """A connected scenario, an interpreted attack and a defense for it."""
+    scenario = draw(scenarios())
+    return draw(attacks(scenario)), draw(defenses(scenario)), scenario
+
+
+@st.composite
+def warm_cases(draw):
+    """One scenario and at least 8 (attack, defense) pairs to engage in order on it.
+
+    The pairs reuse a few attacks and defenses, so later engagements meet
+    route table rows that earlier ones filled, under the same and under other
+    defenses.
+    """
+    scenario = draw(scenarios())
+    attack_pool = draw(st.lists(attacks(scenario), min_size=1, max_size=4))
+    defense_pool = draw(st.lists(defenses(scenario), min_size=1, max_size=4))
+    pairs = st.tuples(st.sampled_from(attack_pool), st.sampled_from(defense_pool))
+    return scenario, draw(st.lists(pairs, min_size=8, max_size=16))
 
 
 class TestFastSimulator:
@@ -283,6 +329,47 @@ class TestFastSimulator:
         assert outcome == expected
         # a second call reuses the scenario's cached facts
         assert engage(attack, defense, scenario) == expected
+
+
+class TestRouteTable:
+    @settings(max_examples=300, deadline=None)
+    @given(warm_cases())
+    def test_warm_table_equals_oracle(self, case):
+        scenario, pairs = case
+        for attack, defense in pairs:
+            # dataclass equality compares every score, cost and telemetry float with ==
+            assert engage(attack, defense, scenario) == oracle_ddos_engage(attack, defense, scenario)
+
+    def test_same_disabled_sets_route_nothing(self, monkeypatch):
+        routed = []
+        route = ddos._route
+
+        def counting(*args):
+            routed.append(args)
+            return route(*args)
+
+        monkeypatch.setattr(ddos, "_route", counting)
+        scenario = path_scenario()
+        shortest = DdosDefense("shortest-path")
+        attack = DdosAttack((DdosAction("n2", 3, 4),))
+        engage(attack, shortest, scenario)
+        # every task under the two disabled sets met: none, then {n2}
+        assert len(routed) == 2 * len(scenario.tasks)
+        # other actions, the same disabled sets at the same ticks
+        split = DdosAttack((DdosAction("n2", 3, 2), DdosAction("n2", 5, 2)))
+        assert engage(split, shortest, scenario) == engage(attack, shortest, scenario)
+        assert len(routed) == 2 * len(scenario.tasks)
+        # another defense routes afresh
+        engage(attack, DdosDefense("flooding"), scenario)
+        assert len(routed) == 4 * len(scenario.tasks)
+
+    def test_fresh_scenario_has_an_empty_table(self):
+        used = path_scenario()
+        engage(DdosAttack((DdosAction("n2", 3, 4),)), DdosDefense("flooding"), used)
+        assert used.routes
+        fresh = path_scenario()
+        assert fresh == used
+        assert fresh.routes == {}
 
 
 class TestOutcomeMemo:

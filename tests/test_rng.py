@@ -1,6 +1,8 @@
 """Keyed random streams: the same streams as numpy's list encoding, the same
 draws as numpy's Generator, built only where they are drawn from."""
 
+import copy
+import pickle
 from collections import Counter
 from dataclasses import replace
 
@@ -170,6 +172,15 @@ class TestKeyValidation:
         key = Key(1, "cell", 0, 0)
         with pytest.raises(AttributeError):
             key.words = (0,)
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=KEYS)
+    @example(key=Key(3, "engage", 1, "attacker", 4))
+    def test_pickle_and_copy_round_trip(self, key):
+        for twin in (pickle.loads(pickle.dumps(key)), copy.copy(key), copy.deepcopy(key)):
+            assert type(twin) is Key
+            assert twin.words == key.words
+            assert twin.seed_sequence().entropy.tolist() == key.seed_sequence().entropy.tolist()
 
 
 def shipped_run(config_name: str, **changes):
