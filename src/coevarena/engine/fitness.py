@@ -16,6 +16,25 @@ _AGGREGATORS = {
 }
 
 
+def population_variance(values: Sequence[float]) -> float:
+    """``statistics.pvariance(values)``, bit for bit, for one or more finite floats.
+
+    Each value is written as an integer over a common power of two D, so the
+    variance is the exact ratio ``(n*SXX - SX*SX) / (n*n*D*D)``. Int true
+    division rounds it correctly, as pvariance does its exact Fraction, but
+    without building one. An infinity or a NaN goes to pvariance itself.
+    """
+    try:
+        ratios = [value.as_integer_ratio() for value in values]
+    except (OverflowError, ValueError):
+        return statistics.pvariance(values)
+    scale = max(denominator for _, denominator in ratios)
+    scaled = [numerator * (scale // denominator) for numerator, denominator in ratios]
+    n = len(scaled)
+    total = sum(scaled)
+    return (n * sum(x * x for x in scaled) - total * total) / (n * n * scale * scale)
+
+
 def aggregate(values: Sequence[float], aggregation: str) -> float:
     return float(_AGGREGATORS[aggregation](values))
 

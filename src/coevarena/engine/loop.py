@@ -29,7 +29,7 @@ from ..engagement import EngagementEnvironment, EngagementOutcome
 from ..grammar import Genotype, Grammar, MappingFailure, Strategy, map_genotype, random_genotype
 from . import rng as streams
 from .config import ATTACKER, DEFENDER, EvolutionConfig, opposite
-from .fitness import assign_fitness, pareto_front
+from .fitness import assign_fitness, pareto_front, population_variance
 from .pairing import pair
 from .variation import crossover, mutate, select
 
@@ -293,7 +293,7 @@ class _AlternatingRun:
                 best_id=best,
                 best_fitness=fitness[best],
                 mean_fitness=statistics.fmean(values),
-                fitness_variance=statistics.pvariance(values),
+                fitness_variance=population_variance(values),
                 incumbent_fitness=incumbent_fitness,
                 best_genotype=candidates.members[best],
                 best_sentence=best_sentence,

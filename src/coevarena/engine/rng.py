@@ -11,6 +11,12 @@ stream with ``key.seed_sequence()``; a deterministic one never pays for it.
 A key's words are the 32-bit words numpy would make of the list
 ``[master_seed, *parts]``, so its stream is the one that list seeds.
 
+An environment that wants n sub-streams, the children of
+``key.seed_sequence().spawn(n)``, can take their PCG64 states at once from
+``key.sibling_states(n)``: the children share every entropy word but the
+last, so the shared words are hashed once and the rest runs as numpy arrays
+across all n. The contagion simulator seeds its trials this way.
+
 The engine draws from a ``Stream``: numpy's ``Generator`` algorithms for
 ``random``, ``integers`` and ``permutation``, re-done in plain Python over the
 raw 64-bit words of ``PCG64``, which skips numpy's per-call overhead on scalar
@@ -29,8 +35,22 @@ import numpy as np
 
 _WORD_MASK = 0xFFFFFFFF
 _RAW_MASK = 2**64 - 1
+_MASK_128 = 2**128 - 1
 # Raw words taken from the bit generator at a time; most streams are short.
 _BLOCK = 32
+
+# The constants of numpy's SeedSequence hashing (its pool holds four 32-bit
+# words) and PCG64's 128-bit multiplier; see Key.sibling_states.
+_POOL_SIZE = 4
+_HASH_INIT_A = 0x43B0D7E5
+_HASH_MULT_A = 0x931E8875
+_HASH_INIT_B = 0x8B51F9DD
+_HASH_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MIX_MULT_R_COLUMN = np.array([[_MIX_MULT_R]], dtype=np.uint32)
+_OUTPUT_ROWS = [k % _POOL_SIZE for k in range(2 * _POOL_SIZE)]
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @functools.lru_cache(maxsize=256)
@@ -47,6 +67,30 @@ def _int_words(part: int) -> list[int]:
         words.append(part & _WORD_MASK)
         part >>= 32
     return words
+
+
+def _hashmix(value: int, const: int) -> tuple[int, int]:
+    """SeedSequence's hashmix of one word: (mixed value, next hash constant)."""
+    value ^= const
+    const = const * _HASH_MULT_A & _WORD_MASK
+    value = value * const & _WORD_MASK
+    return value ^ value >> 16, const
+
+
+def _mix(x: int, y: int) -> int:
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _WORD_MASK
+    return value ^ value >> 16
+
+
+def _constants(start: int, mult: int, count: int) -> np.ndarray:
+    """start, start*mult, ..., start*mult**count (mod 2**32) as a uint32 column."""
+    values = [start]
+    for _ in range(count):
+        values.append(values[-1] * mult & _WORD_MASK)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+_OUTPUT_CONSTS = _constants(_HASH_INIT_B, _HASH_MULT_B, len(_OUTPUT_ROWS))
 
 
 class Key:
@@ -89,6 +133,53 @@ class Key:
     def seed_sequence(self) -> np.random.SeedSequence:
         """A fresh, unspawned SeedSequence for this stream."""
         return np.random.SeedSequence(np.array(self.words, dtype=np.uint32))
+
+    def sibling_states(self, n: int) -> list[tuple[int, int]]:
+        """PCG64 ``(state, inc)`` of each child of ``self.seed_sequence().spawn(n)``.
+
+        Child i's entropy is the key's words, zero-padded to SeedSequence's
+        pool size, then i. So the shared words are hashed into the pool once,
+        in Python. The last word's four mixing rounds and the eight output
+        words then run once for all n children, as uint32 arrays, which wrap
+        as SeedSequence's arithmetic does. PCG64's two-step seeding runs last,
+        on Python ints. A ``PCG64`` given state i draws what
+        ``np.random.PCG64(child_i)`` draws, for n up to 2**32;
+        ``tests/test_rng.py`` checks it.
+        """
+        words = list(self.words)
+        words += [0] * (_POOL_SIZE - len(words))
+        pool = []
+        const = _HASH_INIT_A
+        for word in words[:_POOL_SIZE]:
+            value, const = _hashmix(word, const)
+            pool.append(value)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    value, const = _hashmix(pool[src], const)
+                    pool[dst] = _mix(pool[dst], value)
+        for word in words[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                value, const = _hashmix(word, const)
+                pool[dst] = _mix(pool[dst], value)
+        # the spawn index: one hashmix per pool word, as (pool word, child) arrays
+        consts = _constants(const, _HASH_MULT_A, _POOL_SIZE)
+        value = (np.arange(n, dtype=np.uint32) ^ consts[:-1]) * consts[1:]
+        value ^= value >> 16
+        mixed = np.array([_MIX_MULT_L * x & _WORD_MASK for x in pool], dtype=np.uint32)[:, None]
+        mixed = mixed - _MIX_MULT_R_COLUMN * value
+        mixed ^= mixed >> 16
+        # generate_state(4, uint64): eight words, cycling through the pool
+        out = (mixed[_OUTPUT_ROWS] ^ _OUTPUT_CONSTS[:-1]) * _OUTPUT_CONSTS[1:]
+        out ^= out >> 16
+        # PCG64 seeding: inc = 2 * initseq + 1, then two LCG steps from state
+        # 0 with initstate added after the first
+        states = []
+        for w in out.T.tolist():
+            seed = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+            inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _MASK_128 | 1
+            states.append(((inc + seed) * _PCG64_MULT + inc & _MASK_128, inc))
+        return states
 
 
 class Stream:

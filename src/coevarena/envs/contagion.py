@@ -9,13 +9,18 @@ delay accrual. The attacker's score is the mean mission delay over trials
 
 Random draws are consumed on a fixed, state-independent schedule (always
 drawn, conditionally used), so reusing a trial's stream across parameter
-variations yields exact common-random-number coupling. A trial's whole
-schedule is drawn in one call; PCG64 yields the same numbers as drawing it
-tick by tick.
+variations yields exact common-random-number coupling. Trial i's stream is
+child i of the engagement key's SeedSequence. One engagement draws all its
+trials as one block, a row per trial: the children's PCG64 states come from
+``Key.sibling_states`` at once, and each row is one ``random`` call,
+which yields the same numbers as drawing the trial tick by tick. The block
+is then scanned with numpy for each tick's spread, cross and tap events, so
+the tick loop only visits events that can happen.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import statistics
 from configparser import ConfigParser
@@ -25,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ..engagement import EngagementOutcome, InterpretError, ScenarioError
+from ..engine.fitness import population_variance
 from ..engine.rng import Key
 from ..grammar import Strategy
 
@@ -258,133 +264,191 @@ def _attack_windows(attack: ContagionAttack, horizon: int):
     return per_tick
 
 
+def _bitmasks(hits: np.ndarray) -> list[int]:
+    """Each row of the 2-d bool array ``hits`` as an int, bit j set where
+    the row is True at j. Rows pack into little-endian 64-bit words, and a
+    row longer than 64 joins its words into one int."""
+    packed = np.packbits(hits, axis=1, bitorder="little")
+    words = max(1, -(-packed.shape[1] // 8))
+    padded = np.zeros((len(hits), 8 * words), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    parts = padded.view("<u8")
+    masks = parts[:, 0].tolist()
+    for k in range(1, words):
+        masks = [mask | word << 64 * k for mask, word in zip(masks, parts[:, k].tolist())]
+    return masks
+
+
 def simulate_trials(
     attack: ContagionAttack,
     defense: ContagionDefense,
     network: SegmentedNetwork,
     mc: MonteCarloConfig,
-    rng: np.random.SeedSequence,
+    key: Key,
 ) -> list[TrialResult]:
-    """Run mc.trials independent trials, one spawned sub-stream each.
+    """Run mc.trials independent trials; trial i draws from child i of
+    ``key.seed_sequence().spawn(mc.trials)``.
 
-    Each enclave's infected slots are an int bitmask and its susceptible
-    slots a sorted list, so "the k-th susceptible slot" is a list pop. A tick
-    with no infection and no scheduled attack changes nothing and is skipped;
-    its draws stay in the schedule, so every later offset is unchanged.
+    The trials' draws are one ``(trials, total_draws)`` block: row i is set
+    to child i's PCG64 state by ``key.sibling_states`` and filled by one
+    ``Generator.random`` call. Before the tick loop, the block gives each
+    trial and tick one event int: a bit per slot whose spread draw hits, per
+    directed link whose cross draw hits and per tap whose draw is below its
+    sensitivity. Each tap's draw also gives the fewest infected slots that
+    trip it: the thresholds ``s * (c / size)`` never fall as c grows, so the
+    loop's ``u < s * (c / size)`` holds exactly when c reaches that count.
+
+    The loop holds the infected slots of the whole network in one int,
+    enclave e from bit ``sum(sizes[:e])``, and each enclave's susceptible
+    slots in a sorted list, so "the k-th susceptible slot" is a list pop.
+    Spread walks the set bits of the tick's spread hits and the slots
+    infected before it; cross walks the set bits of the cross hits. An
+    offline enclave has no infected slot and an empty susceptible list until
+    it is back online, so nothing reaches it. A tick with no infection and no
+    scheduled attack changes nothing and is skipped; its draws stay in the
+    block, so every later offset is unchanged.
     """
     sizes = network.enclave_sizes
     n = len(sizes)
+    trials = mc.trials
+    horizon = mc.horizon
+    first_slot = [0, *itertools.accumulate(sizes)]
+    slots = first_slot[-1]
+    enclave_masks = [((1 << size) - 1) << first for size, first in zip(sizes, first_slot)]
+    enclave_of = [e for e, size in enumerate(sizes) for _ in range(size)]
     mission_count = [0] * n
     for enclave in defense.mission_placement:
         mission_count[enclave] += 1
     # mission devices occupy the lowest slots of their enclave
-    mission_masks = [(e, (1 << count) - 1) for e, count in enumerate(mission_count) if count]
-    per_tick_attacks = _attack_windows(attack, mc.horizon)
+    mission_mask = 0
+    for count, first in zip(mission_count, first_slot):
+        mission_mask |= ((1 << count) - 1) << first
     directed = [pair for a, b in network.links for pair in ((a, b), (b, a))]
-    # per tick: draw offset of its attacks, of each enclave's spread block,
-    # of the cross links and of the taps
-    ticks = []
-    offset = 0
-    for t, attacks in enumerate(per_tick_attacks):
-        spread_base = []
-        cross = offset + 2 * len(attacks)
-        for size in sizes:
-            spread_base.append(cross)
-            cross += 2 * size
-        taps = cross + 2 * len(directed)
-        ticks.append((t, offset, attacks, spread_base, cross, taps))
-        offset = taps + n
-    total_draws = offset
-    spread_rate = network.spread_rate
-    cross_rate = network.cross_rate
+    cross_links = [(enclave_masks[src], dst) for src, dst in directed]
     sensitivity = defense.tap_sensitivity
     tapped = [e for e in range(n) if sensitivity[e] > 0]  # a zero tap never trips
+    tap_masks = [enclave_masks[e] for e in tapped]
+    # an event int holds the spread hits in bits [0, slots), the cross hits
+    # in [slots, taps_from) and the taps that could trip from taps_from on
+    cross_mask = (1 << len(directed)) - 1
+    taps_from = slots + len(directed)
+
+    # per tick: the draw offset of its attacks, and of its spread block,
+    # which the cross draws and then the tap draws follow
+    schedule = []
+    spread_at = []
+    offset = 0
+    for t, attacks in enumerate(_attack_windows(attack, horizon)):
+        spread = offset + 2 * len(attacks)
+        schedule.append((t, attacks, offset, spread + 1, spread + 2 * slots + 1, t * len(tapped)))
+        spread_at.append(spread)
+        offset = spread + 2 * taps_from + n
+
+    block = np.empty((trials, offset))
+    bits = np.random.PCG64(0)  # every row sets its own state
+    fill = np.random.Generator(bits).random
+    for row, (state, inc) in zip(block, key.sibling_states(trials)):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        fill(out=row)
+
+    columns = [*range(0, 2 * taps_from, 2), *(2 * taps_from + e for e in tapped)]
+    limits = [network.spread_rate] * slots + [network.cross_rate] * len(directed)
+    limits += [sensitivity[e] for e in tapped]
+    drawn = block[:, np.array(spread_at)[:, None] + np.array(columns, dtype=np.int64)]
+    events = _bitmasks((drawn < np.array(limits)).reshape(trials * horizon, len(columns)))
+    fewest = np.empty((trials, horizon, len(tapped)), dtype=np.int64)
+    for j, e in enumerate(tapped):
+        thresholds = sensitivity[e] * (np.arange(sizes[e] + 1) / sizes[e])
+        fewest[..., j] = np.searchsorted(thresholds, drawn[..., taps_from + j], side="right")
+    need = fewest.reshape(trials, -1).tolist()
+
     rest = 1 + network.cleanse_duration
     per_infected_tick = mc.delay_per_infected_tick
     per_cleanse = mc.delay_per_cleanse
-    enclaves = range(n)
-    all_online = [True] * n
-    slots_of: dict[int, tuple[int, ...]] = {}
 
     results: list[TrialResult] = []
-    for child in rng.spawn(mc.trials):
-        draws = np.random.Generator(np.random.PCG64(child)).random(total_draws).data
-        infected = [0] * n
+    for trial, row in enumerate(block):
+        draws = row.data
+        trial_need = need[trial]
+        infected = 0
+        full = 0  # the slots of every enclave with no susceptible slot left
         susceptible = [list(range(size)) for size in sizes]
-        offline_until = [0] * n
-        back_online = 0
+        offline: list[tuple[int, int]] = []  # (back-online tick, enclave), oldest first
         delay = 0.0
         detections = 0
         first_infected = None
         first_cleanse = None
-        for t, cursor, attacks, spread_base, cross, taps in ticks:
-            if not attacks and not any(infected):
+        ticks = zip(schedule, events[trial * horizon : (trial + 1) * horizon])
+        for (t, attacks, at, spread_pick, cross_pick, need_at), event in ticks:
+            if not attacks and not infected:
                 continue
-            if t >= back_online:
-                online = all_online
-            else:
-                online = [t >= until for until in offline_until]
+            while offline and offline[0][0] <= t:
+                e = offline.pop(0)[1]
+                susceptible[e] = list(range(sizes[e]))
             # 1. scheduled attacks attempt initial compromise
-            for enclave, strength in attacks:
-                if online[enclave] and draws[cursor] < strength and susceptible[enclave]:
-                    free = susceptible[enclave]
-                    infected[enclave] |= 1 << free.pop(int(draws[cursor + 1] * len(free)))
+            for e, strength in attacks:
+                free = susceptible[e]
+                if free and draws[at] < strength:
+                    infected |= 1 << first_slot[e] + free.pop(int(draws[at + 1] * len(free)))
+                    if not free:
+                        full |= enclave_masks[e]
                     if first_infected is None:
                         first_infected = t
-                cursor += 2
-            # 2. intra-enclave spread (snapshot of infectors; draws indexed by slot)
-            for e in enclaves:
-                mask = infected[e]
+                at += 2
+            # 2. intra-enclave spread from the slots infected before it, in
+            # enclaves with a susceptible slot left (pick draws indexed by slot)
+            spreading = infected & event & ~full
+            while spreading:
+                low = spreading & -spreading
+                spreading ^= low
+                slot = low.bit_length() - 1
+                e = enclave_of[slot]
                 free = susceptible[e]
-                if mask and free and online[e]:
-                    slots = slots_of.get(mask)
-                    if slots is None:
-                        slots = slots_of[mask] = tuple(
-                            s for s in range(mask.bit_length()) if mask >> s & 1
-                        )
-                    base = spread_base[e]
-                    for slot in slots:
-                        at = base + 2 * slot
-                        if draws[at] < spread_rate:
-                            infected[e] |= 1 << free.pop(int(draws[at + 1] * len(free)))
-                            if not free:
-                                break
+                pick = draws[spread_pick + 2 * slot]
+                infected |= 1 << first_slot[e] + free.pop(int(pick * len(free)))
+                if not free:
+                    full |= enclave_masks[e]
+                    spreading &= ~full
             # 3. cross-enclave seeding, one chance per link direction
-            cursor = cross
-            for src, dst in directed:
-                if (
-                    infected[src]
-                    and online[src]
-                    and online[dst]
-                    and draws[cursor] < cross_rate
-                    and susceptible[dst]
-                ):
+            crossing = event >> slots & cross_mask
+            while crossing:
+                low = crossing & -crossing
+                crossing ^= low
+                link = low.bit_length() - 1
+                source, e = cross_links[link]
+                free = susceptible[e]
+                if infected & source and free:
                     # an infected source implies an earlier attack infection,
                     # so first_infected is already set
-                    free = susceptible[dst]
-                    infected[dst] |= 1 << free.pop(int(draws[cursor + 1] * len(free)))
-                cursor += 2
-            # 4. detection and cleansing
-            cleansed_now = [
-                e
-                for e in tapped
-                if infected[e]
-                and online[e]
-                and draws[taps + e] < sensitivity[e] * (infected[e].bit_count() / sizes[e])
-            ]
-            if cleansed_now:
-                for e in cleansed_now:
-                    infected[e] = 0
-                    susceptible[e] = list(range(sizes[e]))
-                    offline_until[e] = back_online = t + rest
+                    pick = draws[cross_pick + 2 * link]
+                    infected |= 1 << first_slot[e] + free.pop(int(pick * len(free)))
+                    if not free:
+                        full |= enclave_masks[e]
+            # 4. detection and cleansing; a tap reads only its own enclave,
+            # so each one cleanses as soon as it trips
+            tapping = event >> taps_from
+            cleansed_now = ()
+            while tapping:
+                low = tapping & -tapping
+                tapping ^= low
+                j = low.bit_length() - 1
+                if (infected & tap_masks[j]).bit_count() >= trial_need[need_at + j]:
+                    e = tapped[j]
+                    infected &= ~enclave_masks[e]
+                    full &= ~enclave_masks[e]
+                    susceptible[e] = []
+                    offline.append((t + rest, e))
                     detections += 1
-                if first_cleanse is None:
-                    first_cleanse = t
+                    cleansed_now += (e,)
+                    if first_cleanse is None:
+                        first_cleanse = t
             # 5. delay accrual
-            infected_mission = 0
-            for e, mask in mission_masks:
-                infected_mission += (infected[e] & mask).bit_count()
-            delay += infected_mission * per_infected_tick
+            delay += (infected & mission_mask).bit_count() * per_infected_tick
             if cleansed_now:
                 delay += sum(per_cleanse for e in cleansed_now if mission_count[e] > 0)
         results.append(
@@ -403,9 +467,9 @@ def engage(
     defense: ContagionDefense,
     network: SegmentedNetwork,
     mc: MonteCarloConfig,
-    rng: np.random.SeedSequence,
+    key: Key,
 ) -> EngagementOutcome:
-    trials = simulate_trials(attack, defense, network, mc, rng)
+    trials = simulate_trials(attack, defense, network, mc, key)
     delays = [trial.delay for trial in trials]
     mean_delay = statistics.fmean(delays)
     effort_upper = mc.horizon * len(network.enclave_sizes)
@@ -417,7 +481,7 @@ def engage(
             "defender_cost": 0.0,
         },
         telemetry={
-            "delay_variance": statistics.pvariance(delays),
+            "delay_variance": population_variance(delays),
             "detections": float(sum(trial.detections for trial in trials)),
         },
     )
@@ -452,5 +516,5 @@ class ContagionEnvironment:
             self._defense_cache[defense.sentence],
             scenario.network,
             scenario.mc,
-            key.seed_sequence(),
+            key,
         )

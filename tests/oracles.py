@@ -3,8 +3,9 @@
 These deliberately re-derive results with different algorithms and data
 structures than the package: list-rewriting instead of a stack for grammar
 mapping, union-find instead of BFS for connectivity, full pairwise scans for
-dominance and best responses, for the contagion Monte Carlo one draw call
-per tick with sets of infected slots instead of one per trial with bitmasks,
+dominance and best responses, for the contagion Monte Carlo one generator
+per spawned child, one draw call per tick and sets of infected slots instead
+of sibling-seeded rows of one block, pre-scanned events and a bitmask,
 for the ddos simulator a fresh route for every task on every tick instead
 of a route table kept on the scenario, and ring routes by recursion instead
 of an explicit stack, for the engagement log a reader of the

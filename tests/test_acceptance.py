@@ -19,6 +19,7 @@ from coevarena.engine import (
     pareto_front,
     run_alternating,
 )
+from coevarena.engine.rng import Key
 from coevarena.envs import load_environment
 from coevarena.envs.contagion import (
     ContagionAttack,
@@ -228,7 +229,7 @@ def test_criterion_7_contagion_degenerate_cases():
     scenario = small_contagion(trials=1000)
     silent = ContagionAttack((ContagionPlan(0, 0.0, 10, 3),))
     shield = ContagionDefense(mission_placement=(0, 1), tap_sensitivity=(0.5, 0.5, 0.5))
-    trials = simulate_trials(silent, shield, scenario.network, scenario.mc, np.random.SeedSequence(70))
+    trials = simulate_trials(silent, shield, scenario.network, scenario.mc, Key(70))
     assert len(trials) == 1000
     assert all(trial.delay == 0.0 for trial in trials)
 
@@ -243,7 +244,7 @@ def test_criterion_7_contagion_degenerate_cases():
     )
     blast = ContagionAttack((ContagionPlan(0, 1.0, 12, 1),))
     alert = ContagionDefense(mission_placement=(0,), tap_sensitivity=(1.0, 0.0))
-    for trial in simulate_trials(blast, alert, network, mc, np.random.SeedSequence(71)):
+    for trial in simulate_trials(blast, alert, network, mc, Key(71)):
         assert trial.first_infected_tick is not None
         assert trial.first_cleanse_tick == trial.first_infected_tick
 
@@ -260,7 +261,7 @@ def test_criterion_7_contagion_degenerate_cases():
         means = []
         for repeat in range(12):
             outcomes = simulate_trials(
-                noisy, porous, spread.network, mc_n, np.random.SeedSequence((72, count, repeat))
+                noisy, porous, spread.network, mc_n, Key(72, count, repeat)
             )
             means.append(statistics.fmean(t.delay for t in outcomes))
         standard_errors[count] = statistics.stdev(means)

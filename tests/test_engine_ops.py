@@ -1,8 +1,9 @@
+import statistics
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coevarena.engagement import EngagementOutcome
@@ -17,6 +18,7 @@ from coevarena.engine import (
     pareto_front,
     select,
 )
+from coevarena.engine.fitness import population_variance
 from coevarena.grammar import Genotype, GenotypeLimits
 
 from oracles import pareto_oracle
@@ -126,6 +128,27 @@ class TestAssignFitness:
         outs = {0: [outcome(attacker_score=1.0, costs={"attacker_cost": 0.5})]}
         assert assign_fitness(outs, "mean", "attacker", secondary_weight=0.2) == {0: 0.9}
         assert assign_fitness(outs, "mean", "attacker") == {0: 1.0}
+
+
+FINITE = st.one_of(
+    st.floats(-1e150, 1e150),
+    st.sampled_from([-1e18, 0.0, -0.0, 5e-324, 1e-300, 0.1, 1.0 / 3.0]),
+    st.integers(-(2**53), 2**53).map(float),
+)
+
+
+class TestPopulationVariance:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(FINITE, min_size=1, max_size=40))
+    @example([-1e18] * 19 + [3.5])
+    @example([0.1] * 30)
+    @example([1e150, -1e150, 5e-324])
+    def test_equals_pvariance_bit_for_bit(self, values):
+        assert population_variance(values).hex() == statistics.pvariance(values).hex()
+
+    @pytest.mark.parametrize("values", [[1.0, float("inf")], [float("nan"), 1.0], [-float("inf")]])
+    def test_non_finite_goes_to_pvariance(self, values):
+        assert repr(population_variance(values)) == repr(statistics.pvariance(values))
 
 
 class TestSelect:

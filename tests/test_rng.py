@@ -45,6 +45,29 @@ class TestKeyMatchesListEntropy:
             assert np.array_equal(draws(child), draws(oracle_child))
 
 
+WORDS = st.integers(0, 2**32 - 1)
+
+
+class TestSiblingStates:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=st.one_of(
+            st.lists(WORDS, min_size=1, max_size=3),  # zero-padded to the pool size
+            st.lists(WORDS, min_size=4, max_size=4),
+            st.lists(WORDS, min_size=5, max_size=9),
+            st.lists(st.one_of(WORDS, WIDE_INTS), min_size=1, max_size=4),  # 64 bits and more
+        ),
+        n=st.integers(0, 40),
+    )
+    @example(parts=[0], n=1)
+    @example(parts=[2**32 - 1] * 4, n=30)
+    @example(parts=[2**64, 2**96 - 1], n=30)
+    def test_states_are_numpys_children(self, parts, n):
+        key = Key(*parts)
+        expected = [np.random.PCG64(child).state["state"] for child in key.seed_sequence().spawn(n)]
+        assert [{"state": state, "inc": inc} for state, inc in key.sibling_states(n)] == expected
+
+
 KEYS = st.builds(lambda seed, parts: Key(seed, *parts), WIDE_INTS, KEY_PARTS)
 # span edges: one value draws nothing, 2**32 - 1 and 2**32 sit either side of
 # the raw 32-bit half, and wider spans take a whole word
@@ -212,17 +235,22 @@ def only_engagement_keys(monkeypatch):
     )
 
 
+# the two ways a key's stream is built: as its SeedSequence, or as the PCG64
+# states of that SeedSequence's spawned children
+BUILDERS = ("seed_sequence", "sibling_states")
+
+
 @pytest.fixture
 def built_streams(only_engagement_keys, monkeypatch):
     """The words of every key whose stream is built, in build order."""
     built = []
-    seed_sequence = Key.seed_sequence
+    for name in BUILDERS:
 
-    def counting(key):
-        built.append(key.words)
-        return seed_sequence(key)
+        def counting(key, *args, _build=getattr(Key, name)):
+            built.append(key.words)
+            return _build(key, *args)
 
-    monkeypatch.setattr(Key, "seed_sequence", counting)
+        monkeypatch.setattr(Key, name, counting)
     return built
 
 
@@ -243,10 +271,11 @@ class TestStreamsBuiltOnlyWhereDrawn:
     def test_ddos_run_builds_no_engagement_stream(self, only_engagement_keys, monkeypatch):
         expected = logged(shipped_run("ddos_smoke.cfg", generations=3))
 
-        def unbuildable(key):
+        def unbuildable(key, *args):
             raise AssertionError("a ddos engagement built its random stream")
 
-        monkeypatch.setattr(Key, "seed_sequence", unbuildable)
+        for name in BUILDERS:
+            monkeypatch.setattr(Key, name, unbuildable)
         assert logged(shipped_run("ddos_smoke.cfg", generations=3)) == expected
 
     def test_contagion_run_builds_one_stream_per_logged_engagement(self, built_streams):

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
 import re
 import shutil
 import statistics
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
+import coevarena
 from coevarena.cli import ConfigError, load_experiment_config, main
 from coevarena.data import data_path
 from coevarena.engine import CompetitionStructure, EvolutionConfig, SelectionScheme
@@ -177,6 +182,23 @@ BAD_EXPERIMENT_LINES = [
     "colour = red",
     "attack_grammar =",
 ]
+
+
+class TestRunUnderProfiler:
+    def test_cprofile_module_run_exits_zero(self, tmp_path):
+        # cProfile runs the module through runpy in a fresh namespace, so the
+        # config schemas' module is not sys.modules["__main__"]
+        src = str(Path(coevarena.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        command = [
+            sys.executable, "-m", "cProfile", "-o", str(tmp_path / "run.prof"),
+            "-m", "coevarena.cli", "run",
+            "--config", str(data_path("configs", "ddos_smoke.cfg")),
+            "--store", str(tmp_path / "store"),
+        ]
+        result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=600)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip()
 
 
 class TestLoadExperimentConfig:
