@@ -5,7 +5,9 @@ sensitivities; the attacker schedules per-enclave attack plans (strength,
 duration, repetitions). Each trial walks the tick loop: attack seeding,
 intra-enclave spread, cross-enclave seeding, detection-and-cleanse, then
 delay accrual. The attacker's score is the mean mission delay over trials
-(which it wants high); the defender's score is its negation.
+(which it wants high); the defender's score is its negation. Sentences are
+read by ``engagement.read_clauses``: an attack as ``_PLAN`` clauses, a
+defense as ``_PLACEMENT`` clauses and then ``_TAP`` clauses.
 
 Random draws are consumed on a fixed, state-independent schedule (always
 drawn, conditionally used), so reusing a trial's stream across parameter
@@ -23,19 +25,22 @@ from __future__ import annotations
 import itertools
 import re
 import statistics
-from configparser import ConfigParser
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..engagement import EngagementOutcome, InterpretError, ScenarioError
+from ..engagement import EngagementOutcome, ScenarioError, check_links, clamp, dash_pairs
+from ..engagement import read_clauses, read_scenario
 from ..engine.fitness import population_variance
 from ..engine.rng import Key
 from ..grammar import Strategy
 
 _ENCLAVE_TOKEN = re.compile(r"^e(\d+)$")
 _DEVICE_TOKEN = re.compile(r"^d(\d+)$")
+_PLAN = ("hit", _ENCLAVE_TOKEN, "strength", float, "for", int, "x", int)
+_PLACEMENT = ("place", _DEVICE_TOKEN, "in", _ENCLAVE_TOKEN)
+_TAP = ("tap", _ENCLAVE_TOKEN, "at", float)
 
 
 @dataclass(frozen=True)
@@ -55,17 +60,13 @@ class SegmentedNetwork:
                 raise ScenarioError(f"{rate_name} must be in [0, 1]")
         if self.cleanse_duration < 0:
             raise ScenarioError("cleanse_duration must be >= 0")
-        n = len(self.enclave_sizes)
-        for a, b in self.links:
-            if not (0 <= a < n and 0 <= b < n) or a == b:
-                raise ScenarioError(f"bad inter-enclave link {a}-{b}")
+        check_links(self.links, range(len(self.enclave_sizes)), "inter-enclave link")
 
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
     trials: int
     horizon: int
-    base_mission_duration: float
     delay_per_infected_tick: float
     delay_per_cleanse: float
 
@@ -120,79 +121,41 @@ class TrialResult:
 
 
 def load_scenario(path: str | Path) -> ContagionScenario:
-    parser = ConfigParser()
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise ScenarioError(f"cannot read scenario file {path}")
-    try:
-        links = []
-        for token in parser.get("enclaves", "links").split():
-            a, dash, b = token.partition("-")
-            if not dash:
-                raise ScenarioError(f"bad link token {token!r}")
-            links.append((int(a), int(b)))
-        network = SegmentedNetwork(
-            enclave_sizes=tuple(int(s) for s in parser.get("enclaves", "sizes").split()),
-            links=tuple(links),
-            spread_rate=parser.getfloat("contagion", "spread_rate"),
-            cross_rate=parser.getfloat("contagion", "cross_rate"),
-            cleanse_duration=parser.getint("contagion", "cleanse_duration"),
-        )
-        mc = MonteCarloConfig(
-            trials=parser.getint("simulation", "trials"),
-            horizon=parser.getint("mission", "horizon"),
-            base_mission_duration=parser.getfloat("mission", "base_duration"),
-            delay_per_infected_tick=parser.getfloat("mission", "delay_per_infected_tick"),
-            delay_per_cleanse=parser.getfloat("mission", "delay_per_cleanse"),
-        )
+    def build(parser) -> ContagionScenario:
         return ContagionScenario(
-            network=network,
-            mc=mc,
+            network=SegmentedNetwork(
+                enclave_sizes=tuple(int(s) for s in parser.get("enclaves", "sizes").split()),
+                links=dash_pairs(parser.get("enclaves", "links"), int),
+                spread_rate=parser.getfloat("contagion", "spread_rate"),
+                cross_rate=parser.getfloat("contagion", "cross_rate"),
+                cleanse_duration=parser.getint("contagion", "cleanse_duration"),
+            ),
+            mc=MonteCarloConfig(
+                trials=parser.getint("simulation", "trials"),
+                horizon=parser.getint("mission", "horizon"),
+                delay_per_infected_tick=parser.getfloat("mission", "delay_per_infected_tick"),
+                delay_per_cleanse=parser.getfloat("mission", "delay_per_cleanse"),
+            ),
             mission_devices=parser.getint("mission", "mission_devices"),
         )
-    except ScenarioError:
-        raise
-    except Exception as exc:
-        raise ScenarioError(f"malformed scenario {path}: {exc}") from exc
 
-
-def _clamp(value, low, high):
-    return max(low, min(high, value))
+    return read_scenario(path, build)
 
 
 def interpret_attack(strategy: Strategy, network: SegmentedNetwork, horizon: int) -> ContagionAttack:
-    tokens = strategy.sentence
-    plans: list[ContagionPlan] = []
-    i = 0
-    while i < len(tokens):
-        clause = tokens[i : i + 8]
-        if (
-            len(clause) != 8
-            or clause[0] != "hit"
-            or clause[2] != "strength"
-            or clause[4] != "for"
-            or clause[6] != "x"
-        ):
-            raise InterpretError(f"not an attack plan clause: {' '.join(clause)!r}")
-        enclave_match = _ENCLAVE_TOKEN.match(clause[1])
-        if enclave_match is None:
-            raise InterpretError(f"bad enclave token {clause[1]!r}")
-        try:
-            strength = float(clause[3])
-            duration = int(clause[5])
-            count = int(clause[7])
-        except ValueError as exc:
-            raise InterpretError(f"bad numeric token in {' '.join(clause)!r}") from exc
-        plans.append(
+    (plans,) = read_clauses(strategy.sentence, _PLAN)
+    last = len(network.enclave_sizes) - 1
+    return ContagionAttack(
+        plans=tuple(
             ContagionPlan(
-                enclave=_clamp(int(enclave_match.group(1)), 0, len(network.enclave_sizes) - 1),
-                strength=_clamp(strength, 0.0, 1.0),
-                duration=max(1, min(duration, horizon)),
-                count=max(1, min(count, horizon)),
+                enclave=clamp(enclave, 0, last),
+                strength=clamp(strength, 0.0, 1.0),
+                duration=clamp(duration, 1, horizon),
+                count=clamp(count, 1, horizon),
             )
+            for enclave, strength, duration, count in plans
         )
-        i += 8
-    return ContagionAttack(plans=tuple(plans))
+    )
 
 
 def interpret_defense(
@@ -201,38 +164,15 @@ def interpret_defense(
     """Parse placements and taps; unplaced devices default to enclave 0,
     unmentioned taps to 0. Devices overflowing an enclave's capacity spill to
     the lowest-id enclave with room."""
-    tokens = list(strategy.sentence)
+    placements, taps = read_clauses(strategy.sentence, _PLACEMENT, _TAP)
     n = len(network.enclave_sizes)
     desired = [0] * mission_devices
+    if mission_devices > 0:
+        for device, enclave in placements:
+            desired[clamp(device, 0, mission_devices - 1)] = clamp(enclave, 0, n - 1)
     sensitivity = [0.0] * n
-    i = 0
-    while i < len(tokens) and tokens[i] == "place":
-        clause = tokens[i : i + 4]
-        if len(clause) != 4 or clause[2] != "in":
-            raise InterpretError(f"not a placement clause: {' '.join(clause)!r}")
-        device_match = _DEVICE_TOKEN.match(clause[1])
-        enclave_match = _ENCLAVE_TOKEN.match(clause[3])
-        if device_match is None or enclave_match is None:
-            raise InterpretError(f"bad placement tokens: {' '.join(clause)!r}")
-        if mission_devices > 0:
-            device = _clamp(int(device_match.group(1)), 0, mission_devices - 1)
-            desired[device] = _clamp(int(enclave_match.group(1)), 0, n - 1)
-        i += 4
-    while i < len(tokens) and tokens[i] == "tap":
-        clause = tokens[i : i + 4]
-        if len(clause) != 4 or clause[2] != "at":
-            raise InterpretError(f"not a tap clause: {' '.join(clause)!r}")
-        enclave_match = _ENCLAVE_TOKEN.match(clause[1])
-        if enclave_match is None:
-            raise InterpretError(f"bad tap tokens: {' '.join(clause)!r}")
-        try:
-            level = float(clause[3])
-        except ValueError as exc:
-            raise InterpretError(f"bad sensitivity {clause[3]!r}") from exc
-        sensitivity[_clamp(int(enclave_match.group(1)), 0, n - 1)] = _clamp(level, 0.0, 1.0)
-        i += 4
-    if i != len(tokens):
-        raise InterpretError(f"trailing tokens in defense sentence: {tokens[i:]!r}")
+    for enclave, level in taps:
+        sensitivity[clamp(enclave, 0, n - 1)] = clamp(level, 0.0, 1.0)
 
     free = list(network.enclave_sizes)
     placement = []

@@ -5,6 +5,10 @@ protocol (shortest path, flooding, or a peer-to-peer ring overlay). Each tick
 every active task emits one message attempt, which succeeds when the protocol
 finds a route over the currently enabled nodes. The attacker scores the
 fraction of tasks it disrupted; the defender scores the fraction completed.
+An attack sentence is clauses of the one template ``_ACTION``, read by
+``engagement.read_clauses``; a defense names one of three alternatives and is
+read by hand. Shortest paths, flooding and the scenario's connectivity check
+all walk one BFS, ``distances``.
 
 The simple languages here are fully deterministic: no random stream is ever
 built for an engagement, and both memos here are pure. Each NetworkScenario
@@ -21,18 +25,19 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from configparser import ConfigParser
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from ..engagement import EngagementOutcome, InterpretError, ScenarioError
+from ..engagement import EngagementOutcome, InterpretError, ScenarioError, check_links, clamp
+from ..engagement import dash_pairs, read_clauses, read_scenario
 from ..engine.rng import Key
 from ..grammar import Strategy
 
 ROUTINGS = ("shortest-path", "flooding", "p2p-ring")
 
 _NODE_TOKEN = re.compile(r"^n(\d+)$")
+_ACTION = ("disable", _NODE_TOKEN, "at", int, "for", int)
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,7 @@ class NetworkScenario:
         if len(set(self.nodes)) != len(self.nodes) or not self.nodes:
             raise ScenarioError("nodes must be non-empty and unique")
         known = set(self.nodes)
-        for a, b in self.edges:
-            if a not in known or b not in known or a == b:
-                raise ScenarioError(f"bad edge {a}-{b}")
+        check_links(self.edges, known, "edge")
         if not self.tasks:
             raise ScenarioError("scenario needs at least one task")
         for task in self.tasks:
@@ -74,7 +77,7 @@ class NetworkScenario:
                 raise ScenarioError(f"task window out of range: {task}")
             if task.required_deliveries < 1:
                 raise ScenarioError(f"task needs >= 1 delivery: {task}")
-        if not self._connected():
+        if len(distances(self.adjacency, known, self.nodes[0])) != len(self.nodes):
             raise ScenarioError("graph must be connected at t=0")
 
     # What engage reads on every call, each built once; engage fills the route table.
@@ -110,16 +113,6 @@ class NetworkScenario:
             * len(self.edges)
             * sum(task.deadline - task.start + 1 for task in self.tasks)
         )
-
-    def _connected(self) -> bool:
-        seen = {self.nodes[0]}
-        queue = deque(seen)
-        while queue:
-            for neighbor in self.adjacency[queue.popleft()]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    queue.append(neighbor)
-        return len(seen) == len(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -157,50 +150,26 @@ def adjacency_map(nodes, edges) -> dict[str, list[str]]:
     return adjacency
 
 
+def _task(line: str) -> Task:
+    fields = line.split()
+    if len(fields) != 5:
+        raise ScenarioError(f"task line needs 'src dst start deadline deliveries': {line!r}")
+    return Task(fields[0], fields[1], *map(int, fields[2:]))
+
+
 def load_scenario(path: str | Path) -> NetworkScenario:
-    parser = ConfigParser()
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise ScenarioError(f"cannot read scenario file {path}")
-    try:
-        nodes = tuple(parser.get("network", "nodes").split())
-        edges = []
-        for token in parser.get("network", "edges").split():
-            a, dash, b = token.partition("-")
-            if not dash:
-                raise ScenarioError(f"bad edge token {token!r}")
-            edges.append((a, b))
-        tasks = []
-        for line in parser.get("mission", "tasks").strip().splitlines():
-            fields = line.split()
-            if len(fields) != 5:
-                raise ScenarioError(f"task line needs 'src dst start deadline deliveries': {line!r}")
-            tasks.append(
-                Task(
-                    source=fields[0],
-                    destination=fields[1],
-                    start=int(fields[2]),
-                    deadline=int(fields[3]),
-                    required_deliveries=int(fields[4]),
-                )
-            )
+    def build(parser) -> NetworkScenario:
         return NetworkScenario(
-            nodes=nodes,
-            edges=tuple(edges),
-            tasks=tuple(tasks),
+            nodes=tuple(parser.get("network", "nodes").split()),
+            edges=dash_pairs(parser.get("network", "edges"), str),
+            tasks=tuple(map(_task, parser.get("mission", "tasks").strip().splitlines())),
             horizon=parser.getint("mission", "horizon"),
             message_cost=parser.getfloat("costs", "message_cost"),
             node_cost=parser.getfloat("costs", "node_cost"),
             attack_budget=parser.getint("costs", "attack_budget"),
         )
-    except ScenarioError:
-        raise
-    except Exception as exc:
-        raise ScenarioError(f"malformed scenario {path}: {exc}") from exc
 
-
-def _clamp(value: int, low: int, high: int) -> int:
-    return max(low, min(high, value))
+    return read_scenario(path, build)
 
 
 def interpret_attack(strategy: Strategy, scenario: NetworkScenario) -> DdosAttack:
@@ -209,59 +178,38 @@ def interpret_attack(strategy: Strategy, scenario: NetworkScenario) -> DdosAttac
     Out-of-range node and tick tokens are clamped into range. Durations are
     trimmed in sentence order so the total never exceeds the scenario budget.
     """
-    tokens = strategy.sentence
-    if tokens == ("noop",):
+    if strategy.sentence == ("noop",):
         return DdosAttack(actions=())
     actions: list[DdosAction] = []
     remaining = scenario.attack_budget
-    i = 0
-    while i < len(tokens):
-        clause = tokens[i : i + 6]
-        if len(clause) != 6 or clause[0] != "disable" or clause[2] != "at" or clause[4] != "for":
-            raise InterpretError(f"not an attack clause: {' '.join(clause)!r}")
-        node_match = _NODE_TOKEN.match(clause[1])
-        if node_match is None:
-            raise InterpretError(f"bad node token {clause[1]!r}")
-        try:
-            tick = int(clause[3])
-            duration = int(clause[5])
-        except ValueError as exc:
-            raise InterpretError(f"bad numeric token in {' '.join(clause)!r}") from exc
-        node = scenario.nodes[_clamp(int(node_match.group(1)), 0, len(scenario.nodes) - 1)]
-        tick = _clamp(tick, 0, scenario.horizon - 1)
+    (clauses,) = read_clauses(strategy.sentence, _ACTION)
+    for index, tick, duration in clauses:
         duration = min(max(duration, 1), remaining)
         if duration > 0:
-            actions.append(DdosAction(node=node, start=tick, duration=duration))
+            node = scenario.nodes[clamp(index, 0, len(scenario.nodes) - 1)]
+            actions.append(DdosAction(node, clamp(tick, 0, scenario.horizon - 1), duration))
             remaining -= duration
-        i += 6
     return DdosAttack(actions=tuple(actions))
 
 
 def interpret_defense(strategy: Strategy, scenario: NetworkScenario) -> DdosDefense:
     tokens = strategy.sentence
-    if len(tokens) < 2 or tokens[0] != "route":
-        raise InterpretError(f"not a defense sentence: {strategy.text!r}")
-    kind = tokens[1]
-    if kind == "shortest" and len(tokens) == 2:
+    if tokens == ("route", "shortest"):
         return DdosDefense(routing="shortest-path")
-    if kind == "flooding" and len(tokens) == 2:
+    if tokens == ("route", "flooding"):
         return DdosDefense(routing="flooding")
-    if kind == "ring" and len(tokens) == 3:
+    if tokens[:2] == ("route", "ring") and len(tokens) == 3:
         try:
             successors = int(tokens[2])
         except ValueError as exc:
             raise InterpretError(f"bad successor count {tokens[2]!r}") from exc
-        successors = _clamp(successors, 1, max(len(scenario.nodes) - 1, 1))
+        successors = clamp(successors, 1, max(len(scenario.nodes) - 1, 1))
         return DdosDefense(routing="p2p-ring", ring_successors=successors)
     raise InterpretError(f"not a defense sentence: {strategy.text!r}")
 
 
-def bfs_route(adjacency, enabled, source, destination) -> int | None:
-    """Hop count of a shortest path over enabled nodes, or None."""
-    if source not in enabled or destination not in enabled:
-        return None
-    if source == destination:
-        return 0
+def distances(adjacency, enabled, source) -> dict[str, int]:
+    """Hop counts from source to every node it reaches over enabled nodes."""
     distance = {source: 0}
     queue = deque([source])
     while queue:
@@ -269,10 +217,15 @@ def bfs_route(adjacency, enabled, source, destination) -> int | None:
         for neighbor in adjacency[node]:
             if neighbor in enabled and neighbor not in distance:
                 distance[neighbor] = distance[node] + 1
-                if neighbor == destination:
-                    return distance[neighbor]
                 queue.append(neighbor)
-    return None
+    return distance
+
+
+def bfs_route(adjacency, enabled, source, destination) -> int | None:
+    """Hop count of a shortest path over enabled nodes, or None."""
+    if source not in enabled:
+        return None
+    return distances(adjacency, enabled, source).get(destination)
 
 
 def flood(adjacency, enabled, source, destination) -> tuple[bool, int]:
@@ -283,19 +236,9 @@ def flood(adjacency, enabled, source, destination) -> tuple[bool, int]:
     """
     if source not in enabled:
         return False, 0
-    component = {source}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for neighbor in adjacency[node]:
-            if neighbor in enabled and neighbor not in component:
-                component.add(neighbor)
-                queue.append(neighbor)
-    edges = 0
-    for node in component:
-        edges += sum(1 for neighbor in adjacency[node] if neighbor in component)
-    edges //= 2
-    return destination in component, edges
+    component = distances(adjacency, enabled, source)
+    ends = sum(1 for node in component for neighbor in adjacency[node] if neighbor in component)
+    return destination in component, ends // 2
 
 
 def ring_route(ring_order, enabled, source, destination, successors) -> int | None:

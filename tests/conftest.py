@@ -46,7 +46,6 @@ def small_contagion(
     mc = MonteCarloConfig(
         trials=trials,
         horizon=horizon,
-        base_mission_duration=50.0,
         delay_per_infected_tick=1.0,
         delay_per_cleanse=4.0,
     )
@@ -102,7 +101,6 @@ cleanse_duration = 2
 [mission]
 horizon = 15
 mission_devices = 2
-base_duration = 50
 delay_per_infected_tick = 1.0
 delay_per_cleanse = 4.0
 

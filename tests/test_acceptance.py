@@ -239,7 +239,7 @@ def test_criterion_7_contagion_degenerate_cases():
         enclave_sizes=(1, 2), links=((0, 1),), spread_rate=0.0, cross_rate=0.0, cleanse_duration=2
     )
     mc = MonteCarloConfig(
-        trials=500, horizon=12, base_mission_duration=0.0,
+        trials=500, horizon=12,
         delay_per_infected_tick=1.0, delay_per_cleanse=1.0,
     )
     blast = ContagionAttack((ContagionPlan(0, 1.0, 12, 1),))
@@ -255,7 +255,7 @@ def test_criterion_7_contagion_degenerate_cases():
     standard_errors = {}
     for count in (10, 100, 1000):
         mc_n = MonteCarloConfig(
-            trials=count, horizon=15, base_mission_duration=0.0,
+            trials=count, horizon=15,
             delay_per_infected_tick=1.0, delay_per_cleanse=4.0,
         )
         means = []

@@ -135,7 +135,6 @@ class TestEngageDegenerate:
         mc = MonteCarloConfig(
             trials=40,
             horizon=12,
-            base_mission_duration=10.0,
             delay_per_infected_tick=1.5,
             delay_per_cleanse=7.0,
         )
@@ -156,7 +155,6 @@ class TestEngageDegenerate:
         mc = MonteCarloConfig(
             trials=60,
             horizon=12,
-            base_mission_duration=10.0,
             delay_per_infected_tick=1.0,
             delay_per_cleanse=3.0,
         )
@@ -212,7 +210,7 @@ class TestRandomnessContracts:
             cleanse_duration=3,
         )
         mc = MonteCarloConfig(
-            trials=40, horizon=10, base_mission_duration=0.0,
+            trials=40, horizon=10,
             delay_per_infected_tick=1.0, delay_per_cleanse=0.0,
         )
         attack = ContagionAttack((plan(enclave=0, strength=1.0, duration=1, count=1),))
@@ -242,7 +240,6 @@ def contagion_cases(draw):
     mc = MonteCarloConfig(
         trials=draw(st.integers(1, 6)),
         horizon=draw(st.integers(1, 30)),
-        base_mission_duration=10.0,
         delay_per_infected_tick=draw(st.floats(0.0, 3.0)),
         delay_per_cleanse=draw(st.floats(0.0, 10.0)),
     )
@@ -287,7 +284,6 @@ def wide_contagion_cases(draw):
     mc = MonteCarloConfig(
         trials=draw(st.integers(1, 4)),
         horizon=draw(st.integers(1, 20)),
-        base_mission_duration=10.0,
         delay_per_infected_tick=1.0,
         delay_per_cleanse=draw(st.floats(0.0, 10.0)),
     )
@@ -387,6 +383,11 @@ class TestScenarioLoading:
     def test_bad_rate_rejected(self):
         with pytest.raises(ScenarioError):
             SegmentedNetwork((2, 2), ((0, 1),), spread_rate=1.5, cross_rate=0.0, cleanse_duration=1)
+
+    @pytest.mark.parametrize("repeat", [(1, 0), (0, 1)])
+    def test_link_given_twice_rejected(self, repeat):
+        with pytest.raises(ScenarioError, match="0-1|1-0"):
+            SegmentedNetwork((2, 2, 2), ((0, 1), (1, 2), repeat), 0.5, 0.5, cleanse_duration=1)
 
     def test_environment_adapter(self, contagion_scenario_file):
         environment = ContagionEnvironment.from_file(contagion_scenario_file)

@@ -445,6 +445,19 @@ class TestScenarioLoading:
                 attack_budget=5,
             )
 
+    @pytest.mark.parametrize("repeat", [("b", "a"), ("a", "b")])
+    def test_link_given_twice_rejected(self, repeat):
+        with pytest.raises(ScenarioError, match="a-b|b-a"):
+            NetworkScenario(
+                nodes=("a", "b", "c"),
+                edges=(("a", "b"), ("b", "c"), repeat),
+                tasks=(Task("a", "c", 0, 5, 1),),
+                horizon=10,
+                message_cost=1.0,
+                node_cost=0.0,
+                attack_budget=5,
+            )
+
     def test_task_window_validated(self):
         with pytest.raises(ScenarioError):
             NetworkScenario(
