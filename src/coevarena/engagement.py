@@ -6,9 +6,9 @@ convention every reported score is the quantity that side wants HIGH, so the
 engine can select both roles by maximizing their own aggregated score. In a
 zero-sum environment defender_score == -attacker_score.
 
-Environments share the readers here: ``read_scenario``, ``dash_pairs`` and
-``check_links`` for scenario files, ``read_clauses`` and ``clamp`` for
-sentences.
+Environments share the readers here: ``read_scenario``, ``dash_pairs``,
+``check_links`` and ``check_amounts`` for scenario files, ``read_clauses`` and
+``clamp`` for sentences.
 """
 
 from __future__ import annotations
@@ -116,6 +116,15 @@ def check_links(pairs, known, what: str) -> None:
         if frozenset((a, b)) in seen:
             raise ScenarioError(f"{what} {a}-{b} given twice")
         seen.add(frozenset((a, b)))
+
+
+def check_amounts(owner, *names: str) -> None:
+    """Raise ScenarioError, naming the field, unless each named field of owner
+    is finite and >= 0."""
+    for name in names:
+        value = getattr(owner, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ScenarioError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def clamp(value, low, high):

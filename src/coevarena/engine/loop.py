@@ -1,22 +1,29 @@
 """The alternating two-population coevolutionary loop.
 
 Each generation runs two half-steps. A half-step evolves one role, the own
-side, against the frozen population of the other role, the opponent: select
-parents, cross over, mutate, map genotypes to sentences, pair per the
-competition structure, engage, and aggregate the outcomes into fitness. The
-previous champion (incumbent) is re-evaluated against the same frozen
-opponents and swapped in for the worst newcomer when it is strictly better, so
-the best fitness against a fixed opponent set never worsens between
-consecutive generations.
+side, against the frozen population of the other role, the opponent, in four
+steps:
 
-The loop is written once, in (own, opponent) terms, for both roles. Only
-pairing and engaging need to know which side attacks; ``_oriented`` turns an
-(own, opponent) pair into (attacker, defender) order and back.
+- breed: select parents, cross over, mutate, map genotypes to sentences and
+  log the new population as the half-step's cohort;
+- job list: the candidate pairs in ``pair`` order, then the previous champion
+  (incumbent) against every frozen opponent;
+- one engage pass over the jobs, in list order, skipping a job with a member
+  that failed to map and logging every engagement in the cohort;
+- score: both kinds of outcome aggregate into fitness through one path.
 
-Every engagement is logged, in the cohort of the half-step that played it:
-the population the half-step bred, before the elitism swap, holds the
-genotypes its engagements refer to by index. Identical config and master seed
-reproduce the log byte for byte.
+Elitism is one condition: the incumbent is swapped in for the worst newcomer
+when it is strictly better, so the best fitness against a fixed opponent set
+never worsens between consecutive generations.
+
+The loop is written once, in (own, opponent) terms, for both roles. Only the
+job list and the engage pass need to know which side attacks; ``_oriented``
+turns an (own, opponent) pair into (attacker, defender) order, once per
+half-step for the strategy lists.
+
+The cohort, the population the half-step bred, before the elitism swap, holds
+the genotypes its engagements refer to by index. Identical config and master
+seed reproduce the log byte for byte.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ from .variation import crossover, mutate, select
 
 CANDIDATE = "candidate"
 INCUMBENT = "incumbent"
+# The random-stream word each kind of engagement keys its draws with.
+_STREAM_OF_KIND = {CANDIDATE: "engage", INCUMBENT: "elite"}
 
 
 @dataclass(frozen=True)
@@ -158,40 +167,19 @@ class _AlternatingRun:
                 )
                 for i in range(self.cfg.population_size(role))
             ]
-            self.sides[role] = self._side(role, members)
-            self._record_cohort(0, role, self.sides[role])
+            self.sides[role], _ = self._breed(0, role, members)
 
-    def _side(self, role: str, members: list[Genotype]) -> _Side:
+    def _breed(self, generation: int, role: str, members: list[Genotype]) -> tuple[_Side, Cohort]:
+        """Map members to strategies and log them as the half-step's cohort."""
         strategies = []
         for member in members:
             try:
                 strategies.append(map_genotype(member, self.grammars[role], self.cfg.mapping))
             except MappingFailure:
                 strategies.append(None)
-        return _Side(members, strategies)
-
-    def _record_cohort(self, generation: int, role: str, side: _Side) -> Cohort:
-        cohort = Cohort(generation, role, list(side.members), list(side.strategies))
+        cohort = Cohort(generation, role, list(members), list(strategies))
         self.cohorts.append(cohort)
-        return cohort
-
-    def _engage(self, cohort: Cohort, kind, k, own: _Side, i: int, opponent: _Side, j: int):
-        """Engage own's member i with opponent's member j and log it in cohort.
-
-        Returns None, and engages nothing, when either member failed to map.
-        """
-        (attackers, a), (defenders, d) = _oriented(cohort.phase, (own, i), (opponent, j))
-        attack, defense = attackers.strategies[a], defenders.strategies[d]
-        if attack is None or defense is None:
-            return None
-        stream = "engage" if kind == CANDIDATE else "elite"
-        outcome = self.environment.engage(
-            attack,
-            defense,
-            streams.Key(self.seed, stream, cohort.generation, cohort.phase, k),
-        )
-        cohort.engagements.append(Engagement(kind, k, a, d, outcome))
-        return outcome
+        return _Side(members, strategies), cohort
 
     def _variation(self, generation, role, parents):
         n = self.cfg.population_size(role)
@@ -219,63 +207,59 @@ class _AlternatingRun:
 
     def half_step(self, generation: int, role: str):
         cfg = self.cfg
-        n = cfg.population_size(role)
         own, opponent = self.sides[role], self.sides[opposite(role)]
+        n, m = cfg.population_size(role), len(opponent.members)
 
-        incumbent = None
-        if own.fitness is None:
-            parents = own.members
-        else:
-            incumbent = _best_index(own.fitness, n)
-            parents = select(
-                own.members,
-                own.fitness,
-                cfg.selection,
-                streams.generator(self.seed, "select", generation, role),
-            )
-        candidates = self._side(role, self._variation(generation, role, parents))
-        cohort = self._record_cohort(generation, role, candidates)
-
-        pairs = pair(
-            cfg.structure,
-            *_oriented(role, n, len(opponent.members)),
-            streams.generator(self.seed, "pair", generation, role),
-        )
-        for k, ids in enumerate(pairs):
-            i, j = _oriented(role, *ids)
-            outcome = self._engage(cohort, CANDIDATE, k, candidates, i, opponent, j)
-            if outcome is not None:
-                candidates.outcomes.setdefault(i, []).append(outcome)
-        fitness = assign_fitness(
-            candidates.outcomes, cfg.aggregation, role, secondary_weight=cfg.secondary_weight
-        )
-        for i in range(n):
-            fitness.setdefault(i, cfg.invalid_fitness)
-        candidates.fitness = fitness
-
-        # Elitism: re-evaluate the incumbent against every valid frozen
-        # opponent and swap it in for the worst newcomer if strictly better.
-        incumbent_fitness = None
+        incumbent = None if own.fitness is None else _best_index(own.fitness, n)
+        parents = own.members
         if incumbent is not None:
-            incumbent_outcomes = []
-            for j in range(len(opponent.members)):
-                outcome = self._engage(cohort, INCUMBENT, j, own, incumbent, opponent, j)
-                if outcome is not None:
-                    incumbent_outcomes.append(outcome)
-            if incumbent_outcomes:
-                incumbent_fitness = assign_fitness(
-                    {incumbent: incumbent_outcomes},
-                    cfg.aggregation,
-                    role,
-                    secondary_weight=cfg.secondary_weight,
-                )[incumbent]
-                worst = _worst_index(fitness, n)
-                if incumbent_fitness > fitness[worst]:
-                    cohort.replaced = worst
-                    candidates.members[worst] = own.members[incumbent]
-                    candidates.strategies[worst] = own.strategies[incumbent]
-                    candidates.outcomes[worst] = incumbent_outcomes
-                    fitness[worst] = incumbent_fitness
+            select_rng = streams.generator(self.seed, "select", generation, role)
+            parents = select(own.members, own.fitness, cfg.selection, select_rng)
+        children = self._variation(generation, role, parents)
+        candidates, cohort = self._breed(generation, role, children)
+
+        # Job list, as (kind, k, attacker id, defender id): the candidate pairs,
+        # then the incumbent against every frozen opponent.
+        pair_rng = streams.generator(self.seed, "pair", generation, role)
+        pairs = pair(cfg.structure, *_oriented(role, n, m), pair_rng)
+        jobs = [(CANDIDATE, k, a, d) for k, (a, d) in enumerate(pairs)]
+        if incumbent is not None:
+            jobs += [(INCUMBENT, j, *_oriented(role, incumbent, j)) for j in range(m)]
+
+        # One engage pass. Each kind's (attack, defense) strategy lists and the
+        # own id's place in a pair are worked out once.
+        strategies = {
+            CANDIDATE: _oriented(role, candidates.strategies, opponent.strategies),
+            INCUMBENT: _oriented(role, own.strategies, opponent.strategies),
+        }
+        mine = 0 if role == ATTACKER else 1
+        outcomes: dict[str, dict[int, list[EngagementOutcome]]] = {CANDIDATE: {}, INCUMBENT: {}}
+        for kind, k, a, d in jobs:
+            attacks, defenses = strategies[kind]
+            if attacks[a] is None or defenses[d] is None:
+                continue
+            key = streams.Key(self.seed, _STREAM_OF_KIND[kind], generation, role, k)
+            outcome = self.environment.engage(attacks[a], defenses[d], key)
+            cohort.engagements.append(Engagement(kind, k, a, d, outcome))
+            outcomes[kind].setdefault((a, d)[mine], []).append(outcome)
+
+        # Score both kinds, then swap the incumbent in for the worst newcomer
+        # if it is strictly better.
+        weight = cfg.secondary_weight
+        scored = {
+            kind: assign_fitness(grouped, cfg.aggregation, role, secondary_weight=weight)
+            for kind, grouped in outcomes.items()
+        }
+        fitness = {i: scored[CANDIDATE].get(i, cfg.invalid_fitness) for i in range(n)}
+        candidates.fitness, candidates.outcomes = fitness, outcomes[CANDIDATE]
+        incumbent_fitness = scored[INCUMBENT].get(incumbent)
+        worst = _worst_index(fitness, n)
+        if incumbent_fitness is not None and incumbent_fitness > fitness[worst]:
+            cohort.replaced = worst
+            candidates.members[worst] = own.members[incumbent]
+            candidates.strategies[worst] = own.strategies[incumbent]
+            candidates.outcomes[worst] = outcomes[INCUMBENT][incumbent]
+            fitness[worst] = incumbent_fitness
 
         self.sides[role] = candidates
         values = [fitness[i] for i in sorted(candidates.outcomes)] or [cfg.invalid_fitness]

@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..engagement import EngagementOutcome, ScenarioError, check_links, clamp, dash_pairs
-from ..engagement import read_clauses, read_scenario
+from ..engagement import EngagementOutcome, ScenarioError, check_amounts, check_links, clamp
+from ..engagement import dash_pairs, read_clauses, read_scenario
 from ..engine.fitness import population_variance
 from ..engine.rng import Key
 from ..grammar import Strategy
@@ -75,6 +75,7 @@ class MonteCarloConfig:
             raise ScenarioError("trials must be >= 1")
         if self.horizon < 1:
             raise ScenarioError("horizon must be >= 1")
+        check_amounts(self, "delay_per_infected_tick", "delay_per_cleanse")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from functools import cached_property
 from pathlib import Path
 
 from ..engagement import EngagementOutcome, InterpretError, ScenarioError, check_links, clamp
-from ..engagement import dash_pairs, read_clauses, read_scenario
+from ..engagement import check_amounts, dash_pairs, read_clauses, read_scenario
 from ..engine.rng import Key
 from ..grammar import Strategy
 
@@ -64,6 +64,7 @@ class NetworkScenario:
             raise ScenarioError("horizon must be >= 1")
         if self.attack_budget < 1:
             raise ScenarioError("attack budget must be >= 1")
+        check_amounts(self, "message_cost", "node_cost")
         if len(set(self.nodes)) != len(self.nodes) or not self.nodes:
             raise ScenarioError("nodes must be non-empty and unique")
         known = set(self.nodes)

@@ -20,9 +20,11 @@ is a JSON array in ``columns`` order; its ids index the populations as
 ``coevarena.engine.loop.Engagement`` describes, and it takes its generation
 and phase from the population line before it.
 
-Runs only ever append. The engagement log and halfsteps files are free of
-timestamps, so identical config and seed reproduce them byte for byte; the
-manifest carries the only timestamp.
+Runs only ever append. add_run writes a run into ``<root>/<dir>.partial/``,
+renames it to ``<dir>`` and only then appends its index line, so a failed
+write leaves neither a run directory nor an index line. The engagement log
+and halfsteps files are free of timestamps, so identical config and seed
+reproduce them byte for byte; the manifest carries the only timestamp.
 """
 
 from __future__ import annotations
@@ -118,12 +120,21 @@ class ResultsStore:
         if not self.index_path.exists():
             return []
         lines = self.index_path.read_text(encoding="utf-8").splitlines()
-        return [json.loads(line) for line in lines if line.strip()]
+        try:
+            return [json.loads(line) for line in lines if line.strip()]
+        except json.JSONDecodeError as exc:
+            # exc.doc is the line that failed; the lines before it all parsed.
+            number = lines.index(exc.doc) + 1
+            raise CorruptRecord(
+                f"{self.index_path} line {number} does not parse: {exc.msg} at column {exc.colno}"
+            ) from exc
 
     def _unique_dir_name(self, run_id: str) -> str:
+        """run_id, or else run_id__2, __3, ...: the first name taken by neither a
+        run directory nor a partial one."""
         name = run_id
         counter = 2
-        while (self.root / name).exists():
+        while (self.root / name).exists() or (self.root / f"{name}.partial").exists():
             name = f"{run_id}__{counter}"
             counter += 1
         return name
@@ -136,12 +147,36 @@ class ResultsStore:
         defense_grammar_path: str | Path,
         scenario_path: str | Path,
     ) -> str:
+        """Store one run, atomically (see the module docstring); return its directory name."""
         self.root.mkdir(parents=True, exist_ok=True)
         dir_name = self._unique_dir_name(record.run_id)
-        run_dir = self.root / dir_name
-        run_dir.mkdir()
+        partial = self.root / f"{dir_name}.partial"
+        partial.mkdir()
+        try:
+            sources = (attack_grammar_path, defense_grammar_path, scenario_path)
+            self._write_run(partial, record, manifest, sources)
+            partial.rename(self.root / dir_name)
+        except BaseException:
+            shutil.rmtree(partial, ignore_errors=True)
+            raise
 
-        sources = (attack_grammar_path, defense_grammar_path, scenario_path)
+        with self.index_path.open("a", encoding="utf-8") as handle:
+            handle.write(
+                _dump(
+                    {
+                        "dir": dir_name,
+                        "run_id": record.run_id,
+                        "seed": record.master_seed,
+                        "environment": record.environment_id,
+                    }
+                )
+                + "\n"
+            )
+        return dir_name
+
+    @staticmethod
+    def _write_run(run_dir: Path, record: RunRecord, manifest: dict, sources) -> None:
+        """Write the run's input copies, manifest, engagement log and half-steps into run_dir."""
         for source, copy_name in zip(sources, STORED_INPUTS.values()):
             shutil.copyfile(source, run_dir / copy_name)
 
@@ -193,20 +228,6 @@ class ResultsStore:
                 # vars gives asdict's keys without deep-copying every codon.
                 fields = {**vars(step), "best_genotype": step.best_genotype.codons}
                 handle.write(_dump({"record": "halfstep", **fields}) + "\n")
-
-        with self.index_path.open("a", encoding="utf-8") as handle:
-            handle.write(
-                _dump(
-                    {
-                        "dir": dir_name,
-                        "run_id": record.run_id,
-                        "seed": record.master_seed,
-                        "environment": record.environment_id,
-                    }
-                )
-                + "\n"
-            )
-        return dir_name
 
     def load(self, run_ref: str) -> StoredRun:
         entries = self.entries()

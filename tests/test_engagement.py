@@ -71,6 +71,28 @@ def test_read_scenario_raises_scenario_error(tmp_path, text):
         read_scenario(path, build)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "environment_id, scenario, field",
+    [
+        ("ddos", "ring9", "message_cost"),
+        ("ddos", "ring9", "node_cost"),
+        ("contagion", "star", "delay_per_infected_tick"),
+        ("contagion", "star", "delay_per_cleanse"),
+    ],
+)
+def test_cost_or_delay_must_be_finite_and_nonnegative(
+    tmp_path, environment_id, scenario, field, value
+):
+    text = data_path("scenarios", f"{scenario}.scenario").read_text()
+    edited, count = re.subn(rf"^{field} = .*$", f"{field} = {value}", text, flags=re.M)
+    assert count == 1
+    path = tmp_path / f"{scenario}.scenario"
+    path.write_text(edited)
+    with pytest.raises(ScenarioError, match=field):
+        ENVIRONMENTS[environment_id].from_file(path)
+
+
 def _shipped_scenarios():
     """Each environment's shipped scenarios: every file loads in exactly one."""
     paths = sorted(data_path("scenarios").glob("*.scenario"))

@@ -14,6 +14,7 @@ from coevarena.engine import (
     StructureMismatch,
     run_alternating,
 )
+from coevarena.engine.rng import Key
 from coevarena.grammar import GenotypeLimits, MappingConfig, parse_bnf
 from coevarena.store import FORMAT_VERSION, ResultsStore
 
@@ -149,6 +150,76 @@ class TestCohorts:
         assert swaps > 0
         assert current["attacker"][record.best_attacker.index] == record.best_attacker.genotype
         assert current["defender"][record.best_defender.index] == record.best_defender.genotype
+
+
+class RecordingEnvironment(ScriptedEnvironment):
+    """Records each engage call as (attack sentence, defense sentence, key words)."""
+
+    def __init__(self):
+        super().__init__(hash_score)
+        self.calls = []
+
+    def engage(self, attack, defense, key):
+        self.calls.append((attack.sentence, defense.sentence, key.words))
+        return super().engage(attack, defense, key)
+
+
+class TestJobOrder:
+    def test_engage_calls_are_the_job_list_in_log_order(self):
+        # all-vs-all fixes the candidate pairs, attacker-major, so each
+        # half-step's job list is rebuilt from the logged populations alone:
+        # the candidate pairs, then the incumbent (the role's previous best)
+        # against every frozen opponent, less the jobs with an unmapped member.
+        cfg = config(
+            generations=3,
+            attacker_population=4,
+            defender_population=3,
+            structure=CompetitionStructure("all-vs-all"),
+            limits=GenotypeLimits(min_length=1, max_length=8, codon_max=64),
+            mapping=MappingConfig(max_wraps=0, max_derivation_steps=50),
+        )
+        environment = RecordingEnvironment()
+        record = run_alternating(cfg, RECURSIVE_ATTACK_GRAMMAR, RECURSIVE_DEFENSE_GRAMMAR, environment)
+        words = {"candidate": "engage", "incumbent": "elite"}
+        bests = {(s.generation, s.phase): s.best_id for s in record.half_steps}
+        population = {}  # role -> its strategies before the half-step
+        jobs, logged, skipped = [], [], 0
+        for cohort in record.cohorts:
+            role, generation = cohort.phase, cohort.generation
+            if generation == 0:
+                population[role] = cohort.strategies
+                continue
+            own = population[role]
+            opponent = population["defender" if role == "attacker" else "attacker"]
+
+            def oriented(mine, theirs):
+                return (mine, theirs) if role == "attacker" else (theirs, mine)
+
+            attackers, defenders = oriented(cohort.strategies, opponent)
+            half_step = [
+                ("candidate", a * len(defenders) + d, attackers[a], defenders[d])
+                for a in range(len(attackers))
+                for d in range(len(defenders))
+            ]
+            incumbent = own[bests[generation - 1, role]] if generation > 1 else None
+            if generation > 1:
+                half_step += [("incumbent", j, *oriented(incumbent, s)) for j, s in enumerate(opponent)]
+            for kind, k, attack, defense in half_step:
+                if attack is None or defense is None:
+                    skipped += 1
+                else:
+                    key = Key(cfg.master_seed, words[kind], generation, role, k).words
+                    jobs.append((attack.sentence, defense.sentence, key))
+            for kind, k, a, d, _ in cohort.engagements:
+                attacks, defenses = oriented(cohort.strategies if kind == "candidate" else own, opponent)
+                key = Key(cfg.master_seed, words[kind], generation, role, k).words
+                logged.append((attacks[a].sentence, defenses[d].sentence, key))
+            population[role] = list(cohort.strategies)
+            if cohort.replaced is not None:
+                population[role][cohort.replaced] = incumbent
+        assert skipped > 0
+        assert any(e.kind == "incumbent" for c in record.cohorts for e in c.engagements)
+        assert environment.calls == jobs == logged
 
 
 class TestDeterminism:

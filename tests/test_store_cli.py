@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import coevarena
+import coevarena.store as store_module
 from coevarena.cli import ConfigError, load_experiment_config, main
 from coevarena.data import data_path
 from coevarena.engine import CompetitionStructure, EvolutionConfig, SelectionScheme
@@ -147,6 +148,48 @@ scenario = {ddos_scenario_file}
         config = write_experiment_config(tmp_path, "ddos", ddos_scenario_file)
         assert run_cli("run", "--config", config) == 1
         assert "store" in capsys.readouterr().err
+
+
+class TestAtomicAddRun:
+    @pytest.fixture
+    def stored_once(self, tmp_path, ddos_scenario_file):
+        config = write_experiment_config(tmp_path, "ddos", ddos_scenario_file)
+        store_dir = tmp_path / "store"
+        assert run_cli("run", "--config", config, "--store", store_dir, "--quiet") == 0
+        return config, store_dir
+
+    @pytest.mark.parametrize("target, fail_at", [("copyfile", 2), ("dump", 5)])
+    def test_failed_write_leaves_no_run_behind(self, stored_once, monkeypatch, capsys, target, fail_at):
+        config, store_dir = stored_once
+        store = ResultsStore(store_dir)
+        before = sorted(p.name for p in store_dir.iterdir())
+        index_before = store.index_path.read_bytes()
+        owner, name = (store_module.shutil, "copyfile") if target == "copyfile" else (store_module, "_dump")
+        original, calls = getattr(owner, name), []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == fail_at:
+                raise OSError("disk full")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, failing)
+        assert run_cli("run", "--config", config, "--store", store_dir, "--quiet") == 1
+        assert "disk full" in assert_one_error_line(capsys)
+        monkeypatch.undo()
+
+        assert sorted(p.name for p in store_dir.iterdir()) == before
+        assert store.index_path.read_bytes() == index_before
+        assert [run.run_dir.name for run in store.load_all()] == [store.entries()[0]["dir"]]
+        assert run_cli("run", "--config", config, "--store", store_dir, "--quiet") == 0
+        assert len(store.load_all()) == 2
+
+    def test_leftover_partial_directory_is_not_reused(self, stored_once):
+        config, store_dir = stored_once
+        run_id = ResultsStore(store_dir).entries()[0]["run_id"]
+        (store_dir / f"{run_id}__2.partial").mkdir()
+        assert run_cli("run", "--config", config, "--store", store_dir, "--quiet") == 0
+        assert ResultsStore(store_dir).entries()[1]["dir"] == f"{run_id}__3"
 
 
 def bare_config(tmp_path, scenario, evolution="", genotype="", mapping="", experiment=""):
@@ -366,6 +409,15 @@ class TestCmdEstablo:
         store_dir = tmp_path / "store"
         run_cli("run", "--config", config, "--store", store_dir, "--quiet")
         return store_dir
+
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
+    def test_torn_index_line_is_one_error_line(self, populated_store, tmp_path, capsys, command):
+        with (populated_store / "index.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write('{"dir": "x", "run_')
+        args = ["--out", tmp_path / "out"] if command == "establo" else ["x"]
+        assert run_cli(command, "--store", populated_store, *args) == 1
+        err = assert_one_error_line(capsys)
+        assert "CorruptRecord" in err and "index.jsonl line 3" in err
 
     def test_empty_store_fails(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
