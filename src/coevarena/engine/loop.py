@@ -182,27 +182,26 @@ class _AlternatingRun:
         return _Side(members, strategies), cohort
 
     def _variation(self, generation, role, parents):
+        # slot pair s crosses over with stream ("cross", generation, role, s),
+        # child i mutates with ("mutate", generation, role, i): one block each
         n = self.cfg.population_size(role)
+        cross = streams.siblings(self.seed, "cross", generation, role, n=n - 1)
         children: list[Genotype] = []
         for slot in range(0, n - 1, 2):
             first, second = crossover(
                 parents[slot],
                 parents[slot + 1],
                 self.cfg.crossover_rate,
-                streams.generator(self.seed, "cross", generation, role, slot),
+                cross[slot],
                 self.cfg.limits,
             )
             children.extend((first, second))
         if len(children) < n:
             children.append(parents[n - 1])
+        mutating = streams.siblings(self.seed, "mutate", generation, role, n=n)
         return [
-            mutate(
-                child,
-                self.cfg.mutation_rate,
-                streams.generator(self.seed, "mutate", generation, role, i),
-                self.cfg.limits,
-            )
-            for i, child in enumerate(children)
+            mutate(child, self.cfg.mutation_rate, rng, self.cfg.limits)
+            for child, rng in zip(children, mutating)
         ]
 
     def half_step(self, generation: int, role: str):
@@ -233,13 +232,16 @@ class _AlternatingRun:
             INCUMBENT: _oriented(role, own.strategies, opponent.strategies),
         }
         mine = 0 if role == ATTACKER else 1
+        prefixes = {
+            kind: streams.Key(self.seed, word, generation, role)
+            for kind, word in _STREAM_OF_KIND.items()
+        }
         outcomes: dict[str, dict[int, list[EngagementOutcome]]] = {CANDIDATE: {}, INCUMBENT: {}}
         for kind, k, a, d in jobs:
             attacks, defenses = strategies[kind]
             if attacks[a] is None or defenses[d] is None:
                 continue
-            key = streams.Key(self.seed, _STREAM_OF_KIND[kind], generation, role, k)
-            outcome = self.environment.engage(attacks[a], defenses[d], key)
+            outcome = self.environment.engage(attacks[a], defenses[d], prefixes[kind].child(k))
             cohort.engagements.append(Engagement(kind, k, a, d, outcome))
             outcomes[kind].setdefault((a, d)[mine], []).append(outcome)
 

@@ -17,13 +17,28 @@ An environment that wants n sub-streams, the children of
 last, so the shared words are hashed once and the rest runs as numpy arrays
 across all n. The contagion simulator seeds its trials this way.
 
+The prefix-child rule: when a key has at least four words, SeedSequence's
+pool size, child i of its SeedSequence is exactly the stream of
+``Key(*parts, i)``, for ``0 <= i < 2**32``: both hash the key's words and
+then i. A child of a shorter key pads the words with zeros up to four before
+i, where ``Key(*parts, i)`` puts i right after them, so there the two
+differ. ``siblings`` builds the streams of ``Key(seed, *prefix, i)`` for i
+below n from one ``sibling_states`` call and refuses a prefix of fewer than
+four words; ``Key.child(i)`` names such a stream by appending one word.
+
 The engine draws from a ``Stream``: numpy's ``Generator`` algorithms for
 ``random``, ``integers`` and ``permutation``, re-done in plain Python over the
 raw 64-bit words of ``PCG64``, which skips numpy's per-call overhead on scalar
-draws. numpy's stream-compatibility policy (NEP 19) promises the bit
+draws. A stream is only its PCG64 ``(state, inc)``: it takes its words a
+block at a time from one shared ``PCG64``, set to the stream's state, and
+then moves its own state past the block by a precomputed LCG jump. Setting
+that state is the module's one write to a bit generator, and ``fill_random``
+uses it too. numpy's stream-compatibility policy (NEP 19) promises the bit
 generators' raw streams, not ``Generator``'s distribution algorithms, so
 ``tests/test_rng.py::TestStreamMatchesGenerator`` checks every draw against
 the installed numpy's ``Generator``; it fails if a numpy release changes them.
+The shared bit generator makes streams unsafe to draw from in two threads at
+once; separate processes are fine.
 """
 
 from __future__ import annotations
@@ -51,6 +66,29 @@ _MIX_MULT_R = 0x4973F715
 _MIX_MULT_R_COLUMN = np.array([[_MIX_MULT_R]], dtype=np.uint32)
 _OUTPUT_ROWS = [k % _POOL_SIZE for k in range(2 * _POOL_SIZE)]
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# _BLOCK PCG64 steps as one: state -> state * _JUMP_MULT + inc * _JUMP_INC
+_JUMP_MULT = pow(_PCG64_MULT, _BLOCK, 2**128)
+_JUMP_INC = sum(pow(_PCG64_MULT, j, 2**128) for j in range(_BLOCK)) & _MASK_128
+
+# The one bit generator every Stream and fill_random draws from; _seat sets its state.
+_BITS = np.random.PCG64(0)
+_RANDOM = np.random.Generator(_BITS).random
+
+
+def _seat(state: int, inc: int) -> None:
+    _BITS.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _pcg64_seeded(initstate: int, initseq: int) -> tuple[int, int]:
+    """PCG64's seeding: inc = 2 * initseq + 1, then two LCG steps from state 0
+    with initstate added after the first."""
+    inc = initseq << 1 & _MASK_128 | 1
+    return (inc + initstate) * _PCG64_MULT + inc & _MASK_128, inc
 
 
 @functools.lru_cache(maxsize=256)
@@ -130,6 +168,16 @@ class Key:
     def __repr__(self):
         return f"Key(words={self.words})"
 
+    def child(self, i: int) -> Key:
+        """``Key(*parts, i)``, by appending one word; i must be an int in [0, 2**32)."""
+        if type(i) is not int:
+            raise TypeError(f"a child index must be an int, not {type(i).__name__}")
+        if not 0 <= i <= _WORD_MASK:
+            raise ValueError(f"child index {i} is not in [0, 2**32)")
+        key = object.__new__(Key)
+        object.__setattr__(key, "words", (*self.words, i))
+        return key
+
     def seed_sequence(self) -> np.random.SeedSequence:
         """A fresh, unspawned SeedSequence for this stream."""
         return np.random.SeedSequence(np.array(self.words, dtype=np.uint32))
@@ -172,35 +220,39 @@ class Key:
         # generate_state(4, uint64): eight words, cycling through the pool
         out = (mixed[_OUTPUT_ROWS] ^ _OUTPUT_CONSTS[:-1]) * _OUTPUT_CONSTS[1:]
         out ^= out >> 16
-        # PCG64 seeding: inc = 2 * initseq + 1, then two LCG steps from state
-        # 0 with initstate added after the first
-        states = []
-        for w in out.T.tolist():
-            seed = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-            inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _MASK_128 | 1
-            states.append(((inc + seed) * _PCG64_MULT + inc & _MASK_128, inc))
-        return states
+        # each child's four uint64 words, as its (initstate, initseq) pair
+        return [
+            _pcg64_seeded(
+                w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2],
+                w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6],
+            )
+            for w in out.T.tolist()
+        ]
 
 
 class Stream:
-    """The draws of ``np.random.Generator(np.random.PCG64(key.seed_sequence()))``.
+    """The draws of ``np.random.Generator`` over a PCG64 at ``(state, inc)``.
 
     Each method returns what the same call on that Generator returns, call
     for call. A 32-bit draw takes the low half of a raw word and keeps the
     high half for the next one, as PCG64's ``next_uint32`` does; 64-bit
-    draws leave a kept half in place.
+    draws leave a kept half in place. Raw words come _BLOCK at a time from
+    the shared bit generator, on the first draw and whenever they run out.
     """
 
-    __slots__ = ("_bits", "_words", "_half")
+    __slots__ = ("_state", "_inc", "_words", "_half")
 
-    def __init__(self, key: Key):
-        self._bits = np.random.PCG64(key.seed_sequence())
+    def __init__(self, state: int, inc: int):
+        self._state = state
+        self._inc = inc
         self._words: list[int] = []
         self._half: int | None = None
 
     def _word(self) -> int:
         if not self._words:
-            self._words = self._bits.random_raw(_BLOCK).tolist()[::-1]
+            _seat(self._state, self._inc)
+            self._words = _BITS.random_raw(_BLOCK).tolist()[::-1]
+            self._state = (self._state * _JUMP_MULT + self._inc * _JUMP_INC) & _MASK_128
         return self._words.pop()
 
     def _uint32(self) -> int:
@@ -252,4 +304,27 @@ class Stream:
 
 
 def generator(master_seed: int, *key) -> Stream:
-    return Stream(Key(master_seed, *key))
+    """The stream of ``Key(master_seed, *key)``: the Generator over
+    ``np.random.PCG64(Key(master_seed, *key).seed_sequence())``."""
+    seeded = Key(master_seed, *key).seed_sequence().generate_state(4, np.uint64).tolist()
+    high0, low0, high1, low1 = seeded
+    return Stream(*_pcg64_seeded(high0 << 64 | low0, high1 << 64 | low1))
+
+
+def siblings(master_seed: int, *prefix, n: int) -> list[Stream]:
+    """The streams of ``Key(master_seed, *prefix, i)`` for i in range(n), seeded
+    as one block by the prefix-child rule; the prefix needs four words or more."""
+    key = Key(master_seed, *prefix)
+    if len(key.words) < _POOL_SIZE:
+        raise ValueError(
+            f"a sibling prefix needs at least {_POOL_SIZE} words, not {len(key.words)}"
+        )
+    return [Stream(state, inc) for state, inc in key.sibling_states(n)]
+
+
+def fill_random(block: np.ndarray, states) -> None:
+    """Fill row i of a float64 block with ``Generator.random``'s draws from a
+    PCG64 at ``states[i]``, an ``(state, inc)`` pair."""
+    for row, (state, inc) in zip(block, states):
+        _seat(state, inc)
+        _RANDOM(out=row)

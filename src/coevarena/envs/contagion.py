@@ -33,7 +33,7 @@ import numpy as np
 from ..engagement import EngagementOutcome, ScenarioError, check_amounts, check_links, clamp
 from ..engagement import dash_pairs, read_clauses, read_scenario
 from ..engine.fitness import population_variance
-from ..engine.rng import Key
+from ..engine.rng import Key, fill_random
 from ..grammar import Strategy
 
 _ENCLAVE_TOKEN = re.compile(r"^e(\d+)$")
@@ -230,9 +230,9 @@ def simulate_trials(
     """Run mc.trials independent trials; trial i draws from child i of
     ``key.seed_sequence().spawn(mc.trials)``.
 
-    The trials' draws are one ``(trials, total_draws)`` block: row i is set
-    to child i's PCG64 state by ``key.sibling_states`` and filled by one
-    ``Generator.random`` call. Before the tick loop, the block gives each
+    The trials' draws are one ``(trials, total_draws)`` block: row i is
+    filled by ``rng.fill_random`` from child i's PCG64 state, which
+    ``key.sibling_states`` gives. Before the tick loop, the block gives each
     trial and tick one event int: a bit per slot whose spread draw hits, per
     directed link whose cross draw hits and per tap whose draw is below its
     sensitivity. Each tap's draw also gives the fewest infected slots that
@@ -286,16 +286,7 @@ def simulate_trials(
         offset = spread + 2 * taps_from + n
 
     block = np.empty((trials, offset))
-    bits = np.random.PCG64(0)  # every row sets its own state
-    fill = np.random.Generator(bits).random
-    for row, (state, inc) in zip(block, key.sibling_states(trials)):
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        fill(out=row)
+    fill_random(block, key.sibling_states(trials))
 
     columns = [*range(0, 2 * taps_from, 2), *(2 * taps_from + e for e in tapped)]
     limits = [network.spread_rate] * slots + [network.cross_rate] * len(directed)

@@ -119,15 +119,23 @@ class ResultsStore:
     def entries(self) -> list[dict]:
         if not self.index_path.exists():
             return []
+        entries = []
         lines = self.index_path.read_text(encoding="utf-8").splitlines()
-        try:
-            return [json.loads(line) for line in lines if line.strip()]
-        except json.JSONDecodeError as exc:
-            # exc.doc is the line that failed; the lines before it all parsed.
-            number = lines.index(exc.doc) + 1
-            raise CorruptRecord(
-                f"{self.index_path} line {number} does not parse: {exc.msg} at column {exc.colno}"
-            ) from exc
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            where = f"{self.index_path} line {number}"
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError as exc:
+                message = f"{where} does not parse: {exc.msg} at column {exc.colno}"
+                raise CorruptRecord(message) from exc
+            if not isinstance(entry, dict) or any(
+                type(entry.get(name)) is not str for name in ("dir", "run_id")
+            ):
+                raise CorruptRecord(f"{where} is not an index entry with string dir and run_id")
+            entries.append(entry)
+        return entries
 
     def _unique_dir_name(self, run_id: str) -> str:
         """run_id, or else run_id__2, __3, ...: the first name taken by neither a

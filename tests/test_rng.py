@@ -83,6 +83,28 @@ def numpy_generator(key: Key) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(key.seed_sequence()))
 
 
+def stream(key: Key) -> Stream:
+    return streams.generator(*key.words)
+
+
+# (master seed, prefix parts) of four words or more, the sibling rule's
+# condition, with master seeds and generations of 2**32 and more among them
+SIBLING_PREFIXES = st.tuples(
+    st.one_of(WORDS, st.integers(2**32, 2**96 - 1)),
+    st.lists(
+        st.one_of(WORDS, st.integers(2**32, 2**64), st.text(max_size=8)), min_size=3, max_size=5
+    ),
+)
+
+
+@st.composite
+def sibling_picks(draw, max_n=64):
+    """A sibling prefix, a block size n and one index i below n."""
+    seed, prefix = draw(SIBLING_PREFIXES)
+    n = draw(st.integers(1, max_n))
+    return seed, prefix, n, draw(st.integers(0, n - 1))
+
+
 @st.composite
 def calls(draw):
     name = draw(st.sampled_from(["random", "integers", "permutation"]))
@@ -113,18 +135,18 @@ class TestStreamMatchesGenerator:
     @example(key=Key(0), sequence=[("integers", 0, 10), ("random",), ("integers", 0, 10), ("permutation", 9)])
     @example(key=Key(1), sequence=[("integers", 0, 2**31 + 1)] * 40 + [("integers", 0, 2**63)] * 20)
     def test_call_for_call(self, key, sequence):
-        stream, oracle = Stream(key), numpy_generator(key)
+        built, oracle = stream(key), numpy_generator(key)
         for name, *args in sequence:
             expected = getattr(oracle, name)(*args)
             if name == "permutation":
                 expected = expected.tolist()
-            assert getattr(stream, name)(*args) == expected, (name, args)
+            assert getattr(built, name)(*args) == expected, (name, args)
 
     def test_empty_span_raises_as_numpy_does(self):
         with pytest.raises(ValueError):
             numpy_generator(Key(0)).integers(3, 3)
         with pytest.raises(ValueError):
-            Stream(Key(0)).integers(3, 3)
+            stream(Key(0)).integers(3, 3)
 
 
 class TestEngineDrawsMatchGenerator:
@@ -143,21 +165,45 @@ class TestEngineDrawsMatchGenerator:
     def test_select(self, key, fitnesses, scheme):
         members = [Genotype((i,)) for i in range(len(fitnesses))]
         expected = oracle_select(members, fitnesses, scheme, numpy_generator(key))
-        assert select(members, fitnesses, scheme, Stream(key)) == expected
+        assert select(members, fitnesses, scheme, stream(key)) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(key=KEYS, drawn=genotypes_and_limits(), rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
     def test_mutate(self, key, drawn, rate):
         (genotype,), limits = drawn
         expected = mutate(genotype, rate, numpy_generator(key), limits)
-        assert mutate(genotype, rate, Stream(key), limits) == expected
+        assert mutate(genotype, rate, stream(key), limits) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(key=KEYS, drawn=genotypes_and_limits(count=2), rate=st.sampled_from([0.0, 0.8, 1.0]))
     def test_crossover(self, key, drawn, rate):
         (a, b), limits = drawn
         expected = crossover(a, b, rate, numpy_generator(key), limits)
-        assert crossover(a, b, rate, Stream(key), limits) == expected
+        assert crossover(a, b, rate, stream(key), limits) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pick=sibling_picks(),
+        drawn=genotypes_and_limits(),
+        rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    )
+    def test_mutate_from_sibling_stream(self, pick, drawn, rate):
+        seed, prefix, n, i = pick
+        (genotype,), limits = drawn
+        expected = mutate(genotype, rate, numpy_generator(Key(seed, *prefix, i)), limits)
+        assert mutate(genotype, rate, streams.siblings(seed, *prefix, n=n)[i], limits) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pick=sibling_picks(),
+        drawn=genotypes_and_limits(count=2),
+        rate=st.sampled_from([0.0, 0.8, 1.0]),
+    )
+    def test_crossover_from_sibling_stream(self, pick, drawn, rate):
+        seed, prefix, n, i = pick
+        (a, b), limits = drawn
+        expected = crossover(a, b, rate, numpy_generator(Key(seed, *prefix, i)), limits)
+        assert crossover(a, b, rate, streams.siblings(seed, *prefix, n=n)[i], limits) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -168,7 +214,7 @@ class TestEngineDrawsMatchGenerator:
     )
     def test_pair(self, key, structure, n_att, n_def):
         expected = pair(structure, n_att, n_def, numpy_generator(key))
-        assert pair(structure, n_att, n_def, Stream(key)) == expected
+        assert pair(structure, n_att, n_def, stream(key)) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(key=KEYS, drawn=genotypes_and_limits())
@@ -176,7 +222,69 @@ class TestEngineDrawsMatchGenerator:
         _, limits = drawn
         args = (limits.min_length, limits.max_length, limits.codon_max)
         expected = oracle_random_genotype(numpy_generator(key), *args)
-        assert random_genotype(Stream(key), *args) == expected
+        assert random_genotype(stream(key), *args) == expected
+
+
+class TestSiblingStreams:
+    """siblings(seed, *prefix, n=n)[i] is the stream of Key(seed, *prefix, i)
+    when the prefix has four words or more: the prefix-child rule."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(prefix=SIBLING_PREFIXES, n=st.integers(0, 64), sequence=st.lists(calls(), max_size=20))
+    @example(prefix=(2**32 + 5, ["mutate", 2**32 + 1, "attacker"]), n=64, sequence=[])
+    @example(prefix=(0, ["cross", 1, "defender"]), n=1, sequence=[("permutation", 9)])
+    def test_draws_are_the_childs_key_stream(self, prefix, n, sequence):
+        seed, parts = prefix
+        built = streams.siblings(seed, *parts, n=n)
+        assert len(built) == n
+        for i, sibling in enumerate(built):
+            oracle = numpy_generator(Key(seed, *parts, i))
+            for name, *args in sequence:
+                expected = getattr(oracle, name)(*args)
+                if name == "permutation":
+                    expected = expected.tolist()
+                assert getattr(sibling, name)(*args) == expected, (i, name, args)
+            # more than three blocks of raw words, so the state jumps between blocks
+            tail = [sibling.random() for _ in range(4 * 32 + 1)]
+            assert tail == oracle.random(4 * 32 + 1).tolist(), i
+
+    def test_short_prefix_is_refused(self):
+        with pytest.raises(ValueError, match="at least 4 words"):
+            streams.siblings(7, "mutate", 1, n=3)
+        # words, not parts, count: a 64-bit master seed is two
+        assert len(streams.siblings(2**32, "mutate", 1, n=3)) == 3
+
+    def test_short_prefix_childs_differ_from_the_index_key(self):
+        """Why: a child's entropy pads the prefix to four words before its
+        index, so child i of a three-word key is not Key(*prefix, i)."""
+        prefix = Key(7, "mutate", 1)
+        for i, child in enumerate(prefix.seed_sequence().spawn(3)):
+            assert not np.array_equal(draws(child), draws(Key(7, "mutate", 1, i).seed_sequence()))
+        four = Key(7, "mutate", 1, "attacker")
+        for i, child in enumerate(four.seed_sequence().spawn(3)):
+            assert np.array_equal(draws(child), draws(four.child(i).seed_sequence()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=KEYS, i=st.integers(0, 2**32 - 1))
+    @example(key=Key(0), i=0)
+    @example(key=Key(2**64, "engage", 3, "defender"), i=2**32 - 1)
+    def test_child_appends_one_word(self, key, i):
+        assert key.child(i).words == Key(*key.words, i).words == (*key.words, i)
+
+    @pytest.mark.parametrize(
+        "i, error",
+        [(-1, ValueError), (2**32, ValueError), (True, TypeError), (1.0, TypeError), ("1", TypeError)],
+    )
+    def test_child_refuses_what_is_not_one_word(self, i, error):
+        with pytest.raises(error):
+            Key(3, "engage", 1, "attacker").child(i)
+
+    def test_fill_random_rows_are_the_childrens_draws(self):
+        key = Key(5, "cell", 0, 1)
+        block = np.empty((30, 70))
+        streams.fill_random(block, key.sibling_states(30))
+        for row, child in zip(block, key.seed_sequence().spawn(30), strict=True):
+            assert row.tolist() == np.random.default_rng(child).random(70).tolist()
 
 
 class TestKeyValidation:
@@ -224,14 +332,20 @@ def logged(record):
 STREAM_OF_KIND = {"candidate": "engage", "incumbent": "elite"}
 
 
+def oracle_stream(seed, *parts):
+    return np.random.default_rng(oracle_seed_sequence(seed, *parts))
+
+
 @pytest.fixture
 def only_engagement_keys(monkeypatch):
-    """Builds the loop's variation and pairing streams from the oracle, so that
-    only engagement streams pass through Key.seed_sequence."""
+    """Builds the loop's init, selection, variation and pairing streams, single
+    and sibling, from the oracle, so that only engagement streams pass through
+    Key.seed_sequence and Key.sibling_states."""
+    monkeypatch.setattr(streams, "generator", oracle_stream)
     monkeypatch.setattr(
         streams,
-        "generator",
-        lambda seed, *parts: np.random.default_rng(oracle_seed_sequence(seed, *parts)),
+        "siblings",
+        lambda seed, *prefix, n: [oracle_stream(seed, *prefix, i) for i in range(n)],
     )
 
 

@@ -419,6 +419,18 @@ class TestCmdEstablo:
         err = assert_one_error_line(capsys)
         assert "CorruptRecord" in err and "index.jsonl line 3" in err
 
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
+    @pytest.mark.parametrize("line", ['{"run_id": "x"}', "[1]", "3", '{"dir": 3, "run_id": "x"}'])
+    def test_index_line_that_is_not_an_entry_is_one_error_line(
+        self, populated_store, tmp_path, capsys, command, line
+    ):
+        with (populated_store / "index.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        args = ["--out", tmp_path / "out"] if command == "establo" else ["x"]
+        assert run_cli(command, "--store", populated_store, *args) == 1
+        err = assert_one_error_line(capsys)
+        assert "CorruptRecord" in err and "index.jsonl line 3 is not an index entry" in err
+
     def test_empty_store_fails(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert run_cli("establo", "--store", tmp_path / "empty", "--out", tmp_path / "out") == 1
