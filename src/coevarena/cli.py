@@ -9,6 +9,7 @@ file's [experiment] store entry.
 from __future__ import annotations
 
 import argparse
+import configparser
 import hashlib
 import json
 import os
@@ -110,8 +111,12 @@ def _section(parser: ConfigParser, section: str, schema: type, **fixed):
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     parser = ConfigParser()
-    if not parser.read(path, encoding="utf-8"):
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file not found: {path}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's own messages span lines; the first one names the fault
+        raise ConfigError(f"config file {path} does not parse: {str(exc).splitlines()[0]}") from exc
     evolution = _section(
         parser,
         "evolution",
@@ -258,7 +263,7 @@ def cmd_inspect(args) -> int:
     print(f"environment {manifest['environment']}")
     print(f"seed        {manifest['seed']}")
     print(f"algorithm   {manifest['algorithm_label']}")
-    print(f"generations {completed} of {manifest['config']['generations']} completed")
+    print(f"generations {completed} of {run.config.generations} completed")
     for role in ("attacker", "defender"):
         steps = [s for s in run.half_steps if s["phase"] == role]
         if not steps:

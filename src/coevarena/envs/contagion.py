@@ -235,9 +235,8 @@ def simulate_trials(
     ``key.sibling_states`` gives. Before the tick loop, the block gives each
     trial and tick one event int: a bit per slot whose spread draw hits, per
     directed link whose cross draw hits and per tap whose draw is below its
-    sensitivity. Each tap's draw also gives the fewest infected slots that
-    trip it: the thresholds ``s * (c / size)`` never fall as c grows, so the
-    loop's ``u < s * (c / size)`` holds exactly when c reaches that count.
+    sensitivity, so the loop tests the tap rule ``u < s * (c / size)`` with c
+    infected slots only for those taps.
 
     The loop holds the infected slots of the whole network in one int,
     enclave e from bit ``sum(sizes[:e])``, and each enclave's susceptible
@@ -268,7 +267,6 @@ def simulate_trials(
     cross_links = [(enclave_masks[src], dst) for src, dst in directed]
     sensitivity = defense.tap_sensitivity
     tapped = [e for e in range(n) if sensitivity[e] > 0]  # a zero tap never trips
-    tap_masks = [enclave_masks[e] for e in tapped]
     # an event int holds the spread hits in bits [0, slots), the cross hits
     # in [slots, taps_from) and the taps that could trip from taps_from on
     cross_mask = (1 << len(directed)) - 1
@@ -281,7 +279,7 @@ def simulate_trials(
     offset = 0
     for t, attacks in enumerate(_attack_windows(attack, horizon)):
         spread = offset + 2 * len(attacks)
-        schedule.append((t, attacks, offset, spread + 1, spread + 2 * slots + 1, t * len(tapped)))
+        schedule.append((t, attacks, offset, spread + 1, spread + 2 * slots + 1, spread + 2 * taps_from))
         spread_at.append(spread)
         offset = spread + 2 * taps_from + n
 
@@ -293,11 +291,6 @@ def simulate_trials(
     limits += [sensitivity[e] for e in tapped]
     drawn = block[:, np.array(spread_at)[:, None] + np.array(columns, dtype=np.int64)]
     events = _bitmasks((drawn < np.array(limits)).reshape(trials * horizon, len(columns)))
-    fewest = np.empty((trials, horizon, len(tapped)), dtype=np.int64)
-    for j, e in enumerate(tapped):
-        thresholds = sensitivity[e] * (np.arange(sizes[e] + 1) / sizes[e])
-        fewest[..., j] = np.searchsorted(thresholds, drawn[..., taps_from + j], side="right")
-    need = fewest.reshape(trials, -1).tolist()
 
     rest = 1 + network.cleanse_duration
     per_infected_tick = mc.delay_per_infected_tick
@@ -306,7 +299,6 @@ def simulate_trials(
     results: list[TrialResult] = []
     for trial, row in enumerate(block):
         draws = row.data
-        trial_need = need[trial]
         infected = 0
         full = 0  # the slots of every enclave with no susceptible slot left
         susceptible = [list(range(size)) for size in sizes]
@@ -316,7 +308,7 @@ def simulate_trials(
         first_infected = None
         first_cleanse = None
         ticks = zip(schedule, events[trial * horizon : (trial + 1) * horizon])
-        for (t, attacks, at, spread_pick, cross_pick, need_at), event in ticks:
+        for (t, attacks, at, spread_pick, cross_pick, tap_at), event in ticks:
             if not attacks and not infected:
                 continue
             while offline and offline[0][0] <= t:
@@ -368,9 +360,9 @@ def simulate_trials(
             while tapping:
                 low = tapping & -tapping
                 tapping ^= low
-                j = low.bit_length() - 1
-                if (infected & tap_masks[j]).bit_count() >= trial_need[need_at + j]:
-                    e = tapped[j]
+                e = tapped[low.bit_length() - 1]
+                count = (infected & enclave_masks[e]).bit_count()
+                if draws[tap_at + e] < sensitivity[e] * (count / sizes[e]):
                     infected &= ~enclave_masks[e]
                     full &= ~enclave_masks[e]
                     susceptible[e] = []

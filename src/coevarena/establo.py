@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .engagement import EngagementEnvironment
-from .engine.config import EvolutionConfig
 from .engine.fitness import pareto_front
 from .engine.rng import Key
 from .grammar import Genotype, Grammar, MappingFailure, Strategy, load_grammar, map_genotype
@@ -109,7 +108,7 @@ def build_compendium(
     seen: dict[tuple[str, tuple[str, ...]], bool] = {}
     for run in runs:
         manifest = run.manifest
-        config = EvolutionConfig.from_dict(manifest["config"])
+        config = run.config
         grammars: dict[str, Grammar] = {}
         for role, key in (("attacker", "attack_grammar"), ("defender", "defense_grammar")):
             grammars[role] = load_grammar(run.input_path(key))

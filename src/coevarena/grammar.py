@@ -1,18 +1,27 @@
 """BNF grammars and the integer-vector rewriting that turns genotypes into sentences.
 
-Grammar files are UTF-8 text with one rule per logical line::
+Grammar files are UTF-8 text, one rule per line::
 
     # comment to end of line
     <attack>  ::= noop | <actions>
     <actions> ::= <action> | <action> <actions>
 
-The left-hand side is a ``<name>`` nonterminal, ``::=`` separates it from the
-alternatives, and ``|`` separates alternatives. Symbols are whitespace
-separated: ``<name>`` references a nonterminal, anything else is a terminal
-token. Terminals may be quoted (``'...'`` or ``"..."``) to include whitespace,
-``|``, ``#`` or angle brackets. A line whose last symbol is ``|`` continues on
-the next line. The first rule's left-hand side is the start symbol and rule /
-alternative order is exactly file order, so alternative indices are stable.
+Each physical line is read once, under these lexical rules:
+
+- ``'...'`` or ``"..."`` is a quoted terminal: not empty, ended on the line
+  it starts, and free to hold whitespace, ``|``, ``#``, ``::=`` or ``<>``.
+- ``#`` outside a quoted terminal starts a comment to the end of the line.
+- ``|`` separates alternatives. A rule whose comment-free text, stripped, ends
+  in ``|`` continues on the next line that is not blank or comment-only.
+- Any other run of characters up to whitespace, ``|``, a quote or ``#`` is a
+  bare symbol: ``<name>`` references a nonterminal; without ``<`` or ``>`` it
+  is a terminal.
+
+A rule splits at the first ``::=`` of its first line's comment-free text: a
+``<name>`` before it, the alternatives after it. A later ``::=`` is a
+terminal. Errors carry the number of the line where their rule starts. The
+first rule's left-hand side is the start symbol and rule / alternative order
+is exactly file order, so alternative indices are stable.
 
 Rewriting is the usual leftmost derivation driven by integer codons: at a
 nonterminal with k alternatives the next codon modulo k picks the alternative.
@@ -22,6 +31,7 @@ bounded number of times.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -154,77 +164,34 @@ class Grammar:
     terminals: frozenset[str]
 
 
-def _strip_comment(line: str) -> str:
-    """Drop everything from an unquoted # to the end of the line."""
-    out = []
-    quote = None
-    for ch in line:
-        if quote is not None:
-            out.append(ch)
-            if ch == quote:
-                quote = None
-        elif ch in "'\"":
-            quote = ch
-            out.append(ch)
-        elif ch == "#":
-            break
-        else:
-            out.append(ch)
-    return "".join(out)
+# A comment, "|", quoted terminal (closing quote possibly missing) or bare symbol
+_TOKEN = re.compile(r"""\s*(#.*|\||'[^']*'?|"[^"]*"?|[^\s|'"#]+)""")
 
 
-def _logical_lines(text: str):
-    """Yield (line_number, text) pairs after comment stripping and | continuation."""
-    pending: list[str] = []
-    pending_line = 0
+def _rules(text: str):
+    """Yield (line, head, tokens) per rule, in file order: the number of its
+    first line, the stripped text before that line's first ``::=`` (None
+    without one) and every token after it, "|" included, up to the rule's last line."""
+    rule = None
+    continued = False
     for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = _strip_comment(raw).strip()
-        if not stripped and not pending:
+        tokens = [match for match in _TOKEN.finditer(raw) if match[1][0] != "#"]
+        if not tokens:
             continue
-        if not pending:
-            pending_line = number
-        pending.append(stripped)
-        joined = " ".join(pending).strip()
-        if joined.endswith("|"):
-            continue
-        if joined:
-            yield pending_line, joined
-        pending = []
-    if pending and " ".join(pending).strip():
-        raise GrammarSyntaxError(pending_line, "rule ends with a dangling '|'")
-
-
-def _split_alternatives(rhs: str, line: int) -> list[list[Symbol]]:
-    alternatives: list[list[Symbol]] = [[]]
-    i = 0
-    while i < len(rhs):
-        ch = rhs[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "|":
-            alternatives.append([])
-            i += 1
-        elif ch in "'\"":
-            end = rhs.find(ch, i + 1)
-            if end < 0:
-                raise GrammarSyntaxError(line, "unterminated quoted terminal")
-            if end == i + 1:
-                raise GrammarSyntaxError(line, "empty quoted terminal")
-            alternatives[-1].append(Symbol(rhs[i + 1 : end], False))
-            i = end + 1
-        else:
-            j = i
-            while j < len(rhs) and not rhs[j].isspace() and rhs[j] not in "|'\"":
-                j += 1
-            token = rhs[i:j]
-            if token.startswith("<") and token.endswith(">") and len(token) > 2:
-                alternatives[-1].append(Symbol(token[1:-1], True))
-            elif "<" in token or ">" in token:
-                raise GrammarSyntaxError(line, f"malformed nonterminal reference {token!r}")
-            else:
-                alternatives[-1].append(Symbol(token, False))
-            i = j
-    return alternatives
+        rest = 0
+        if not continued:
+            if rule is not None:
+                yield rule
+            head, split, _ = raw[: tokens[-1].end()].partition("::=")
+            rest = len(head) + 3
+            rule = (number, head.strip() if split else None, [])
+        # a bare token that holds the "::=" keeps the part after it
+        rule[2].extend(match[1][max(rest - match.start(1), 0) :] for match in tokens if match.end() > rest)
+        continued = tokens[-1][1] == "|"
+    if continued:
+        raise GrammarSyntaxError(rule[0], "rule ends with a dangling '|'")
+    if rule is not None:
+        yield rule
 
 
 def parse_bnf(text: str) -> Grammar:
@@ -235,12 +202,9 @@ def parse_bnf(text: str) -> Grammar:
     """
     productions: dict[str, tuple[tuple[Symbol, ...], ...]] = {}
     rule_lines: dict[str, int] = {}
-    start = None
-    for line, content in _logical_lines(text):
-        head, sep, rhs = content.partition("::=")
-        if not sep:
+    for line, head, tokens in _rules(text):
+        if head is None:
             raise GrammarSyntaxError(line, "expected '<name> ::= alternatives'")
-        head = head.strip()
         if not (head.startswith("<") and head.endswith(">") and len(head) > 2):
             raise GrammarSyntaxError(line, f"left-hand side {head!r} is not a <nonterminal>")
         name = head[1:-1]
@@ -248,15 +212,27 @@ def parse_bnf(text: str) -> Grammar:
             raise GrammarSyntaxError(line, f"invalid nonterminal name {name!r}")
         if name in productions:
             raise DuplicateRuleError(name, line)
-        alternatives = _split_alternatives(rhs, line)
-        for alt in alternatives:
-            if not alt:
-                raise GrammarSyntaxError(line, "empty alternative (epsilon rules are not supported)")
+        alternatives: list[list[Symbol]] = [[]]
+        for token in tokens:
+            if token == "|":
+                alternatives.append([])
+            elif token[0] in "'\"":
+                if len(token) == 1 or token[-1] != token[0]:
+                    raise GrammarSyntaxError(line, "unterminated quoted terminal")
+                if len(token) == 2:
+                    raise GrammarSyntaxError(line, "empty quoted terminal")
+                alternatives[-1].append(Symbol(token[1:-1], False))
+            elif token.startswith("<") and token.endswith(">") and len(token) > 2:
+                alternatives[-1].append(Symbol(token[1:-1], True))
+            elif "<" in token or ">" in token:
+                raise GrammarSyntaxError(line, f"malformed nonterminal reference {token!r}")
+            else:
+                alternatives[-1].append(Symbol(token, False))
+        if not all(alternatives):
+            raise GrammarSyntaxError(line, "empty alternative (epsilon rules are not supported)")
         productions[name] = tuple(tuple(alt) for alt in alternatives)
         rule_lines[name] = line
-        if start is None:
-            start = name
-    if start is None:
+    if not productions:
         raise GrammarSyntaxError(1, "grammar has no rules")
     terminals = set()
     for name, alternatives in productions.items():
@@ -268,7 +244,7 @@ def parse_bnf(text: str) -> Grammar:
                 else:
                     terminals.add(sym.text)
     return Grammar(
-        start=start,
+        start=next(iter(productions)),
         productions=productions,
         nonterminals=frozenset(productions),
         terminals=frozenset(terminals),
@@ -276,7 +252,11 @@ def parse_bnf(text: str) -> Grammar:
 
 
 def load_grammar(path: str | Path) -> Grammar:
-    return parse_bnf(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GrammarError(f"grammar file {path} is not UTF-8 text: {exc}") from exc
+    return parse_bnf(text)
 
 
 def map_genotype(genotype: Genotype, grammar: Grammar, cfg: MappingConfig = MappingConfig()) -> Strategy:
@@ -286,23 +266,7 @@ def map_genotype(genotype: Genotype, grammar: Grammar, cfg: MappingConfig = Mapp
     MappingFailure when the wrap or expansion budget runs out.
     """
     codons = genotype.codons
-    cursor = 0
-    wraps = 0
-    used = 0
-    steps = 0
-
-    def next_codon() -> int:
-        nonlocal cursor, wraps, used
-        if cursor >= len(codons):
-            if wraps >= cfg.max_wraps:
-                raise MappingFailure("codon supply exhausted")
-            wraps += 1
-            cursor = 0
-        value = codons[cursor]
-        cursor += 1
-        used += 1
-        return value
-
+    cursor = wraps = steps = 0
     sentence: list[str] = []
     stack: list[Symbol] = [Symbol(grammar.start, True)]
     while stack:
@@ -317,13 +281,15 @@ def map_genotype(genotype: Genotype, grammar: Grammar, cfg: MappingConfig = Mapp
         if len(alternatives) == 1 and cfg.codon_policy == CONSUME_ON_CHOICE:
             choice = 0
         else:
-            choice = next_codon() % len(alternatives)
+            if cursor >= len(codons):
+                if wraps >= cfg.max_wraps:
+                    raise MappingFailure("codon supply exhausted")
+                wraps += 1
+                cursor = 0
+            choice = codons[cursor] % len(alternatives)
+            cursor += 1
         stack.extend(reversed(alternatives[choice]))
-    return Strategy(
-        sentence=tuple(sentence),
-        codons_used=used,
-        wraps_used=wraps,
-    )
+    return Strategy(tuple(sentence), codons_used=wraps * len(codons) + cursor, wraps_used=wraps)
 
 
 def random_genotype(rng: Stream, min_length: int, max_length: int, codon_max: int) -> Genotype:

@@ -33,9 +33,11 @@ import hashlib
 import json
 import shutil
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
+from .engine.config import EvolutionConfig
 from .engine.loop import RunRecord
 
 FORMAT_VERSION = 2
@@ -78,11 +80,32 @@ def sha256_file(path: str | Path) -> str:
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+class Manifest(dict):
+    """A run's manifest.json. Reading a key it lacks raises CorruptRecord
+    naming the file and the key, so each reader checks what it reads."""
+
+    def __init__(self, path: Path, data: dict):
+        super().__init__(data)
+        self.path = path
+
+    def __missing__(self, key):
+        raise CorruptRecord(f"{self.path} lacks key {key!r}")
+
+
 @dataclass
 class StoredRun:
     run_dir: Path
-    manifest: dict
+    manifest: Manifest
     half_steps: list[dict]
+
+    @cached_property
+    def config(self) -> EvolutionConfig:
+        """The manifest's config echo, loaded; CorruptRecord if it does not load."""
+        try:
+            return EvolutionConfig.from_dict(self.manifest["config"])
+        except (KeyError, TypeError, ValueError) as exc:
+            message = f"{self.manifest.path} key 'config' does not load: {type(exc).__name__} {exc}"
+            raise CorruptRecord(message) from exc
 
     def input_path(self, key: str) -> Path:
         """The run directory's copy of the input file the manifest records under key.
@@ -253,20 +276,35 @@ class ResultsStore:
         return [self._load_dir(entry["dir"]) for entry in entries]
 
     def _load_dir(self, dir_name: str) -> StoredRun:
+        """Read one run directory. Raises CorruptRecord naming the file, and the
+        line or key, unless the manifest is an object whose input entries hold
+        a sha256 string and each halfsteps.jsonl line is an object."""
         run_dir = self.root / dir_name
+        manifest_path = run_dir / "manifest.json"
+        halfsteps_path = run_dir / "halfsteps.jsonl"
         try:
-            manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
             half_steps = []
-            for line in (run_dir / "halfsteps.jsonl").read_text(encoding="utf-8").splitlines():
+            lines = halfsteps_path.read_text(encoding="utf-8").splitlines()
+            for number, line in enumerate(lines, 1):
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise CorruptRecord(f"{halfsteps_path} line {number} is not an object")
                 if record.get("record") == "halfstep":
                     half_steps.append(record)
         except (OSError, json.JSONDecodeError) as exc:
             raise CorruptRecord(f"run directory {run_dir} is unreadable: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise CorruptRecord(f"{manifest_path} is not an object")
         version = manifest.get("format_version")
         if version != FORMAT_VERSION:
             raise CorruptRecord(
                 f"{run_dir}: stored in format_version {version!r}, but this coevarena reads "
                 f"format_version {FORMAT_VERSION}; re-run its config to store it again"
             )
-        return StoredRun(run_dir=run_dir, manifest=manifest, half_steps=half_steps)
+        for key in STORED_INPUTS:
+            if key in manifest and not (
+                isinstance(manifest[key], dict) and type(manifest[key].get("sha256")) is str
+            ):
+                raise CorruptRecord(f"{manifest_path} key {key!r} holds no sha256 string")
+        return StoredRun(run_dir, Manifest(manifest_path, manifest), half_steps)

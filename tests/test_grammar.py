@@ -75,6 +75,40 @@ class TestParseBnf:
         with pytest.raises(GrammarSyntaxError):
             parse_bnf("<s> ::= <u")
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("<s>::=a|b", {"s": ["a", "b"]}),
+            ("<s> ::= <t>|'x y'\n<t>::=a", {"s": ["<t>", "x y"], "t": ["a"]}),
+            ("<s> ::= '#' \"a#\" a#b | c", {"s": ["# a# a"]}),
+            ("<s> ::= a '|'\n<t> ::= b", {"s": ["a |"], "t": ["b"]}),
+            ("<s> ::= a |\n\n# a note\n   \n  b # c\n<t> ::= d", {"s": ["a", "b"], "t": ["d"]}),
+            ("<s> ::= a ::= b | x::=y", {"s": ["a ::= b", "x::=y"]}),
+            ("<s> ::= a\n<t> ::= 'b", (GrammarSyntaxError, 2)),
+            ("<s> ::= a\n<t> ::= b ''", (GrammarSyntaxError, 2)),
+            ("<s> ::= a\n<t> ::= b |\n\n# c\n", (GrammarSyntaxError, 2)),
+            ("<s> ::= a\n<t> ::= b |\n  c |\n", (GrammarSyntaxError, 2)),
+            ("<s> ::= a | | b\n<t> ::= ''", (GrammarSyntaxError, 1)),
+            ("<s> ::= a\n<s> ::= 'b\n<t> ::= ''", (DuplicateRuleError, 2)),
+            ("<s> ::= <u>\n<t> ::= <v>", (UndefinedNonterminalError, 1)),
+            ("# only a comment\n\n", (GrammarSyntaxError, 1)),
+        ],
+    )
+    def test_lexical_rules(self, text, expected):
+        if isinstance(expected, tuple):
+            error, line = expected
+            with pytest.raises(error) as err:
+                parse_bnf(text)
+            assert type(err.value) is error and err.value.line == line
+            return
+        grammar = parse_bnf(text)
+        shape = {
+            name: [" ".join(f"<{s.text}>" if s.is_nonterminal else s.text for s in alt) for alt in alts]
+            for name, alts in grammar.productions.items()
+        }
+        assert shape == expected
+        assert grammar.start == next(iter(expected))
+
 
 class TestMapping:
     def test_zero_mod_two_picks_first(self):

@@ -321,6 +321,26 @@ class TestLoadExperimentConfig:
         assert "config [experiment]" in assert_one_error_line(capsys)
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("[experiment]\n", "", 1),
+            lambda text: text + "[experiment]\nseed = 5\n",
+            lambda text: text.replace("seed = 4", "seed = 4 # \xe9").encode("latin-1"),
+        ],
+        ids=["no-section-header", "second-experiment", "not-utf8"],
+    )
+    def test_unreadable_config_is_one_error_line_naming_it(self, tmp_path, ddos_scenario_file, capsys, edit):
+        config = bare_config(tmp_path, ddos_scenario_file)
+        edited = edit(config.read_text(encoding="utf-8"))
+        if isinstance(edited, bytes):
+            config.write_bytes(edited)
+        else:
+            config.write_text(edited, encoding="utf-8")
+        assert run_cli("run", "--config", config, "--store", tmp_path / "s") == 1
+        err = assert_one_error_line(capsys)
+        assert "ConfigError" in err and str(config) in err
+
     def test_dict_round_trip_with_every_field_set(self):
         cfg = EvolutionConfig(
             generations=3,
@@ -430,6 +450,42 @@ class TestCmdEstablo:
         assert run_cli(command, "--store", populated_store, *args) == 1
         err = assert_one_error_line(capsys)
         assert "CorruptRecord" in err and "index.jsonl line 3 is not an index entry" in err
+
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda m: {**m, "config": {k: v for k, v in m["config"].items() if k != "max_wraps"}}, "'config'"),
+            (lambda m: {**m, "config": [1]}, "'config'"),
+            (lambda m: [2], "is not an object"),
+            (lambda m: {"format_version": 2}, {"establo": "'environment'", "inspect": "'run_id'"}),
+            (lambda m: {k: v for k, v in m.items() if k != "environment"}, "'environment'"),
+            (lambda m: {**m, "scenario": "x"}, "'scenario'"),
+        ],
+        ids=["no-max-wraps", "config-list", "list", "version-only", "no-environment", "bad-input"],
+    )
+    def test_corrupt_manifest_is_one_error_line(self, populated_store, tmp_path, capsys, command, edit, named):
+        run_dir = populated_store / ResultsStore(populated_store).entries()[0]["dir"]
+        manifest_path = run_dir / "manifest.json"
+        manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+        args = ["--out", tmp_path / "out"] if command == "establo" else [run_dir.name]
+        assert run_cli(command, "--store", populated_store, *args) == 1
+        err = assert_one_error_line(capsys)
+        named = named[command] if isinstance(named, dict) else named
+        assert "CorruptRecord" in err and str(manifest_path) in err and named in err
+
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
+    def test_halfsteps_line_that_is_not_an_object_is_one_error_line(
+        self, populated_store, tmp_path, capsys, command
+    ):
+        run_dir = populated_store / ResultsStore(populated_store).entries()[0]["dir"]
+        with (run_dir / "halfsteps.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write("[1]\n")
+        args = ["--out", tmp_path / "out"] if command == "establo" else [run_dir.name]
+        assert run_cli(command, "--store", populated_store, *args) == 1
+        err = assert_one_error_line(capsys)
+        lines = len((run_dir / "halfsteps.jsonl").read_text().splitlines())
+        assert "CorruptRecord" in err and f"halfsteps.jsonl line {lines} is not an object" in err
 
     def test_empty_store_fails(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -592,6 +648,18 @@ class TestValidateGrammar:
         bad.write_text("<s> ::= <undefined>\n")
         assert run_cli("validate-grammar", bad) == 1
         assert "UndefinedNonterminal" in capsys.readouterr().err
+
+    def test_grammar_that_is_not_utf8_is_one_error_line(self, tmp_path, ddos_scenario_file, capsys):
+        bad = tmp_path / "bad.bnf"
+        bad.write_bytes("<s> ::= caf\xe9\n".encode("latin-1"))
+        assert run_cli("validate-grammar", bad) == 1
+        err = assert_one_error_line(capsys)
+        assert "GrammarError" in err and str(bad) in err
+        config = write_experiment_config(tmp_path, "ddos", ddos_scenario_file)
+        point_inputs_at(config, attack_grammar=bad)
+        assert run_cli("run", "--config", config, "--store", tmp_path / "s") == 1
+        err = assert_one_error_line(capsys)
+        assert "GrammarError" in err and str(bad) in err
 
 
 class TestShippedData:
