@@ -52,7 +52,7 @@ class EngagementEnvironment(Protocol):
     engagement's stream key (an engine ``rng.Key``). An environment that draws
     random numbers builds the engagement's stream with ``key.seed_sequence()``,
     a fresh unspawned numpy SeedSequence, or the PCG64 states of that
-    sequence's first n children with ``key.sibling_states(n)``; a
+    sequence's first n children with ``key.sibling_states(range(n))``; a
     deterministic one ignores the key and so never builds a stream. engage may return one outcome object for
     several engagements, so callers copy costs and telemetry to change them.
     """

@@ -185,20 +185,17 @@ class _AlternatingRun:
         # slot pair s crosses over with stream ("cross", generation, role, s),
         # child i mutates with ("mutate", generation, role, i): one block each
         n = self.cfg.population_size(role)
-        cross = streams.siblings(self.seed, "cross", generation, role, n=n - 1)
+        slots = range(0, n - 1, 2)
+        cross = streams.siblings(self.seed, "cross", generation, role, children=slots)
         children: list[Genotype] = []
-        for slot in range(0, n - 1, 2):
+        for slot, rng in zip(slots, cross):
             first, second = crossover(
-                parents[slot],
-                parents[slot + 1],
-                self.cfg.crossover_rate,
-                cross[slot],
-                self.cfg.limits,
+                parents[slot], parents[slot + 1], self.cfg.crossover_rate, rng, self.cfg.limits
             )
             children.extend((first, second))
         if len(children) < n:
             children.append(parents[n - 1])
-        mutating = streams.siblings(self.seed, "mutate", generation, role, n=n)
+        mutating = streams.siblings(self.seed, "mutate", generation, role, children=range(n))
         return [
             mutate(child, self.cfg.mutation_rate, rng, self.cfg.limits)
             for child, rng in zip(children, mutating)

@@ -13,9 +13,9 @@ A key's words are the 32-bit words numpy would make of the list
 
 An environment that wants n sub-streams, the children of
 ``key.seed_sequence().spawn(n)``, can take their PCG64 states at once from
-``key.sibling_states(n)``: the children share every entropy word but the
-last, so the shared words are hashed once and the rest runs as numpy arrays
-across all n. The contagion simulator seeds its trials this way.
+``key.sibling_states(range(n))``: the children share every entropy word but
+the last, so the shared words are hashed once and the rest runs as numpy
+arrays across all n. The contagion simulator seeds its trials this way.
 
 The prefix-child rule: when a key has at least four words, SeedSequence's
 pool size, child i of its SeedSequence is exactly the stream of
@@ -23,8 +23,8 @@ pool size, child i of its SeedSequence is exactly the stream of
 then i. A child of a shorter key pads the words with zeros up to four before
 i, where ``Key(*parts, i)`` puts i right after them, so there the two
 differ. ``siblings`` builds the streams of ``Key(seed, *prefix, i)`` for i
-below n from one ``sibling_states`` call and refuses a prefix of fewer than
-four words; ``Key.child(i)`` names such a stream by appending one word.
+in a range from one ``sibling_states`` call and refuses a prefix of fewer
+than four words; ``Key.child(i)`` names such a stream by appending one word.
 
 The engine draws from a ``Stream``: numpy's ``Generator`` algorithms for
 ``random``, ``integers`` and ``permutation``, re-done in plain Python over the
@@ -182,16 +182,17 @@ class Key:
         """A fresh, unspawned SeedSequence for this stream."""
         return np.random.SeedSequence(np.array(self.words, dtype=np.uint32))
 
-    def sibling_states(self, n: int) -> list[tuple[int, int]]:
-        """PCG64 ``(state, inc)`` of each child of ``self.seed_sequence().spawn(n)``.
+    def sibling_states(self, children: range) -> list[tuple[int, int]]:
+        """PCG64 ``(state, inc)`` of each child i in ``children``, a range: the
+        i-th SeedSequence that ``self.seed_sequence().spawn`` gives.
 
         Child i's entropy is the key's words, zero-padded to SeedSequence's
         pool size, then i. So the shared words are hashed into the pool once,
         in Python. The last word's four mixing rounds and the eight output
-        words then run once for all n children, as uint32 arrays, which wrap
+        words then run once for all the children, as uint32 arrays, which wrap
         as SeedSequence's arithmetic does. PCG64's two-step seeding runs last,
-        on Python ints. A ``PCG64`` given state i draws what
-        ``np.random.PCG64(child_i)`` draws, for n up to 2**32;
+        on Python ints. A ``PCG64`` given child i's state draws what
+        ``np.random.PCG64(child_i)`` draws, for i below 2**32;
         ``tests/test_rng.py`` checks it.
         """
         words = list(self.words)
@@ -212,7 +213,8 @@ class Key:
                 pool[dst] = _mix(pool[dst], value)
         # the spawn index: one hashmix per pool word, as (pool word, child) arrays
         consts = _constants(const, _HASH_MULT_A, _POOL_SIZE)
-        value = (np.arange(n, dtype=np.uint32) ^ consts[:-1]) * consts[1:]
+        indices = np.arange(children.start, children.stop, children.step, dtype=np.uint32)
+        value = (indices ^ consts[:-1]) * consts[1:]
         value ^= value >> 16
         mixed = np.array([_MIX_MULT_L * x & _WORD_MASK for x in pool], dtype=np.uint32)[:, None]
         mixed = mixed - _MIX_MULT_R_COLUMN * value
@@ -311,15 +313,15 @@ def generator(master_seed: int, *key) -> Stream:
     return Stream(*_pcg64_seeded(high0 << 64 | low0, high1 << 64 | low1))
 
 
-def siblings(master_seed: int, *prefix, n: int) -> list[Stream]:
-    """The streams of ``Key(master_seed, *prefix, i)`` for i in range(n), seeded
+def siblings(master_seed: int, *prefix, children: range) -> list[Stream]:
+    """The streams of ``Key(master_seed, *prefix, i)`` for i in ``children``, seeded
     as one block by the prefix-child rule; the prefix needs four words or more."""
     key = Key(master_seed, *prefix)
     if len(key.words) < _POOL_SIZE:
         raise ValueError(
             f"a sibling prefix needs at least {_POOL_SIZE} words, not {len(key.words)}"
         )
-    return [Stream(state, inc) for state, inc in key.sibling_states(n)]
+    return [Stream(state, inc) for state, inc in key.sibling_states(children)]
 
 
 def fill_random(block: np.ndarray, states) -> None:

@@ -4,10 +4,11 @@ The defender places mission devices into enclaves and tunes per-enclave tap
 sensitivities; the attacker schedules per-enclave attack plans (strength,
 duration, repetitions). Each trial walks the tick loop: attack seeding,
 intra-enclave spread, cross-enclave seeding, detection-and-cleanse, then
-delay accrual. The attacker's score is the mean mission delay over trials
-(which it wants high); the defender's score is its negation. Sentences are
-read by ``engagement.read_clauses``: an attack as ``_PLAN`` clauses, a
-defense as ``_PLACEMENT`` clauses and then ``_TAP`` clauses.
+delay accrual. ``simulate_trials`` returns each trial's mission delay and
+count of tap cleanses; the attacker's score is the mean delay (which it
+wants high), the defender's its negation. Sentences are read by
+``engagement.read_clauses``: an attack as ``_PLAN`` clauses, a defense as
+``_PLACEMENT`` clauses and then ``_TAP`` clauses.
 
 Random draws are consumed on a fixed, state-independent schedule (always
 drawn, conditionally used), so reusing a trial's stream across parameter
@@ -111,14 +112,6 @@ class ContagionAttack:
 class ContagionDefense:
     mission_placement: tuple[int, ...]  # device index -> enclave index
     tap_sensitivity: tuple[float, ...]  # one per enclave
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    delay: float
-    detections: int
-    first_infected_tick: int | None
-    first_cleanse_tick: int | None
 
 
 def load_scenario(path: str | Path) -> ContagionScenario:
@@ -226,9 +219,9 @@ def simulate_trials(
     network: SegmentedNetwork,
     mc: MonteCarloConfig,
     key: Key,
-) -> list[TrialResult]:
-    """Run mc.trials independent trials; trial i draws from child i of
-    ``key.seed_sequence().spawn(mc.trials)``.
+) -> tuple[list[float], list[int]]:
+    """``(delays, detections)``: each of mc.trials trials' mission delay and
+    tap cleanses; trial i draws from child i of ``key.seed_sequence().spawn(mc.trials)``.
 
     The trials' draws are one ``(trials, total_draws)`` block: row i is
     filled by ``rng.fill_random`` from child i's PCG64 state, which
@@ -284,7 +277,7 @@ def simulate_trials(
         offset = spread + 2 * taps_from + n
 
     block = np.empty((trials, offset))
-    fill_random(block, key.sibling_states(trials))
+    fill_random(block, key.sibling_states(range(trials)))
 
     columns = [*range(0, 2 * taps_from, 2), *(2 * taps_from + e for e in tapped)]
     limits = [network.spread_rate] * slots + [network.cross_rate] * len(directed)
@@ -296,7 +289,7 @@ def simulate_trials(
     per_infected_tick = mc.delay_per_infected_tick
     per_cleanse = mc.delay_per_cleanse
 
-    results: list[TrialResult] = []
+    delays, detections = [], []
     for trial, row in enumerate(block):
         draws = row.data
         infected = 0
@@ -304,9 +297,7 @@ def simulate_trials(
         susceptible = [list(range(size)) for size in sizes]
         offline: list[tuple[int, int]] = []  # (back-online tick, enclave), oldest first
         delay = 0.0
-        detections = 0
-        first_infected = None
-        first_cleanse = None
+        detected = 0
         ticks = zip(schedule, events[trial * horizon : (trial + 1) * horizon])
         for (t, attacks, at, spread_pick, cross_pick, tap_at), event in ticks:
             if not attacks and not infected:
@@ -321,8 +312,6 @@ def simulate_trials(
                     infected |= 1 << first_slot[e] + free.pop(int(draws[at + 1] * len(free)))
                     if not free:
                         full |= enclave_masks[e]
-                    if first_infected is None:
-                        first_infected = t
                 at += 2
             # 2. intra-enclave spread from the slots infected before it, in
             # enclaves with a susceptible slot left (pick draws indexed by slot)
@@ -347,8 +336,6 @@ def simulate_trials(
                 source, e = cross_links[link]
                 free = susceptible[e]
                 if infected & source and free:
-                    # an infected source implies an earlier attack infection,
-                    # so first_infected is already set
                     pick = draws[cross_pick + 2 * link]
                     infected |= 1 << first_slot[e] + free.pop(int(pick * len(free)))
                     if not free:
@@ -356,7 +343,7 @@ def simulate_trials(
             # 4. detection and cleansing; a tap reads only its own enclave,
             # so each one cleanses as soon as it trips
             tapping = event >> taps_from
-            cleansed_now = ()
+            cleanse = 0  # added after the infected-tick term, as sum() would add it
             while tapping:
                 low = tapping & -tapping
                 tapping ^= low
@@ -367,23 +354,15 @@ def simulate_trials(
                     full &= ~enclave_masks[e]
                     susceptible[e] = []
                     offline.append((t + rest, e))
-                    detections += 1
-                    cleansed_now += (e,)
-                    if first_cleanse is None:
-                        first_cleanse = t
+                    detected += 1
+                    if mission_count[e]:
+                        cleanse += per_cleanse
             # 5. delay accrual
             delay += (infected & mission_mask).bit_count() * per_infected_tick
-            if cleansed_now:
-                delay += sum(per_cleanse for e in cleansed_now if mission_count[e] > 0)
-        results.append(
-            TrialResult(
-                delay=delay,
-                detections=detections,
-                first_infected_tick=first_infected,
-                first_cleanse_tick=first_cleanse,
-            )
-        )
-    return results
+            delay += cleanse
+        delays.append(delay)
+        detections.append(detected)
+    return delays, detections
 
 
 def engage(
@@ -393,8 +372,7 @@ def engage(
     mc: MonteCarloConfig,
     key: Key,
 ) -> EngagementOutcome:
-    trials = simulate_trials(attack, defense, network, mc, key)
-    delays = [trial.delay for trial in trials]
+    delays, detections = simulate_trials(attack, defense, network, mc, key)
     mean_delay = statistics.fmean(delays)
     effort_upper = mc.horizon * len(network.enclave_sizes)
     return EngagementOutcome(
@@ -406,7 +384,7 @@ def engage(
         },
         telemetry={
             "delay_variance": population_variance(delays),
-            "detections": float(sum(trial.detections for trial in trials)),
+            "detections": float(sum(detections)),
         },
     )
 

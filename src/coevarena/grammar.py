@@ -256,7 +256,11 @@ def load_grammar(path: str | Path) -> Grammar:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise GrammarError(f"grammar file {path} is not UTF-8 text: {exc}") from exc
-    return parse_bnf(text)
+    try:
+        return parse_bnf(text)
+    except GrammarError as exc:
+        exc.args = (f"grammar file {path}: {exc}",)
+        raise
 
 
 def map_genotype(genotype: Genotype, grammar: Grammar, cfg: MappingConfig = MappingConfig()) -> Strategy:

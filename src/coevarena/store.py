@@ -32,13 +32,13 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
 from .engine.config import EvolutionConfig
-from .engine.loop import RunRecord
+from .engine.loop import HalfStepStats, RunRecord
 
 FORMAT_VERSION = 2
 
@@ -52,6 +52,9 @@ ENGAGEMENT_COLUMNS = (
     "costs",
     "telemetry",
 )
+
+# What a "halfstep" line of halfsteps.jsonl holds besides its "record" key.
+_HALFSTEP_KEYS = tuple(field.name for field in fields(HalfStepStats))
 
 # The manifest entry of each input file, and the name of its verbatim copy.
 STORED_INPUTS = {
@@ -278,7 +281,8 @@ class ResultsStore:
     def _load_dir(self, dir_name: str) -> StoredRun:
         """Read one run directory. Raises CorruptRecord naming the file, and the
         line or key, unless the manifest is an object whose input entries hold
-        a sha256 string and each halfsteps.jsonl line is an object."""
+        a sha256 string, each halfsteps.jsonl line is an object and each
+        half-step line holds every HalfStepStats field."""
         run_dir = self.root / dir_name
         manifest_path = run_dir / "manifest.json"
         halfsteps_path = run_dir / "halfsteps.jsonl"
@@ -291,6 +295,9 @@ class ResultsStore:
                 if not isinstance(record, dict):
                     raise CorruptRecord(f"{halfsteps_path} line {number} is not an object")
                 if record.get("record") == "halfstep":
+                    missing = next((key for key in _HALFSTEP_KEYS if key not in record), None)
+                    if missing is not None:
+                        raise CorruptRecord(f"{halfsteps_path} line {number} lacks key {missing!r}")
                     half_steps.append(record)
         except (OSError, json.JSONDecodeError) as exc:
             raise CorruptRecord(f"run directory {run_dir} is unreadable: {exc}") from exc

@@ -31,7 +31,6 @@ from coevarena.envs.contagion import (
     ContagionDefense,
     MonteCarloConfig,
     SegmentedNetwork,
-    TrialResult,
     _attack_windows,
 )
 from coevarena.envs.ddos import (
@@ -212,8 +211,9 @@ def oracle_simulate_trials(
     network: SegmentedNetwork,
     mc: MonteCarloConfig,
     rng: np.random.SeedSequence,
-) -> list[TrialResult]:
-    """Run mc.trials independent trials, one spawned sub-stream each."""
+) -> tuple[list[float], list[int]]:
+    """Run mc.trials independent trials, one spawned sub-stream each, and
+    return each trial's delay and detections as two lists."""
     sizes = network.enclave_sizes
     n = len(sizes)
     mission_count = [0] * n
@@ -231,15 +231,14 @@ def oracle_simulate_trials(
         enclave_base.append(offset)
         offset += 2 * size
 
-    results: list[TrialResult] = []
+    delays: list[float] = []
+    detections: list[int] = []
     for child in rng.spawn(mc.trials):
         gen = np.random.Generator(np.random.PCG64(child))
         infected: list[set[int]] = [set() for _ in range(n)]
         offline_until = [0] * n
         delay = 0.0
-        detections = 0
-        first_infected = None
-        first_cleanse = None
+        detected = 0
         for t in range(mc.horizon):
             draws = gen.random(draws_per_tick[t])
             online = [t >= offline_until[e] for e in range(n)]
@@ -256,9 +255,8 @@ def oracle_simulate_trials(
             for enclave, strength in per_tick_attacks[t]:
                 attempt, pick = draws[cursor], draws[cursor + 1]
                 cursor += 2
-                if online[enclave] and attempt < strength and infect(enclave, pick):
-                    if first_infected is None:
-                        first_infected = t
+                if online[enclave] and attempt < strength:
+                    infect(enclave, pick)
             # 2. intra-enclave spread (snapshot of infectors; draws indexed by slot)
             intra_base = cursor
             for e in range(n):
@@ -277,8 +275,7 @@ def oracle_simulate_trials(
                     seeded, pick = draws[cursor], draws[cursor + 1]
                     cursor += 2
                     if online[src] and online[dst] and infected[src] and seeded < network.cross_rate:
-                        if infect(dst, pick) and first_infected is None:
-                            first_infected = t
+                        infect(dst, pick)
             # 4. detection and cleansing
             cleansed_now = []
             for e in range(n):
@@ -290,9 +287,7 @@ def oracle_simulate_trials(
             for e in cleansed_now:
                 infected[e].clear()
                 offline_until[e] = t + 1 + network.cleanse_duration
-                detections += 1
-                if first_cleanse is None:
-                    first_cleanse = t
+                detected += 1
             for e in range(n):
                 assert online[e] or not infected[e], "offline enclave gained an infection"
             # 5. delay accrual
@@ -303,15 +298,9 @@ def oracle_simulate_trials(
             delay += sum(
                 mc.delay_per_cleanse for e in cleansed_now if mission_count[e] > 0
             )
-        results.append(
-            TrialResult(
-                delay=delay,
-                detections=detections,
-                first_infected_tick=first_infected,
-                first_cleanse_tick=first_cleanse,
-            )
-        )
-    return results
+        delays.append(delay)
+        detections.append(detected)
+    return delays, detections
 
 
 def oracle_ring_route(ring_order, enabled, source, destination, successors) -> int | None:

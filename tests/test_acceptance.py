@@ -229,12 +229,11 @@ def test_criterion_7_contagion_degenerate_cases():
     scenario = small_contagion(trials=1000)
     silent = ContagionAttack((ContagionPlan(0, 0.0, 10, 3),))
     shield = ContagionDefense(mission_placement=(0, 1), tap_sensitivity=(0.5, 0.5, 0.5))
-    trials = simulate_trials(silent, shield, scenario.network, scenario.mc, Key(70))
-    assert len(trials) == 1000
-    assert all(trial.delay == 0.0 for trial in trials)
+    delays, _ = simulate_trials(silent, shield, scenario.network, scenario.mc, Key(70))
+    assert delays == [0.0] * 1000
 
-    # sensitivity 1 on a fully infected single-device enclave: cleanse on the
-    # first infected tick, every trial
+    # sensitivity 1 on a fully infected single-device enclave: cleanse on
+    # each infected tick, at ticks 0, 3, 6 and 9 of every trial
     network = SegmentedNetwork(
         enclave_sizes=(1, 2), links=((0, 1),), spread_rate=0.0, cross_rate=0.0, cleanse_duration=2
     )
@@ -244,9 +243,7 @@ def test_criterion_7_contagion_degenerate_cases():
     )
     blast = ContagionAttack((ContagionPlan(0, 1.0, 12, 1),))
     alert = ContagionDefense(mission_placement=(0,), tap_sensitivity=(1.0, 0.0))
-    for trial in simulate_trials(blast, alert, network, mc, Key(71)):
-        assert trial.first_infected_tick is not None
-        assert trial.first_cleanse_tick == trial.first_infected_tick
+    assert simulate_trials(blast, alert, network, mc, Key(71)) == ([4.0] * 500, [4] * 500)
 
     # standard error of the mean delay shrinks like 1/sqrt(trials) within 2x
     noisy = ContagionAttack((ContagionPlan(0, 0.5, 3, 2), ContagionPlan(1, 0.4, 2, 2)))
@@ -260,10 +257,8 @@ def test_criterion_7_contagion_degenerate_cases():
         )
         means = []
         for repeat in range(12):
-            outcomes = simulate_trials(
-                noisy, porous, spread.network, mc_n, Key(72, count, repeat)
-            )
-            means.append(statistics.fmean(t.delay for t in outcomes))
+            delays, _ = simulate_trials(noisy, porous, spread.network, mc_n, Key(72, count, repeat))
+            means.append(statistics.fmean(delays))
         standard_errors[count] = statistics.stdev(means)
     for small, large in ((10, 100), (100, 1000)):
         ratio = standard_errors[small] / standard_errors[large]

@@ -114,10 +114,8 @@ class TestEngageDegenerate:
     def test_zero_strength_means_zero_delay_every_trial(self):
         scenario = small_contagion(trials=50)
         attack = ContagionAttack((plan(strength=0.0, duration=10, count=3),))
-        trials = simulate_trials(
-            attack, defense(), scenario.network, scenario.mc, Key(4)
-        )
-        assert all(trial.delay == 0.0 for trial in trials)
+        delays, _ = simulate_trials(attack, defense(), scenario.network, scenario.mc, Key(4))
+        assert delays == [0.0] * 50
         outcome = engage(attack, defense(), scenario.network, scenario.mc, Key(4))
         assert outcome.attacker_score == 0.0
 
@@ -140,9 +138,8 @@ class TestEngageDegenerate:
         )
         attack = ContagionAttack((plan(enclave=0, strength=1.0, duration=12, count=1),))
         shields = defense(placement=(0,), sensitivity=(0.0, 0.0), n_enclaves=2)
-        trials = simulate_trials(attack, shields, network, mc, Key(1))
-        assert all(trial.delay == 12 * 1.5 for trial in trials)
-        assert all(trial.first_infected_tick == 0 for trial in trials)
+        delays, _ = simulate_trials(attack, shields, network, mc, Key(1))
+        assert delays == [12 * 1.5] * 40
 
     def test_full_sensitivity_cleanses_on_first_infected_tick(self):
         network = SegmentedNetwork(
@@ -160,10 +157,9 @@ class TestEngageDegenerate:
         )
         attack = ContagionAttack((plan(enclave=0, strength=1.0, duration=12, count=1),))
         shields = defense(placement=(0,), sensitivity=(1.0, 0.0), n_enclaves=2)
-        trials = simulate_trials(attack, shields, network, mc, Key(2))
-        for trial in trials:
-            assert trial.first_cleanse_tick == trial.first_infected_tick
-            assert trial.detections >= 1
+        # the device is infected and cleansed at ticks 0, 3, 6 and 9 (offline
+        # for 2 ticks after each), so it is never infected at a tick's end
+        assert simulate_trials(attack, shields, network, mc, Key(2)) == ([4 * 3.0] * 60, [4] * 60)
 
 
 class TestRandomnessContracts:
@@ -181,11 +177,11 @@ class TestRandomnessContracts:
         base = small_contagion(trials=30, spread_rate=0.0, cross_rate=0.0)
         attack = ContagionAttack((plan(enclave=0, strength=0.7, duration=4, count=2),))
         shields = defense(placement=(0, 0), sensitivity=(0.0, 0.0, 0.0))
-        zero = simulate_trials(attack, shields, base.network, base.mc, Key(3))
+        zero, _ = simulate_trials(attack, shields, base.network, base.mc, Key(3))
         for rate in (0.2, 0.5, 1.0):
             risen = small_contagion(trials=30, spread_rate=rate, cross_rate=0.0)
-            high = simulate_trials(attack, shields, risen.network, risen.mc, Key(3))
-            assert all(lo.delay <= hi.delay for lo, hi in zip(zero, high))
+            high, _ = simulate_trials(attack, shields, risen.network, risen.mc, Key(3))
+            assert all(lo <= hi for lo, hi in zip(zero, high))
 
     def test_mean_delay_nondecreasing_in_spread_rate(self):
         attack = ContagionAttack((plan(enclave=0, strength=0.5, duration=3, count=2),))
@@ -193,10 +189,8 @@ class TestRandomnessContracts:
         means = []
         for rate in (0.0, 0.25, 0.5, 1.0):
             scenario = small_contagion(trials=150, spread_rate=rate, cross_rate=0.05)
-            trials = simulate_trials(
-                attack, shields, scenario.network, scenario.mc, Key(9)
-            )
-            means.append(statistics.fmean(trial.delay for trial in trials))
+            delays, _ = simulate_trials(attack, shields, scenario.network, scenario.mc, Key(9))
+            means.append(statistics.fmean(delays))
         assert means == sorted(means)
 
     def test_offline_enclaves_cannot_spread_outward(self):
@@ -215,12 +209,12 @@ class TestRandomnessContracts:
         )
         attack = ContagionAttack((plan(enclave=0, strength=1.0, duration=1, count=1),))
         shields = ContagionDefense(mission_placement=(1,), tap_sensitivity=(1.0, 1.0))
-        trials = simulate_trials(attack, shields, network, mc, Key(21))
+        delays, _ = simulate_trials(attack, shields, network, mc, Key(21))
         # mission device sits in enclave 1; cross seeding from 0 is cut the
         # same tick it starts because sensitivity-1 detection fires first... the
         # seeded infection in 1 is itself cleansed within a tick of arriving.
-        for trial in trials:
-            assert trial.delay <= mc.horizon  # never the full blow-up of 2 devices x horizon
+        for delay in delays:
+            assert delay <= mc.horizon  # never the full blow-up of 2 devices x horizon
 
 
 @st.composite

@@ -12,6 +12,7 @@ from coevarena.grammar import (
     MappingFailure,
     Strategy,
     UndefinedNonterminalError,
+    load_grammar,
     map_genotype,
     parse_bnf,
     random_genotype,
@@ -108,6 +109,22 @@ class TestParseBnf:
         }
         assert shape == expected
         assert grammar.start == next(iter(expected))
+
+    @pytest.mark.parametrize(
+        "text, error, line",
+        [
+            ("<s> ::= a |\n", GrammarSyntaxError, 1),
+            ("<s> ::= a\n<s> ::= b\n", DuplicateRuleError, 2),
+            ("<s> ::= <u>\n", UndefinedNonterminalError, 1),
+        ],
+    )
+    def test_load_grammar_names_the_file(self, tmp_path, text, error, line):
+        path = tmp_path / "bad.bnf"
+        path.write_text(text)
+        with pytest.raises(error) as err:
+            load_grammar(path)
+        assert type(err.value) is error and err.value.line == line
+        assert str(err.value).startswith(f"grammar file {path}: line {line}: ")
 
 
 class TestMapping:

@@ -65,7 +65,7 @@ class TestSiblingStates:
     def test_states_are_numpys_children(self, parts, n):
         key = Key(*parts)
         expected = [np.random.PCG64(child).state["state"] for child in key.seed_sequence().spawn(n)]
-        assert [{"state": state, "inc": inc} for state, inc in key.sibling_states(n)] == expected
+        assert [{"state": state, "inc": inc} for state, inc in key.sibling_states(range(n))] == expected
 
 
 KEYS = st.builds(lambda seed, parts: Key(seed, *parts), WIDE_INTS, KEY_PARTS)
@@ -191,7 +191,7 @@ class TestEngineDrawsMatchGenerator:
         seed, prefix, n, i = pick
         (genotype,), limits = drawn
         expected = mutate(genotype, rate, numpy_generator(Key(seed, *prefix, i)), limits)
-        assert mutate(genotype, rate, streams.siblings(seed, *prefix, n=n)[i], limits) == expected
+        assert mutate(genotype, rate, streams.siblings(seed, *prefix, children=range(n))[i], limits) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -203,7 +203,7 @@ class TestEngineDrawsMatchGenerator:
         seed, prefix, n, i = pick
         (a, b), limits = drawn
         expected = crossover(a, b, rate, numpy_generator(Key(seed, *prefix, i)), limits)
-        assert crossover(a, b, rate, streams.siblings(seed, *prefix, n=n)[i], limits) == expected
+        assert crossover(a, b, rate, streams.siblings(seed, *prefix, children=range(n))[i], limits) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -226,7 +226,7 @@ class TestEngineDrawsMatchGenerator:
 
 
 class TestSiblingStreams:
-    """siblings(seed, *prefix, n=n)[i] is the stream of Key(seed, *prefix, i)
+    """siblings(seed, *prefix, children=range(n))[i] is the stream of Key(seed, *prefix, i)
     when the prefix has four words or more: the prefix-child rule."""
 
     @settings(max_examples=100, deadline=None)
@@ -235,7 +235,7 @@ class TestSiblingStreams:
     @example(prefix=(0, ["cross", 1, "defender"]), n=1, sequence=[("permutation", 9)])
     def test_draws_are_the_childs_key_stream(self, prefix, n, sequence):
         seed, parts = prefix
-        built = streams.siblings(seed, *parts, n=n)
+        built = streams.siblings(seed, *parts, children=range(n))
         assert len(built) == n
         for i, sibling in enumerate(built):
             oracle = numpy_generator(Key(seed, *parts, i))
@@ -248,11 +248,30 @@ class TestSiblingStreams:
             tail = [sibling.random() for _ in range(4 * 32 + 1)]
             assert tail == oracle.random(4 * 32 + 1).tolist(), i
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        prefix=SIBLING_PREFIXES,
+        start=st.integers(0, 8),
+        stop=st.integers(0, 40),
+        step=st.integers(2, 5),
+    )
+    @example(prefix=(0, ["cross", 1, "attacker"]), start=0, stop=19, step=2)
+    @example(prefix=(3, ["cross", 2**32 + 1, "defender"]), start=2**32 - 5, stop=2**32, step=2)
+    def test_stepped_range_gives_only_those_children(self, prefix, start, stop, step):
+        """The crossover block seeds one stream per slot pair, range(0, n - 1, 2)."""
+        seed, parts = prefix
+        children = range(start, stop, step)
+        built = streams.siblings(seed, *parts, children=children)
+        assert len(built) == len(children)
+        for i, sibling in zip(children, built):
+            expected = numpy_generator(Key(seed, *parts, i)).random(40).tolist()
+            assert [sibling.random() for _ in range(40)] == expected, i
+
     def test_short_prefix_is_refused(self):
         with pytest.raises(ValueError, match="at least 4 words"):
-            streams.siblings(7, "mutate", 1, n=3)
+            streams.siblings(7, "mutate", 1, children=range(3))
         # words, not parts, count: a 64-bit master seed is two
-        assert len(streams.siblings(2**32, "mutate", 1, n=3)) == 3
+        assert len(streams.siblings(2**32, "mutate", 1, children=range(3))) == 3
 
     def test_short_prefix_childs_differ_from_the_index_key(self):
         """Why: a child's entropy pads the prefix to four words before its
@@ -282,7 +301,7 @@ class TestSiblingStreams:
     def test_fill_random_rows_are_the_childrens_draws(self):
         key = Key(5, "cell", 0, 1)
         block = np.empty((30, 70))
-        streams.fill_random(block, key.sibling_states(30))
+        streams.fill_random(block, key.sibling_states(range(30)))
         for row, child in zip(block, key.seed_sequence().spawn(30), strict=True):
             assert row.tolist() == np.random.default_rng(child).random(70).tolist()
 
@@ -345,7 +364,7 @@ def only_engagement_keys(monkeypatch):
     monkeypatch.setattr(
         streams,
         "siblings",
-        lambda seed, *prefix, n: [oracle_stream(seed, *prefix, i) for i in range(n)],
+        lambda seed, *prefix, children: [oracle_stream(seed, *prefix, i) for i in children],
     )
 
 

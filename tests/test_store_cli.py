@@ -487,6 +487,29 @@ class TestCmdEstablo:
         lines = len((run_dir / "halfsteps.jsonl").read_text().splitlines())
         assert "CorruptRecord" in err and f"halfsteps.jsonl line {lines} is not an object" in err
 
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
+    @pytest.mark.parametrize(
+        "edit, missing",
+        [
+            (lambda last: {"record": "halfstep"}, "generation"),
+            (lambda last: {k: v for k, v in last.items() if k != "best_cost"}, "best_cost"),
+        ],
+        ids=["bare", "no-best-cost"],
+    )
+    def test_halfstep_line_without_a_field_is_one_error_line(
+        self, populated_store, tmp_path, capsys, command, edit, missing
+    ):
+        run_dir = populated_store / ResultsStore(populated_store).entries()[0]["dir"]
+        halfsteps = run_dir / "halfsteps.jsonl"
+        last = json.loads(halfsteps.read_text().splitlines()[-1])
+        with halfsteps.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(edit(last)) + "\n")
+        args = ["--out", tmp_path / "out"] if command == "establo" else [run_dir.name]
+        assert run_cli(command, "--store", populated_store, *args) == 1
+        err = assert_one_error_line(capsys)
+        lines = len(halfsteps.read_text().splitlines())
+        assert "CorruptRecord" in err and f"halfsteps.jsonl line {lines} lacks key '{missing}'" in err
+
     def test_empty_store_fails(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert run_cli("establo", "--store", tmp_path / "empty", "--out", tmp_path / "out") == 1
@@ -660,6 +683,17 @@ class TestValidateGrammar:
         assert run_cli("run", "--config", config, "--store", tmp_path / "s") == 1
         err = assert_one_error_line(capsys)
         assert "GrammarError" in err and str(bad) in err
+
+    def test_grammar_syntax_error_names_the_file(self, tmp_path, ddos_scenario_file, capsys):
+        bad = tmp_path / "dangling.bnf"
+        bad.write_text("<s> ::= a |\n")
+        expected = f"error: GrammarSyntaxError: grammar file {bad}: line 1: rule ends with a dangling '|'\n"
+        assert run_cli("validate-grammar", bad) == 1
+        assert assert_one_error_line(capsys) == expected
+        config = write_experiment_config(tmp_path, "ddos", ddos_scenario_file)
+        point_inputs_at(config, attack_grammar=bad)
+        assert run_cli("run", "--config", config, "--store", tmp_path / "s") == 1
+        assert assert_one_error_line(capsys) == expected
 
 
 class TestShippedData:
