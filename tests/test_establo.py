@@ -1,9 +1,12 @@
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from coevarena.cli import main
+from coevarena.data import data_path
 from coevarena.engine.rng import Key
 from coevarena.establo import (
     CompendiumEntry,
@@ -294,3 +297,101 @@ class TestEmitReport:
         # A1's worst case (1.0) beats A0's (0.5); D1 concedes less on the mean.
         assert "top by best-worst: A1  jab A1" in text
         assert "top by meu:        D1  block D1" in text
+
+
+def report_digests(out_dir):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out_dir.iterdir())
+    }
+
+
+class TestReportBytesArePinned:
+    """sha256 of every report file. A rewrite of ranking or reporting must
+    leave these bytes alone; a deliberate format change re-pins them."""
+
+    def test_synthetic_entries_two_contexts_two_algorithms(self, tmp_path):
+        # A0 and A2 hold the same row, so they tie under every criterion.
+        entries = {
+            "A0": entry("attacker", "A0", "jab low"),
+            "A1": entry("attacker", "A1", "feint", algorithm="other"),
+            "A2": entry("attacker", "A2", "hook"),
+            "D0": entry("defender", "D0", "block", algorithm="other"),
+            "D1": entry("defender", "D1", "parry dodge"),
+            "D2": entry("defender", "D2", "brace"),
+        }
+        matrices = [
+            PayoffMatrix("ring", ("A0", "A1", "A2"), ("D0", "D1", "D2"),
+                         ((2.0, 0.5, 1.0), (1.0, 1.5, 1.0), (2.0, 0.5, 1.0))),
+            PayoffMatrix("Star Net", ("A0", "A1", "A2"), ("D0", "D1", "D2"),
+                         ((0.25, 3.0, 1.0), (1.0, 1.0, 1.0), (0.0, 2.0, 4.0))),
+        ]
+        rankings = [row for matrix in matrices for row in rank(matrix)]
+        emit_report(rankings, matrices, tmp_path, entries)
+        assert report_digests(tmp_path) == {
+            "payoff_ring.csv": "353ce329b28ab75a31f0391c7c13eb04d0ae1cd73b2e3ab7e3e3cba8217c5a6b",
+            "payoff_star-net.csv": "80563d6261ff0e2d999152ea723e9a2384e8e0d1d5fe678b4b129debb89bbead",
+            "rank_curves.jsonl": "415d5ccfa3442754bf32c2cd1c7b2e5f0eb7bc2250bdad2212259909a31a0f3f",
+            "rankings.csv": "a827145721377e21ee4fa5b6b8c5faf9e19111e713e273aef646d77a40ebaab9",
+            "summary.txt": "0161a7dd6b30b89ab0b4c5b12c3757260311847bba78bc011f2c58198bc51802",
+        }
+
+    @pytest.fixture(scope="class")
+    def two_algorithm_store(self, tmp_path_factory):
+        """Two short ring9 runs stored under different algorithm labels."""
+        directory = tmp_path_factory.mktemp("two-algorithms")
+        scenario = directory / "ring9.scenario"
+        shutil.copyfile(data_path("scenarios", "ring9.scenario"), scenario)
+        store_dir = directory / "store"
+        for seed, label in ((41, "alternating"), (42, "other")):
+            config = write_experiment_config(
+                directory, "ddos", scenario, name=f"{label}.cfg", generations=6, population=8, seed=seed
+            )
+            text = config.read_text()
+            config.write_text(text.replace("[evolution]", f"algorithm_label = {label}\n\n[evolution]"))
+            assert main(["run", "--config", str(config), "--store", str(store_dir), "--quiet"]) == 0
+        return store_dir, scenario
+
+    @pytest.mark.parametrize(
+        "case",
+        ["best-per-generation", "best-per-run", "pareto-per-run", "two-scenarios"],
+    )
+    def test_cli_over_a_ddos_store(self, two_algorithm_store, tmp_path, case):
+        store_dir, scenario = two_algorithm_store
+        if case == "two-scenarios":
+            tight = tmp_path / "tight.scenario"
+            tight.write_text(scenario.read_text().replace("attack_budget = 24", "attack_budget = 12"))
+            flags = ["--scenario", scenario, "--scenario", tight]
+        else:
+            flags = ["--filter", case]
+        out_dir = tmp_path / "reports"
+        argv = ["establo", "--store", store_dir, "--out", out_dir, "--stride", 1, "--seed", 3, *flags]
+        assert main([str(arg) for arg in [*argv, "--quiet"]]) == 0
+        assert report_digests(out_dir) == self.CLI_DIGESTS[case]
+
+    CLI_DIGESTS = {
+        "best-per-generation": {
+            "payoff_same-run.csv": "8551ccbae11f272488dbe345777beb38ff59dc354cf15d2b9425df393d25a3b0",
+            "rank_curves.jsonl": "4a569567960175785238fabccaa1aed8643001e0ad343f4adacce138cbfae88d",
+            "rankings.csv": "661756f396ef808a8b7bc471dfcfe1fd369574db5f9b06f25e85e48e8bda7db9",
+            "summary.txt": "c5764f7503f53ffd75c2812d0fc3919973671607f9e55363dbe49eb1e4cc6e15",
+        },
+        "best-per-run": {
+            "payoff_same-run.csv": "7eb46f84cb7f48fdfa6205d8161d56358047df3f711b8d198665bcbfbfd010f3",
+            "rank_curves.jsonl": "6467121a517558a12fccacd21f9a5559c1ede5840ad17d11cd408a4b8ea77ad3",
+            "rankings.csv": "43677d726be42ff3a1b2e204a4ebb7affc1bfad6d415ec671e6cd10337f82d31",
+            "summary.txt": "4aa7c73f18c308651ac483a0d1a148931bce254f7eb66fe66a13cd59ccaf2b25",
+        },
+        "pareto-per-run": {
+            "payoff_same-run.csv": "a0c5eba49ebb7d5878726324ea1c5dd7034a43b6d1187915938e64870a7af93d",
+            "rank_curves.jsonl": "4b36792d2916d6f7af51774d1a44b22fdb4b1343ae4a2651e69509cd3bffdf1b",
+            "rankings.csv": "5cf0a378ad4fa0aae1e15c4cde43117081dc35c8f7b807bbd1554557fde546a3",
+            "summary.txt": "5c9ba5117cce6fe034c85e07f5ef8228625b24b1453d361c98788438469a37d5",
+        },
+        "two-scenarios": {
+            "payoff_ring9.csv": "8551ccbae11f272488dbe345777beb38ff59dc354cf15d2b9425df393d25a3b0",
+            "payoff_tight.csv": "00e09fe51d5b448280a98601ef39226023508858044d65e9150777ce197ebb6e",
+            "rank_curves.jsonl": "1ae7de7a8e74c01ac6164e51e4cca8c6f9a048292c13509d6f7a8475d0eae25c",
+            "rankings.csv": "b114521a3920bf20e02a22b994e56fc1f521566abffcc76972187fef284b257e",
+            "summary.txt": "caf6dbb267eb5d05b3718d2e16da6ea7dfe2aeb5410198250a0c91f12b1cbb1f",
+        },
+    }
