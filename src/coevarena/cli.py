@@ -221,28 +221,28 @@ def cmd_establo(args) -> int:
             raise EmptyStore(f"compendium holds no {role} entry after filtering")
     entries_by_id = {entry.entry_id: entry for entry in compendium}
 
-    contexts: dict[str, Path] = {}
     if args.scenario:
-        for scenario in args.scenario:
-            scenario_path = Path(scenario)
-            if not scenario_path.exists():
-                raise ConfigError(f"--scenario: file not found: {scenario_path}")
-            label = scenario_path.stem
-            if label in contexts:
-                other = contexts[label]
-                raise ConfigError(f"--scenario: {other} and {scenario_path} are both context {label!r}")
-            contexts[label] = scenario_path
+        contexts = [(path.stem, path) for path in map(Path, args.scenario)]
     else:
         hashes = {run.manifest["scenario"]["sha256"] for run in runs}
         if len(hashes) != 1:
             raise ConfigError(
                 "runs use different scenarios; pass --scenario to pick evaluation contexts"
             )
-        contexts["same-run"] = runs[0].input_path("scenario")
+        contexts = [("same-run", runs[0].input_path("scenario"))]
+    # Labels are file stems; payoff file names fold case, so two can collide.
+    payoff_files: dict[str, Path] = {}
+    for label, scenario_path in contexts:
+        if not scenario_path.exists():
+            raise ConfigError(f"--scenario: file not found: {scenario_path}")
+        name = establo_mod.payoff_file_name(label)
+        if name in payoff_files:
+            raise ConfigError(f"--scenario: {payoff_files[name]} and {scenario_path} both write {name}")
+        payoff_files[name] = scenario_path
 
     rankings = []
     matrices = []
-    for label, scenario_path in contexts.items():
+    for label, scenario_path in contexts:
         environment = load_environment(environment_id, scenario_path)
         matrix = establo_mod.cross_tournament(compendium, environment, args.seed, label)
         matrices.append(matrix)

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 from .engagement import EngagementEnvironment
 from .engine.fitness import pareto_front
 from .engine.rng import Key
-from .grammar import Genotype, Grammar, MappingFailure, Strategy, load_grammar, map_genotype
+from .grammar import Genotype, MappingFailure, Strategy, load_grammar, map_genotype
 from .store import StoredRun
 
 FILTERS = ("best-per-generation", "best-per-run", "pareto-per-run")
@@ -49,12 +49,6 @@ class PayoffMatrix:
     defender_ids: tuple[str, ...]
     cells: tuple[tuple[float, ...], ...]  # rows = attackers, columns = defenders
 
-    def row(self, i: int) -> tuple[float, ...]:
-        return self.cells[i]
-
-    def column(self, j: int) -> tuple[float, ...]:
-        return tuple(row[j] for row in self.cells)
-
 
 @dataclass(frozen=True)
 class RankingRow:
@@ -67,10 +61,6 @@ class RankingRow:
     meu_rank: int
     best_worst_rank: int
     combined_rank: int
-
-
-def _champion_steps(run: StoredRun, role: str) -> list[dict]:
-    return [step for step in run.half_steps if step["phase"] == role]
 
 
 def _select_champions(steps: list[dict], compendium_filter: str, stride: int) -> list[dict]:
@@ -105,33 +95,28 @@ def build_compendium(
     if stride < 1:
         raise ValueError("stride must be >= 1")
     entries: list[CompendiumEntry] = []
-    seen: dict[tuple[str, tuple[str, ...]], bool] = {}
+    seen: set[tuple[str, tuple[str, ...]]] = set()
     for run in runs:
         manifest = run.manifest
-        config = run.config
-        grammars: dict[str, Grammar] = {}
-        for role, key in (("attacker", "attack_grammar"), ("defender", "defense_grammar")):
-            grammars[role] = load_grammar(run.input_path(key))
-        for role in ("attacker", "defender"):
-            for step in _select_champions(_champion_steps(run, role), compendium_filter, stride):
-                genotype = Genotype(tuple(step["best_genotype"]))
+        mapping = run.config.mapping
+        for role, grammar_key in (("attacker", "attack_grammar"), ("defender", "defense_grammar")):
+            grammar = load_grammar(run.input_path(grammar_key))
+            steps = [step for step in run.half_steps if step["phase"] == role]
+            for step in _select_champions(steps, compendium_filter, stride):
+                where = f"{manifest['run_id']} {role} g{step['generation']}"
                 recorded = tuple(step["best_sentence"])
                 try:
-                    strategy = map_genotype(genotype, grammars[role], config.mapping)
+                    strategy = map_genotype(Genotype(tuple(step["best_genotype"])), grammar, mapping)
                 except MappingFailure as exc:
-                    raise GrammarMismatch(
-                        f"{manifest['run_id']} {role} g{step['generation']}: "
-                        f"recorded genotype no longer maps"
-                    ) from exc
+                    raise GrammarMismatch(f"{where}: recorded genotype no longer maps") from exc
                 if strategy.sentence != recorded:
                     raise GrammarMismatch(
-                        f"{manifest['run_id']} {role} g{step['generation']}: genotype derives "
-                        f"{strategy.text!r}, record says {' '.join(recorded)!r}"
+                        f"{where}: genotype derives {strategy.text!r}, "
+                        f"record says {' '.join(recorded)!r}"
                     )
-                key = (role, recorded)
-                if key in seen:
+                if (role, recorded) in seen:
                     continue
-                seen[key] = True
+                seen.add((role, recorded))
                 entries.append(
                     CompendiumEntry(
                         entry_id=f"{manifest['run_id']}:{role}:g{step['generation']:03d}",
@@ -186,11 +171,12 @@ def _rank_ids(ids: Sequence[str], scores: Mapping[str, float], higher_is_better:
 
 
 def _rank_side(
-    ids: Sequence[str], vectors: Mapping[str, Sequence[float]], role: str, context: str
+    ids: Sequence[str], vectors: Sequence[Sequence[float]], role: str, context: str
 ) -> list[RankingRow]:
+    """Rank one side; vectors[k] holds ids[k]'s payoffs against every opponent."""
     maximizing = role == "attacker"
-    meu = {i: statistics.fmean(vectors[i]) for i in ids}
-    best_worst = {i: (min(vectors[i]) if maximizing else max(vectors[i])) for i in ids}
+    meu = {i: statistics.fmean(vector) for i, vector in zip(ids, vectors)}
+    best_worst = {i: (min(vector) if maximizing else max(vector)) for i, vector in zip(ids, vectors)}
     meu_rank = _rank_ids(ids, meu, maximizing)
     bw_rank = _rank_ids(ids, best_worst, maximizing)
     combined = {i: (meu_rank[i] + bw_rank[i]) / (2 * len(ids)) for i in ids}
@@ -221,15 +207,8 @@ def rank(matrix: PayoffMatrix) -> list[RankingRow]:
     """
     if not matrix.attacker_ids or not matrix.defender_ids:
         raise ValueError("cannot rank an empty payoff matrix")
-    attacker_vectors = {
-        entry_id: matrix.row(i) for i, entry_id in enumerate(matrix.attacker_ids)
-    }
-    defender_vectors = {
-        entry_id: matrix.column(j) for j, entry_id in enumerate(matrix.defender_ids)
-    }
-    rows = _rank_side(matrix.attacker_ids, attacker_vectors, "attacker", matrix.context)
-    rows += _rank_side(matrix.defender_ids, defender_vectors, "defender", matrix.context)
-    return rows
+    rows = _rank_side(matrix.attacker_ids, matrix.cells, "attacker", matrix.context)
+    return rows + _rank_side(matrix.defender_ids, list(zip(*matrix.cells)), "defender", matrix.context)
 
 
 def pure_nash_pairs(matrix: PayoffMatrix) -> list[tuple[str, str]]:
@@ -241,8 +220,8 @@ def pure_nash_pairs(matrix: PayoffMatrix) -> list[tuple[str, str]]:
     """
     if not matrix.attacker_ids or not matrix.defender_ids:
         raise ValueError("cannot scan an empty payoff matrix")
-    att_best = [max(matrix.column(j)) for j in range(len(matrix.defender_ids))]
-    def_best = [min(matrix.row(i)) for i in range(len(matrix.attacker_ids))]
+    att_best = [max(column) for column in zip(*matrix.cells)]
+    def_best = [min(row) for row in matrix.cells]
     pairs = []
     for i, attacker_id in enumerate(matrix.attacker_ids):
         for j, defender_id in enumerate(matrix.defender_ids):
@@ -252,8 +231,14 @@ def pure_nash_pairs(matrix: PayoffMatrix) -> list[tuple[str, str]]:
     return pairs
 
 
-def _slug(text: str) -> str:
-    return re.sub(r"[^A-Za-z0-9]+", "-", text).strip("-").lower() or "context"
+# summary.txt's criteria: the label it prints and the RankingRow rank it reads.
+_CRITERIA = (("meu", "meu_rank"), ("best-worst", "best_worst_rank"), ("combined", "combined_rank"))
+
+
+def payoff_file_name(context: str) -> str:
+    """The report file a context's payoff matrix goes to; contexts can share one."""
+    slug = re.sub(r"[^A-Za-z0-9]+", "-", context).strip("-").lower() or "context"
+    return f"payoff_{slug}.csv"
 
 
 def emit_report(
@@ -270,13 +255,10 @@ def emit_report(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def algorithm_of(entry_id: str) -> str:
-        return entries[entry_id].algorithm
-
-    def sentence_of(entry_id: str) -> str:
-        return " ".join(entries[entry_id].sentence)
+    # Each (context, role)'s rows in combined-rank order; contexts and roles sorted.
+    groups: dict[tuple[str, str], list[RankingRow]] = {}
+    for row in sorted(rankings, key=lambda r: (r.context, r.role, r.combined_rank)):
+        groups.setdefault((row.context, row.role), []).append(row)
 
     ranking_path = out / "rankings.csv"
     with ranking_path.open("w", newline="", encoding="utf-8") as handle:
@@ -289,72 +271,54 @@ def emit_report(
                 "combined_score", "combined_rank",
             ]
         )
-        for row in sorted(rankings, key=lambda r: (r.context, r.role, r.combined_rank)):
-            writer.writerow(
-                [
-                    row.context, row.role, row.entry_id, algorithm_of(row.entry_id),
-                    repr(row.meu_score), row.meu_rank,
-                    repr(row.best_worst_score), row.best_worst_rank,
-                    repr(row.combined_score), row.combined_rank,
-                ]
-            )
-    written.append(ranking_path)
+        for group in groups.values():
+            for row in group:
+                writer.writerow(
+                    [
+                        row.context, row.role, row.entry_id, entries[row.entry_id].algorithm,
+                        repr(row.meu_score), row.meu_rank,
+                        repr(row.best_worst_score), row.best_worst_rank,
+                        repr(row.combined_score), row.combined_rank,
+                    ]
+                )
+    written = [ranking_path]
 
     for matrix in matrices:
-        matrix_path = out / f"payoff_{_slug(matrix.context)}.csv"
+        matrix_path = out / payoff_file_name(matrix.context)
         with matrix_path.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["attacker\\defender", *matrix.defender_ids])
-            for i, attacker_id in enumerate(matrix.attacker_ids):
-                writer.writerow([attacker_id, *(repr(v) for v in matrix.cells[i])])
+            for attacker_id, cells in zip(matrix.attacker_ids, matrix.cells):
+                writer.writerow([attacker_id, *(repr(v) for v in cells)])
         written.append(matrix_path)
 
     # One series per (context, role, source algorithm): entries sorted by
     # combined rank, y = combined score. Feed this to external plotting.
     curves_path = out / "rank_curves.jsonl"
-    series_keys = sorted(
-        {(r.context, r.role, algorithm_of(r.entry_id)) for r in rankings}
-    )
     with curves_path.open("w", encoding="utf-8") as handle:
-        for context, role, algorithm in series_keys:
-            members = sorted(
-                (
-                    r
-                    for r in rankings
-                    if r.context == context and r.role == role and algorithm_of(r.entry_id) == algorithm
-                ),
-                key=lambda r: r.combined_rank,
-            )
-            handle.write(
-                json.dumps(
-                    {
-                        "context": context,
-                        "role": role,
-                        "algorithm": algorithm,
-                        "entry_ids": [r.entry_id for r in members],
-                        "combined_scores": [r.combined_score for r in members],
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+        for (context, role), group in groups.items():
+            series: dict[str, list[RankingRow]] = {}
+            for row in group:
+                series.setdefault(entries[row.entry_id].algorithm, []).append(row)
+            for algorithm, members in sorted(series.items()):
+                record = {
+                    "context": context,
+                    "role": role,
+                    "algorithm": algorithm,
+                    "entry_ids": [r.entry_id for r in members],
+                    "combined_scores": [r.combined_score for r in members],
+                }
+                handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
     written.append(curves_path)
 
     summary_path = out / "summary.txt"
     lines = []
-    for context in sorted({r.context for r in rankings}):
-        for role in ("attacker", "defender"):
-            group = [r for r in rankings if r.context == context and r.role == role]
-            if not group:
-                continue
-            by_meu = min(group, key=lambda r: r.meu_rank)
-            by_bw = min(group, key=lambda r: r.best_worst_rank)
-            by_combined = min(group, key=lambda r: r.combined_rank)
-            lines.append(f"[{context}] {role}")
-            lines.append(f"  top by meu:        {by_meu.entry_id}  {sentence_of(by_meu.entry_id)}")
-            lines.append(f"  top by best-worst: {by_bw.entry_id}  {sentence_of(by_bw.entry_id)}")
-            lines.append(f"  top by combined:   {by_combined.entry_id}  {sentence_of(by_combined.entry_id)}")
+    for (context, role), group in groups.items():
+        lines.append(f"[{context}] {role}")
+        for label, rank_of in _CRITERIA:
+            top = min(group, key=lambda r: getattr(r, rank_of))
+            sentence = " ".join(entries[top.entry_id].sentence)
+            lines.append(f"  top by {label + ':':<11} {top.entry_id}  {sentence}")
     summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(summary_path)
     return written

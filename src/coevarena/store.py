@@ -53,8 +53,28 @@ ENGAGEMENT_COLUMNS = (
     "telemetry",
 )
 
-# What a "halfstep" line of halfsteps.jsonl holds besides its "record" key.
-_HALFSTEP_KEYS = tuple(field.name for field in fields(HalfStepStats))
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # a bool is not a number here
+
+
+def _is_list_of(value, valid) -> bool:
+    return type(value) is list and all(valid(item) for item in value)
+
+
+# The JSON values a HalfStepStats field may hold, by the field's annotation.
+_JSON_CHECKS = {
+    "int": lambda v: type(v) is int,
+    "str": lambda v: type(v) is str,
+    "float": _is_number,
+    "float | None": lambda v: v is None or _is_number(v),
+    "Genotype": lambda v: v != [] and _is_list_of(v, lambda codon: type(codon) is int and codon >= 0),
+    "tuple[str, ...] | None": lambda v: v is None or _is_list_of(v, lambda word: type(word) is str),
+}
+
+# What a "halfstep" line of halfsteps.jsonl holds besides its "record" key:
+# every HalfStepStats field, each with its annotation and check.
+_HALFSTEP_FIELDS = tuple((f.name, f.type, _JSON_CHECKS[f.type]) for f in fields(HalfStepStats))
 
 # The manifest entry of each input file, and the name of its verbatim copy.
 STORED_INPUTS = {
@@ -282,7 +302,7 @@ class ResultsStore:
         """Read one run directory. Raises CorruptRecord naming the file, and the
         line or key, unless the manifest is an object whose input entries hold
         a sha256 string, each halfsteps.jsonl line is an object and each
-        half-step line holds every HalfStepStats field."""
+        half-step line holds every HalfStepStats field as a JSON value of its type."""
         run_dir = self.root / dir_name
         manifest_path = run_dir / "manifest.json"
         halfsteps_path = run_dir / "halfsteps.jsonl"
@@ -295,9 +315,14 @@ class ResultsStore:
                 if not isinstance(record, dict):
                     raise CorruptRecord(f"{halfsteps_path} line {number} is not an object")
                 if record.get("record") == "halfstep":
-                    missing = next((key for key in _HALFSTEP_KEYS if key not in record), None)
-                    if missing is not None:
-                        raise CorruptRecord(f"{halfsteps_path} line {number} lacks key {missing!r}")
+                    for key, annotation, valid in _HALFSTEP_FIELDS:
+                        if key not in record:
+                            raise CorruptRecord(f"{halfsteps_path} line {number} lacks key {key!r}")
+                        if not valid(record[key]):
+                            raise CorruptRecord(
+                                f"{halfsteps_path} line {number} key {key!r} is not {annotation}: "
+                                f"{record[key]!r}"
+                            )
                     half_steps.append(record)
         except (OSError, json.JSONDecodeError) as exc:
             raise CorruptRecord(f"run directory {run_dir} is unreadable: {exc}") from exc

@@ -510,6 +510,37 @@ class TestCmdEstablo:
         lines = len(halfsteps.read_text().splitlines())
         assert "CorruptRecord" in err and f"halfsteps.jsonl line {lines} lacks key '{missing}'" in err
 
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
+    @pytest.mark.parametrize(
+        "key, value, annotation",
+        [
+            ("generation", "x", "int"),
+            ("best_id", 1.0, "int"),
+            ("phase", 3, "str"),
+            ("best_fitness", True, "float"),
+            ("mean_fitness", None, "float"),
+            ("incumbent_fitness", "0.5", "float | None"),
+            ("best_genotype", [], "Genotype"),
+            ("best_genotype", [3, -1], "Genotype"),
+            ("best_sentence", ["route", 2], "tuple[str, ...] | None"),
+            ("best_cost", [1.0], "float | None"),
+        ],
+    )
+    def test_halfstep_value_of_the_wrong_type_is_one_error_line(
+        self, populated_store, tmp_path, capsys, command, key, value, annotation
+    ):
+        run_dir = populated_store / ResultsStore(populated_store).entries()[0]["dir"]
+        halfsteps = run_dir / "halfsteps.jsonl"
+        last = json.loads(halfsteps.read_text().splitlines()[-1])
+        with halfsteps.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps({**last, key: value}) + "\n")
+        args = ["--out", tmp_path / "out"] if command == "establo" else [run_dir.name]
+        assert run_cli(command, "--store", populated_store, *args) == 1
+        err = assert_one_error_line(capsys)
+        lines = len(halfsteps.read_text().splitlines())
+        assert "CorruptRecord" in err
+        assert f"halfsteps.jsonl line {lines} key '{key}' is not {annotation}: {value!r}" in err
+
     def test_empty_store_fails(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert run_cli("establo", "--store", tmp_path / "empty", "--out", tmp_path / "out") == 1
@@ -607,10 +638,15 @@ class TestCmdEstablo:
         assert (out_dir / f"payoff_{ddos_scenario_file.stem}.csv").exists()
         assert (out_dir / "payoff_alt.csv").exists()
 
-    def test_same_stem_scenarios_are_one_error_line(
-        self, populated_store, tmp_path, ddos_scenario_file, capsys
+    @pytest.mark.parametrize(
+        "names, payoff_file",
+        [(("net", "net"), "payoff_net.csv"), (("Ring", "ring"), "payoff_ring.csv")],
+        ids=["same-stem", "case-only"],
+    )
+    def test_scenarios_writing_one_payoff_file_are_one_error_line(
+        self, populated_store, tmp_path, ddos_scenario_file, capsys, names, payoff_file
     ):
-        scenarios = [tmp_path / "a" / "net.scenario", tmp_path / "b" / "net.scenario"]
+        scenarios = [tmp_path / "a" / f"{names[0]}.scenario", tmp_path / "b" / f"{names[1]}.scenario"]
         for scenario in scenarios:
             scenario.parent.mkdir()
             shutil.copyfile(ddos_scenario_file, scenario)
@@ -618,7 +654,8 @@ class TestCmdEstablo:
         argv = ["establo", "--store", populated_store, "--out", out_dir]
         assert run_cli(*argv, "--scenario", scenarios[0], "--scenario", scenarios[1]) == 1
         err = assert_one_error_line(capsys)
-        assert "ConfigError" in err and all(str(scenario) in err for scenario in scenarios)
+        assert "ConfigError" in err and payoff_file in err
+        assert all(str(scenario) in err for scenario in scenarios)
         assert not out_dir.exists()
 
     def test_edited_scenario_copy_is_one_error_line(self, shipped_runs, tmp_path, capsys):
