@@ -51,6 +51,11 @@ class TestPair:
         assert set(defender_counts) == {0, 1, 2}
         assert all(count == 2 for count in defender_counts.values())
 
+    def test_one_vs_one_ignores_rounds(self):
+        pairs = pair(CompetitionStructure("one-vs-one", rounds=3), 5, 7, np.random.default_rng(2))
+        assert len(pairs) == 7
+        assert pairs == pair(CompetitionStructure("one-vs-one"), 5, 7, np.random.default_rng(2))
+
     def test_all_vs_all_counts(self):
         pairs = pair(CompetitionStructure("all-vs-all"), 4, 3, np.random.default_rng(0))
         assert len(pairs) == 12
