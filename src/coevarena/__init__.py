@@ -3,24 +3,11 @@ inside pluggable network engagement simulators, with a cross-run tournament
 and ranking stage for picking champions."""
 
 from .engagement import EngagementEnvironment, EngagementOutcome, InterpretError, ScenarioError
-from .engine import (
-    ATTACKER,
-    DEFENDER,
-    Champion,
-    CompetitionStructure,
-    EvolutionConfig,
-    HalfStepStats,
-    RunRecord,
-    SelectionScheme,
-    StructureMismatch,
-    assign_fitness,
-    crossover,
-    mutate,
-    pair,
-    pareto_front,
-    run_alternating,
-    select,
-)
+from .engine.config import ATTACKER, DEFENDER, CompetitionStructure, EvolutionConfig, SelectionScheme
+from .engine.fitness import assign_fitness, pareto_front
+from .engine.loop import Champion, HalfStepStats, RunRecord, run_alternating
+from .engine.pairing import StructureMismatch, pair
+from .engine.variation import crossover, mutate, select
 from .grammar import (
     DuplicateRuleError,
     Genotype,

@@ -10,7 +10,6 @@ from ..grammar import GenotypeLimits, MappingConfig
 
 ATTACKER = "attacker"
 DEFENDER = "defender"
-ROLES = (ATTACKER, DEFENDER)
 
 AGGREGATIONS = ("mean", "max", "min", "median")
 SOLUTION_CONCEPTS = ("meu", "best-worst", "pareto")

@@ -36,31 +36,28 @@ def pair(
     Exact pair counts: one-vs-one max(N_att, N_def); all-vs-all N_att * N_def;
     tournament(r) r * max(N_att, N_def); spatial(M, c) M^2 * c^2.
     """
-    if structure.kind == "one-vs-one":
-        return _round_one_vs_one(n_att, n_def, rng)
-    if structure.kind == "all-vs-all":
-        return [(a, d) for a in range(n_att) for d in range(n_def)]
-    if structure.kind == "tournament":
+    if structure.kind in ("one-vs-one", "tournament"):  # one-vs-one is one round
         pairs: list[tuple[int, int]] = []
-        for _ in range(structure.rounds):
+        for _ in range(structure.rounds if structure.kind == "tournament" else 1):
             pairs.extend(_round_one_vs_one(n_att, n_def, rng))
         return pairs
-    if structure.kind == "spatial":
-        side = structure.grid_side
-        if n_att != side * side or n_def != side * side:
-            raise StructureMismatch(
-                f"spatial({side},{structure.neighborhood}) needs both populations "
-                f"of size {side * side}, got {n_att} and {n_def}"
-            )
-        reach = structure.neighborhood // 2
-        offsets = range(-reach, reach + 1)
-        pairs = []
-        for x in range(side):
-            for y in range(side):
-                attacker = x * side + y
-                for dx in offsets:
-                    for dy in offsets:
-                        defender = ((x + dx) % side) * side + ((y + dy) % side)
-                        pairs.append((attacker, defender))
-        return pairs
-    raise StructureMismatch(f"unknown structure kind {structure.kind!r}")
+    if structure.kind == "all-vs-all":
+        return [(a, d) for a in range(n_att) for d in range(n_def)]
+    # spatial, the one kind left: CompetitionStructure admits no other.
+    side = structure.grid_side
+    if n_att != side * side or n_def != side * side:
+        raise StructureMismatch(
+            f"spatial({side},{structure.neighborhood}) needs both populations "
+            f"of size {side * side}, got {n_att} and {n_def}"
+        )
+    reach = structure.neighborhood // 2
+    offsets = range(-reach, reach + 1)
+    pairs = []
+    for x in range(side):
+        for y in range(side):
+            attacker = x * side + y
+            for dx in offsets:
+                for dy in offsets:
+                    defender = ((x + dx) % side) * side + ((y + dy) % side)
+                    pairs.append((attacker, defender))
+    return pairs

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..engagement import EngagementEnvironment, InterpretError, ScenarioError
+from ..engagement import EngagementEnvironment, ScenarioError
 from .contagion import ContagionEnvironment
 from .ddos import DdosEnvironment
 
@@ -23,13 +23,3 @@ def load_environment(environment_id: str, scenario_path: str | Path) -> Engageme
         ) from None
     return factory.from_file(scenario_path)
 
-
-__all__ = [
-    "ContagionEnvironment",
-    "DdosEnvironment",
-    "ENVIRONMENTS",
-    "EngagementEnvironment",
-    "InterpretError",
-    "ScenarioError",
-    "load_environment",
-]

@@ -99,14 +99,6 @@ class NetworkScenario:
         return {}
 
     @cached_property
-    def ring_order(self) -> list[str]:
-        return sorted(self.nodes)
-
-    @cached_property
-    def node_set(self) -> frozenset[str]:
-        return frozenset(self.nodes)
-
-    @cached_property
     def flood_upper(self) -> float:
         """Message cost of flooding every edge on every tick of every task window."""
         return (
@@ -288,7 +280,7 @@ def _route(
         hops = bfs_route(scenario.adjacency, enabled, task.source, task.destination)
     else:
         hops = ring_route(
-            scenario.ring_order, enabled, task.source, task.destination, defense.ring_successors
+            sorted(scenario.nodes), enabled, task.source, task.destination, defense.ring_successors
         )
     return hops is not None, hops * scenario.message_cost if hops is not None else 0.0
 
@@ -322,7 +314,7 @@ def engage(
             )
             row = table.get(disabled)
             if row is None:
-                enabled = scenario.node_set - disabled
+                enabled = frozenset(scenario.nodes) - disabled
                 row = table[disabled] = [_route(defense, scenario, enabled, task) for task in tasks]
         for index in active:
             if completed[index]:

@@ -251,7 +251,8 @@ def emit_report(
 
     entries maps every ranked entry id to its compendium entry. Re-emission
     over identical inputs is byte-identical: no timestamps, all orderings
-    fixed.
+    fixed. Payoff CSVs that an earlier emission left in out_dir are removed,
+    so the directory holds one report set.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -291,6 +292,9 @@ def emit_report(
             for attacker_id, cells in zip(matrix.attacker_ids, matrix.cells):
                 writer.writerow([attacker_id, *(repr(v) for v in cells)])
         written.append(matrix_path)
+    for stale in out.glob("payoff_*.csv"):
+        if stale not in written:
+            stale.unlink()
 
     # One series per (context, role, source algorithm): entries sorted by
     # combined rank, y = combined score. Feed this to external plotting.

@@ -10,15 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from coevarena.cli import main
-from coevarena.data import data_path
-from coevarena.engine import (
+from coevarena import (
     CompetitionStructure,
     EvolutionConfig,
     pair,
     pareto_front,
     run_alternating,
 )
+from coevarena.cli import main
+from coevarena.data import data_path
 from coevarena.engine.rng import Key
 from coevarena.envs import load_environment
 from coevarena.envs.contagion import (

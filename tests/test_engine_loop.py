@@ -7,7 +7,7 @@ from dataclasses import asdict
 
 import pytest
 
-from coevarena.engine import (
+from coevarena import (
     CompetitionStructure,
     EvolutionConfig,
     SelectionScheme,

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coevarena.engagement import EngagementOutcome
-from coevarena.engine import (
+from coevarena import (
     CompetitionStructure,
     SelectionScheme,
     StructureMismatch,
@@ -18,6 +17,7 @@ from coevarena.engine import (
     pareto_front,
     select,
 )
+from coevarena.engagement import EngagementOutcome
 from coevarena.engine.fitness import population_variance
 from coevarena.grammar import Genotype, GenotypeLimits
 

@@ -289,6 +289,13 @@ class TestEmitReport:
         for name in ("rankings.csv", "payoff_ctx.csv", "rank_curves.jsonl", "summary.txt"):
             assert (first_dir / name).read_bytes() == (second_dir / name).read_bytes()
 
+    def test_reused_directory_holds_one_report_set(self, tmp_path):
+        for context in ("net", "ring9"):
+            rankings, matrix = self.make_rankings(context)
+            written = emit_report(rankings, [matrix], tmp_path, self.ENTRIES)
+        assert sorted(tmp_path.iterdir()) == sorted(written)
+        assert not (tmp_path / "payoff_net.csv").exists()
+
     def test_summary_names_top_entries(self, tmp_path):
         rankings, matrix = self.make_rankings()
         emit_report(rankings, [matrix], tmp_path, self.ENTRIES)

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coevarena import CompetitionStructure, SelectionScheme, crossover, mutate, pair, select
 from coevarena.cli import load_experiment_config
 from coevarena.data import data_path
-from coevarena.engine import CompetitionStructure, SelectionScheme, crossover, mutate, pair, select
 from coevarena.engine import rng as streams
 from coevarena.engine.loop import run_alternating
 from coevarena.engine.rng import Key, Stream

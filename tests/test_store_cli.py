@@ -13,9 +13,9 @@ import pytest
 
 import coevarena
 import coevarena.store as store_module
+from coevarena import CompetitionStructure, EvolutionConfig, SelectionScheme
 from coevarena.cli import ConfigError, load_experiment_config, main
 from coevarena.data import data_path
-from coevarena.engine import CompetitionStructure, EvolutionConfig, SelectionScheme
 from coevarena.grammar import GenotypeLimits, MappingConfig
 from coevarena.store import CorruptRecord, ResultsStore, UnknownRun
 
