@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, get_type_hints
@@ -17,6 +18,14 @@ SOLUTION_CONCEPTS = ("meu", "best-worst", "pareto")
 
 def opposite(role: str) -> str:
     return DEFENDER if role == ATTACKER else ATTACKER
+
+
+def _kind_and_arg(text: str) -> tuple[str, str]:
+    """A scheme's text split at its first colon; TypeError unless it is a str."""
+    if not isinstance(text, str):
+        raise TypeError(f"a scheme is a string, not {type(text).__name__}")
+    kind, _, arg = text.strip().partition(":")
+    return kind, arg
 
 
 @dataclass(frozen=True)
@@ -39,7 +48,7 @@ class SelectionScheme:
 
     @classmethod
     def parse(cls, text: str) -> "SelectionScheme":
-        kind, _, arg = text.strip().partition(":")
+        kind, arg = _kind_and_arg(text)
         if kind == "tournament":
             return cls("tournament", size=int(arg) if arg else 3)
         if kind == "truncation":
@@ -80,8 +89,10 @@ class CompetitionStructure:
 
     @classmethod
     def parse(cls, text: str) -> "CompetitionStructure":
-        kind, _, arg = text.strip().partition(":")
+        kind, arg = _kind_and_arg(text)
         if kind in ("one-vs-one", "all-vs-all"):
+            if arg:
+                raise ValueError(f"competition structure {kind} takes no argument, not {arg!r}")
             return cls(kind)
         if kind == "tournament":
             return cls("tournament", rounds=int(arg) if arg else 1)
@@ -128,8 +139,10 @@ class EvolutionConfig:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if self.solution_concept not in SOLUTION_CONCEPTS:
             raise ValueError(f"unknown solution concept {self.solution_concept!r}")
-        if self.secondary_weight < 0.0:
-            raise ValueError("secondary_weight must be >= 0")
+        if not (math.isfinite(self.secondary_weight) and self.secondary_weight >= 0.0):
+            raise ValueError("secondary_weight must be finite and >= 0")
+        if not math.isfinite(self.invalid_fitness):
+            raise ValueError("invalid_fitness must be finite")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
 

@@ -14,8 +14,9 @@ A key's words are the 32-bit words numpy would make of the list
 An environment that wants n sub-streams, the children of
 ``key.seed_sequence().spawn(n)``, can take their PCG64 states at once from
 ``key.sibling_states(range(n))``: the children share every entropy word but
-the last, so the shared words are hashed once and the rest runs as numpy
-arrays across all n. The contagion simulator seeds its trials this way.
+the last, so numpy's SeedSequence hashes the shared words once and the rest
+runs as numpy arrays across all n. The contagion simulator seeds its trials
+this way.
 
 The prefix-child rule: when a key has at least four words, SeedSequence's
 pool size, child i of its SeedSequence is exactly the stream of
@@ -43,7 +44,6 @@ once; separate processes are fine.
 
 from __future__ import annotations
 
-import functools
 import zlib
 
 import numpy as np
@@ -91,11 +91,6 @@ def _pcg64_seeded(initstate: int, initseq: int) -> tuple[int, int]:
     return (inc + initstate) * _PCG64_MULT + inc & _MASK_128, inc
 
 
-@functools.lru_cache(maxsize=256)
-def _crc32(text: str) -> int:
-    return zlib.crc32(text.encode("utf-8"))
-
-
 def _int_words(part: int) -> list[int]:
     if part < 0:
         raise ValueError(f"key part {part} is negative")
@@ -105,19 +100,6 @@ def _int_words(part: int) -> list[int]:
         words.append(part & _WORD_MASK)
         part >>= 32
     return words
-
-
-def _hashmix(value: int, const: int) -> tuple[int, int]:
-    """SeedSequence's hashmix of one word: (mixed value, next hash constant)."""
-    value ^= const
-    const = const * _HASH_MULT_A & _WORD_MASK
-    value = value * const & _WORD_MASK
-    return value ^ value >> 16, const
-
-
-def _mix(x: int, y: int) -> int:
-    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _WORD_MASK
-    return value ^ value >> 16
 
 
 def _constants(start: int, mult: int, count: int) -> np.ndarray:
@@ -149,7 +131,7 @@ class Key:
             if type(part) is int and 0 <= part <= _WORD_MASK:
                 words.append(part)
             elif isinstance(part, str):
-                words.append(_crc32(part))
+                words.append(zlib.crc32(part.encode("utf-8")))
             elif isinstance(part, bool):
                 raise TypeError("bool key parts are ambiguous")
             elif isinstance(part, int):
@@ -187,30 +169,18 @@ class Key:
         i-th SeedSequence that ``self.seed_sequence().spawn`` gives.
 
         Child i's entropy is the key's words, zero-padded to SeedSequence's
-        pool size, then i. So the shared words are hashed into the pool once,
-        in Python. The last word's four mixing rounds and the eight output
-        words then run once for all the children, as uint32 arrays, which wrap
-        as SeedSequence's arithmetic does. PCG64's two-step seeding runs last,
-        on Python ints. A ``PCG64`` given child i's state draws what
-        ``np.random.PCG64(child_i)`` draws, for i below 2**32;
-        ``tests/test_rng.py`` checks it.
+        pool size, then i. numpy's SeedSequence of the key hashes the shared
+        words into the pool once, with four hashmix calls per word and at
+        least sixteen, which fixes the hash constant i starts from. i's four
+        mixing rounds and the eight output words run once for all children,
+        as uint32 arrays that wrap as SeedSequence's arithmetic does, and
+        PCG64's two-step seeding last, on Python ints. A ``PCG64`` given child
+        i's state draws what ``np.random.PCG64(child_i)`` draws, for i below
+        2**32; ``tests/test_rng.py`` checks it.
         """
-        words = list(self.words)
-        words += [0] * (_POOL_SIZE - len(words))
-        pool = []
-        const = _HASH_INIT_A
-        for word in words[:_POOL_SIZE]:
-            value, const = _hashmix(word, const)
-            pool.append(value)
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    value, const = _hashmix(pool[src], const)
-                    pool[dst] = _mix(pool[dst], value)
-        for word in words[_POOL_SIZE:]:
-            for dst in range(_POOL_SIZE):
-                value, const = _hashmix(word, const)
-                pool[dst] = _mix(pool[dst], value)
+        pool = np.random.SeedSequence(np.array(self.words, dtype=np.uint32)).pool.tolist()
+        rounds = 4 * max(len(self.words), _POOL_SIZE)
+        const = _HASH_INIT_A * pow(_HASH_MULT_A, rounds, 2**32) & _WORD_MASK
         # the spawn index: one hashmix per pool word, as (pool word, child) arrays
         consts = _constants(const, _HASH_MULT_A, _POOL_SIZE)
         indices = np.arange(children.start, children.stop, children.step, dtype=np.uint32)

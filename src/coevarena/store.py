@@ -96,6 +96,14 @@ class UnknownRun(Exception):
     """No stored run matches the given reference."""
 
 
+def _read_text(path: Path) -> str:
+    """path's text; CorruptRecord naming it if it is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptRecord(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -166,7 +174,7 @@ class ResultsStore:
         if not self.index_path.exists():
             return []
         entries = []
-        lines = self.index_path.read_text(encoding="utf-8").splitlines()
+        lines = _read_text(self.index_path).splitlines()
         for number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
@@ -300,16 +308,17 @@ class ResultsStore:
 
     def _load_dir(self, dir_name: str) -> StoredRun:
         """Read one run directory. Raises CorruptRecord naming the file, and the
-        line or key, unless the manifest is an object whose input entries hold
-        a sha256 string, each halfsteps.jsonl line is an object and each
-        half-step line holds every HalfStepStats field as a JSON value of its type."""
+        line or key, unless both files are UTF-8, the manifest is an object
+        whose input entries hold a sha256 string, each halfsteps.jsonl line is
+        an object and each half-step line holds every HalfStepStats field as a
+        JSON value of its type."""
         run_dir = self.root / dir_name
         manifest_path = run_dir / "manifest.json"
         halfsteps_path = run_dir / "halfsteps.jsonl"
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            manifest = json.loads(_read_text(manifest_path))
             half_steps = []
-            lines = halfsteps_path.read_text(encoding="utf-8").splitlines()
+            lines = _read_text(halfsteps_path).splitlines()
             for number, line in enumerate(lines, 1):
                 record = json.loads(line)
                 if not isinstance(record, dict):

@@ -262,6 +262,11 @@ class TestLoadExperimentConfig:
             ("genotype", "codon_max = 36893488147419103232", r"need 1 <= codon_max <= 2\*\*63"),
             ("mapping", "max_wraps = -1", "max_wraps must be >= 0"),
             ("evolution", "generations = 0", "generations must be >= 1"),
+            ("evolution", "secondary_weight = nan", "secondary_weight must be finite"),
+            ("evolution", "secondary_weight = inf", "secondary_weight must be finite"),
+            ("evolution", "invalid_fitness = nan", "invalid_fitness must be finite"),
+            ("evolution", "invalid_fitness = inf", "invalid_fitness must be finite"),
+            ("evolution", "invalid_fitness = -inf", "invalid_fitness must be finite"),
             ("experiment", "repetitions = 0", "repetitions must be >= 1"),
             ("experiment", "seed = -1", "seed must be >= 0"),
             ("experiment", "environment = nope", "unknown environment 'nope'"),
@@ -340,6 +345,14 @@ class TestLoadExperimentConfig:
         assert run_cli("run", "--config", config, "--store", tmp_path / "s") == 1
         err = assert_one_error_line(capsys)
         assert "ConfigError" in err and str(config) in err
+
+    @pytest.mark.parametrize("text", ["one-vs-one:5", "all-vs-all:abc"])
+    def test_structure_argument_for_a_kind_without_one_is_rejected(self, tmp_path, ddos_scenario_file, text):
+        with pytest.raises(ValueError, match="takes no argument"):
+            CompetitionStructure.parse(text)
+        path = bare_config(tmp_path, ddos_scenario_file, f"structure = {text}\n")
+        with pytest.raises(ConfigError, match=rf"^config \[evolution\] structure: bad value '{text}'"):
+            load_experiment_config(path)
 
     def test_dict_round_trip_with_every_field_set(self):
         cfg = EvolutionConfig(
@@ -457,12 +470,23 @@ class TestCmdEstablo:
         [
             (lambda m: {**m, "config": {k: v for k, v in m["config"].items() if k != "max_wraps"}}, "'config'"),
             (lambda m: {**m, "config": [1]}, "'config'"),
+            (lambda m: {**m, "config": {**m["config"], "selection": ["tournament", 3]}}, "'config'"),
+            (lambda m: {**m, "config": {**m["config"], "structure": 5}}, "'config'"),
             (lambda m: [2], "is not an object"),
             (lambda m: {"format_version": 2}, {"establo": "'environment'", "inspect": "'run_id'"}),
             (lambda m: {k: v for k, v in m.items() if k != "environment"}, "'environment'"),
             (lambda m: {**m, "scenario": "x"}, "'scenario'"),
         ],
-        ids=["no-max-wraps", "config-list", "list", "version-only", "no-environment", "bad-input"],
+        ids=[
+            "no-max-wraps",
+            "config-list",
+            "selection-list",
+            "structure-int",
+            "list",
+            "version-only",
+            "no-environment",
+            "bad-input",
+        ],
     )
     def test_corrupt_manifest_is_one_error_line(self, populated_store, tmp_path, capsys, command, edit, named):
         run_dir = populated_store / ResultsStore(populated_store).entries()[0]["dir"]
@@ -473,6 +497,23 @@ class TestCmdEstablo:
         err = assert_one_error_line(capsys)
         named = named[command] if isinstance(named, dict) else named
         assert "CorruptRecord" in err and str(manifest_path) in err and named in err
+
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
+    @pytest.mark.parametrize("name", ["index.jsonl", "halfsteps.jsonl", "manifest.json"])
+    def test_store_file_that_is_not_utf8_is_one_error_line(
+        self, populated_store, tmp_path, capsys, command, name
+    ):
+        run_dir = populated_store / ResultsStore(populated_store).entries()[0]["dir"]
+        path = populated_store / name if name == "index.jsonl" else run_dir / name
+        if name == "manifest.json":
+            path.write_bytes(b"\xff")
+        else:
+            with path.open("ab") as handle:
+                handle.write(b"\xff\n")
+        args = ["--out", tmp_path / "out"] if command == "establo" else [run_dir.name]
+        assert run_cli(command, "--store", populated_store, *args) == 1
+        err = assert_one_error_line(capsys)
+        assert "CorruptRecord" in err and f"{path} is not UTF-8 text" in err
 
     @pytest.mark.parametrize("command", ["establo", "inspect"])
     def test_halfsteps_line_that_is_not_an_object_is_one_error_line(
