@@ -199,7 +199,8 @@ def cast_entries(schema: type, entries: Mapping[str, object]) -> dict:
     schema is a config section's dataclass. int, float, str and path fields go
     through that type, an optional path's empty value is None, and selection
     and structure go through their parse. An entry that names no such field,
-    or whose value does not cast, raises ValueError naming the entry.
+    or whose value does not cast (an infinite float for an int among them),
+    raises ValueError naming the entry.
     """
     parsers = dict(_settable(schema))
     cast = {}
@@ -208,6 +209,6 @@ def cast_entries(schema: type, entries: Mapping[str, object]) -> dict:
             raise ValueError(f"{name}: unknown option")
         try:
             cast[name] = parsers[name](raw)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"{name}: bad value {raw!r} ({exc})") from exc
     return cast

@@ -30,12 +30,16 @@ than four words; ``Key.child(i)`` names such a stream by appending one word.
 The engine draws from a ``Stream``: numpy's ``Generator`` algorithms for
 ``random``, ``integers`` and ``permutation``, re-done in plain Python over the
 raw 64-bit words of ``PCG64``, which skips numpy's per-call overhead on scalar
-draws. A stream is only its PCG64 ``(state, inc)``: it takes its words a
-block at a time from one shared ``PCG64``, set to the stream's state, and
-then moves its own state past the block by a precomputed LCG jump. Setting
-that state is the module's one write to a bit generator, and ``fill_random``
-uses it too. numpy's stream-compatibility policy (NEP 19) promises the bit
-generators' raw streams, not ``Generator``'s distribution algorithms, so
+draws. ``hits(n, p)`` is the one method numpy's ``Generator`` lacks: the
+indices i < n whose ``random() < p`` draw hits, each tested as one integer
+comparison of the raw word; ``tests/oracles.py::OracleGenerator`` defines it
+on a Generator as that loop of ``random`` calls. A stream is only its PCG64
+``(state, inc)``: it takes its words a block of 64 at a time from one shared
+``PCG64``, set to the stream's state, and then moves its own state past the
+block by a precomputed LCG jump. Setting that state is the module's one
+write to a bit generator, and ``fill_random`` uses it too. numpy's
+stream-compatibility policy (NEP 19) promises the bit generators' raw
+streams, not ``Generator``'s distribution algorithms, so
 ``tests/test_rng.py::TestStreamMatchesGenerator`` checks every draw against
 the installed numpy's ``Generator``; it fails if a numpy release changes them.
 The shared bit generator makes streams unsafe to draw from in two threads at
@@ -44,15 +48,18 @@ once; separate processes are fine.
 
 from __future__ import annotations
 
+import math
 import zlib
+from collections.abc import Iterator
 
 import numpy as np
 
 _WORD_MASK = 0xFFFFFFFF
 _RAW_MASK = 2**64 - 1
 _MASK_128 = 2**128 - 1
-# Raw words taken from the bit generator at a time; most streams are short.
-_BLOCK = 32
+# Raw words taken from the bit generator at a time: enough for most streams,
+# a child's variation among them, in one seating.
+_BLOCK = 64
 
 # The constants of numpy's SeedSequence hashing (its pool holds four 32-bit
 # words) and PCG64's 128-bit multiplier; see Key.sibling_states.
@@ -205,11 +212,15 @@ class Key:
 class Stream:
     """The draws of ``np.random.Generator`` over a PCG64 at ``(state, inc)``.
 
-    Each method returns what the same call on that Generator returns, call
-    for call. A 32-bit draw takes the low half of a raw word and keeps the
-    high half for the next one, as PCG64's ``next_uint32`` does; 64-bit
-    draws leave a kept half in place. Raw words come _BLOCK at a time from
-    the shared bit generator, on the first draw and whenever they run out.
+    Each method but ``hits`` returns what the same call on that Generator
+    returns, call for call. ``hits`` is the one draw the Generator lacks:
+    ``tests/oracles.py::OracleGenerator`` defines it on a Generator as the loop
+    of ``random`` calls it stands for. A 32-bit draw takes the low half of a
+    raw word and keeps the high half for the next one, as PCG64's
+    ``next_uint32`` does; 64-bit draws leave a kept half in place. Raw words
+    come _BLOCK (64) at a time from the shared bit generator, on the first
+    draw and whenever they run out, into the one list the stream pops them
+    from.
     """
 
     __slots__ = ("_state", "_inc", "_words", "_half")
@@ -220,24 +231,50 @@ class Stream:
         self._words: list[int] = []
         self._half: int | None = None
 
+    def _refill(self) -> None:
+        _seat(self._state, self._inc)
+        self._words.extend(_BITS.random_raw(_BLOCK)[::-1].tolist())
+        self._state = (self._state * _JUMP_MULT + self._inc * _JUMP_INC) & _MASK_128
+
     def _word(self) -> int:
         if not self._words:
-            _seat(self._state, self._inc)
-            self._words = _BITS.random_raw(_BLOCK).tolist()[::-1]
-            self._state = (self._state * _JUMP_MULT + self._inc * _JUMP_INC) & _MASK_128
+            self._refill()
         return self._words.pop()
 
     def _uint32(self) -> int:
         half = self._half
         if half is None:
-            word = self._word()
+            words = self._words
+            if not words:
+                self._refill()
+            word = words.pop()
             self._half = word >> 32
             return word & _WORD_MASK
         self._half = None
         return half
 
     def random(self) -> float:
-        return (self._word() >> 11) * 2**-53
+        words = self._words
+        if not words:
+            self._refill()
+        return (words.pop() >> 11) * 2**-53
+
+    def hits(self, n: int, p: float) -> Iterator[int]:
+        """Each i < n, in order, whose draw ``random() < p`` hits, with n such
+        draws in all; the caller may draw between yields.
+
+        ``random()`` is ``(w >> 11) * 2**-53`` for a raw word w, which is below
+        p exactly when w is below ``ceil(p * 2**53) << 11``, so each index
+        compares one word with that integer and builds no float.
+        """
+        # random() < p always holds for p >= 1, and never for p <= 0 or NaN
+        limit = math.ceil(min(p, 1.0) * 2**53) << 11 if p > 0.0 else 0
+        words = self._words
+        for i in range(n):
+            if not words:
+                self._refill()
+            if words.pop() < limit:
+                yield i
 
     def integers(self, low: int, high: int) -> int:
         """An int in [low, high), for high - low <= 2**64, by Lemire's method.

@@ -56,9 +56,8 @@ def mutate(
     if mutation_rate <= 0.0:
         return genotype
     codons = list(genotype.codons)
-    for i in range(len(codons)):
-        if rng.random() < mutation_rate:
-            codons[i] = rng.integers(0, limits.codon_max)
+    for i in rng.hits(len(codons), mutation_rate):
+        codons[i] = rng.integers(0, limits.codon_max)
     if rng.random() < mutation_rate:
         if rng.random() < 0.5:
             if len(codons) < limits.max_length:

@@ -97,9 +97,9 @@ class Genotype:
     def __post_init__(self):
         if len(self.codons) == 0:
             raise ValueError("genotype must hold at least one codon")
-        for c in self.codons:
-            if c < 0:
-                raise ValueError(f"codon {c} is negative")
+        if min(self.codons) < 0:
+            first = next(c for c in self.codons if c < 0)
+            raise ValueError(f"codon {first} is negative")
 
     def __len__(self) -> int:
         return len(self.codons)

@@ -12,7 +12,8 @@ of an explicit stack, for the engagement log a reader of the
 raw file that puts the genotypes and sentences back on every record, for
 keyed random streams numpy's own encoding of a list of ints instead of an
 array of 32-bit words, and for the engine's draws numpy's own Generator,
-drawing a tournament's entrants and a genotype's codons as one array each.
+drawing a tournament's entrants and a genotype's codons as one array each,
+with the one draw it lacks, ``hits``, as a loop of ``random`` calls.
 """
 
 from __future__ import annotations
@@ -63,6 +64,15 @@ def oracle_seed_sequence(master_seed: int, *key) -> np.random.SeedSequence:
     numpy itself splits into 32-bit words."""
     entropy = [_oracle_encode(master_seed)] + [_oracle_encode(part) for part in key]
     return np.random.SeedSequence(entropy)
+
+
+class OracleGenerator(np.random.Generator):
+    """numpy's Generator plus ``Stream.hits``, drawn one ``random()`` per index."""
+
+    def hits(self, n, p):
+        for i in range(n):
+            if self.random() < p:
+                yield i
 
 
 def oracle_select(members, fitnesses, scheme: SelectionScheme, gen: np.random.Generator):

@@ -21,7 +21,7 @@ from coevarena.engagement import EngagementOutcome
 from coevarena.engine.fitness import population_variance
 from coevarena.grammar import Genotype, GenotypeLimits
 
-from oracles import pareto_oracle
+from oracles import OracleGenerator, pareto_oracle
 
 
 def members(size):
@@ -243,14 +243,14 @@ class TestMutate:
         assert mutate(genotype, 0.0, np.random.default_rng(0), GenotypeLimits(1, 5, 10)) == genotype
 
     def test_rate_one_with_unit_codon_range_zeroes(self):
-        result = mutate(Genotype((5, 7, 9)), 1.0, np.random.default_rng(0), GenotypeLimits(1, 5, 1))
+        result = mutate(Genotype((5, 7, 9)), 1.0, OracleGenerator(np.random.PCG64(0)), GenotypeLimits(1, 5, 1))
         assert set(result.codons[:3]) | {0} == {0}
 
     def test_rate_one_at_max_length_only_shrinks_or_stays(self):
         limits = GenotypeLimits(min_length=1, max_length=5, codon_max=8)
         lengths = set()
         for seed in range(200):
-            result = mutate(Genotype((1,) * 5), 1.0, np.random.default_rng(seed), limits)
+            result = mutate(Genotype((1,) * 5), 1.0, OracleGenerator(np.random.PCG64(seed)), limits)
             lengths.add(len(result))
         assert lengths == {4, 5}  # insert is blocked at the cap
 
@@ -258,7 +258,7 @@ class TestMutate:
         limits = GenotypeLimits(min_length=3, max_length=8, codon_max=8)
         lengths = set()
         for seed in range(200):
-            result = mutate(Genotype((1, 1, 1)), 1.0, np.random.default_rng(seed), limits)
+            result = mutate(Genotype((1, 1, 1)), 1.0, OracleGenerator(np.random.PCG64(seed)), limits)
             lengths.add(len(result))
         assert lengths == {3, 4}
 
@@ -266,7 +266,7 @@ class TestMutate:
     @settings(max_examples=100, deadline=None)
     def test_bounds_always_respected(self, seed, rate):
         limits = GenotypeLimits(min_length=2, max_length=6, codon_max=16)
-        result = mutate(Genotype((3, 3, 3, 3)), rate, np.random.default_rng(seed), limits)
+        result = mutate(Genotype((3, 3, 3, 3)), rate, OracleGenerator(np.random.PCG64(seed)), limits)
         assert limits.min_length <= len(result) <= limits.max_length
         assert all(0 <= c < limits.codon_max for c in result.codons)
 

@@ -12,6 +12,7 @@ from coevarena.establo import (
     CompendiumEntry,
     GrammarMismatch,
     PayoffMatrix,
+    _select_champions,
     build_compendium,
     cross_tournament,
     emit_report,
@@ -103,6 +104,15 @@ class TestBuildCompendium:
                 picked = set(chosen.get((run_id, role), []))
                 # dedup may drop front members whose sentence already appeared
                 assert picked <= front
+
+    def test_pareto_per_run_reads_a_null_best_cost_as_zero(self):
+        # A best with no outcomes logs a null best_cost. Read as 0.0, g1's
+        # (1.0, 0.0) dominates g2's (0.5, 0.5); read as 1.0, the two trade off.
+        steps = [
+            {"generation": 1, "best_sentence": ["a"], "best_fitness": 1.0, "best_cost": None},
+            {"generation": 2, "best_sentence": ["b"], "best_fitness": 0.5, "best_cost": 0.5},
+        ]
+        assert _select_champions(steps, "pareto-per-run", stride=1) == [steps[0]]
 
     def test_sentences_deduplicate(self, ddos_store):
         runs = ResultsStore(ddos_store).load_all()

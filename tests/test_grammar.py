@@ -264,6 +264,16 @@ class TestProperties:
         assert set(strategy.sentence) <= PROPERTY_GRAMMAR.terminals
 
 
+class TestGenotype:
+    def test_negative_codon_is_named(self):
+        with pytest.raises(ValueError, match=r"^codon -1 is negative$"):
+            Genotype((3, -1, -2))
+
+    def test_empty_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one codon"):
+            Genotype(())
+
+
 class TestRandomGenotype:
     def test_bounds(self):
         rng = np.random.default_rng(1)

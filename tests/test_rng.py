@@ -2,6 +2,8 @@
 draws as numpy's Generator, built only where they are drawn from."""
 
 import copy
+import itertools
+import math
 import pickle
 from collections import Counter
 from dataclasses import replace
@@ -21,7 +23,7 @@ from coevarena.envs import ContagionEnvironment, load_environment
 from coevarena.establo import CompendiumEntry, cross_tournament
 from coevarena.grammar import Genotype, GenotypeLimits, Strategy, load_grammar, random_genotype
 
-from oracles import oracle_random_genotype, oracle_seed_sequence, oracle_select
+from oracles import OracleGenerator, oracle_random_genotype, oracle_seed_sequence, oracle_select
 
 WIDE_INTS = st.integers(0, 2**96 - 1)
 KEY_PARTS = st.lists(st.one_of(st.integers(0, 2**32), WIDE_INTS, st.text(max_size=12)), max_size=6)
@@ -79,8 +81,8 @@ SPANS = st.one_of(
 CODON_MAXES = st.one_of(st.sampled_from([1, 2, 65536, 2**32, 2**32 + 1, 2**63]), st.integers(1, 2**63))
 
 
-def numpy_generator(key: Key) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(key.seed_sequence()))
+def numpy_generator(key: Key) -> OracleGenerator:
+    return OracleGenerator(np.random.PCG64(key.seed_sequence()))
 
 
 def stream(key: Key) -> Stream:
@@ -147,6 +149,64 @@ class TestStreamMatchesGenerator:
             numpy_generator(Key(0)).integers(3, 3)
         with pytest.raises(ValueError):
             stream(Key(0)).integers(3, 3)
+
+
+def draw(generator, call):
+    name, *args = call
+    value = getattr(generator, name)(*args)
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+# the rates hits must treat exactly as random() < p: the ends, the least
+# positive one, and the float neighbours either side of two common ones
+HIT_RATES = [0.0, 2**-53, 0.1, 0.25, 0.5, 1.0] + [
+    math.nextafter(p, toward) for p in (0.1, 0.5) for toward in (0.0, 1.0)
+]
+
+
+class TestStreamHits:
+    """Stream.hits yields what OracleGenerator.hits yields, one random() per
+    index, with other draws made between its yields."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=KEYS,
+        before=st.lists(calls(), max_size=4),
+        n=st.integers(0, 200),
+        p=st.sampled_from(HIT_RATES),
+        between=st.lists(st.lists(calls(), max_size=3), max_size=40),
+    )
+    # n above one 64-word block, so a refill lands inside the scan
+    @example(key=Key(0), before=[], n=150, p=0.5, between=[[("integers", 0, 10)]] * 40)
+    @example(key=Key(3), before=[("integers", 0, 2**16)], n=130, p=1.0, between=[[("random",)]] * 40)
+    def test_yield_for_yield(self, key, before, n, p, between):
+        built, oracle = stream(key), numpy_generator(key)
+        for call in before:
+            assert draw(built, call) == draw(oracle, call)
+        pairs = itertools.zip_longest(built.hits(n, p), oracle.hits(n, p))
+        for k, (got, expected) in enumerate(pairs):
+            assert got == expected, (k, p)
+            for call in between[k] if k < len(between) else ():
+                assert draw(built, call) == draw(oracle, call)
+        assert built.random() == oracle.random()
+        assert built.integers(0, 2**32) == oracle.integers(0, 2**32)
+
+    @pytest.mark.parametrize("p", HIT_RATES)
+    def test_words_either_side_of_the_limit(self, p):
+        # the raw words whose random() sits on either side of p
+        edge = math.ceil(p * 2**53) << 11
+        near = (0, edge - 2049, edge - 2048, edge - 1, edge, edge + 2047, 2**64 - 1)
+        words = [w for w in near if 0 <= w < 2**64]
+        built = Stream(0, 1)
+        built._words.extend(reversed(words))
+        expected = [i for i, w in enumerate(words) if (w >> 11) * 2**-53 < p]
+        assert list(built.hits(len(words), p)) == expected
+
+    @pytest.mark.parametrize("p", [-0.5, -math.inf, 1.5, math.inf, math.nan])
+    def test_rates_outside_the_unit_interval(self, p):
+        built, oracle = stream(Key(7)), numpy_generator(Key(7))
+        assert list(built.hits(100, p)) == list(oracle.hits(100, p))
+        assert built.random() == oracle.random()
 
 
 class TestEngineDrawsMatchGenerator:
@@ -352,7 +412,7 @@ STREAM_OF_KIND = {"candidate": "engage", "incumbent": "elite"}
 
 
 def oracle_stream(seed, *parts):
-    return np.random.default_rng(oracle_seed_sequence(seed, *parts))
+    return OracleGenerator(np.random.PCG64(oracle_seed_sequence(seed, *parts)))
 
 
 @pytest.fixture

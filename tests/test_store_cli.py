@@ -472,6 +472,7 @@ class TestCmdEstablo:
             (lambda m: {**m, "config": [1]}, "'config'"),
             (lambda m: {**m, "config": {**m["config"], "selection": ["tournament", 3]}}, "'config'"),
             (lambda m: {**m, "config": {**m["config"], "structure": 5}}, "'config'"),
+            (lambda m: {**m, "config": {**m["config"], "generations": float("inf")}}, "'config'"),
             (lambda m: [2], "is not an object"),
             (lambda m: {"format_version": 2}, {"establo": "'environment'", "inspect": "'run_id'"}),
             (lambda m: {k: v for k, v in m.items() if k != "environment"}, "'environment'"),
@@ -482,6 +483,7 @@ class TestCmdEstablo:
             "config-list",
             "selection-list",
             "structure-int",
+            "generations-inf",
             "list",
             "version-only",
             "no-environment",
