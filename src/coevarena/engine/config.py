@@ -163,16 +163,22 @@ class EvolutionConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvolutionConfig":
-        """The inverse of to_dict. Raises KeyError when data lacks a field."""
+        """The inverse of to_dict. Raises KeyError when data lacks a field, and
+        ValueError unless to_dict gives back each value with its own type, so
+        2.5 or true for an int field and "0.1" for a float field are rejected."""
 
         def section(schema):
             return cast_entries(schema, {name: data[name] for name, _ in _settable(schema)})
 
-        return cls(
+        loaded = cls(
             **section(cls),
             limits=GenotypeLimits(**section(GenotypeLimits)),
             mapping=MappingConfig(**section(MappingConfig)),
         )
+        for name, value in loaded.to_dict().items():
+            if type(value) is not type(data[name]) or value != data[name]:
+                raise ValueError(f"{name}: {data[name]!r} loads as {value!r}")
+        return loaded
 
 
 _SCHEMES = (SelectionScheme, CompetitionStructure)

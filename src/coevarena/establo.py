@@ -122,7 +122,7 @@ def build_compendium(
                         entry_id=f"{manifest['run_id']}:{role}:g{step['generation']:03d}",
                         role=role,
                         run_id=manifest["run_id"],
-                        algorithm=manifest.get("algorithm_label", "alternating"),
+                        algorithm=manifest["algorithm_label"],
                         generation=step["generation"],
                         sentence=recorded,
                         strategy=strategy,

@@ -25,6 +25,9 @@ renames it to ``<dir>`` and only then appends its index line, so a failed
 write leaves neither a run directory nor an index line. The engagement log
 and halfsteps files are free of timestamps, so identical config and seed
 reproduce them byte for byte; the manifest carries the only timestamp.
+
+Loading a run checks each record (index line, manifest, half-step line) once,
+against the one description of its keys here; CorruptRecord names what fails.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import hashlib
 import json
 import shutil
 from dataclasses import dataclass, fields
-from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -54,34 +56,36 @@ ENGAGEMENT_COLUMNS = (
 )
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float)  # a bool is not a number here
-
-
-def _is_list_of(value, valid) -> bool:
-    return type(value) is list and all(valid(item) for item in value)
-
-
-# The JSON values a HalfStepStats field may hold, by the field's annotation.
-_JSON_CHECKS = {
-    "int": lambda v: type(v) is int,
-    "str": lambda v: type(v) is str,
-    "float": _is_number,
-    "float | None": lambda v: v is None or _is_number(v),
-    "Genotype": lambda v: v != [] and _is_list_of(v, lambda codon: type(codon) is int and codon >= 0),
-    "tuple[str, ...] | None": lambda v: v is None or _is_list_of(v, lambda word: type(word) is str),
-}
-
-# What a "halfstep" line of halfsteps.jsonl holds besides its "record" key:
-# every HalfStepStats field, each with its annotation and check.
-_HALFSTEP_FIELDS = tuple((f.name, f.type, _JSON_CHECKS[f.type]) for f in fields(HalfStepStats))
-
 # The manifest entry of each input file, and the name of its verbatim copy.
 STORED_INPUTS = {
     "attack_grammar": "attack.bnf",
     "defense_grammar": "defense.bnf",
     "scenario": "scenario.cfg",
 }
+
+# The JSON values each type in a record description admits; a bool is no number.
+_JSON_CHECKS = {
+    "int": lambda v: type(v) is int,
+    "str": lambda v: type(v) is str,
+    "float": lambda v: type(v) in (int, float),
+    "float | None": lambda v: v is None or type(v) in (int, float),
+    "Genotype": lambda v: type(v) is list and v != [] and all(type(c) is int and c >= 0 for c in v),
+    "tuple[str, ...] | None": lambda v: v is None or type(v) is list and all(type(w) is str for w in v),
+}
+
+# One description per stored record: each key its reader reads, with the JSON
+# type it holds or the description of the object it holds. A "halfstep" line of
+# halfsteps.jsonl holds every HalfStepStats field.
+_INDEX_ENTRY = {"dir": "str", "run_id": "str"}
+_MANIFEST = {
+    "run_id": "str",
+    "environment": "str",
+    "algorithm_label": "str",
+    "seed": "int",
+    "config": {},  # EvolutionConfig.from_dict checks its keys
+    **{key: {"sha256": "str"} for key in STORED_INPUTS},
+}
+_HALFSTEP = {f.name: f.type for f in fields(HalfStepStats)}
 
 
 class CorruptRecord(Exception):
@@ -111,32 +115,30 @@ def sha256_file(path: str | Path) -> str:
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-class Manifest(dict):
-    """A run's manifest.json. Reading a key it lacks raises CorruptRecord
-    naming the file and the key, so each reader checks what it reads."""
-
-    def __init__(self, path: Path, data: dict):
-        super().__init__(data)
-        self.path = path
-
-    def __missing__(self, key):
-        raise CorruptRecord(f"{self.path} lacks key {key!r}")
+def _check(value, description: dict, where: str):
+    """value, if it is an object holding each key of description as a value of
+    the key's type, or as an object checked against the key's own description;
+    else CorruptRecord naming where and the key. {} admits any object."""
+    if type(value) is not dict:
+        raise CorruptRecord(f"{where} is not an object")
+    for key, kind in description.items():
+        if key not in value:
+            raise CorruptRecord(f"{where} lacks key {key!r}")
+        if type(kind) is dict:
+            _check(value[key], kind, f"{where} key {key!r}")
+        elif not _JSON_CHECKS[kind](value[key]):
+            raise CorruptRecord(f"{where} key {key!r} is not {kind}: {value[key]!r}")
+    return value
 
 
 @dataclass
 class StoredRun:
-    run_dir: Path
-    manifest: Manifest
-    half_steps: list[dict]
+    """A loaded run: its manifest and half-step lines, checked, and its config echo, loaded."""
 
-    @cached_property
-    def config(self) -> EvolutionConfig:
-        """The manifest's config echo, loaded; CorruptRecord if it does not load."""
-        try:
-            return EvolutionConfig.from_dict(self.manifest["config"])
-        except (KeyError, TypeError, ValueError) as exc:
-            message = f"{self.manifest.path} key 'config' does not load: {type(exc).__name__} {exc}"
-            raise CorruptRecord(message) from exc
+    run_dir: Path
+    manifest: dict
+    config: EvolutionConfig
+    half_steps: list[dict]
 
     def input_path(self, key: str) -> Path:
         """The run directory's copy of the input file the manifest records under key.
@@ -184,11 +186,7 @@ class ResultsStore:
             except json.JSONDecodeError as exc:
                 message = f"{where} does not parse: {exc.msg} at column {exc.colno}"
                 raise CorruptRecord(message) from exc
-            if not isinstance(entry, dict) or any(
-                type(entry.get(name)) is not str for name in ("dir", "run_id")
-            ):
-                raise CorruptRecord(f"{where} is not an index entry with string dir and run_id")
-            entries.append(entry)
+            entries.append(_check(entry, _INDEX_ENTRY, where))
         return entries
 
     def _unique_dir_name(self, run_id: str) -> str:
@@ -308,44 +306,31 @@ class ResultsStore:
 
     def _load_dir(self, dir_name: str) -> StoredRun:
         """Read one run directory. Raises CorruptRecord naming the file, and the
-        line or key, unless both files are UTF-8, the manifest is an object
-        whose input entries hold a sha256 string, each halfsteps.jsonl line is
-        an object and each half-step line holds every HalfStepStats field as a
-        JSON value of its type."""
+        line or key, unless the manifest is in FORMAT_VERSION, holds what
+        _MANIFEST describes and a config echo that loads, and each line of
+        halfsteps.jsonl is an object, each "halfstep" line as _HALFSTEP says."""
         run_dir = self.root / dir_name
         manifest_path = run_dir / "manifest.json"
         halfsteps_path = run_dir / "halfsteps.jsonl"
         try:
             manifest = json.loads(_read_text(manifest_path))
-            half_steps = []
-            lines = _read_text(halfsteps_path).splitlines()
-            for number, line in enumerate(lines, 1):
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise CorruptRecord(f"{halfsteps_path} line {number} is not an object")
-                if record.get("record") == "halfstep":
-                    for key, annotation, valid in _HALFSTEP_FIELDS:
-                        if key not in record:
-                            raise CorruptRecord(f"{halfsteps_path} line {number} lacks key {key!r}")
-                        if not valid(record[key]):
-                            raise CorruptRecord(
-                                f"{halfsteps_path} line {number} key {key!r} is not {annotation}: "
-                                f"{record[key]!r}"
-                            )
-                    half_steps.append(record)
+            lines = [json.loads(line) for line in _read_text(halfsteps_path).splitlines()]
         except (OSError, json.JSONDecodeError) as exc:
             raise CorruptRecord(f"run directory {run_dir} is unreadable: {exc}") from exc
-        if not isinstance(manifest, dict):
-            raise CorruptRecord(f"{manifest_path} is not an object")
-        version = manifest.get("format_version")
-        if version != FORMAT_VERSION:
+        if type(manifest) is dict and manifest.get("format_version") != FORMAT_VERSION:
             raise CorruptRecord(
-                f"{run_dir}: stored in format_version {version!r}, but this coevarena reads "
-                f"format_version {FORMAT_VERSION}; re-run its config to store it again"
+                f"{run_dir}: stored in format_version {manifest.get('format_version')!r}, but this "
+                f"coevarena reads format_version {FORMAT_VERSION}; re-run its config to store it again"
             )
-        for key in STORED_INPUTS:
-            if key in manifest and not (
-                isinstance(manifest[key], dict) and type(manifest[key].get("sha256")) is str
-            ):
-                raise CorruptRecord(f"{manifest_path} key {key!r} holds no sha256 string")
-        return StoredRun(run_dir, Manifest(manifest_path, manifest), half_steps)
+        _check(manifest, _MANIFEST, manifest_path)
+        try:
+            config = EvolutionConfig.from_dict(manifest["config"])
+        except (KeyError, ValueError) as exc:
+            message = f"{manifest_path} key 'config' does not load: {type(exc).__name__} {exc}"
+            raise CorruptRecord(message) from exc
+        half_steps = []
+        for number, line in enumerate(lines, 1):
+            where = f"{halfsteps_path} line {number}"
+            if _check(line, {}, where).get("record") == "halfstep":
+                half_steps.append(_check(line, _HALFSTEP, where))
+        return StoredRun(run_dir, manifest, config, half_steps)

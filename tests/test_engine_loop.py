@@ -16,7 +16,7 @@ from coevarena import (
 )
 from coevarena.engine.rng import Key
 from coevarena.grammar import GenotypeLimits, MappingConfig, parse_bnf
-from coevarena.store import FORMAT_VERSION, ResultsStore
+from coevarena.store import FORMAT_VERSION, STORED_INPUTS, ResultsStore, sha256_file
 
 from conftest import ScriptedEnvironment, hash_costs, hash_score
 
@@ -382,11 +382,22 @@ class TestGoldenDigest:
         inputs = {"attack.bnf": RECURSIVE_ATTACK_BNF, "defense.bnf": RECURSIVE_DEFENSE_BNF, "none.cfg": ""}
         for name, text in inputs.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
+        paths = [tmp_path / name for name in inputs]
         store = ResultsStore(tmp_path / "store")
         digest = hashlib.sha256()
         for cfg, record in golden_runs():
-            manifest = {"format_version": FORMAT_VERSION, "run_id": record.run_id}
-            stored = store.load(store.add_run(record, manifest, *(tmp_path / name for name in inputs)))
+            # The keys coevarena run writes; load checks each one.
+            manifest = {
+                "format_version": FORMAT_VERSION,
+                "run_id": record.run_id,
+                "seed": record.master_seed,
+                "environment": record.environment_id,
+                "algorithm_label": "alternating",
+                "config": record.config.to_dict(),
+                **{key: {"path": str(p), "sha256": sha256_file(p)} for key, p in zip(STORED_INPUTS, paths)},
+                "created_at": "2020-01-01T00:00:00+00:00",
+            }
+            stored = store.load(store.add_run(record, manifest, *paths))
             engagements = [
                 [r[key] for key in (
                     "generation", "phase", "kind", "pair_index", "attacker_id", "defender_id",

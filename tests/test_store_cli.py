@@ -1,15 +1,22 @@
+import contextlib
+import functools
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import coevarena
 import coevarena.store as store_module
@@ -19,7 +26,7 @@ from coevarena.data import data_path
 from coevarena.grammar import GenotypeLimits, MappingConfig
 from coevarena.store import CorruptRecord, ResultsStore, UnknownRun
 
-from conftest import write_experiment_config
+from conftest import SMALL_DDOS_SCENARIO, write_experiment_config
 from oracles import v1_engagements
 
 
@@ -462,7 +469,13 @@ class TestCmdEstablo:
         args = ["--out", tmp_path / "out"] if command == "establo" else ["x"]
         assert run_cli(command, "--store", populated_store, *args) == 1
         err = assert_one_error_line(capsys)
-        assert "CorruptRecord" in err and "index.jsonl line 3 is not an index entry" in err
+        reason = {
+            '{"run_id": "x"}': "lacks key 'dir'",
+            "[1]": "is not an object",
+            "3": "is not an object",
+            '{"dir": 3, "run_id": "x"}': "key 'dir' is not str: 3",
+        }[line]
+        assert "CorruptRecord" in err and f"index.jsonl line 3 {reason}" in err
 
     @pytest.mark.parametrize("command", ["establo", "inspect"])
     @pytest.mark.parametrize(
@@ -473,10 +486,18 @@ class TestCmdEstablo:
             (lambda m: {**m, "config": {**m["config"], "selection": ["tournament", 3]}}, "'config'"),
             (lambda m: {**m, "config": {**m["config"], "structure": 5}}, "'config'"),
             (lambda m: {**m, "config": {**m["config"], "generations": float("inf")}}, "'config'"),
+            (lambda m: {**m, "config": {**m["config"], "generations": 2.5}}, "'config'"),
+            (lambda m: {**m, "config": {**m["config"], "mutation_rate": "0.1"}}, "'config'"),
+            (lambda m: {**m, "config": {**m["config"], "attacker_population": True}}, "'config'"),
             (lambda m: [2], "is not an object"),
-            (lambda m: {"format_version": 2}, {"establo": "'environment'", "inspect": "'run_id'"}),
+            (lambda m: {"format_version": 2}, "lacks key 'run_id'"),
             (lambda m: {k: v for k, v in m.items() if k != "environment"}, "'environment'"),
             (lambda m: {**m, "scenario": "x"}, "'scenario'"),
+            (lambda m: {**m, "environment": ["ddos"]}, "key 'environment' is not str"),
+            (lambda m: {**m, "algorithm_label": ["x"]}, "key 'algorithm_label' is not str"),
+            (lambda m: {**m, "algorithm_label": None}, "key 'algorithm_label' is not str"),
+            (lambda m: {**m, "run_id": [m["run_id"]]}, "key 'run_id' is not str"),
+            (lambda m: {**m, "seed": "x"}, "key 'seed' is not int"),
         ],
         ids=[
             "no-max-wraps",
@@ -484,10 +505,18 @@ class TestCmdEstablo:
             "selection-list",
             "structure-int",
             "generations-inf",
+            "generations-fraction",
+            "mutation-rate-string",
+            "population-true",
             "list",
             "version-only",
             "no-environment",
             "bad-input",
+            "environment-list",
+            "label-list",
+            "label-null",
+            "run-id-list",
+            "seed-string",
         ],
     )
     def test_corrupt_manifest_is_one_error_line(self, populated_store, tmp_path, capsys, command, edit, named):
@@ -497,7 +526,6 @@ class TestCmdEstablo:
         args = ["--out", tmp_path / "out"] if command == "establo" else [run_dir.name]
         assert run_cli(command, "--store", populated_store, *args) == 1
         err = assert_one_error_line(capsys)
-        named = named[command] if isinstance(named, dict) else named
         assert "CorruptRecord" in err and str(manifest_path) in err and named in err
 
     @pytest.mark.parametrize("command", ["establo", "inspect"])
@@ -807,6 +835,11 @@ class TestShippedData:
         config.write_text(small)
         assert run_cli("run", "--config", config, "--store", tmp_path / "store", "--quiet") == 0
 
+    def test_stored_config_echo_loads_as_the_run_config(self, shipped_runs):
+        for (name, seed), run_dir in shipped_runs.items():
+            run_config = load_experiment_config(data_path("configs", name)).evolution.with_seed(seed)
+            assert ResultsStore(run_dir.parent).load(run_dir.name).config == run_config
+
     def test_shipped_config_logs_are_pinned(self, shipped_runs):
         # The deterministic outputs of both shipped configs, byte for byte. A
         # change to the log format must update these digests in the same change.
@@ -853,3 +886,91 @@ def shipped_runs(tmp_path_factory):
         assert run_cli("run", "--config", config, "--seed", seed, "--store", store_dir, "--quiet") == 0
         runs[name, seed] = store_dir / ResultsStore(store_dir).entries()[0]["dir"]
     return runs
+
+
+
+@functools.cache
+def small_ddos_store():
+    """(holder, store directory, run directory name, locations) of one stored
+    two-generation ddos run, built once per test process. The holder removes
+    the directory when the process exits.
+
+    A location is (file name, line index, key path) of one JSON value in the
+    index line, the manifest or a halfsteps.jsonl line; of a list, only its
+    first item is one.
+    """
+    holder = tempfile.TemporaryDirectory(prefix="coevarena-small-store-")
+    root = Path(holder.name)
+    scenario = root / "ring5.scenario"
+    scenario.write_text(SMALL_DDOS_SCENARIO, encoding="utf-8")
+    config = write_experiment_config(root, "ddos", scenario, generations=2)
+    store_dir = root / "store"
+    assert run_cli("run", "--config", config, "--store", store_dir, "--quiet") == 0
+
+    def paths(value, path=()):
+        yield path
+        items = value.items() if type(value) is dict else enumerate(value[:1]) if type(value) is list else ()
+        for key, item in items:
+            yield from paths(item, (*path, key))
+
+    run_dir = ResultsStore(store_dir).entries()[0]["dir"]
+    locations = []
+    for name in ("index.jsonl", "manifest.json", "halfsteps.jsonl"):
+        for number, document in enumerate(json_documents(store_file(store_dir, run_dir, name))):
+            locations.extend((name, number, path) for path in paths(json.loads(document)))
+    return holder, store_dir, run_dir, locations
+
+
+def store_file(store_dir: Path, run_dir: str, name: str) -> Path:
+    return store_dir / name if name == "index.jsonl" else store_dir / run_dir / name
+
+
+def json_documents(path: Path) -> list[str]:
+    """The JSON documents of a store file: the manifest's one, or one per line."""
+    text = path.read_text(encoding="utf-8")
+    return [text] if path.name == "manifest.json" else text.splitlines()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    location=st.deferred(lambda: st.sampled_from(small_ddos_store()[3])),
+    value=st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 2**70),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=3),
+        st.lists(st.integers(0, 3), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+        st.sampled_from([1e999, -1e999, math.nan]),
+    ),
+)
+@example(location=("manifest.json", 0, ("environment",)), value=["ddos"])
+def test_no_stored_value_gives_a_traceback(location, value):
+    # One stored value replaced by a value of another type, or by a
+    # non-finite one: inspect and establo each exit 0, or exit 1 with one
+    # error line, and never end in a traceback.
+    _, source, run_dir, _ = small_ddos_store()
+    name, number, path = location
+    documents = json_documents(store_file(source, run_dir, name))
+    document = json.loads(documents[number])
+    parent, old = None, document
+    for key in path:
+        parent, old = old, old[key]
+    assume(type(value) is not type(old) or type(value) is float and not math.isfinite(value))
+    if parent is None:
+        document = value
+    else:
+        parent[path[-1]] = value
+    documents[number] = json.dumps(document)
+    with tempfile.TemporaryDirectory() as scratch:
+        store_dir = Path(shutil.copytree(source, Path(scratch) / "store"))
+        store_file(store_dir, run_dir, name).write_text("\n".join(documents) + "\n", encoding="utf-8")
+        for argv in (["inspect", run_dir], ["establo", "--out", Path(scratch) / "out", "--quiet"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                status = run_cli(*argv, "--store", store_dir)
+            lines = err.getvalue().splitlines()
+            assert status == 0 or status == 1 and len(lines) == 1 and lines[0].startswith("error: "), (
+                argv, lines
+            )
