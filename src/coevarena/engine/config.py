@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import KW_ONLY, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, get_type_hints
 
@@ -33,6 +33,7 @@ class SelectionScheme:
     """tournament(k) or truncation(fraction)."""
 
     kind: str
+    _: KW_ONLY
     size: int = 3
     fraction: float = 0.5
 
@@ -72,6 +73,7 @@ class CompetitionStructure:
     """
 
     kind: str
+    _: KW_ONLY
     rounds: int = 1
     grid_side: int = 0
     neighborhood: int = 3

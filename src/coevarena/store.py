@@ -28,6 +28,8 @@ reproduce them byte for byte; the manifest carries the only timestamp.
 
 Loading a run checks each record (index line, manifest, half-step line) once,
 against the one description of its keys here; CorruptRecord names what fails.
+One line reader, which names each line, reads index.jsonl and halfsteps.jsonl.
+halfsteps.jsonl starts with its run's header; every later line is a half-step.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ STORED_INPUTS = {
     "scenario": "scenario.cfg",
 }
 
-# The JSON values each type in a record description admits; a bool is no number.
+# The JSON values each type in a record description admits, 'halfstep' only that
+# string; a bool is no number.
 _JSON_CHECKS = {
     "int": lambda v: type(v) is int,
     "str": lambda v: type(v) is str,
@@ -71,11 +74,12 @@ _JSON_CHECKS = {
     "float | None": lambda v: v is None or type(v) in (int, float),
     "Genotype": lambda v: type(v) is list and v != [] and all(type(c) is int and c >= 0 for c in v),
     "tuple[str, ...] | None": lambda v: v is None or type(v) is list and all(type(w) is str for w in v),
+    "'halfstep'": lambda v: v == "halfstep",
 }
 
 # One description per stored record: each key its reader reads, with the JSON
-# type it holds or the description of the object it holds. A "halfstep" line of
-# halfsteps.jsonl holds every HalfStepStats field.
+# type it holds or the description of the object it holds. A half-step line of
+# halfsteps.jsonl is marked "halfstep" and holds every HalfStepStats field.
 _INDEX_ENTRY = {"dir": "str", "run_id": "str"}
 _MANIFEST = {
     "run_id": "str",
@@ -85,7 +89,7 @@ _MANIFEST = {
     "config": {},  # EvolutionConfig.from_dict checks its keys
     **{key: {"sha256": "str"} for key in STORED_INPUTS},
 }
-_HALFSTEP = {f.name: f.type for f in fields(HalfStepStats)}
+_HALFSTEP = {"record": "'halfstep'", **{f.name: f.type for f in fields(HalfStepStats)}}
 
 
 class CorruptRecord(Exception):
@@ -101,11 +105,31 @@ class UnknownRun(Exception):
 
 
 def _read_text(path: Path) -> str:
-    """path's text; CorruptRecord naming it if it is not UTF-8."""
+    """path's text; CorruptRecord naming it if it cannot be read or is not UTF-8."""
     try:
         return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CorruptRecord(f"{path} is unreadable: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise CorruptRecord(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _lines(path: Path) -> Iterator[tuple[str, object]]:
+    """(where, value) of each non-blank line of the JSON-lines file at path,
+    where naming the file and line; CorruptRecord naming a line that does not parse."""
+    for number, line in enumerate(_read_text(path).splitlines(), 1):
+        if line.strip():
+            where = f"{path} line {number}"
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorruptRecord(f"{where} does not parse: {exc.msg} at column {exc.colno}") from exc
+            yield where, value
+
+
+def _log_header(run_id: str) -> dict:
+    """The header both logs start with; engagements.jsonl's adds its columns."""
+    return {"record": "header", "format_version": FORMAT_VERSION, "run": run_id}
 
 
 def sha256_file(path: str | Path) -> str:
@@ -175,19 +199,7 @@ class ResultsStore:
     def entries(self) -> list[dict]:
         if not self.index_path.exists():
             return []
-        entries = []
-        lines = _read_text(self.index_path).splitlines()
-        for number, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            where = f"{self.index_path} line {number}"
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                message = f"{where} does not parse: {exc.msg} at column {exc.colno}"
-                raise CorruptRecord(message) from exc
-            entries.append(_check(entry, _INDEX_ENTRY, where))
-        return entries
+        return [_check(entry, _INDEX_ENTRY, where) for where, entry in _lines(self.index_path)]
 
     def _unique_dir_name(self, run_id: str) -> str:
         """run_id, or else run_id__2, __3, ...: the first name taken by neither a
@@ -245,17 +257,7 @@ class ResultsStore:
         )
 
         with (run_dir / "engagements.jsonl").open("w", encoding="utf-8") as handle:
-            handle.write(
-                _dump(
-                    {
-                        "record": "header",
-                        "format_version": FORMAT_VERSION,
-                        "run": record.run_id,
-                        "columns": ENGAGEMENT_COLUMNS,
-                    }
-                )
-                + "\n"
-            )
+            handle.write(_dump({**_log_header(record.run_id), "columns": ENGAGEMENT_COLUMNS}) + "\n")
             encoded: dict[int, str] = {}  # id(outcome) -> the row's last four columns
             for cohort in record.cohorts:
                 handle.write(
@@ -280,10 +282,7 @@ class ResultsStore:
                     handle.write(f'["{kind}",{k},{a},{d},{encoded[id(outcome)]}\n')
 
         with (run_dir / "halfsteps.jsonl").open("w", encoding="utf-8") as handle:
-            handle.write(
-                _dump({"record": "header", "format_version": FORMAT_VERSION, "run": record.run_id})
-                + "\n"
-            )
+            handle.write(_dump(_log_header(record.run_id)) + "\n")
             for step in record.half_steps:
                 # vars gives asdict's keys without deep-copying every codon.
                 fields = {**vars(step), "best_genotype": step.best_genotype.codons}
@@ -307,15 +306,15 @@ class ResultsStore:
     def _load_dir(self, dir_name: str) -> StoredRun:
         """Read one run directory. Raises CorruptRecord naming the file, and the
         line or key, unless the manifest is in FORMAT_VERSION, holds what
-        _MANIFEST describes and a config echo that loads, and each line of
-        halfsteps.jsonl is an object, each "halfstep" line as _HALFSTEP says."""
+        _MANIFEST describes and a config echo that loads, and halfsteps.jsonl,
+        read by the one line reader _lines, starts with the manifest run's
+        header and holds only half-steps after it, each as _HALFSTEP says."""
         run_dir = self.root / dir_name
         manifest_path = run_dir / "manifest.json"
         halfsteps_path = run_dir / "halfsteps.jsonl"
         try:
             manifest = json.loads(_read_text(manifest_path))
-            lines = [json.loads(line) for line in _read_text(halfsteps_path).splitlines()]
-        except (OSError, json.JSONDecodeError) as exc:
+        except json.JSONDecodeError as exc:
             raise CorruptRecord(f"run directory {run_dir} is unreadable: {exc}") from exc
         if type(manifest) is dict and manifest.get("format_version") != FORMAT_VERSION:
             raise CorruptRecord(
@@ -328,9 +327,10 @@ class ResultsStore:
         except (KeyError, ValueError) as exc:
             message = f"{manifest_path} key 'config' does not load: {type(exc).__name__} {exc}"
             raise CorruptRecord(message) from exc
-        half_steps = []
-        for number, line in enumerate(lines, 1):
-            where = f"{halfsteps_path} line {number}"
-            if _check(line, {}, where).get("record") == "halfstep":
-                half_steps.append(_check(line, _HALFSTEP, where))
+        lines = _lines(halfsteps_path)
+        header = _log_header(manifest["run_id"])
+        where, first = next(lines, (f"{halfsteps_path} line 1", None))
+        if first != header:
+            raise CorruptRecord(f"{where} is not this run's header {header!r}: {first!r}")
+        half_steps = [_check(step, _HALFSTEP, where) for where, step in lines]
         return StoredRun(run_dir, manifest, config, half_steps)

@@ -344,7 +344,7 @@ def golden_runs():
     environment charges both sides, so every fitness and champion path that
     folds in cost or skips an invalid pair is exercised.
     """
-    selections = (SelectionScheme("tournament", size=2), SelectionScheme("truncation", 0.5))
+    selections = (SelectionScheme("tournament", size=2), SelectionScheme("truncation", fraction=0.5))
     for k, (structure, concept, aggregation, weight) in enumerate(GOLDEN_GRID):
         cfg = config(
             generations=3,
@@ -398,6 +398,7 @@ class TestGoldenDigest:
                 "created_at": "2020-01-01T00:00:00+00:00",
             }
             stored = store.load(store.add_run(record, manifest, *paths))
+            assert stored.config == cfg
             engagements = [
                 [r[key] for key in (
                     "generation", "phase", "kind", "pair_index", "attacker_id", "defender_id",

@@ -93,6 +93,10 @@ class TestInterpretDefense:
         with pytest.raises(InterpretError):
             interpret_defense(strategy("route ring"), SCENARIO)
 
+    def test_successor_count_that_is_not_a_number_raises(self):
+        with pytest.raises(InterpretError, match="bad successor count 'x'"):
+            interpret_defense(strategy("route ring x"), SCENARIO)
+
 
 class TestRouting:
     ADJ = adjacency_map(SCENARIO.nodes, SCENARIO.edges)

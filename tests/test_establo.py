@@ -114,6 +114,22 @@ class TestBuildCompendium:
         ]
         assert _select_champions(steps, "pareto-per-run", stride=1) == [steps[0]]
 
+    def test_pareto_per_run_reads_a_stored_null_best_cost_as_zero(self, ddos_store):
+        # The same two points as above, as the only usable defender half-steps
+        # of a stored run: A "route flooding" (codon 1), B "route shortest" (0).
+        store = ResultsStore(ddos_store)
+        run_dir = store.load_all()[0].run_dir
+        halfsteps = run_dir / "halfsteps.jsonl"
+        header, *steps = [json.loads(line) for line in halfsteps.read_text().splitlines()]
+        a, b, *rest = [s for s in steps if s["phase"] == "defender"]
+        a.update(best_genotype=[1], best_sentence=["route", "flooding"], best_fitness=1.0, best_cost=None)
+        b.update(best_genotype=[0], best_sentence=["route", "shortest"], best_fitness=0.5, best_cost=0.5)
+        for step in rest:
+            step["best_sentence"] = None
+        halfsteps.write_text("".join(json.dumps(line) + "\n" for line in (header, *steps)))
+        entries = build_compendium([store.load(run_dir.name)], "pareto-per-run", stride=1)
+        assert [e.sentence for e in entries if e.role == "defender"] == [("route", "flooding")]
+
     def test_sentences_deduplicate(self, ddos_store):
         runs = ResultsStore(ddos_store).load_all()
         entries = build_compendium(runs, "best-per-generation", stride=1)
@@ -136,6 +152,18 @@ class TestBuildCompendium:
                 break
         halfsteps.write_text("\n".join(lines) + "\n")
         with pytest.raises(GrammarMismatch):
+            build_compendium(store.load_all(), "best-per-generation", stride=1)
+
+    def test_genotype_that_no_longer_maps_raises_grammar_mismatch(self, ddos_store):
+        # Codon 1 picks <actions> and then "<action> <actions>" at every
+        # choice, so the attack grammar never finishes and wrapping runs out.
+        store = ResultsStore(ddos_store)
+        halfsteps = store.load_all()[0].run_dir / "halfsteps.jsonl"
+        header, *steps = [json.loads(line) for line in halfsteps.read_text().splitlines()]
+        step = next(s for s in steps if s["phase"] == "attacker" and s["best_sentence"])
+        step["best_genotype"] = [1]
+        halfsteps.write_text("".join(json.dumps(line) + "\n" for line in (header, *steps)))
+        with pytest.raises(GrammarMismatch, match="recorded genotype no longer maps"):
             build_compendium(store.load_all(), "best-per-generation", stride=1)
 
     def test_tampered_grammar_copy_raises_corrupt_record(self, ddos_store):

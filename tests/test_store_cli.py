@@ -361,6 +361,15 @@ class TestLoadExperimentConfig:
         with pytest.raises(ConfigError, match=rf"^config \[evolution\] structure: bad value '{text}'"):
             load_experiment_config(path)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: SelectionScheme("truncation", 0.5), lambda: CompetitionStructure("tournament", 2)],
+        ids=["selection", "structure"],
+    )
+    def test_scheme_arguments_after_the_kind_are_keyword_only(self, build):
+        with pytest.raises(TypeError, match="positional argument"):
+            build()
+
     def test_dict_round_trip_with_every_field_set(self):
         cfg = EvolutionConfig(
             generations=3,
@@ -546,6 +555,16 @@ class TestCmdEstablo:
         assert "CorruptRecord" in err and f"{path} is not UTF-8 text" in err
 
     @pytest.mark.parametrize("command", ["establo", "inspect"])
+    @pytest.mark.parametrize("name", ["halfsteps.jsonl", "manifest.json"])
+    def test_missing_store_file_is_one_error_line(self, populated_store, tmp_path, capsys, command, name):
+        run_dir = populated_store / ResultsStore(populated_store).entries()[0]["dir"]
+        (run_dir / name).unlink()
+        args = ["--out", tmp_path / "out"] if command == "establo" else [run_dir.name]
+        assert run_cli(command, "--store", populated_store, *args) == 1
+        err = assert_one_error_line(capsys)
+        assert "CorruptRecord" in err and f"{run_dir / name} is unreadable" in err
+
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
     def test_halfsteps_line_that_is_not_an_object_is_one_error_line(
         self, populated_store, tmp_path, capsys, command
     ):
@@ -611,6 +630,66 @@ class TestCmdEstablo:
         lines = len(halfsteps.read_text().splitlines())
         assert "CorruptRecord" in err
         assert f"halfsteps.jsonl line {lines} key '{key}' is not {annotation}: {value!r}" in err
+
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda last: {**last, "record": 5}, "key 'record' is not 'halfstep': 5"),
+            (lambda last: {**last, "record": "population"}, "key 'record' is not 'halfstep': 'population'"),
+            (lambda last: {k: v for k, v in last.items() if k != "record"}, "lacks key 'record'"),
+        ],
+        ids=["record-5", "record-population", "no-record"],
+    )
+    def test_halfsteps_line_that_is_not_a_halfstep_is_one_error_line(
+        self, populated_store, tmp_path, capsys, command, edit, reason
+    ):
+        run_dir = populated_store / ResultsStore(populated_store).entries()[0]["dir"]
+        halfsteps = run_dir / "halfsteps.jsonl"
+        lines = halfsteps.read_text().splitlines()
+        lines[-1] = json.dumps(edit(json.loads(lines[-1])))
+        halfsteps.write_text("\n".join(lines) + "\n")
+        args = ["--out", tmp_path / "out"] if command == "establo" else [run_dir.name]
+        assert run_cli(command, "--store", populated_store, *args) == 1
+        err = assert_one_error_line(capsys)
+        assert "CorruptRecord" in err and f"halfsteps.jsonl line {len(lines)} {reason}" in err
+
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
+    def test_torn_halfsteps_line_is_one_error_line(self, populated_store, tmp_path, capsys, command):
+        run_dir = populated_store / ResultsStore(populated_store).entries()[0]["dir"]
+        halfsteps = run_dir / "halfsteps.jsonl"
+        with halfsteps.open("a", encoding="utf-8") as handle:
+            handle.write('{"record": "halfstep", "ph')
+        args = ["--out", tmp_path / "out"] if command == "establo" else [run_dir.name]
+        assert run_cli(command, "--store", populated_store, *args) == 1
+        err = assert_one_error_line(capsys)
+        lines = len(halfsteps.read_text().splitlines())
+        assert "CorruptRecord" in err and f"halfsteps.jsonl line {lines} does not parse" in err
+
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda header, steps: [{**header, "run": "other-run"}, *steps],
+            lambda header, steps: [{**header, "format_version": 3}, *steps],
+            lambda header, steps: [{**header, "record": "halfstep"}, *steps],
+            lambda header, steps: [{**header, "columns": []}, *steps],
+            lambda header, steps: steps,
+            lambda header, steps: [],
+        ],
+        ids=["other-run", "other-version", "not-header", "extra-key", "no-header", "empty"],
+    )
+    def test_halfsteps_header_that_is_not_this_runs_is_one_error_line(
+        self, populated_store, tmp_path, capsys, command, edit
+    ):
+        run_dir = populated_store / ResultsStore(populated_store).entries()[0]["dir"]
+        halfsteps = run_dir / "halfsteps.jsonl"
+        header, *steps = [json.loads(line) for line in halfsteps.read_text().splitlines()]
+        halfsteps.write_text("".join(json.dumps(line) + "\n" for line in edit(header, steps)))
+        args = ["--out", tmp_path / "out"] if command == "establo" else [run_dir.name]
+        assert run_cli(command, "--store", populated_store, *args) == 1
+        err = assert_one_error_line(capsys)
+        assert "CorruptRecord" in err and "halfsteps.jsonl line 1 is not this run's header" in err
 
     def test_empty_store_fails(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -728,6 +807,28 @@ class TestCmdEstablo:
         assert "ConfigError" in err and payoff_file in err
         assert all(str(scenario) in err for scenario in scenarios)
         assert not out_dir.exists()
+
+    def test_store_that_mixes_environments_is_one_error_line(
+        self, populated_store, tmp_path, contagion_scenario_file, capsys
+    ):
+        config = write_experiment_config(
+            tmp_path, "contagion", contagion_scenario_file, name="contagion.cfg", generations=1
+        )
+        assert run_cli("run", "--config", config, "--store", populated_store, "--quiet") == 0
+        assert run_cli("establo", "--store", populated_store, "--out", tmp_path / "out") == 1
+        err = assert_one_error_line(capsys)
+        assert "ConfigError" in err and "store mixes environments ['contagion', 'ddos']" in err
+
+    def test_runs_on_different_scenarios_without_scenario_are_one_error_line(
+        self, populated_store, tmp_path, ddos_scenario_file, capsys
+    ):
+        other = tmp_path / "alt.scenario"
+        other.write_text(ddos_scenario_file.read_text().replace("horizon = 12", "horizon = 16"))
+        config = write_experiment_config(tmp_path, "ddos", other, name="alt.cfg")
+        assert run_cli("run", "--config", config, "--store", populated_store, "--quiet") == 0
+        assert run_cli("establo", "--store", populated_store, "--out", tmp_path / "out") == 1
+        err = assert_one_error_line(capsys)
+        assert "ConfigError" in err and "runs use different scenarios; pass --scenario" in err
 
     def test_edited_scenario_copy_is_one_error_line(self, shipped_runs, tmp_path, capsys):
         store_dir = tmp_path / "store"
