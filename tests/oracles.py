@@ -13,13 +13,16 @@ raw file that puts the genotypes and sentences back on every record, for
 keyed random streams numpy's own encoding of a list of ints instead of an
 array of 32-bit words, and for the engine's draws numpy's own Generator,
 drawing a tournament's entrants and a genotype's codons as one array each,
-with the one draw it lacks, ``hits``, as a loop of ``random`` calls.
+with the one draw it lacks, ``hits``, as a loop of ``random`` calls. The
+reference loop, ``oracle_run_alternating``, builds every stream from its own
+full key and keeps each role's population as plain lists.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import statistics
 import zlib
 from pathlib import Path
 
@@ -27,6 +30,9 @@ import numpy as np
 
 from coevarena.engagement import EngagementOutcome
 from coevarena.engine.config import SelectionScheme
+from coevarena.engine.loop import Champion, Cohort, Engagement, HalfStepStats
+from coevarena.engine.pairing import pair
+from coevarena.engine.variation import crossover, mutate
 from coevarena.envs.contagion import (
     ContagionAttack,
     ContagionDefense,
@@ -42,7 +48,7 @@ from coevarena.envs.ddos import (
     bfs_route,
     flood,
 )
-from coevarena.grammar import CONSUME_ON_CHOICE, Genotype, Grammar, MappingConfig
+from coevarena.grammar import CONSUME_ON_CHOICE, Genotype, Grammar, MappingConfig, Strategy
 
 ORACLE_FAILED = "failed"
 
@@ -132,6 +138,227 @@ def oracle_map(genotype: Genotype, grammar: Grammar, cfg: MappingConfig):
             for symbol in alternatives[choice]
         ]
         symbols[target : target + 1] = replacement
+
+
+class OracleKey:
+    """A stream named by its full key: master seed, then every part.
+
+    The reference loop builds each stream it draws from, and each engagement
+    key it hands an environment, through this one class. Child i of a sibling
+    block and engagement k are keys that end in i or k, built as numpy encodes
+    the list of ints, never spawned or made by ``Key.child``; so comparing the
+    reference loop with the package's checks the prefix-child rule and
+    ``Key.child`` end to end. An environment may call ``seed_sequence`` on it.
+    """
+
+    def __init__(self, master_seed: int, *parts):
+        self.master_seed, self.parts = master_seed, parts
+
+    def seed_sequence(self) -> np.random.SeedSequence:
+        return oracle_seed_sequence(self.master_seed, *self.parts)
+
+    def generator(self) -> OracleGenerator:
+        return OracleGenerator(np.random.PCG64(self.seed_sequence()))
+
+
+_ORACLE_AGGREGATES = {"mean": statistics.fmean, "max": max, "min": min, "median": statistics.median}
+
+
+def _first_best(values) -> int:
+    """The lowest index of the highest value."""
+    return next(i for i, value in enumerate(values) if value == max(values))
+
+
+def _first_worst(values) -> int:
+    """The lowest index of the lowest value."""
+    return next(i for i, value in enumerate(values) if value == min(values))
+
+
+def oracle_run_alternating(cfg, attack_grammar: Grammar, defense_grammar: Grammar, environment):
+    """The alternating loop as ``engine/loop.py``'s module docstring and
+    ``champion`` describe it, one plain step after another.
+
+    Returns (cohorts, half-steps, (attacker champion, defender champion)), in
+    the loop's own record types. Selection and mapping are the oracles'; the
+    variation and pairing operators are the package's, drawing from numpy's
+    Generator on each stream's full key.
+    """
+    seed = cfg.master_seed
+    grammars = {"attacker": attack_grammar, "defender": defense_grammar}
+    other = {"attacker": "defender", "defender": "attacker"}
+
+    def derive(role, genotype):
+        mapped = oracle_map(genotype, grammars[role], cfg.mapping)
+        return None if mapped == ORACLE_FAILED else Strategy(*mapped[:3])
+
+    def score(outcome, role):
+        return outcome.attacker_score if role == "attacker" else outcome.defender_score
+
+    def cost(outcome, role):
+        return float(outcome.costs.get(f"{role}_cost", 0.0))
+
+    def aggregate(outcomes, role, aggregation):
+        effective = [score(o, role) - cfg.secondary_weight * cost(o, role) for o in outcomes]
+        return float(_ORACLE_AGGREGATES[aggregation](effective))
+
+    # Each role's latest population: members, strategies, fitness (None before
+    # its first half-step) and the outcomes behind each scored member.
+    latest = {}
+    cohorts = []
+    for role in ("attacker", "defender"):
+        limits = cfg.limits
+        members = [
+            oracle_random_genotype(
+                OracleKey(seed, "init", role, i).generator(),
+                limits.min_length,
+                limits.max_length,
+                limits.codon_max,
+            )
+            for i in range(cfg.population_size(role))
+        ]
+        strategies = [derive(role, member) for member in members]
+        cohorts.append(Cohort(0, role, list(members), list(strategies)))
+        latest[role] = {"members": members, "strategies": strategies, "fitness": None, "outcomes": {}}
+
+    half_steps = []
+    for generation in range(1, cfg.generations + 1):
+        for role in ("attacker", "defender"):
+            own, opponent = latest[role], latest[other[role]]
+            n, m = cfg.population_size(role), len(opponent["members"])
+            attacking = role == "attacker"
+
+            # breed: the incumbent is the role's best; select, cross, mutate, map
+            if own["fitness"] is None:
+                incumbent, parents = None, own["members"]
+            else:
+                incumbent = _first_best(own["fitness"])
+                select_stream = OracleKey(seed, "select", generation, role).generator()
+                parents = oracle_select(own["members"], own["fitness"], cfg.selection, select_stream)
+            children = []
+            for slot in range(0, n - 1, 2):
+                cross_stream = OracleKey(seed, "cross", generation, role, slot).generator()
+                children += crossover(
+                    parents[slot], parents[slot + 1], cfg.crossover_rate, cross_stream, cfg.limits
+                )
+            if n % 2 == 1:
+                children.append(parents[n - 1])
+            children = [
+                mutate(
+                    child,
+                    cfg.mutation_rate,
+                    OracleKey(seed, "mutate", generation, role, i).generator(),
+                    cfg.limits,
+                )
+                for i, child in enumerate(children)
+            ]
+            strategies = [derive(role, child) for child in children]
+            cohort = Cohort(generation, role, list(children), list(strategies))
+            cohorts.append(cohort)
+
+            # job list: the candidate pairs, then the incumbent against each opponent
+            sizes = (n, m) if attacking else (m, n)
+            pair_stream = OracleKey(seed, "pair", generation, role).generator()
+            jobs = [
+                ("candidate", k, int(a), int(d))
+                for k, (a, d) in enumerate(pair(cfg.structure, *sizes, pair_stream))
+            ]
+            if incumbent is not None:
+                for j in range(m):
+                    a, d = (incumbent, j) if attacking else (j, incumbent)
+                    jobs.append(("incumbent", j, a, d))
+
+            # engage pass, skipping a job with a member that failed to map
+            candidate_outcomes, incumbent_outcomes = {}, []
+            for kind, k, a, d in jobs:
+                mine, theirs = (a, d) if attacking else (d, a)
+                own_strategy = (strategies if kind == "candidate" else own["strategies"])[mine]
+                opponent_strategy = opponent["strategies"][theirs]
+                if own_strategy is None or opponent_strategy is None:
+                    continue
+                attack, defense = (
+                    (own_strategy, opponent_strategy) if attacking else (opponent_strategy, own_strategy)
+                )
+                word = "engage" if kind == "candidate" else "elite"
+                outcome = environment.engage(attack, defense, OracleKey(seed, word, generation, role, k))
+                cohort.engagements.append(Engagement(kind, k, a, d, outcome))
+                if kind == "candidate":
+                    candidate_outcomes.setdefault(mine, []).append(outcome)
+                else:
+                    incumbent_outcomes.append(outcome)
+
+            # score, then swap the incumbent in for the worst newcomer if strictly better
+            fitness = [
+                aggregate(candidate_outcomes[i], role, cfg.aggregation)
+                if i in candidate_outcomes
+                else cfg.invalid_fitness
+                for i in range(n)
+            ]
+            incumbent_fitness = (
+                aggregate(incumbent_outcomes, role, cfg.aggregation) if incumbent_outcomes else None
+            )
+            members, outcomes = list(children), dict(candidate_outcomes)
+            worst = _first_worst(fitness)
+            if incumbent_fitness is not None and incumbent_fitness > fitness[worst]:
+                cohort.replaced = worst
+                members[worst] = own["members"][incumbent]
+                strategies[worst] = own["strategies"][incumbent]
+                outcomes[worst] = incumbent_outcomes
+                fitness[worst] = incumbent_fitness
+            latest[role] = {
+                "members": members, "strategies": strategies, "fitness": fitness, "outcomes": outcomes
+            }
+
+            scored = [fitness[i] for i in sorted(outcomes)] or [cfg.invalid_fitness]
+            best = _first_best(fitness)
+            best_costs = [cost(o, role) for o in outcomes.get(best, [])]
+            half_steps.append(
+                HalfStepStats(
+                    generation=generation,
+                    phase=role,
+                    best_id=best,
+                    best_fitness=fitness[best],
+                    mean_fitness=statistics.fmean(scored),
+                    fitness_variance=statistics.pvariance(scored),
+                    incumbent_fitness=incumbent_fitness,
+                    best_genotype=members[best],
+                    best_sentence=strategies[best].sentence if strategies[best] else None,
+                    best_cost=statistics.fmean(best_costs) if best_costs else None,
+                )
+            )
+
+    def champion(role):
+        side = latest[role]
+        evaluated = sorted(side["outcomes"])
+        if not evaluated:
+            index, concept_score = 0, cfg.invalid_fitness
+        elif cfg.solution_concept == "pareto":
+            # the first nondominated (mean score, mean cost) point, by index
+            points = [
+                (
+                    statistics.fmean([score(o, role) for o in side["outcomes"][i]]),
+                    statistics.fmean([cost(o, role) for o in side["outcomes"][i]]),
+                )
+                for i in evaluated
+            ]
+            first = pareto_oracle(points, ("max", "min"))[0]
+            index, concept_score = evaluated[first], points[first][0]
+        else:
+            aggregation = "min" if cfg.solution_concept == "best-worst" else "mean"
+            scores = [aggregate(side["outcomes"][i], role, aggregation) for i in evaluated]
+            first = _first_best(scores)
+            index, concept_score = evaluated[first], scores[first]
+        strategy = side["strategies"][index]
+        return Champion(
+            role=role,
+            index=index,
+            genotype=side["members"][index],
+            sentence=strategy.sentence if strategy else None,
+            fitness=side["fitness"][index],
+            concept=cfg.solution_concept,
+            concept_score=concept_score,
+        )
+
+    return cohorts, half_steps, (champion("attacker"), champion("defender"))
 
 
 def random_grammar_text(rng, max_nonterminals=5) -> str:

@@ -3,9 +3,12 @@ import itertools
 import json
 import statistics
 from collections import defaultdict
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coevarena import (
     CompetitionStructure,
@@ -14,11 +17,13 @@ from coevarena import (
     StructureMismatch,
     run_alternating,
 )
+from coevarena.engine.config import AGGREGATIONS, SOLUTION_CONCEPTS
 from coevarena.engine.rng import Key
-from coevarena.grammar import GenotypeLimits, MappingConfig, parse_bnf
+from coevarena.grammar import CODON_POLICIES, GenotypeLimits, MappingConfig, parse_bnf
 from coevarena.store import FORMAT_VERSION, STORED_INPUTS, ResultsStore, sha256_file
 
 from conftest import ScriptedEnvironment, hash_costs, hash_score
+from oracles import oracle_run_alternating
 
 # Non-recursive, so every genotype maps: loop-shape assertions stay clean of
 # invalid individuals. The invalid-individual test builds its own grammar.
@@ -415,3 +420,90 @@ class TestGoldenDigest:
             champions = [asdict(record.best_attacker), asdict(record.best_defender)]
             digest.update(json.dumps([engagements, bests, champions], sort_keys=True).encode("utf-8"))
         assert digest.hexdigest() == GOLDEN_OUTCOME_DIGEST
+
+
+class KeyedEnvironment(ScriptedEnvironment):
+    """hash_score and hash_costs, plus one draw from each engagement's own stream
+    as telemetry, so that comparing outcomes compares engagement keys too."""
+
+    def __init__(self):
+        super().__init__(hash_score, hash_costs)
+
+    def engage(self, attack, defense, key):
+        outcome = super().engage(attack, defense, key)
+        return replace(outcome, telemetry={"draw": np.random.default_rng(key.seed_sequence()).random()})
+
+
+@st.composite
+def loop_configs(draw):
+    """Small configs over every structure, scheme, aggregation and concept. The
+    recursive grammars with no wraps leave some individuals invalid."""
+    structure = draw(
+        st.one_of(
+            st.sampled_from([CompetitionStructure("one-vs-one"), CompetitionStructure("all-vs-all")]),
+            st.builds(lambda r: CompetitionStructure("tournament", rounds=r), st.integers(1, 3)),
+            st.builds(
+                lambda c: CompetitionStructure("spatial", grid_side=2, neighborhood=c),
+                st.sampled_from([1, 3]),
+            ),
+        )
+    )
+    sizes = st.just(4) if structure.kind == "spatial" else st.integers(1, 5)
+    min_length = draw(st.integers(1, 4))
+    return config(
+        generations=draw(st.integers(1, 4)),
+        attacker_population=draw(sizes),
+        defender_population=draw(sizes),
+        mutation_rate=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+        crossover_rate=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        selection=draw(
+            st.one_of(
+                st.builds(lambda k: SelectionScheme("tournament", size=k), st.integers(1, 4)),
+                st.builds(
+                    lambda f: SelectionScheme("truncation", fraction=f), st.sampled_from([0.25, 0.5, 1.0])
+                ),
+            )
+        ),
+        structure=structure,
+        aggregation=draw(st.sampled_from(AGGREGATIONS)),
+        solution_concept=draw(st.sampled_from(SOLUTION_CONCEPTS)),
+        secondary_weight=draw(st.sampled_from([0.0, 0.3])),
+        master_seed=draw(st.integers(0, 2**40)),
+        limits=GenotypeLimits(
+            min_length=min_length,
+            max_length=draw(st.integers(min_length, 8)),
+            codon_max=draw(st.sampled_from([2, 64, 2**40])),
+        ),
+        mapping=MappingConfig(
+            max_wraps=0, codon_policy=draw(st.sampled_from(CODON_POLICIES)), max_derivation_steps=50
+        ),
+    )
+
+
+class TestReferenceLoop:
+    """run_alternating gives, record for record, what the reference loop in
+    tests/oracles.py gives: every cohort with its engagements, every half-step
+    and both champions."""
+
+    @staticmethod
+    def assert_matches_reference(cfg, record, environment):
+        cohorts, half_steps, champions = oracle_run_alternating(
+            cfg, RECURSIVE_ATTACK_GRAMMAR, RECURSIVE_DEFENSE_GRAMMAR, environment
+        )
+        assert len(record.cohorts) == len(cohorts)
+        for built, expected in zip(record.cohorts, cohorts):
+            assert built == expected, (expected.generation, expected.phase)
+        assert len(record.half_steps) == len(half_steps)
+        for built, expected in zip(record.half_steps, half_steps):
+            assert built == expected, (expected.generation, expected.phase)
+        assert (record.best_attacker, record.best_defender) == champions
+
+    def test_golden_grid(self):
+        for cfg, record in golden_runs():
+            self.assert_matches_reference(cfg, record, ScriptedEnvironment(hash_score, hash_costs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=loop_configs())
+    def test_drawn_configs(self, cfg):
+        record = run_alternating(cfg, RECURSIVE_ATTACK_GRAMMAR, RECURSIVE_DEFENSE_GRAMMAR, KeyedEnvironment())
+        self.assert_matches_reference(cfg, record, KeyedEnvironment())
