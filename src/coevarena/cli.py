@@ -284,7 +284,7 @@ def cmd_validate_grammar(args) -> int:
     grammar = load_grammar(args.grammar)
     alternatives = sum(len(alts) for alts in grammar.productions.values())
     print(
-        f"OK: start <{grammar.start}>, {len(grammar.nonterminals)} nonterminals, "
+        f"OK: start <{grammar.start}>, {len(grammar.productions)} nonterminals, "
         f"{len(grammar.terminals)} terminals, {alternatives} alternatives"
     )
     return 0

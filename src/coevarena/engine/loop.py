@@ -12,9 +12,11 @@ steps:
   that failed to map and logging every engagement in the cohort;
 - score: both kinds of outcome aggregate into fitness through one path.
 
-Elitism is one condition: the incumbent is swapped in for the worst newcomer
-when it is strictly better, so the best fitness against a fixed opponent set
-never worsens between consecutive generations.
+The best is first in selection's order, ``variation.best_first`` (higher
+fitness, then lower index): the incumbent, a half-step's best and the meu and
+best-worst champions. Elitism swaps the incumbent in for the worst newcomer
+(lowest fitness, then lower index) when it is strictly better, so the best
+fitness against a fixed opponent set never worsens between generations.
 
 The loop is written once, in (own, opponent) terms, for both roles. Only the
 job list and the engage pass need to know which side attacks; ``_oriented``
@@ -38,7 +40,7 @@ from . import rng as streams
 from .config import ATTACKER, DEFENDER, EvolutionConfig, opposite
 from .fitness import assign_fitness, pareto_front, population_variance
 from .pairing import pair
-from .variation import crossover, mutate, select
+from .variation import best_first, crossover, mutate, select
 
 CANDIDATE = "candidate"
 INCUMBENT = "incumbent"
@@ -109,17 +111,11 @@ class Cohort:
 @dataclass
 class RunRecord:
     run_id: str
-    master_seed: int
-    environment_id: str
     config: EvolutionConfig
     best_attacker: Champion
     best_defender: Champion
     half_steps: list[HalfStepStats] = field(default_factory=list)
     cohorts: list[Cohort] = field(default_factory=list)
-
-
-def _best_index(fitness: dict[int, float], n: int) -> int:
-    return max(range(n), key=lambda i: (fitness[i], -i))
 
 
 def _worst_index(fitness: dict[int, float], n: int) -> int:
@@ -206,7 +202,7 @@ class _AlternatingRun:
         own, opponent = self.sides[role], self.sides[opposite(role)]
         n, m = cfg.population_size(role), len(opponent.members)
 
-        incumbent = None if own.fitness is None else _best_index(own.fitness, n)
+        incumbent = None if own.fitness is None else min(range(n), key=best_first(own.fitness))
         parents = own.members
         if incumbent is not None:
             select_rng = streams.generator(self.seed, "select", generation, role)
@@ -262,7 +258,7 @@ class _AlternatingRun:
 
         self.sides[role] = candidates
         values = [fitness[i] for i in sorted(candidates.outcomes)] or [cfg.invalid_fitness]
-        best = _best_index(fitness, n)
+        best = min(range(n), key=best_first(fitness))
         best_strategy = candidates.strategies[best]
         best_sentence = best_strategy.sentence if best_strategy else None
         best_outcomes = candidates.outcomes.get(best, [])
@@ -307,7 +303,7 @@ class _AlternatingRun:
             scored = assign_fitness(
                 side.outcomes, aggregation, role, secondary_weight=cfg.secondary_weight
             )
-            index = max(evaluated, key=lambda i: (scored[i], -i))
+            index = min(evaluated, key=best_first(scored))
             score = scored[index]
 
         strategy = side.strategies[index]
@@ -339,8 +335,6 @@ def run_alternating(
         state.half_step(generation, DEFENDER)
     return RunRecord(
         run_id=run_id,
-        master_seed=cfg.master_seed,
-        environment_id=environment.environment_id,
         config=cfg,
         best_attacker=state.champion(ATTACKER),
         best_defender=state.champion(DEFENDER),

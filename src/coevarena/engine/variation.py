@@ -9,34 +9,33 @@ from .config import SelectionScheme
 from .rng import Stream
 
 
+def best_first(fitnesses):
+    """The sort key of the best-first order of indices: higher fitness, then lower index."""
+    return lambda i: (-fitnesses[i], i)
+
+
 def select(
     members: list[Genotype],
     fitnesses,
     scheme: SelectionScheme,
     rng: Stream,
 ) -> list[Genotype]:
-    """Pick len(members) parents with replacement, maximizing fitness.
+    """Pick len(members) parents with replacement, in the best-first order.
 
     fitnesses[i] is members[i]'s fitness; a list or an index-keyed dict both do.
-    tournament(k): best of k i.i.d. uniform draws. truncation(f): uniform over
-    the best ceil(f*N). Ties always go to the lowest index.
+    tournament(k): the first, by ``best_first``, of k i.i.d. uniform draws.
+    truncation(f): uniform over the first ceil(f*N) by ``best_first``.
     """
     n = len(members)
-
-    def better(i: int, j: int) -> int:
-        return i if (-fitnesses[i], i) < (-fitnesses[j], j) else j
-
+    rank = best_first(fitnesses)
     parents: list[Genotype] = []
     if scheme.kind == "tournament":
         for _ in range(n):
             draws = [rng.integers(0, n) for _ in range(scheme.size)]
-            winner = draws[0]
-            for other in draws[1:]:
-                winner = better(winner, other)
-            parents.append(members[winner])
+            parents.append(members[min(draws, key=rank)])
     else:
         keep = math.ceil(scheme.fraction * n)
-        elite = sorted(range(n), key=lambda i: (-fitnesses[i], i))[:keep]
+        elite = sorted(range(n), key=rank)[:keep]
         for _ in range(n):
             parents.append(members[elite[rng.integers(0, keep)]])
     return parents

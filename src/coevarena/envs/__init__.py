@@ -8,10 +8,7 @@ from ..engagement import EngagementEnvironment, ScenarioError
 from .contagion import ContagionEnvironment
 from .ddos import DdosEnvironment
 
-ENVIRONMENTS = {
-    "ddos": DdosEnvironment,
-    "contagion": ContagionEnvironment,
-}
+ENVIRONMENTS = {factory.environment_id: factory for factory in (DdosEnvironment, ContagionEnvironment)}
 
 
 def load_environment(environment_id: str, scenario_path: str | Path) -> EngagementEnvironment:

@@ -38,7 +38,6 @@ class CompendiumEntry:
     run_id: str
     algorithm: str
     generation: int
-    sentence: tuple[str, ...]
     strategy: Strategy
 
 
@@ -124,7 +123,6 @@ def build_compendium(
                         run_id=manifest["run_id"],
                         algorithm=manifest["algorithm_label"],
                         generation=step["generation"],
-                        sentence=recorded,
                         strategy=strategy,
                     )
                 )
@@ -321,8 +319,8 @@ def emit_report(
         lines.append(f"[{context}] {role}")
         for label, rank_of in _CRITERIA:
             top = min(group, key=lambda r: getattr(r, rank_of))
-            sentence = " ".join(entries[top.entry_id].sentence)
-            lines.append(f"  top by {label + ':':<11} {top.entry_id}  {sentence}")
+            text = entries[top.entry_id].strategy.text
+            lines.append(f"  top by {label + ':':<11} {top.entry_id}  {text}")
     summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(summary_path)
     return written

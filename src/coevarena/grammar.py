@@ -160,7 +160,6 @@ class Strategy:
 class Grammar:
     start: str
     productions: dict[str, tuple[tuple[Symbol, ...], ...]]
-    nonterminals: frozenset[str]
     terminals: frozenset[str]
 
 
@@ -246,7 +245,6 @@ def parse_bnf(text: str) -> Grammar:
     return Grammar(
         start=next(iter(productions)),
         productions=productions,
-        nonterminals=frozenset(productions),
         terminals=frozenset(terminals),
     )
 

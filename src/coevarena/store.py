@@ -29,32 +29,30 @@ reproduce them byte for byte; the manifest carries the only timestamp.
 Loading a run checks each record (index line, manifest, half-step line) once,
 against the one description of its keys here; CorruptRecord names what fails.
 One line reader, which names each line, reads index.jsonl and halfsteps.jsonl.
-halfsteps.jsonl starts with its run's header; every later line is a half-step.
+halfsteps.jsonl starts with its run's header, then holds one half-step per line:
+generations 1 to the config echo's, in order, each attacker before defender.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import shutil
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
-from .engine.config import EvolutionConfig
-from .engine.loop import HalfStepStats, RunRecord
+from .engagement import EngagementOutcome
+from .engine.config import ATTACKER, DEFENDER, EvolutionConfig
+from .engine.loop import Engagement, HalfStepStats, RunRecord
 
 FORMAT_VERSION = 2
 
+# An engagement row: the Engagement's fields but its outcome, then the outcome's.
 ENGAGEMENT_COLUMNS = (
-    "kind",
-    "pair_index",
-    "attacker_id",
-    "defender_id",
-    "attacker_score",
-    "defender_score",
-    "costs",
-    "telemetry",
+    *(name for name in Engagement._fields if name != "outcome"),
+    *(f.name for f in fields(EngagementOutcome)),
 )
 
 
@@ -123,7 +121,7 @@ def _lines(path: Path) -> Iterator[tuple[str, object]]:
             try:
                 value = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorruptRecord(f"{where} does not parse: {exc.msg} at column {exc.colno}") from exc
+                raise CorruptRecord(f"{where} does not parse: {exc.msg} (column {exc.colno})") from exc
             yield where, value
 
 
@@ -219,9 +217,12 @@ class ResultsStore:
         defense_grammar_path: str | Path,
         scenario_path: str | Path,
     ) -> str:
-        """Store one run, atomically (see the module docstring); return its directory name."""
-        self.root.mkdir(parents=True, exist_ok=True)
+        """Store one run, atomically (see the module docstring); return its directory
+        name. The index line takes its seed and environment from manifest."""
         dir_name = self._unique_dir_name(record.run_id)
+        entry = {"dir": dir_name, "run_id": record.run_id}
+        entry.update(seed=manifest["seed"], environment=manifest["environment"])
+        self.root.mkdir(parents=True, exist_ok=True)
         partial = self.root / f"{dir_name}.partial"
         partial.mkdir()
         try:
@@ -233,17 +234,7 @@ class ResultsStore:
             raise
 
         with self.index_path.open("a", encoding="utf-8") as handle:
-            handle.write(
-                _dump(
-                    {
-                        "dir": dir_name,
-                        "run_id": record.run_id,
-                        "seed": record.master_seed,
-                        "environment": record.environment_id,
-                    }
-                )
-                + "\n"
-            )
+            handle.write(_dump(entry) + "\n")
         return dir_name
 
     @staticmethod
@@ -308,7 +299,8 @@ class ResultsStore:
         line or key, unless the manifest is in FORMAT_VERSION, holds what
         _MANIFEST describes and a config echo that loads, and halfsteps.jsonl,
         read by the one line reader _lines, starts with the manifest run's
-        header and holds only half-steps after it, each as _HALFSTEP says."""
+        header and holds only half-steps after it, each as _HALFSTEP says, of
+        generations 1 to the config echo's in order, attacker before defender."""
         run_dir = self.root / dir_name
         manifest_path = run_dir / "manifest.json"
         halfsteps_path = run_dir / "halfsteps.jsonl"
@@ -333,4 +325,9 @@ class ResultsStore:
         if first != header:
             raise CorruptRecord(f"{where} is not this run's header {header!r}: {first!r}")
         half_steps = [_check(step, _HALFSTEP, where) for where, step in lines]
+        # At most one more expected half-step than found: a huge echo builds no huge list.
+        found = [(step["generation"], step["phase"]) for step in half_steps]
+        order = ((g, role) for g in range(1, config.generations + 1) for role in (ATTACKER, DEFENDER))
+        if found != list(itertools.islice(order, len(found) + 1)):
+            raise CorruptRecord(f"{halfsteps_path} is not generations 1 to {config.generations} in order")
         return StoredRun(run_dir, manifest, config, half_steps)

@@ -164,16 +164,6 @@ class OracleKey:
 _ORACLE_AGGREGATES = {"mean": statistics.fmean, "max": max, "min": min, "median": statistics.median}
 
 
-def _first_best(values) -> int:
-    """The lowest index of the highest value."""
-    return next(i for i, value in enumerate(values) if value == max(values))
-
-
-def _first_worst(values) -> int:
-    """The lowest index of the lowest value."""
-    return next(i for i, value in enumerate(values) if value == min(values))
-
-
 def oracle_run_alternating(cfg, attack_grammar: Grammar, defense_grammar: Grammar, environment):
     """The alternating loop as ``engine/loop.py``'s module docstring and
     ``champion`` describe it, one plain step after another.
@@ -231,7 +221,7 @@ def oracle_run_alternating(cfg, attack_grammar: Grammar, defense_grammar: Gramma
             if own["fitness"] is None:
                 incumbent, parents = None, own["members"]
             else:
-                incumbent = _first_best(own["fitness"])
+                incumbent = own["fitness"].index(max(own["fitness"]))
                 select_stream = OracleKey(seed, "select", generation, role).generator()
                 parents = oracle_select(own["members"], own["fitness"], cfg.selection, select_stream)
             children = []
@@ -297,7 +287,7 @@ def oracle_run_alternating(cfg, attack_grammar: Grammar, defense_grammar: Gramma
                 aggregate(incumbent_outcomes, role, cfg.aggregation) if incumbent_outcomes else None
             )
             members, outcomes = list(children), dict(candidate_outcomes)
-            worst = _first_worst(fitness)
+            worst = fitness.index(min(fitness))
             if incumbent_fitness is not None and incumbent_fitness > fitness[worst]:
                 cohort.replaced = worst
                 members[worst] = own["members"][incumbent]
@@ -309,7 +299,7 @@ def oracle_run_alternating(cfg, attack_grammar: Grammar, defense_grammar: Gramma
             }
 
             scored = [fitness[i] for i in sorted(outcomes)] or [cfg.invalid_fitness]
-            best = _first_best(fitness)
+            best = fitness.index(max(fitness))
             best_costs = [cost(o, role) for o in outcomes.get(best, [])]
             half_steps.append(
                 HalfStepStats(
@@ -345,7 +335,7 @@ def oracle_run_alternating(cfg, attack_grammar: Grammar, defense_grammar: Gramma
         else:
             aggregation = "min" if cfg.solution_concept == "best-worst" else "mean"
             scores = [aggregate(side["outcomes"][i], role, aggregation) for i in evaluated]
-            first = _first_best(scores)
+            first = scores.index(max(scores))
             index, concept_score = evaluated[first], scores[first]
         strategy = side["strategies"][index]
         return Champion(

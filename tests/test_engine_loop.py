@@ -395,8 +395,8 @@ class TestGoldenDigest:
             manifest = {
                 "format_version": FORMAT_VERSION,
                 "run_id": record.run_id,
-                "seed": record.master_seed,
-                "environment": record.environment_id,
+                "seed": cfg.master_seed,
+                "environment": ScriptedEnvironment.environment_id,
                 "algorithm_label": "alternating",
                 "config": record.config.to_dict(),
                 **{key: {"path": str(p), "sha256": sha256_file(p)} for key, p in zip(STORED_INPUTS, paths)},

@@ -37,15 +37,13 @@ def ddos_store(tmp_path, ddos_scenario_file):
 
 
 def entry(role, name, sentence_text, algorithm="alternating", generation=1):
-    sentence = tuple(sentence_text.split())
     return CompendiumEntry(
         entry_id=name,
         role=role,
         run_id="synthetic",
         algorithm=algorithm,
         generation=generation,
-        sentence=sentence,
-        strategy=Strategy(sentence, 0, 0),
+        strategy=Strategy(tuple(sentence_text.split()), 0, 0),
     )
 
 
@@ -128,14 +126,14 @@ class TestBuildCompendium:
             step["best_sentence"] = None
         halfsteps.write_text("".join(json.dumps(line) + "\n" for line in (header, *steps)))
         entries = build_compendium([store.load(run_dir.name)], "pareto-per-run", stride=1)
-        assert [e.sentence for e in entries if e.role == "defender"] == [("route", "flooding")]
+        assert [e.strategy.sentence for e in entries if e.role == "defender"] == [("route", "flooding")]
 
     def test_sentences_deduplicate(self, ddos_store):
         runs = ResultsStore(ddos_store).load_all()
         entries = build_compendium(runs, "best-per-generation", stride=1)
         seen = set()
         for item in entries:
-            key = (item.role, item.sentence)
+            key = (item.role, item.strategy.sentence)
             assert key not in seen
             seen.add(key)
 

@@ -25,7 +25,7 @@ class TestParseBnf:
     def test_single_rule(self):
         grammar = parse_bnf("<s> ::= a")
         assert grammar.start == "s"
-        assert grammar.nonterminals == {"s"}
+        assert set(grammar.productions) == {"s"}
         assert grammar.terminals == {"a"}
         assert [[sym.text for sym in alt] for alt in grammar.productions["s"]] == [["a"]]
 

@@ -448,15 +448,13 @@ def built_streams(only_engagement_keys, monkeypatch):
 
 
 def compendium_entry(role: str, name: str, text: str) -> CompendiumEntry:
-    sentence = tuple(text.split())
     return CompendiumEntry(
         entry_id=name,
         role=role,
         run_id="synthetic",
         algorithm="alternating",
         generation=0,
-        sentence=sentence,
-        strategy=Strategy(sentence, 0, 0),
+        strategy=Strategy(tuple(text.split()), 0, 0),
     )
 
 
@@ -476,7 +474,7 @@ class TestStreamsBuiltOnlyWhereDrawn:
             "contagion_star.cfg", generations=1, attacker_population=3, defender_population=3
         )
         expected = [
-            Key(record.master_seed, STREAM_OF_KIND[e.kind], c.generation, c.phase, e.pair_index).words
+            Key(record.config.master_seed, STREAM_OF_KIND[e.kind], c.generation, c.phase, e.pair_index).words
             for c in record.cohorts
             for e in c.engagements
         ]

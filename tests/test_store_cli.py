@@ -24,9 +24,9 @@ from coevarena import CompetitionStructure, EvolutionConfig, SelectionScheme
 from coevarena.cli import ConfigError, load_experiment_config, main
 from coevarena.data import data_path
 from coevarena.grammar import GenotypeLimits, MappingConfig
-from coevarena.store import CorruptRecord, ResultsStore, UnknownRun
+from coevarena.store import STORED_INPUTS, CorruptRecord, ResultsStore, UnknownRun
 
-from conftest import SMALL_DDOS_SCENARIO, write_experiment_config
+from conftest import SMALL_DDOS_SCENARIO, ScriptedEnvironment, write_experiment_config
 from oracles import v1_engagements
 
 
@@ -190,6 +190,22 @@ class TestAtomicAddRun:
         assert [run.run_dir.name for run in store.load_all()] == [store.entries()[0]["dir"]]
         assert run_cli("run", "--config", config, "--store", store_dir, "--quiet") == 0
         assert len(store.load_all()) == 2
+
+    @pytest.mark.parametrize("key", ["seed", "environment"])
+    def test_index_line_takes_seed_and_environment_from_the_manifest(self, stored_once, key):
+        config, store_dir = stored_once
+        store = ResultsStore(store_dir)
+        (run,) = store.load_all()
+        assert store.entries()[0][key] == run.manifest[key]
+        # A manifest without the key fails before anything is written.
+        grammar = coevarena.parse_bnf("<s> ::= a | b")
+        cfg = EvolutionConfig(generations=1, attacker_population=1, defender_population=1)
+        record = coevarena.run_alternating(cfg, grammar, grammar, ScriptedEnvironment())
+        manifest = {name: value for name, value in run.manifest.items() if name != key}
+        fresh = ResultsStore(store_dir.parent / "fresh")
+        with pytest.raises(KeyError):
+            fresh.add_run(record, manifest, *(run.input_path(name) for name in STORED_INPUTS))
+        assert not fresh.root.exists()
 
     def test_leftover_partial_directory_is_not_reused(self, stored_once):
         config, store_dir = stored_once
@@ -665,6 +681,32 @@ class TestCmdEstablo:
         err = assert_one_error_line(capsys)
         lines = len(halfsteps.read_text().splitlines())
         assert "CorruptRecord" in err and f"halfsteps.jsonl line {lines} does not parse" in err
+        assert err == (
+            f"error: CorruptRecord: {halfsteps} line {lines} does not parse: "
+            "Unterminated string starting at (column 24)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda steps: steps[:-1],
+            lambda steps: [steps[1], steps[0], *steps[2:]],
+            lambda steps: [*steps[:3], steps[2], *steps[3:]],
+        ],
+        ids=["last-deleted", "two-swapped", "one-repeated"],
+    )
+    def test_halfsteps_that_are_not_every_generation_in_order_are_one_error_line(
+        self, populated_store, tmp_path, capsys, command, edit
+    ):
+        run_dir = populated_store / ResultsStore(populated_store).entries()[0]["dir"]
+        halfsteps = run_dir / "halfsteps.jsonl"
+        header, *steps = halfsteps.read_text().splitlines()
+        halfsteps.write_text("".join(line + "\n" for line in (header, *edit(steps))))
+        args = ["--out", tmp_path / "out"] if command == "establo" else [run_dir.name]
+        assert run_cli(command, "--store", populated_store, *args) == 1
+        err = assert_one_error_line(capsys)
+        assert err == f"error: CorruptRecord: {halfsteps} is not generations 1 to 5 in order\n"
 
     @pytest.mark.parametrize("command", ["establo", "inspect"])
     @pytest.mark.parametrize(
