@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import KW_ONLY, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Mapping, get_type_hints
+from typing import Callable, Mapping
 
 from ..grammar import GenotypeLimits, MappingConfig
 
@@ -196,9 +197,15 @@ _PARSERS = {
 
 
 def _settable(schema: type) -> list[tuple[str, Callable]]:
-    """(name, parser) of each field of schema that is set by name; nested dataclasses are not."""
-    hints = get_type_hints(schema)
-    return [(f.name, _PARSERS[hints[f.name]]) for f in fields(schema) if hints[f.name] in _PARSERS]
+    """(name, parser) of each field of schema that is set by name; nested dataclasses are not.
+
+    Only the fields' annotations are resolved, in the schema's module: an
+    InitVar's may not resolve (typing.get_type_hints rejects InitVar[Path] on
+    Python 3.10).
+    """
+    namespace = vars(sys.modules[schema.__module__])
+    hints = {f.name: eval(f.type, namespace) if isinstance(f.type, str) else f.type for f in fields(schema)}
+    return [(name, _PARSERS[hint]) for name, hint in hints.items() if hint in _PARSERS]
 
 
 def cast_entries(schema: type, entries: Mapping[str, object]) -> dict:

@@ -343,8 +343,6 @@ def engage(
             "tasks_completed": float(len(tasks) - disrupted),
             "attempts": float(attempts),
             "deliveries": float(total_deliveries),
-            "message_cost": message_cost_total,
-            "node_cost": len(scenario.nodes) * scenario.horizon * scenario.node_cost,
         },
     )
 

@@ -2,23 +2,30 @@
 
 Layout::
 
-    <root>/index.jsonl            one line per run directory
+    <root>/index.jsonl            one line per run directory: its dir and run_id
     <root>/<dir>/manifest.json    config echo, seed, file hashes, timestamp
     <root>/<dir>/engagements.jsonl  header, then population lines and engagement rows
     <root>/<dir>/halfsteps.jsonl  header, then one HalfStepStats record per half-step
     <root>/<dir>/attack.bnf, defense.bnf, scenario.cfg   verbatim input copies
 
 engagements.jsonl starts with a header object that carries ``run``,
-``format_version`` and ``columns``. Then come the two initial populations
-(generation 0) and, for each half-step, its population line followed by its
-engagement rows. A population line is an object with ``record``
-("population"), ``generation``, ``phase``, ``genotypes`` (codon lists),
-``sentences`` (text, null for an individual that failed to map) and
-``replaced`` (the slot the incumbent took in the elitism swap, or null). It
-holds the population the half-step bred, before the swap. An engagement row
-is a JSON array in ``columns`` order; its ids index the populations as
+``format_version``, ``columns`` (the fixed fields of a row: kind, pair index,
+the two ids and the two scores), ``cost_keys`` and ``telemetry_keys`` (the
+sorted keys of the run's first outcome's costs and telemetry) and
+``codon_bytes`` (2, 4 or 8, the fewest that hold every codon below the run's
+``codon_max``). Then come the two initial populations (generation 0) and, for
+each half-step, its population line followed by its engagement rows. A
+population line is an object with ``record`` ("population"), ``generation``,
+``phase``, ``genotypes`` (each one base64 string of its codons as
+little-endian unsigned integers of ``codon_bytes`` bytes), ``sentences``
+(text, null for an individual that failed to map) and ``replaced`` (the slot
+the incumbent took in the elitism swap, or null). It holds the population the
+half-step bred, before the swap. An engagement row is a JSON array of values
+only: the ``columns``, then the costs in ``cost_keys`` order, then the
+telemetry in ``telemetry_keys`` order. Its ids index the populations as
 ``coevarena.engine.loop.Engagement`` describes, and it takes its generation
-and phase from the population line before it.
+and phase from the population line before it. Every outcome of a run has the
+header's keys; add_run refuses a run with one that does not.
 
 Runs only ever append. add_run writes a run into ``<root>/<dir>.partial/``,
 renames it to ``<dir>`` and only then appends its index line, so a failed
@@ -28,17 +35,20 @@ reproduce them byte for byte; the manifest carries the only timestamp.
 
 Loading a run checks each record (index line, manifest, half-step line) once,
 against the one description of its keys here; CorruptRecord names what fails.
-One line reader, which names each line, reads index.jsonl and halfsteps.jsonl.
-halfsteps.jsonl starts with its run's header, then holds one half-step per line:
-generations 1 to the config echo's, in order, each attacker before defender.
+One line reader, which names each line, reads index.jsonl, halfsteps.jsonl
+and engagements.jsonl. halfsteps.jsonl starts with its run's header, then
+holds one half-step per line: generations 1 to the config echo's, in order,
+each attacker before defender.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 import json
 import shutil
+import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
@@ -47,13 +57,18 @@ from .engagement import EngagementOutcome
 from .engine.config import ATTACKER, DEFENDER, EvolutionConfig
 from .engine.loop import Engagement, HalfStepStats, RunRecord
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-# An engagement row: the Engagement's fields but its outcome, then the outcome's.
+# The fixed fields of an engagement row: the Engagement's but its outcome, then
+# the outcome's scores. Its costs and telemetry follow, keyed by the header.
 ENGAGEMENT_COLUMNS = (
     *(name for name in Engagement._fields if name != "outcome"),
-    *(f.name for f in fields(EngagementOutcome)),
+    "attacker_score",
+    "defender_score",
 )
+
+# The struct code of a little-endian unsigned codon of each stored width in bytes.
+_CODON_FORMATS = {2: "H", 4: "I", 8: "Q"}
 
 
 # The manifest entry of each input file, and the name of its verbatim copy.
@@ -73,6 +88,7 @@ _JSON_CHECKS = {
     "Genotype": lambda v: type(v) is list and v != [] and all(type(c) is int and c >= 0 for c in v),
     "tuple[str, ...] | None": lambda v: v is None or type(v) is list and all(type(w) is str for w in v),
     "'halfstep'": lambda v: v == "halfstep",
+    "list[str]": lambda v: type(v) is list and all(type(w) is str for w in v),
 }
 
 # One description per stored record: each key its reader reads, with the JSON
@@ -88,6 +104,12 @@ _MANIFEST = {
     **{key: {"sha256": "str"} for key in STORED_INPUTS},
 }
 _HALFSTEP = {"record": "'halfstep'", **{f.name: f.type for f in fields(HalfStepStats)}}
+_ENGAGEMENTS_HEADER = {
+    "columns": "list[str]",
+    "cost_keys": "list[str]",
+    "telemetry_keys": "list[str]",
+    "codon_bytes": "int",
+}
 
 
 class CorruptRecord(Exception):
@@ -126,8 +148,25 @@ def _lines(path: Path) -> Iterator[tuple[str, object]]:
 
 
 def _log_header(run_id: str) -> dict:
-    """The header both logs start with; engagements.jsonl's adds its columns."""
+    """The header both logs start with; engagements.jsonl's adds its row layout and codon width."""
     return {"record": "header", "format_version": FORMAT_VERSION, "run": run_id}
+
+
+def codon_bytes(codon_max: int) -> int:
+    """The fewest bytes, of 2, 4 or 8, that hold every codon below codon_max (at most 2**63)."""
+    return next(width for width in _CODON_FORMATS if codon_max <= 256**width)
+
+
+def encode_genotype(codons, width: int) -> str:
+    """codons as one base64 string of little-endian unsigned integers of width bytes."""
+    packed = struct.pack(f"<{len(codons)}{_CODON_FORMATS[width]}", *codons)
+    return base64.b64encode(packed).decode("ascii")
+
+
+def decode_genotype(text: str, width: int) -> tuple[int, ...]:
+    """The codons encode_genotype wrote as text."""
+    packed = base64.b64decode(text, validate=True)
+    return struct.unpack(f"<{len(packed) // width}{_CODON_FORMATS[width]}", packed)
 
 
 def sha256_file(path: str | Path) -> str:
@@ -175,15 +214,28 @@ class StoredRun:
         return path
 
     def engagement_records(self) -> Iterator[dict]:
-        """Each engagement row as a dict of its columns, generation and phase."""
-        with (self.run_dir / "engagements.jsonl").open(encoding="utf-8") as handle:
-            columns = json.loads(next(handle))["columns"]
-            for line in handle:
-                row = json.loads(line)
-                if isinstance(row, dict):
-                    half_step = {"generation": row["generation"], "phase": row["phase"]}
-                else:
-                    yield {**half_step, **dict(zip(columns, row))}
+        """Each engagement row as a dict of its columns, costs, telemetry, generation
+        and phase. Raises CorruptRecord naming the line unless the header holds
+        what _ENGAGEMENTS_HEADER describes and each row as many values as it names."""
+        path = self.run_dir / "engagements.jsonl"
+        lines = _lines(path)
+        where, header = next(lines, (f"{path} line 1", None))
+        _check(header, _ENGAGEMENTS_HEADER, where)
+        columns, cost_keys, telemetry_keys = header["columns"], header["cost_keys"], header["telemetry_keys"]
+        costs_at, telemetry_at = len(columns), len(columns) + len(cost_keys)
+        width = telemetry_at + len(telemetry_keys)
+        for where, row in lines:
+            if type(row) is dict:
+                half_step = {"generation": row["generation"], "phase": row["phase"]}
+            elif type(row) is list and len(row) == width:
+                yield {
+                    **half_step,
+                    **dict(zip(columns, row)),
+                    "costs": dict(zip(cost_keys, row[costs_at:telemetry_at])),
+                    "telemetry": dict(zip(telemetry_keys, row[telemetry_at:])),
+                }
+            else:
+                raise CorruptRecord(f"{where} is not a row of the header's {width} values: {row!r}")
 
 
 class ResultsStore:
@@ -217,11 +269,9 @@ class ResultsStore:
         defense_grammar_path: str | Path,
         scenario_path: str | Path,
     ) -> str:
-        """Store one run, atomically (see the module docstring); return its directory
-        name. The index line takes its seed and environment from manifest."""
+        """Store one run, atomically (see the module docstring); return its directory name."""
         dir_name = self._unique_dir_name(record.run_id)
         entry = {"dir": dir_name, "run_id": record.run_id}
-        entry.update(seed=manifest["seed"], environment=manifest["environment"])
         self.root.mkdir(parents=True, exist_ok=True)
         partial = self.root / f"{dir_name}.partial"
         partial.mkdir()
@@ -247,9 +297,20 @@ class ResultsStore:
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
 
+        outcomes = (e.outcome for cohort in record.cohorts for e in cohort.engagements)
+        first = next(outcomes, EngagementOutcome(0.0, 0.0))
+        cost_keys, telemetry_keys = sorted(first.costs), sorted(first.telemetry)
+        width = codon_bytes(record.config.limits.codon_max)
+        header = {
+            **_log_header(record.run_id),
+            "columns": ENGAGEMENT_COLUMNS,
+            "cost_keys": cost_keys,
+            "telemetry_keys": telemetry_keys,
+            "codon_bytes": width,
+        }
         with (run_dir / "engagements.jsonl").open("w", encoding="utf-8") as handle:
-            handle.write(_dump({**_log_header(record.run_id), "columns": ENGAGEMENT_COLUMNS}) + "\n")
-            encoded: dict[int, str] = {}  # id(outcome) -> the row's last four columns
+            handle.write(_dump(header) + "\n")
+            encoded: dict[int, str] = {}  # id(outcome) -> the row's values after its ids
             for cohort in record.cohorts:
                 handle.write(
                     _dump(
@@ -257,7 +318,7 @@ class ResultsStore:
                             "record": "population",
                             "generation": cohort.generation,
                             "phase": cohort.phase,
-                            "genotypes": [member.codons for member in cohort.members],
+                            "genotypes": [encode_genotype(m.codons, width) for m in cohort.members],
                             "sentences": [s.text if s else None for s in cohort.strategies],
                             "replaced": cohort.replaced,
                         }
@@ -265,11 +326,24 @@ class ResultsStore:
                     + "\n"
                 )
                 for kind, k, a, d, outcome in cohort.engagements:
-                    # A row in ENGAGEMENT_COLUMNS order. An environment may return
-                    # one outcome for many engagements, so each is encoded once.
+                    # An environment may return one outcome for many engagements,
+                    # so each is checked and encoded once.
                     if id(outcome) not in encoded:
-                        scores = (outcome.attacker_score, outcome.defender_score)
-                        encoded[id(outcome)] = _dump((*scores, outcome.costs, outcome.telemetry))[1:]
+                        costs, telemetry = outcome.costs, outcome.telemetry
+                        if sorted(costs) != cost_keys or sorted(telemetry) != telemetry_keys:
+                            raise ValueError(
+                                f"generation {cohort.generation} {cohort.phase} {kind} engagement {k} "
+                                f"(attacker {a}, defender {d}) has cost keys {sorted(costs)} and "
+                                f"telemetry keys {sorted(telemetry)}, not the run's {cost_keys} and "
+                                f"{telemetry_keys}"
+                            )
+                        values = (
+                            outcome.attacker_score,
+                            outcome.defender_score,
+                            *(costs[key] for key in cost_keys),
+                            *(telemetry[key] for key in telemetry_keys),
+                        )
+                        encoded[id(outcome)] = _dump(values)[1:]
                     handle.write(f'["{kind}",{k},{a},{d},{encoded[id(outcome)]}\n')
 
         with (run_dir / "halfsteps.jsonl").open("w", encoding="utf-8") as handle:

@@ -9,7 +9,8 @@ of sibling-seeded rows of one block, pre-scanned events and a bitmask,
 for the ddos simulator a fresh route for every task on every tick instead
 of a route table kept on the scenario, and ring routes by recursion instead
 of an explicit stack, for the engagement log a reader of the
-raw file that puts the genotypes and sentences back on every record, for
+raw file that decodes each genotype with int.from_bytes and puts the
+genotypes and sentences back on every record, for
 keyed random streams numpy's own encoding of a list of ints instead of an
 array of 32-bit words, and for the engine's draws numpy's own Generator,
 drawing a tournament's entrants and a genotype's codons as one array each,
@@ -20,6 +21,7 @@ full key and keeps each role's population as plain lists.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import statistics
@@ -633,8 +635,6 @@ def oracle_ddos_engage(
             "tasks_completed": float(len(scenario.tasks) - disrupted),
             "attempts": float(attempts),
             "deliveries": float(total_deliveries),
-            "message_cost": message_cost_total,
-            "node_cost": len(scenario.nodes) * horizon * scenario.node_cost,
         },
     )
 
@@ -642,27 +642,41 @@ def oracle_ddos_engage(
 def v1_engagements(run_dir) -> list[dict]:
     """The engagement records of a stored run as format 1 wrote them, less run.
 
-    Each record gets back both individuals' genotype and sentence. A candidate
+    The rows of the stored format 3 log get back their costs and telemetry
+    dicts from the header's keys, and each genotype its codon list. Each
+    record gets back both individuals' genotype and sentence. A candidate
     row's own individual comes from its half-step's population line, an
     incumbent row's from the role's population before the half-step, and the
     opponent from the other role's latest population. After a half-step's
     rows, its incumbent takes the replaced slot of its population.
     """
     lines = (Path(run_dir) / "engagements.jsonl").read_text(encoding="utf-8").splitlines()
-    columns = json.loads(lines[0])["columns"]
+    header = json.loads(lines[0])
+    columns, costs, telemetry = header["columns"], header["cost_keys"], header["telemetry_keys"]
+    costs_at, telemetry_at = len(columns), len(columns) + len(costs)
     half_steps = []
     for line in lines[1:]:
         item = json.loads(line)
         if isinstance(item, dict):
             half_steps.append((item, []))
         else:
-            half_steps[-1][1].append(dict(zip(columns, item)))
+            assert len(item) == telemetry_at + len(telemetry)
+            row = dict(zip(columns, item))
+            row["costs"] = dict(zip(costs, item[costs_at:telemetry_at]))
+            row["telemetry"] = dict(zip(telemetry, item[telemetry_at:]))
+            half_steps[-1][1].append(row)
     latest = {}  # role -> [(genotype, sentence)] after its latest swap
     records = []
     for population, rows in half_steps:
         role = population["phase"]
         other = "defender" if role == "attacker" else "attacker"
-        bred = list(zip(population["genotypes"], population["sentences"]))
+        width = header["codon_bytes"]
+        genotypes = [base64.b64decode(text) for text in population["genotypes"]]
+        genotypes = [
+            [int.from_bytes(packed[i: i + width], "little") for i in range(0, len(packed), width)]
+            for packed in genotypes
+        ]
+        bred = list(zip(genotypes, population["sentences"]))
         before = latest.get(role)
         incumbent = None
         for row in rows:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from collections import defaultdict
+from dataclasses import InitVar, dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -23,8 +24,16 @@ import coevarena.store as store_module
 from coevarena import CompetitionStructure, EvolutionConfig, SelectionScheme
 from coevarena.cli import ConfigError, load_experiment_config, main
 from coevarena.data import data_path
+from coevarena.engine.config import cast_entries
 from coevarena.grammar import GenotypeLimits, MappingConfig
-from coevarena.store import STORED_INPUTS, CorruptRecord, ResultsStore, UnknownRun
+from coevarena.store import (
+    CorruptRecord,
+    ResultsStore,
+    UnknownRun,
+    codon_bytes,
+    decode_genotype,
+    encode_genotype,
+)
 
 from conftest import SMALL_DDOS_SCENARIO, ScriptedEnvironment, write_experiment_config
 from oracles import v1_engagements
@@ -91,7 +100,7 @@ class TestCmdRun:
         store = ResultsStore(store_dir)
         entries = store.entries()
         assert len(entries) == 2
-        assert {e["seed"] for e in entries} == {5, 6}
+        assert {run.manifest["seed"] for run in store.load_all()} == {5, 6}
         for item in entries:
             assert (store_dir / item["dir"] / "engagements.jsonl").exists()
             assert (store_dir / item["dir"] / "manifest.json").exists()
@@ -191,21 +200,12 @@ class TestAtomicAddRun:
         assert run_cli("run", "--config", config, "--store", store_dir, "--quiet") == 0
         assert len(store.load_all()) == 2
 
-    @pytest.mark.parametrize("key", ["seed", "environment"])
-    def test_index_line_takes_seed_and_environment_from_the_manifest(self, stored_once, key):
+    def test_index_line_holds_only_dir_and_run_id(self, stored_once):
         config, store_dir = stored_once
         store = ResultsStore(store_dir)
         (run,) = store.load_all()
-        assert store.entries()[0][key] == run.manifest[key]
-        # A manifest without the key fails before anything is written.
-        grammar = coevarena.parse_bnf("<s> ::= a | b")
-        cfg = EvolutionConfig(generations=1, attacker_population=1, defender_population=1)
-        record = coevarena.run_alternating(cfg, grammar, grammar, ScriptedEnvironment())
-        manifest = {name: value for name, value in run.manifest.items() if name != key}
-        fresh = ResultsStore(store_dir.parent / "fresh")
-        with pytest.raises(KeyError):
-            fresh.add_run(record, manifest, *(run.input_path(name) for name in STORED_INPUTS))
-        assert not fresh.root.exists()
+        (line,) = store.index_path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(line) == {"dir": run.run_dir.name, "run_id": run.manifest["run_id"]}
 
     def test_leftover_partial_directory_is_not_reused(self, stored_once):
         config, store_dir = stored_once
@@ -332,6 +332,23 @@ class TestLoadExperimentConfig:
         with pytest.raises(ConfigError, match=rf"^config \[experiment\] {option}: missing required entry$"):
             load_experiment_config(path)
 
+    def test_initvar_annotation_is_not_resolved(self):
+        # typing.get_type_hints resolves every annotation of a schema. Python
+        # 3.10 rejects an InitVar[Path] one, and no Python resolves a name
+        # bound only for type checkers; neither is a field set by name.
+        @dataclass
+        class Schema:
+            count: int = 1
+            base_dir: InitVar[Path] = Path()
+            checked: "InitVar[BoundOnlyForTypeCheckers]" = None
+
+            def __post_init__(self, base_dir, checked):
+                pass
+
+        assert cast_entries(Schema, {"count": "3"}) == {"count": 3}
+        with pytest.raises(ValueError, match="base_dir: unknown option"):
+            cast_entries(Schema, {"base_dir": "x"})
+
     def test_empty_store_means_no_store(self, tmp_path, ddos_scenario_file):
         path = bare_config(tmp_path, ddos_scenario_file, experiment="store =\n")
         assert load_experiment_config(path).store is None
@@ -453,9 +470,22 @@ class TestCmdInspect:
         manifest_path = store_with_run / store.entries()[0]["dir"] / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest_path.write_text(json.dumps({**manifest, "format_version": 1}))
-        message = r"format_version 1, but this coevarena reads format_version 2; re-run its config"
+        message = r"format_version 1, but this coevarena reads format_version 3; re-run its config"
         with pytest.raises(CorruptRecord, match=message):
             store.load_all()
+
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
+    def test_format_2_store_is_one_error_line(self, store_with_run, tmp_path, capsys, command):
+        run_dir = store_with_run / ResultsStore(store_with_run).entries()[0]["dir"]
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps({**manifest, "format_version": 2}))
+        args = ["--out", tmp_path / "out"] if command == "establo" else [run_dir.name]
+        assert run_cli(command, "--store", store_with_run, *args) == 1
+        assert assert_one_error_line(capsys) == (
+            f"error: CorruptRecord: {run_dir}: stored in format_version 2, but this coevarena "
+            "reads format_version 3; re-run its config to store it again\n"
+        )
 
     def test_load_by_run_id(self, store_with_run):
         store = ResultsStore(store_with_run)
@@ -515,7 +545,7 @@ class TestCmdEstablo:
             (lambda m: {**m, "config": {**m["config"], "mutation_rate": "0.1"}}, "'config'"),
             (lambda m: {**m, "config": {**m["config"], "attacker_population": True}}, "'config'"),
             (lambda m: [2], "is not an object"),
-            (lambda m: {"format_version": 2}, "lacks key 'run_id'"),
+            (lambda m: {"format_version": store_module.FORMAT_VERSION}, "lacks key 'run_id'"),
             (lambda m: {k: v for k, v in m.items() if k != "environment"}, "'environment'"),
             (lambda m: {**m, "scenario": "x"}, "'scenario'"),
             (lambda m: {**m, "environment": ["ddos"]}, "key 'environment' is not str"),
@@ -713,7 +743,7 @@ class TestCmdEstablo:
         "edit",
         [
             lambda header, steps: [{**header, "run": "other-run"}, *steps],
-            lambda header, steps: [{**header, "format_version": 3}, *steps],
+            lambda header, steps: [{**header, "format_version": 2}, *steps],
             lambda header, steps: [{**header, "record": "halfstep"}, *steps],
             lambda header, steps: [{**header, "columns": []}, *steps],
             lambda header, steps: steps,
@@ -988,12 +1018,12 @@ class TestShippedData:
         # change to the log format must update these digests in the same change.
         expected = {
             ("ddos_smoke.cfg", 11): (
-                "a882d81c1854331a58c9183581fd0bcf8866c39355ea873100604ac758aaac3c",
-                "1ea0d889661cfbcb69426de5c5db98894e86c71c67862f0f4c87032cf5ba1e8b",
+                "d3133892cd58d1e8befeffaa4fe6e08977d5d3c7b8d762c5a1003ae3eafe2171",
+                "f276a84424d150d6267b40b027bdcae74b1e1d31d3f8f50f80e60f3e61cc6258",
             ),
             ("contagion_star.cfg", 7): (
-                "fe57825d097d54f23fe568fff0863cd022d99ecfba3766c1829f9ce55d1cadf1",
-                "fbd2aaa6f87465c9cff5e1b92bb17f4685bcc06c22c8c54d2dae8c7af5ace1c4",
+                "edf1e8221b5a2b7be0821122e5f6b12f052e1b0be8e94eb6b3ac135a256eacee",
+                "52200e3a003a10261366658f6a60ecd8dc0d62b94ddfcb722f7f8f5bf1092dd3",
             ),
         }
         for key, digests in expected.items():
@@ -1005,11 +1035,12 @@ class TestShippedData:
 
     def test_shipped_config_logs_rebuild_the_format_1_records(self, shipped_runs):
         # sha256 of the format 1 engagement records of both shipped configs,
-        # taken before format 2, with run and the telemetry keys cleanses,
-        # mean_delay, mission_duration, trials and tasks_total removed. The
-        # format 2 log, with genotypes and sentences put back, must match.
+        # with run and the telemetry keys cleanses, mean_delay,
+        # mission_duration, trials, tasks_total, node_cost and message_cost
+        # removed. The format 3 log, with costs, telemetry, genotypes and
+        # sentences put back, must match.
         expected = {
-            ("ddos_smoke.cfg", 11): "84100335087c74f56655d40368cfd59c0ad0686bcc11f29c0dada4f1bb615c9c",
+            ("ddos_smoke.cfg", 11): "de421434855e3d612605ea4fec0e44f6ae1a6bf0cd65a805430cde2946458b4b",
             ("contagion_star.cfg", 7): "dff4af542356fd7b856594708e36899baf8ef1b083f3bad49118202b955df7f3",
         }
         for key, expected_digest in expected.items():
@@ -1018,17 +1049,118 @@ class TestShippedData:
                 digest.update((json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode())
             assert digest.hexdigest() == expected_digest, key
 
+    def test_shipped_config_logs_read_back_as_the_run_in_memory(self, shipped_records):
+        for key, (run_dir, record) in shipped_records.items():
+            expected = [
+                {
+                    "generation": cohort.generation,
+                    "phase": cohort.phase,
+                    "kind": kind,
+                    "pair_index": k,
+                    "attacker_id": a,
+                    "defender_id": d,
+                    "attacker_score": outcome.attacker_score,
+                    "defender_score": outcome.defender_score,
+                    "costs": outcome.costs,
+                    "telemetry": outcome.telemetry,
+                }
+                for cohort in record.cohorts
+                for kind, k, a, d, outcome in cohort.engagements
+            ]
+            stored = ResultsStore(run_dir.parent).load(run_dir.name)
+            assert list(stored.engagement_records()) == expected, key
+            lines = [json.loads(line) for line in (run_dir / "engagements.jsonl").read_text().splitlines()]
+            assert lines[0]["codon_bytes"] == 2
+            genotypes = [
+                [decode_genotype(text, 2) for text in line["genotypes"]]
+                for line in lines
+                if type(line) is dict and line["record"] == "population"
+            ]
+            assert genotypes == [[m.codons for m in cohort.members] for cohort in record.cohorts], key
+
+
+class TestEngagementLogFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), codon_max=st.sampled_from([1, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**63]))
+    def test_genotype_round_trip(self, data, codon_max):
+        width = codon_bytes(codon_max)
+        assert width == {1: 2, 2**16: 2, 2**16 + 1: 4, 2**32: 4, 2**32 + 1: 8, 2**63: 8}[codon_max]
+        codons = data.draw(
+            st.lists(st.integers(0, codon_max - 1), min_size=1, max_size=40)
+            | st.just([codon_max - 1]),
+            label="codons",
+        )
+        text = encode_genotype(codons, width)
+        assert len(text) == 4 * math.ceil(len(codons) * width / 3)
+        assert decode_genotype(text, width) == tuple(codons)
+
+    def test_outcome_with_other_keys_is_refused_and_nothing_is_left(self, tmp_path):
+        class ShiftingKeys(ScriptedEnvironment):
+            """Telemetry 'first' on the first engagement, 'later' on every other."""
+
+            calls = 0
+
+            def engage(self, attack, defense, key):
+                outcome = super().engage(attack, defense, key)
+                self.calls += 1
+                name = "first" if self.calls == 1 else "later"
+                return replace(outcome, telemetry={name: 1.0})
+
+        grammar = coevarena.parse_bnf("<s> ::= a | b")
+        cfg = EvolutionConfig(generations=1, attacker_population=3, defender_population=3)
+        record = coevarena.run_alternating(cfg, grammar, grammar, ShiftingKeys())
+        (first, second, *_) = record.cohorts[2].engagements
+        inputs = [tmp_path / name for name in ("a.bnf", "d.bnf", "s.cfg")]
+        for path in inputs:
+            path.write_text("", encoding="utf-8")
+        store = ResultsStore(tmp_path / "store")
+        message = (
+            f"generation 1 attacker candidate engagement 1 (attacker {second.attacker_id}, "
+            f"defender {second.defender_id}) has cost keys [] and telemetry keys ['later'], "
+            "not the run's [] and ['first']"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            store.add_run(record, {}, *inputs)
+        assert first.outcome.telemetry == {"first": 1.0}
+        assert [p.name for p in store.root.iterdir()] == []
+
+    @pytest.mark.parametrize("row", ["[]", '["candidate",0,0,0,0.5,0.5]', "5", '"x"'])
+    def test_row_that_is_not_the_headers_is_one_corrupt_record(self, tmp_path, row):
+        _, source, run_dir, _ = small_ddos_store()
+        store_dir = Path(shutil.copytree(source, tmp_path / "store"))
+        log = store_dir / run_dir / "engagements.jsonl"
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write(row + "\n")
+        number = len(log.read_text().splitlines())
+        records = ResultsStore(store_dir).load(run_dir).engagement_records()
+        with pytest.raises(CorruptRecord, match=re.escape(f"{log} line {number} is not a row of the header's 11 values")):
+            list(records)
+
 
 @pytest.fixture(scope="module")
-def shipped_runs(tmp_path_factory):
-    """The run directory of each shipped config at its pinned seed."""
-    runs = {}
-    for name, seed in (("ddos_smoke.cfg", 11), ("contagion_star.cfg", 7)):
-        store_dir = tmp_path_factory.mktemp("shipped") / name
-        config = data_path("configs", name)
-        assert run_cli("run", "--config", config, "--seed", seed, "--store", store_dir, "--quiet") == 0
-        runs[name, seed] = store_dir / ResultsStore(store_dir).entries()[0]["dir"]
+def shipped_records(tmp_path_factory):
+    """(run directory, RunRecord add_run stored there) of each shipped config at its pinned seed."""
+    runs, records = {}, []
+    add_run = ResultsStore.add_run
+
+    def keep(store, record, *args):
+        records.append(record)
+        return add_run(store, record, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ResultsStore, "add_run", keep)
+        for name, seed in (("ddos_smoke.cfg", 11), ("contagion_star.cfg", 7)):
+            store_dir = tmp_path_factory.mktemp("shipped") / name
+            config = data_path("configs", name)
+            assert run_cli("run", "--config", config, "--seed", seed, "--store", store_dir, "--quiet") == 0
+            runs[name, seed] = store_dir / ResultsStore(store_dir).entries()[0]["dir"], records[-1]
     return runs
+
+
+@pytest.fixture(scope="module")
+def shipped_runs(shipped_records):
+    """The run directory of each shipped config at its pinned seed."""
+    return {key: run_dir for key, (run_dir, _) in shipped_records.items()}
 
 
 
