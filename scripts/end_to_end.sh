@@ -10,8 +10,9 @@
 # Files go to RUNNER_TEMP, a fresh temporary directory by default.
 set -e
 cd "$(dirname "$0")/.."
-read -r -a command <<< "${COEVARENA_COMMAND:-coevarena}"
-coevarena() { "${command[@]}" "$@"; }
+read -r -a under_test <<< "${COEVARENA_COMMAND:-coevarena}"
+# "command" skips this function, so the default "coevarena" runs the one on PATH.
+coevarena() { command "${under_test[@]}" "$@"; }
 RUNNER_TEMP="${RUNNER_TEMP:-$(mktemp -d)}"
 
 for name in ddos_smoke contagion_star; do

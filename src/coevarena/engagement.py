@@ -55,6 +55,9 @@ class EngagementEnvironment(Protocol):
     sequence's first n children with ``key.sibling_states(range(n))``; a
     deterministic one ignores the key and so never builds a stream. engage may return one outcome object for
     several engagements, so callers copy costs and telemetry to change them.
+    Every outcome an environment returns carries the same costs keys and the
+    same telemetry keys: the results store writes them once per run, and
+    refuses a run whose outcomes differ in them.
     """
 
     environment_id: str

@@ -13,7 +13,8 @@ engagements.jsonl starts with a header object that carries ``run``,
 the two ids and the two scores), ``cost_keys`` and ``telemetry_keys`` (the
 sorted keys of the run's first outcome's costs and telemetry) and
 ``codon_bytes`` (2, 4 or 8, the fewest that hold every codon below the run's
-``codon_max``). Then come the two initial populations (generation 0) and, for
+``codon_max``; the log states it so that its genotypes decode without the
+manifest, and loading checks it against the config echo). Then come the two initial populations (generation 0) and, for
 each half-step, its population line followed by its engagement rows. A
 population line is an object with ``record`` ("population"), ``generation``,
 ``phase``, ``genotypes`` (each one base64 string of its codons as
@@ -108,7 +109,6 @@ _ENGAGEMENTS_HEADER = {
     "columns": "list[str]",
     "cost_keys": "list[str]",
     "telemetry_keys": "list[str]",
-    "codon_bytes": "int",
 }
 
 
@@ -163,12 +163,6 @@ def encode_genotype(codons, width: int) -> str:
     return base64.b64encode(packed).decode("ascii")
 
 
-def decode_genotype(text: str, width: int) -> tuple[int, ...]:
-    """The codons encode_genotype wrote as text."""
-    packed = base64.b64decode(text, validate=True)
-    return struct.unpack(f"<{len(packed) // width}{_CODON_FORMATS[width]}", packed)
-
-
 def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -215,12 +209,16 @@ class StoredRun:
 
     def engagement_records(self) -> Iterator[dict]:
         """Each engagement row as a dict of its columns, costs, telemetry, generation
-        and phase. Raises CorruptRecord naming the line unless the header holds
-        what _ENGAGEMENTS_HEADER describes and each row as many values as it names."""
+        and phase. Raises CorruptRecord naming the line unless the header is this
+        run's, with the config echo's codon width, and holds what
+        _ENGAGEMENTS_HEADER describes, and each row holds as many values as it names."""
         path = self.run_dir / "engagements.jsonl"
         lines = _lines(path)
         where, header = next(lines, (f"{path} line 1", None))
         _check(header, _ENGAGEMENTS_HEADER, where)
+        own = {**_log_header(self.manifest["run_id"]), "codon_bytes": codon_bytes(self.config.limits.codon_max)}
+        if {key: header.get(key) for key in own} != own:
+            raise CorruptRecord(f"{where} is not this run's header {own!r}: {header!r}")
         columns, cost_keys, telemetry_keys = header["columns"], header["cost_keys"], header["telemetry_keys"]
         costs_at, telemetry_at = len(columns), len(columns) + len(cost_keys)
         width = telemetry_at + len(telemetry_keys)

@@ -639,6 +639,12 @@ def oracle_ddos_engage(
     )
 
 
+def decode_genotype(text: str, width: int) -> list[int]:
+    """The codons of a format 3 genotype: base64 of little-endian unsigned integers of width bytes."""
+    packed = base64.b64decode(text, validate=True)
+    return [int.from_bytes(packed[i: i + width], "little") for i in range(0, len(packed), width)]
+
+
 def v1_engagements(run_dir) -> list[dict]:
     """The engagement records of a stored run as format 1 wrote them, less run.
 
@@ -670,12 +676,7 @@ def v1_engagements(run_dir) -> list[dict]:
     for population, rows in half_steps:
         role = population["phase"]
         other = "defender" if role == "attacker" else "attacker"
-        width = header["codon_bytes"]
-        genotypes = [base64.b64decode(text) for text in population["genotypes"]]
-        genotypes = [
-            [int.from_bytes(packed[i: i + width], "little") for i in range(0, len(packed), width)]
-            for packed in genotypes
-        ]
+        genotypes = [decode_genotype(text, header["codon_bytes"]) for text in population["genotypes"]]
         bred = list(zip(genotypes, population["sentences"]))
         before = latest.get(role)
         incumbent = None

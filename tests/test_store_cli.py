@@ -31,12 +31,11 @@ from coevarena.store import (
     ResultsStore,
     UnknownRun,
     codon_bytes,
-    decode_genotype,
     encode_genotype,
 )
 
 from conftest import SMALL_DDOS_SCENARIO, ScriptedEnvironment, write_experiment_config
-from oracles import v1_engagements
+from oracles import decode_genotype, v1_engagements
 
 
 def run_cli(*argv):
@@ -1076,7 +1075,7 @@ class TestShippedData:
                 for line in lines
                 if type(line) is dict and line["record"] == "population"
             ]
-            assert genotypes == [[m.codons for m in cohort.members] for cohort in record.cohorts], key
+            assert genotypes == [[list(m.codons) for m in cohort.members] for cohort in record.cohorts], key
 
 
 class TestEngagementLogFormat:
@@ -1092,7 +1091,7 @@ class TestEngagementLogFormat:
         )
         text = encode_genotype(codons, width)
         assert len(text) == 4 * math.ceil(len(codons) * width / 3)
-        assert decode_genotype(text, width) == tuple(codons)
+        assert decode_genotype(text, width) == codons
 
     def test_outcome_with_other_keys_is_refused_and_nothing_is_left(self, tmp_path):
         class ShiftingKeys(ScriptedEnvironment):
@@ -1135,6 +1134,34 @@ class TestEngagementLogFormat:
         records = ResultsStore(store_dir).load(run_dir).engagement_records()
         with pytest.raises(CorruptRecord, match=re.escape(f"{log} line {number} is not a row of the header's 11 values")):
             list(records)
+
+    @pytest.mark.parametrize(
+        "edit", [{"record": "halfstep"}, {"format_version": 2}, {"run": "other-s1"}, {"codon_bytes": 4}]
+    )
+    def test_header_that_is_not_the_runs_is_one_corrupt_record(self, tmp_path, edit):
+        _, source, run_dir, _ = small_ddos_store()
+        store_dir = Path(shutil.copytree(source, tmp_path / "store"))
+        log = store_dir / run_dir / "engagements.jsonl"
+        header, *rest = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        log.write_text(json.dumps({**json.loads(header), **edit}) + "\n" + "".join(rest), encoding="utf-8")
+        records = ResultsStore(store_dir).load(run_dir).engagement_records()
+        with pytest.raises(CorruptRecord, match=re.escape(f"{log} line 1 is not this run's header")):
+            list(records)
+
+    def test_another_runs_log_is_one_corrupt_record(self, tmp_path, ddos_scenario_file):
+        config = write_experiment_config(tmp_path, "ddos", ddos_scenario_file, repetitions=2)
+        store_dir = tmp_path / "store"
+        assert run_cli("run", "--config", config, "--store", store_dir, "--quiet") == 0
+        store = ResultsStore(store_dir)
+        first, second = (store_dir / entry["dir"] for entry in store.entries())
+        logs = [(run_dir / "engagements.jsonl").read_bytes() for run_dir in (first, second)]
+        (first / "engagements.jsonl").write_bytes(logs[1])
+        (second / "engagements.jsonl").write_bytes(logs[0])
+        for run_dir in (first, second):
+            records = store.load(run_dir.name).engagement_records()
+            message = f"{run_dir / 'engagements.jsonl'} line 1 is not this run's header"
+            with pytest.raises(CorruptRecord, match=re.escape(message)):
+                list(records)
 
 
 @pytest.fixture(scope="module")
