@@ -201,3 +201,23 @@ sed -e "s#= \.\./#= $data/#" -e "s#^attack_grammar = .*#attack_grammar = $RUNNER
   "$data/configs/ddos_smoke.cfg" > "$RUNNER_TEMP/dangling.cfg"
 expect_error coevarena run --config "$RUNNER_TEMP/dangling.cfg" --store "$RUNNER_TEMP/store-bad"
 grep -qF "grammar file $RUNNER_TEMP/dangling.bnf: " "$RUNNER_TEMP/bad.err"
+# And an engagement row that refers to an outcome no row has written yet
+# (line 5 is the log's first row), and one whose kind index is outside the
+# header's kinds: inspect reads the engagement log, and the error line
+# names it and the line.
+cp -r "$RUNNER_TEMP/store-ddos_smoke" "$RUNNER_TEMP/store-forwardref"
+for log in "$RUNNER_TEMP"/store-forwardref/*/engagements.jsonl; do
+  sed -i '5 s/^\(\[[0-9]*,[0-9]*,[0-9]*,[0-9]*\),.*/\1,0]/' "$log"
+  sed -n 5p "$log" | grep -qx '\[[0-9]*,[0-9]*,[0-9]*,[0-9]*,0\]'
+done
+expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
+  --store "$RUNNER_TEMP/store-forwardref"
+grep -q 'engagements.jsonl line 5 refers to outcome 0' "$RUNNER_TEMP/bad.err"
+cp -r "$RUNNER_TEMP/store-ddos_smoke" "$RUNNER_TEMP/store-badkind"
+for log in "$RUNNER_TEMP"/store-badkind/*/engagements.jsonl; do
+  sed -i '5 s/^\[[0-9]*,/[2,/' "$log"
+  sed -n 5p "$log" | grep -q '^\[2,'
+done
+expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
+  --store "$RUNNER_TEMP/store-badkind"
+grep -q 'engagements.jsonl line 5 kind 2 is not an index' "$RUNNER_TEMP/bad.err"

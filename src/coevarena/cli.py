@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from configparser import ConfigParser
 from dataclasses import MISSING, InitVar, dataclass, fields
 from datetime import datetime, timezone
@@ -27,6 +28,7 @@ from .engine.pairing import StructureMismatch
 from .envs import ENVIRONMENTS, load_environment
 from .grammar import GenotypeLimits, GrammarError, MappingConfig, load_grammar
 from .store import (
+    ENGAGEMENT_KINDS,
     FORMAT_VERSION,
     STORED_INPUTS,
     CorruptRecord,
@@ -257,6 +259,8 @@ def cmd_establo(args) -> int:
 def cmd_inspect(args) -> int:
     store = ResultsStore(_resolve_store(args))
     run = store.load(args.run)
+    kinds = Counter(record["kind"] for record in run.engagement_records())
+    by_kind = ", ".join(f"{kinds[kind]} {kind}" for kind in ENGAGEMENT_KINDS)
     manifest = run.manifest
     completed = max((step["generation"] for step in run.half_steps), default=0)
     print(f"run         {manifest['run_id']}  (dir {run.run_dir.name})")
@@ -264,6 +268,7 @@ def cmd_inspect(args) -> int:
     print(f"seed        {manifest['seed']}")
     print(f"algorithm   {manifest['algorithm_label']}")
     print(f"generations {completed} of {run.config.generations} completed")
+    print(f"engagements {kinds.total()} ({by_kind})")
     for role in ("attacker", "defender"):
         steps = [s for s in run.half_steps if s["phase"] == role]
         if not steps:

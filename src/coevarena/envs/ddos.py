@@ -56,7 +56,6 @@ class NetworkScenario:
     tasks: tuple[Task, ...]
     horizon: int
     message_cost: float
-    node_cost: float
     attack_budget: int
 
     def __post_init__(self):
@@ -64,7 +63,7 @@ class NetworkScenario:
             raise ScenarioError("horizon must be >= 1")
         if self.attack_budget < 1:
             raise ScenarioError("attack budget must be >= 1")
-        check_amounts(self, "message_cost", "node_cost")
+        check_amounts(self, "message_cost")
         if len(set(self.nodes)) != len(self.nodes) or not self.nodes:
             raise ScenarioError("nodes must be non-empty and unique")
         known = set(self.nodes)
@@ -158,7 +157,6 @@ def load_scenario(path: str | Path) -> NetworkScenario:
             tasks=tuple(map(_task, parser.get("mission", "tasks").strip().splitlines())),
             horizon=parser.getint("mission", "horizon"),
             message_cost=parser.getfloat("costs", "message_cost"),
-            node_cost=parser.getfloat("costs", "node_cost"),
             attack_budget=parser.getint("costs", "attack_budget"),
         )
 

@@ -10,20 +10,25 @@ Layout::
 
 engagements.jsonl starts with a header object that carries ``run``,
 ``format_version``, ``columns`` (the fixed fields of a row: kind, pair index,
-the two ids and the two scores), ``cost_keys`` and ``telemetry_keys`` (the
-sorted keys of the run's first outcome's costs and telemetry) and
-``codon_bytes`` (2, 4 or 8, the fewest that hold every codon below the run's
-``codon_max``; the log states it so that its genotypes decode without the
-manifest, and loading checks it against the config echo). Then come the two initial populations (generation 0) and, for
-each half-step, its population line followed by its engagement rows. A
-population line is an object with ``record`` ("population"), ``generation``,
-``phase``, ``genotypes`` (each one base64 string of its codons as
-little-endian unsigned integers of ``codon_bytes`` bytes), ``sentences``
+the two ids and the two scores), ``kinds`` (the engagement kinds a row's kind
+indexes), ``cost_keys`` and ``telemetry_keys`` (the sorted keys of the run's
+first outcome's costs and telemetry) and ``codon_bytes`` (2, 4 or 8, the
+fewest that hold every codon below the run's ``codon_max``; the log states it
+so that its genotypes decode without the manifest, and loading checks it
+against the config echo). Then come the two initial populations (generation
+0) and, for each half-step, its population line followed by its engagement
+rows. A population line is an object with ``record`` ("population"),
+``generation``, ``phase``, ``genotypes`` (each one base64 string of its codons
+as little-endian unsigned integers of ``codon_bytes`` bytes), ``sentences``
 (text, null for an individual that failed to map) and ``replaced`` (the slot
 the incumbent took in the elitism swap, or null). It holds the population the
 half-step bred, before the swap. An engagement row is a JSON array of values
-only: the ``columns``, then the costs in ``cost_keys`` order, then the
-telemetry in ``telemetry_keys`` order. Its ids index the populations as
+only: the kind's index in ``kinds``, the pair index and the two ids, then its
+outcome. The first row with given outcome values writes them: the two scores,
+the costs in ``cost_keys`` order, then the telemetry in ``telemetry_keys``
+order, so the row has the header's full width. A later row with the same
+values writes only n, the 0-based order in which those values first appeared
+in the run, so the row has 5 values. Its ids index the populations as
 ``coevarena.engine.loop.Engagement`` describes, and it takes its generation
 and phase from the population line before it. Every outcome of a run has the
 header's keys; add_run refuses a run with one that does not.
@@ -56,9 +61,9 @@ from typing import Iterator
 
 from .engagement import EngagementOutcome
 from .engine.config import ATTACKER, DEFENDER, EvolutionConfig
-from .engine.loop import Engagement, HalfStepStats, RunRecord
+from .engine.loop import CANDIDATE, INCUMBENT, Engagement, HalfStepStats, RunRecord
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # The fixed fields of an engagement row: the Engagement's but its outcome, then
 # the outcome's scores. Its costs and telemetry follow, keyed by the header.
@@ -67,6 +72,11 @@ ENGAGEMENT_COLUMNS = (
     "attacker_score",
     "defender_score",
 )
+# Where a row's outcome starts: its values, or the index of their first row.
+_OUTCOME_AT = len(Engagement._fields) - 1
+
+# The engagement kinds, in the order a row's kind indexes them.
+ENGAGEMENT_KINDS = (CANDIDATE, INCUMBENT)
 
 # The struct code of a little-endian unsigned codon of each stored width in bytes.
 _CODON_FORMATS = {2: "H", 4: "I", 8: "Q"}
@@ -89,6 +99,7 @@ _JSON_CHECKS = {
     "Genotype": lambda v: type(v) is list and v != [] and all(type(c) is int and c >= 0 for c in v),
     "tuple[str, ...] | None": lambda v: v is None or type(v) is list and all(type(w) is str for w in v),
     "'halfstep'": lambda v: v == "halfstep",
+    "'population'": lambda v: v == "population",
     "list[str]": lambda v: type(v) is list and all(type(w) is str for w in v),
 }
 
@@ -105,11 +116,8 @@ _MANIFEST = {
     **{key: {"sha256": "str"} for key in STORED_INPUTS},
 }
 _HALFSTEP = {"record": "'halfstep'", **{f.name: f.type for f in fields(HalfStepStats)}}
-_ENGAGEMENTS_HEADER = {
-    "columns": "list[str]",
-    "cost_keys": "list[str]",
-    "telemetry_keys": "list[str]",
-}
+_ENGAGEMENTS_HEADER = {"cost_keys": "list[str]", "telemetry_keys": "list[str]"}
+_POPULATION = {"record": "'population'", "generation": "int", "phase": "str"}
 
 
 class CorruptRecord(Exception):
@@ -150,6 +158,16 @@ def _lines(path: Path) -> Iterator[tuple[str, object]]:
 def _log_header(run_id: str) -> dict:
     """The header both logs start with; engagements.jsonl's adds its row layout and codon width."""
     return {"record": "header", "format_version": FORMAT_VERSION, "run": run_id}
+
+
+def _engagements_header(run_id: str, width: int) -> dict:
+    """engagements.jsonl's header but its outcome keys: what the run and this format fix."""
+    return {
+        **_log_header(run_id),
+        "columns": list(ENGAGEMENT_COLUMNS),
+        "kinds": list(ENGAGEMENT_KINDS),
+        "codon_bytes": width,
+    }
 
 
 def codon_bytes(codon_max: int) -> int:
@@ -209,31 +227,56 @@ class StoredRun:
 
     def engagement_records(self) -> Iterator[dict]:
         """Each engagement row as a dict of its columns, costs, telemetry, generation
-        and phase. Raises CorruptRecord naming the line unless the header is this
-        run's, with the config echo's codon width, and holds what
-        _ENGAGEMENTS_HEADER describes, and each row holds as many values as it names."""
+        and phase, its kind named and its outcome's values read from the row that
+        first wrote them. Raises CorruptRecord naming the line unless the header
+        is this run's, in this format, with the config echo's codon width, and
+        holds what _ENGAGEMENTS_HEADER describes; each population line holds what
+        _POPULATION describes and comes before the rows; and each row holds a kind
+        index into ENGAGEMENT_KINDS and either the header's full width of values
+        or 5, the last the index of outcome values already written."""
         path = self.run_dir / "engagements.jsonl"
         lines = _lines(path)
         where, header = next(lines, (f"{path} line 1", None))
         _check(header, _ENGAGEMENTS_HEADER, where)
-        own = {**_log_header(self.manifest["run_id"]), "codon_bytes": codon_bytes(self.config.limits.codon_max)}
+        own = _engagements_header(self.manifest["run_id"], codon_bytes(self.config.limits.codon_max))
         if {key: header.get(key) for key in own} != own:
             raise CorruptRecord(f"{where} is not this run's header {own!r}: {header!r}")
-        columns, cost_keys, telemetry_keys = header["columns"], header["cost_keys"], header["telemetry_keys"]
-        costs_at, telemetry_at = len(columns), len(columns) + len(cost_keys)
+        cost_keys, telemetry_keys = header["cost_keys"], header["telemetry_keys"]
+        costs_at = len(ENGAGEMENT_COLUMNS)
+        telemetry_at = costs_at + len(cost_keys)
         width = telemetry_at + len(telemetry_keys)
+        outcomes: list[list] = []  # each distinct outcome's values, in order of first appearance
+        half_step = None
         for where, row in lines:
             if type(row) is dict:
+                _check(row, _POPULATION, where)
                 half_step = {"generation": row["generation"], "phase": row["phase"]}
-            elif type(row) is list and len(row) == width:
-                yield {
-                    **half_step,
-                    **dict(zip(columns, row)),
-                    "costs": dict(zip(cost_keys, row[costs_at:telemetry_at])),
-                    "telemetry": dict(zip(telemetry_keys, row[telemetry_at:])),
-                }
+                continue
+            if type(row) is list and len(row) == width:
+                outcomes.append(row[_OUTCOME_AT:])
+            elif type(row) is list and len(row) == _OUTCOME_AT + 1:
+                n = row[_OUTCOME_AT]
+                if type(n) is not int or not 0 <= n < len(outcomes):
+                    raise CorruptRecord(
+                        f"{where} refers to outcome {n!r}, but {len(outcomes)} are written before it"
+                    )
+                row = [*row[:_OUTCOME_AT], *outcomes[n]]
             else:
-                raise CorruptRecord(f"{where} is not a row of the header's {width} values: {row!r}")
+                raise CorruptRecord(
+                    f"{where} is not a row of the header's {width} values or of "
+                    f"{_OUTCOME_AT + 1} that refers to an outcome: {row!r}"
+                )
+            kind = row[0]
+            if type(kind) is not int or not 0 <= kind < len(ENGAGEMENT_KINDS):
+                raise CorruptRecord(f"{where} kind {kind!r} is not an index into the header's kinds")
+            if half_step is None:
+                raise CorruptRecord(f"{where} is a row before any population line")
+            yield {
+                **half_step,
+                **dict(zip(ENGAGEMENT_COLUMNS, [ENGAGEMENT_KINDS[kind], *row[1:]])),
+                "costs": dict(zip(cost_keys, row[costs_at:telemetry_at])),
+                "telemetry": dict(zip(telemetry_keys, row[telemetry_at:])),
+            }
 
 
 class ResultsStore:
@@ -300,15 +343,15 @@ class ResultsStore:
         cost_keys, telemetry_keys = sorted(first.costs), sorted(first.telemetry)
         width = codon_bytes(record.config.limits.codon_max)
         header = {
-            **_log_header(record.run_id),
-            "columns": ENGAGEMENT_COLUMNS,
+            **_engagements_header(record.run_id, width),
             "cost_keys": cost_keys,
             "telemetry_keys": telemetry_keys,
-            "codon_bytes": width,
         }
+        kind_index = {kind: i for i, kind in enumerate(ENGAGEMENT_KINDS)}
         with (run_dir / "engagements.jsonl").open("w", encoding="utf-8") as handle:
             handle.write(_dump(header) + "\n")
-            encoded: dict[int, str] = {}  # id(outcome) -> the row's values after its ids
+            encoded: dict[int, str] = {}  # id(outcome) -> its values, encoded
+            written: dict[str, int] = {}  # encoded values -> the order they first appeared in
             for cohort in record.cohorts:
                 handle.write(
                     _dump(
@@ -341,8 +384,14 @@ class ResultsStore:
                             *(costs[key] for key in cost_keys),
                             *(telemetry[key] for key in telemetry_keys),
                         )
-                        encoded[id(outcome)] = _dump(values)[1:]
-                    handle.write(f'["{kind}",{k},{a},{d},{encoded[id(outcome)]}\n')
+                        encoded[id(outcome)] = _dump(values)[1:-1]
+                    values = encoded[id(outcome)]
+                    n = written.get(values)
+                    if n is None:
+                        written[values] = len(written)
+                        handle.write(f"[{kind_index[kind]},{k},{a},{d},{values}]\n")
+                    else:
+                        handle.write(f"[{kind_index[kind]},{k},{a},{d},{n}]\n")
 
         with (run_dir / "halfsteps.jsonl").open("w", encoding="utf-8") as handle:
             handle.write(_dump(_log_header(record.run_id)) + "\n")

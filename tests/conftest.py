@@ -21,7 +21,6 @@ def path_scenario(horizon=12, tasks=None, budget=100):
         ),
         horizon=horizon,
         message_cost=1.0,
-        node_cost=0.1,
         attack_budget=budget,
     )
 

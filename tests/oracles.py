@@ -640,7 +640,7 @@ def oracle_ddos_engage(
 
 
 def decode_genotype(text: str, width: int) -> list[int]:
-    """The codons of a format 3 genotype: base64 of little-endian unsigned integers of width bytes."""
+    """The codons of a stored genotype: base64 of little-endian unsigned integers of width bytes."""
     packed = base64.b64decode(text, validate=True)
     return [int.from_bytes(packed[i: i + width], "little") for i in range(0, len(packed), width)]
 
@@ -648,9 +648,11 @@ def decode_genotype(text: str, width: int) -> list[int]:
 def v1_engagements(run_dir) -> list[dict]:
     """The engagement records of a stored run as format 1 wrote them, less run.
 
-    The rows of the stored format 3 log get back their costs and telemetry
-    dicts from the header's keys, and each genotype its codon list. Each
-    record gets back both individuals' genotype and sentence. A candidate
+    The rows of the stored format 4 log get back their kind's name from the
+    header's kinds, a row that refers to an outcome gets back the values of
+    the row that first wrote them, and each row gets back its costs and
+    telemetry dicts from the header's keys, and each genotype its codon list.
+    Each record gets back both individuals' genotype and sentence. A candidate
     row's own individual comes from its half-step's population line, an
     incumbent row's from the role's population before the half-step, and the
     opponent from the other role's latest population. After a half-step's
@@ -660,13 +662,20 @@ def v1_engagements(run_dir) -> list[dict]:
     header = json.loads(lines[0])
     columns, costs, telemetry = header["columns"], header["cost_keys"], header["telemetry_keys"]
     costs_at, telemetry_at = len(columns), len(columns) + len(costs)
+    outcome_at = columns.index("attacker_score")
+    outcomes = []  # the outcome values of each row that wrote them, in order
     half_steps = []
     for line in lines[1:]:
         item = json.loads(line)
         if isinstance(item, dict):
             half_steps.append((item, []))
         else:
-            assert len(item) == telemetry_at + len(telemetry)
+            if len(item) == outcome_at + 1:
+                item = item[:outcome_at] + outcomes[item[outcome_at]]
+            else:
+                assert len(item) == telemetry_at + len(telemetry)
+                outcomes.append(item[outcome_at:])
+            item[0] = header["kinds"][item[0]]
             row = dict(zip(columns, item))
             row["costs"] = dict(zip(costs, item[costs_at:telemetry_at]))
             row["telemetry"] = dict(zip(telemetry, item[telemetry_at:]))

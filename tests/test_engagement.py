@@ -76,7 +76,6 @@ def test_read_scenario_raises_scenario_error(tmp_path, text):
     "environment_id, scenario, field",
     [
         ("ddos", "ring9", "message_cost"),
-        ("ddos", "ring9", "node_cost"),
         ("contagion", "star", "delay_per_infected_tick"),
         ("contagion", "star", "delay_per_cleanse"),
     ],

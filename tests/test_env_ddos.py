@@ -273,7 +273,6 @@ def scenarios(draw):
         tasks=tuple(tasks),
         horizon=horizon,
         message_cost=draw(st.floats(0.0, 5.0)),
-        node_cost=draw(st.floats(0.0, 1.0)),
         attack_budget=draw(st.integers(1, 12)),
     )
 
@@ -445,7 +444,6 @@ class TestScenarioLoading:
                 tasks=(Task("a", "b", 0, 5, 1),),
                 horizon=10,
                 message_cost=1.0,
-                node_cost=0.0,
                 attack_budget=5,
             )
 
@@ -458,7 +456,6 @@ class TestScenarioLoading:
                 tasks=(Task("a", "c", 0, 5, 1),),
                 horizon=10,
                 message_cost=1.0,
-                node_cost=0.0,
                 attack_budget=5,
             )
 
@@ -470,7 +467,6 @@ class TestScenarioLoading:
                 tasks=(Task("a", "b", 8, 4, 1),),
                 horizon=10,
                 message_cost=1.0,
-                node_cost=0.0,
                 attack_budget=5,
             )
 

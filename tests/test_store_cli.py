@@ -11,7 +11,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import InitVar, dataclass, replace
 from pathlib import Path
 
@@ -446,6 +446,10 @@ class TestCmdInspect:
         out = capsys.readouterr().out
         assert "seed        5" in out
         assert "generations 4 of 4 completed" in out
+        records = list(ResultsStore(store_with_run).load(run_dir).engagement_records())
+        candidates = sum(record["kind"] == "candidate" for record in records)
+        totals = f"engagements {len(records)} ({candidates} candidate, {len(records) - candidates} incumbent)"
+        assert totals in out.splitlines()
         trajectory_lines = [
             line for line in out.splitlines() if line.strip().startswith(tuple("0123456789"))
         ]
@@ -469,7 +473,7 @@ class TestCmdInspect:
         manifest_path = store_with_run / store.entries()[0]["dir"] / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest_path.write_text(json.dumps({**manifest, "format_version": 1}))
-        message = r"format_version 1, but this coevarena reads format_version 3; re-run its config"
+        message = r"format_version 1, but this coevarena reads format_version 4; re-run its config"
         with pytest.raises(CorruptRecord, match=message):
             store.load_all()
 
@@ -483,7 +487,7 @@ class TestCmdInspect:
         assert run_cli(command, "--store", store_with_run, *args) == 1
         assert assert_one_error_line(capsys) == (
             f"error: CorruptRecord: {run_dir}: stored in format_version 2, but this coevarena "
-            "reads format_version 3; re-run its config to store it again\n"
+            "reads format_version 4; re-run its config to store it again\n"
         )
 
     def test_load_by_run_id(self, store_with_run):
@@ -1017,12 +1021,12 @@ class TestShippedData:
         # change to the log format must update these digests in the same change.
         expected = {
             ("ddos_smoke.cfg", 11): (
-                "d3133892cd58d1e8befeffaa4fe6e08977d5d3c7b8d762c5a1003ae3eafe2171",
-                "f276a84424d150d6267b40b027bdcae74b1e1d31d3f8f50f80e60f3e61cc6258",
+                "f407c128c8af971c4c8815707624d4a7caea2c78d9dc3693d5e95e482ecb3e78",
+                "88c172c6526ddf872a701d33a2200e7bb0ddc7f2217341cc5c7d1a76a17384f6",
             ),
             ("contagion_star.cfg", 7): (
-                "edf1e8221b5a2b7be0821122e5f6b12f052e1b0be8e94eb6b3ac135a256eacee",
-                "52200e3a003a10261366658f6a60ecd8dc0d62b94ddfcb722f7f8f5bf1092dd3",
+                "9f13870af0c370a3e1e8b6df3a42e7d62456c17248dee9371bc03e6c5c7c0891",
+                "02f96e1b8733441c80d57c8c96b9658a3cd38cad57a22d7955c7772e6185639e",
             ),
         }
         for key, digests in expected.items():
@@ -1036,8 +1040,8 @@ class TestShippedData:
         # sha256 of the format 1 engagement records of both shipped configs,
         # with run and the telemetry keys cleanses, mean_delay,
         # mission_duration, trials, tasks_total, node_cost and message_cost
-        # removed. The format 3 log, with costs, telemetry, genotypes and
-        # sentences put back, must match.
+        # removed. The format 4 log, with kind names, referred outcomes,
+        # costs, telemetry, genotypes and sentences put back, must match.
         expected = {
             ("ddos_smoke.cfg", 11): "de421434855e3d612605ea4fec0e44f6ae1a6bf0cd65a805430cde2946458b4b",
             ("contagion_star.cfg", 7): "dff4af542356fd7b856594708e36899baf8ef1b083f3bad49118202b955df7f3",
@@ -1076,6 +1080,34 @@ class TestShippedData:
                 if type(line) is dict and line["record"] == "population"
             ]
             assert genotypes == [[list(m.codons) for m in cohort.members] for cohort in record.cohorts], key
+
+
+    def test_each_distinct_outcome_is_written_once(self, shipped_records):
+        run_dir, record = shipped_records["ddos_smoke.cfg", 11]
+        distinct = {
+            (
+                o.attacker_score,
+                o.defender_score,
+                *(o.costs[key] for key in sorted(o.costs)),
+                *(o.telemetry[key] for key in sorted(o.telemetry)),
+            )
+            for cohort in record.cohorts
+            for *_, o in cohort.engagements
+        }
+        lines = (run_dir / "engagements.jsonl").read_text(encoding="utf-8").splitlines()
+        rows = [row for row in map(json.loads, lines) if type(row) is list]
+        assert Counter(map(len, rows)) == {11: len(distinct), 5: len(rows) - len(distinct)}
+
+    def test_inspect_totals_are_the_pinned_work_counts(self, shipped_runs, capsys):
+        # tests/test_work_counts.py pins these counts on each run in memory.
+        expected = {
+            ("ddos_smoke.cfg", 11): "engagements 2360 (1200 candidate, 1160 incumbent)",
+            ("contagion_star.cfg", 7): "engagements 300 (156 candidate, 144 incumbent)",
+        }
+        for key, line in expected.items():
+            run_dir = shipped_runs[key]
+            assert run_cli("inspect", run_dir.name, "--store", run_dir.parent) == 0
+            assert line in capsys.readouterr().out.splitlines(), key
 
 
 class TestEngagementLogFormat:
@@ -1123,28 +1155,91 @@ class TestEngagementLogFormat:
         assert first.outcome.telemetry == {"first": 1.0}
         assert [p.name for p in store.root.iterdir()] == []
 
-    @pytest.mark.parametrize("row", ["[]", '["candidate",0,0,0,0.5,0.5]', "5", '"x"'])
+    @pytest.mark.parametrize(
+        "row",
+        ["[]", '["candidate",0,0,0,0.5,0.5]', "[0,0,0,0]", "[0,0,0,0,0,0]", "[0,0,0,0,0,0,0,0,0,0]",
+         "[0,0,0,0,0,0,0,0,0,0,0,0]", "5", '"x"'],
+    )
     def test_row_that_is_not_the_headers_is_one_corrupt_record(self, tmp_path, row):
-        _, source, run_dir, _ = small_ddos_store()
-        store_dir = Path(shutil.copytree(source, tmp_path / "store"))
-        log = store_dir / run_dir / "engagements.jsonl"
-        with log.open("a", encoding="utf-8") as handle:
-            handle.write(row + "\n")
+        log, records = edited_records(tmp_path, lambda lines: [*lines, row])
         number = len(log.read_text().splitlines())
-        records = ResultsStore(store_dir).load(run_dir).engagement_records()
         with pytest.raises(CorruptRecord, match=re.escape(f"{log} line {number} is not a row of the header's 11 values")):
             list(records)
 
+    @pytest.mark.parametrize("reference", ["next", -1, 0.0, "0", True, None])
+    def test_reference_to_no_written_outcome_is_one_corrupt_record(self, tmp_path, reference):
+        def edit(lines):
+            written = sum(line.startswith("[") and len(json.loads(line)) == 11 for line in lines)
+            n = written if reference == "next" else reference
+            return [*lines, json.dumps([0, 0, 0, 0, n])]
+
+        log, records = edited_records(tmp_path, edit)
+        number = len(log.read_text().splitlines())
+        with pytest.raises(CorruptRecord, match=re.escape(f"{log} line {number} refers to outcome")):
+            list(records)
+
+    def test_first_row_that_refers_to_an_outcome_is_one_corrupt_record(self, tmp_path):
+        # Line 5 is the log's first row: no outcome is written before it.
+        def edit(lines):
+            assert all(line.startswith("{") for line in lines[:4]) and lines[4].startswith("[")
+            return [*lines[:4], json.dumps([*json.loads(lines[4])[:4], 0]), *lines[5:]]
+
+        log, records = edited_records(tmp_path, edit)
+        message = f"{log} line 5 refers to outcome 0, but 0 are written before it"
+        with pytest.raises(CorruptRecord, match=re.escape(message)):
+            list(records)
+
+    @pytest.mark.parametrize("kind", [2, -1, "candidate", True, None])
+    @pytest.mark.parametrize("shape", ["values", "reference"])
+    def test_kind_that_is_not_an_index_into_kinds_is_one_corrupt_record(self, tmp_path, kind, shape):
+        def edit(lines):
+            row = json.loads(lines[4]) if shape == "values" else [0, 0, 0, 0, 0]
+            return [*lines, json.dumps([kind, *row[1:]])]
+
+        log, records = edited_records(tmp_path, edit)
+        number = len(log.read_text().splitlines())
+        message = f"{log} line {number} kind {kind!r} is not an index into the header's kinds"
+        with pytest.raises(CorruptRecord, match=re.escape(message)):
+            list(records)
+
     @pytest.mark.parametrize(
-        "edit", [{"record": "halfstep"}, {"format_version": 2}, {"run": "other-s1"}, {"codon_bytes": 4}]
+        "edit, number, message",
+        [
+            (lambda lines: [*lines, '{"record": "population"}'], -1, "lacks key 'generation'"),
+            (lambda lines: [*lines, '{"record": "halfstep", "generation": 1, "phase": "attacker"}'], -1,
+             "key 'record' is not 'population'"),
+            (lambda lines: [lines[0], *lines[4:]], 2, "is a row before any population line"),
+        ],
+    )
+    def test_population_line_out_of_place_is_one_corrupt_record(self, tmp_path, edit, number, message):
+        log, records = edited_records(tmp_path, edit)
+        number = number if number > 0 else len(log.read_text().splitlines())
+        with pytest.raises(CorruptRecord, match=re.escape(f"{log} line {number} ") + ".*" + re.escape(message)):
+            list(records)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda header: {"record": "halfstep"},
+            lambda header: {"format_version": 2},
+            lambda header: {"run": "other-s1"},
+            lambda header: {"codon_bytes": 4},
+            lambda header: {"kinds": ["incumbent", "candidate"]},
+            lambda header: {"columns": header["columns"][::-1]},
+        ],
     )
     def test_header_that_is_not_the_runs_is_one_corrupt_record(self, tmp_path, edit):
-        _, source, run_dir, _ = small_ddos_store()
-        store_dir = Path(shutil.copytree(source, tmp_path / "store"))
-        log = store_dir / run_dir / "engagements.jsonl"
-        header, *rest = log.read_text(encoding="utf-8").splitlines(keepends=True)
-        log.write_text(json.dumps({**json.loads(header), **edit}) + "\n" + "".join(rest), encoding="utf-8")
-        records = ResultsStore(store_dir).load(run_dir).engagement_records()
+        def edit_header(lines):
+            header = json.loads(lines[0])
+            return [json.dumps({**header, **edit(header)}), *lines[1:]]
+
+        log, records = edited_records(tmp_path, edit_header)
+        with pytest.raises(CorruptRecord, match=re.escape(f"{log} line 1 is not this run's header")):
+            list(records)
+
+    def test_format_3_log_is_one_corrupt_record(self, tmp_path):
+        log, records = edited_records(tmp_path, format_3_log)
+        assert '"format_version":3' in log.read_text().splitlines()[0]
         with pytest.raises(CorruptRecord, match=re.escape(f"{log} line 1 is not this run's header")):
             list(records)
 
@@ -1221,6 +1316,34 @@ def small_ddos_store():
         for number, document in enumerate(json_documents(store_file(store_dir, run_dir, name))):
             locations.extend((name, number, path) for path in paths(json.loads(document)))
     return holder, store_dir, run_dir, locations
+
+
+def edited_records(tmp_path: Path, edit):
+    """(log path, engagement_records()) of a copy of the small ddos store whose
+    engagements.jsonl lines are edit(lines)."""
+    _, source, run_dir, _ = small_ddos_store()
+    store_dir = Path(shutil.copytree(source, tmp_path / "store"))
+    log = store_dir / run_dir / "engagements.jsonl"
+    lines = edit(log.read_text(encoding="utf-8").splitlines())
+    log.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return log, ResultsStore(store_dir).load(run_dir).engagement_records()
+
+
+def format_3_log(lines: list[str]) -> list[str]:
+    """The lines of a format 4 engagement log as format 3 wrote them: no kinds
+    in the header, each kind by name and each outcome's values in every row."""
+    header, *items = map(json.loads, lines)
+    kinds = header.pop("kinds")
+    outcomes = []
+    for i, item in enumerate(items):
+        if type(item) is list:
+            if len(item) == 5:
+                item = item[:4] + outcomes[item[4]]
+            else:
+                outcomes.append(item[4:])
+            items[i] = [kinds[item[0]], *item[1:]]
+    dump = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    return [dump({**header, "format_version": 3}), *map(dump, items)]
 
 
 def store_file(store_dir: Path, run_dir: str, name: str) -> Path:
