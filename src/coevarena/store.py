@@ -72,7 +72,7 @@ ENGAGEMENT_COLUMNS = (
     "attacker_score",
     "defender_score",
 )
-# Where a row's outcome starts: its values, or the index of their first row.
+# Where a row's outcome starts: its values, or n, the order in which they first appeared.
 _OUTCOME_AT = len(Engagement._fields) - 1
 
 # The engagement kinds, in the order a row's kind indexes them.

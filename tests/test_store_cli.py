@@ -1081,7 +1081,6 @@ class TestShippedData:
             ]
             assert genotypes == [[list(m.codons) for m in cohort.members] for cohort in record.cohorts], key
 
-
     def test_each_distinct_outcome_is_written_once(self, shipped_records):
         run_dir, record = shipped_records["ddos_smoke.cfg", 11]
         distinct = {
