@@ -221,3 +221,12 @@ done
 expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
   --store "$RUNNER_TEMP/store-badkind"
 grep -q 'engagements.jsonl line 5 kind 2 is not an index' "$RUNNER_TEMP/bad.err"
+# And a row whose pair index, ids and outcome values are of the wrong JSON
+# types: each row's columns are checked, not only its kind and reference.
+cp -r "$RUNNER_TEMP/store-ddos_smoke" "$RUNNER_TEMP/store-badvalues"
+for log in "$RUNNER_TEMP"/store-badvalues/*/engagements.jsonl; do
+  echo '[0,"x",null,99,"a","b",{},[],1,2,3]' >> "$log"
+done
+expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
+  --store "$RUNNER_TEMP/store-badvalues"
+grep -q "engagements.jsonl line [0-9]* pair_index 'x' is not a non-negative int" "$RUNNER_TEMP/bad.err"

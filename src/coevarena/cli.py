@@ -269,6 +269,8 @@ def cmd_inspect(args) -> int:
     print(f"algorithm   {manifest['algorithm_label']}")
     print(f"generations {completed} of {run.config.generations} completed")
     print(f"engagements {kinds.total()} ({by_kind})")
+    invalid = sum(step["invalid_count"] for step in run.half_steps)
+    print(f"invalid     {invalid} bred individuals failed to map")
     for role in ("attacker", "defender"):
         steps = [s for s in run.half_steps if s["phase"] == role]
         if not steps:

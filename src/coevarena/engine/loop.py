@@ -62,7 +62,8 @@ class Champion:
 @dataclass(frozen=True)
 class HalfStepStats:
     """One half-step's result. mean_fitness and fitness_variance cover the scored
-    individuals only; with none scored they are invalid_fitness and 0.0."""
+    individuals only; with none scored they are invalid_fitness and 0.0.
+    invalid_count is how many members of the half-step's cohort failed to map."""
 
     generation: int
     phase: str
@@ -74,6 +75,7 @@ class HalfStepStats:
     best_genotype: Genotype
     best_sentence: tuple[str, ...] | None
     best_cost: float | None
+    invalid_count: int
 
 
 class Engagement(NamedTuple):
@@ -277,6 +279,7 @@ class _AlternatingRun:
                 best_genotype=candidates.members[best],
                 best_sentence=best_sentence,
                 best_cost=best_cost,
+                invalid_count=cohort.strategies.count(None),
             )
         )
 

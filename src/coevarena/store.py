@@ -19,14 +19,18 @@ against the config echo). Then come the two initial populations (generation
 0) and, for each half-step, its population line followed by its engagement
 rows. A population line is an object with ``record`` ("population"),
 ``generation``, ``phase``, ``genotypes`` (each one base64 string of its codons
-as little-endian unsigned integers of ``codon_bytes`` bytes), ``sentences``
-(text, null for an individual that failed to map) and ``replaced`` (the slot
-the incumbent took in the elitism swap, or null). It holds the population the
-half-step bred, before the swap. An engagement row is a JSON array of values
-only: the kind's index in ``kinds``, the pair index and the two ids, then its
-outcome. The first row with given outcome values writes them: the two scores,
-the costs in ``cost_keys`` order, then the telemetry in ``telemetry_keys``
-order, so the row has the header's full width. A later row with the same
+as little-endian unsigned integers of ``codon_bytes`` bytes) and ``replaced``
+(the slot the incumbent took in the elitism swap, or null). It holds the
+population the half-step bred, before the swap. It holds no sentences: an
+individual's sentence is its genotype mapped under the run directory's grammar
+copy (``StoredRun.input_path``) and the config echo's mapping settings, and a
+half-step line's ``invalid_count`` says how many of its cohort failed to map
+(generation 0 has no half-step line, so its failures show only by mapping).
+An engagement row is a JSON array of values only: the kind's index in
+``kinds``, the pair index and the two ids, then its outcome. The first row
+with given outcome values writes them: the two scores, the costs in
+``cost_keys`` order, then the telemetry in ``telemetry_keys`` order, so the
+row has the header's full width. A later row with the same
 values writes only n, the 0-based order in which those values first appeared
 in the run, so the row has 5 values. Its ids index the populations as
 ``coevarena.engine.loop.Engagement`` describes, and it takes its generation
@@ -38,6 +42,9 @@ renames it to ``<dir>`` and only then appends its index line, so a failed
 write leaves neither a run directory nor an index line. The engagement log
 and halfsteps files are free of timestamps, so identical config and seed
 reproduce them byte for byte; the manifest carries the only timestamp.
+
+A run stored in format 1, 2, 3 or 4 does not load: its manifest, or its log's
+header, names another format_version.
 
 Loading a run checks each record (index line, manifest, half-step line) once,
 against the one description of its keys here; CorruptRecord names what fails.
@@ -63,7 +70,7 @@ from .engagement import EngagementOutcome
 from .engine.config import ATTACKER, DEFENDER, EvolutionConfig
 from .engine.loop import CANDIDATE, INCUMBENT, Engagement, HalfStepStats, RunRecord
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 # The fixed fields of an engagement row: the Engagement's but its outcome, then
 # the outcome's scores. Its costs and telemetry follow, keyed by the header.
@@ -232,8 +239,10 @@ class StoredRun:
         is this run's, in this format, with the config echo's codon width, and
         holds what _ENGAGEMENTS_HEADER describes; each population line holds what
         _POPULATION describes and comes before the rows; and each row holds a kind
-        index into ENGAGEMENT_KINDS and either the header's full width of values
-        or 5, the last the index of outcome values already written."""
+        index into ENGAGEMENT_KINDS, a pair index and two ids that are
+        non-negative ints, and either the header's full width of values, each
+        outcome value a JSON number, or 5, the last the index of outcome
+        values already written."""
         path = self.run_dir / "engagements.jsonl"
         lines = _lines(path)
         where, header = next(lines, (f"{path} line 1", None))
@@ -245,6 +254,7 @@ class StoredRun:
         costs_at = len(ENGAGEMENT_COLUMNS)
         telemetry_at = costs_at + len(cost_keys)
         width = telemetry_at + len(telemetry_keys)
+        outcome_names = [*ENGAGEMENT_COLUMNS[_OUTCOME_AT:], *cost_keys, *telemetry_keys]
         outcomes: list[list] = []  # each distinct outcome's values, in order of first appearance
         half_step = None
         for where, row in lines:
@@ -252,16 +262,7 @@ class StoredRun:
                 _check(row, _POPULATION, where)
                 half_step = {"generation": row["generation"], "phase": row["phase"]}
                 continue
-            if type(row) is list and len(row) == width:
-                outcomes.append(row[_OUTCOME_AT:])
-            elif type(row) is list and len(row) == _OUTCOME_AT + 1:
-                n = row[_OUTCOME_AT]
-                if type(n) is not int or not 0 <= n < len(outcomes):
-                    raise CorruptRecord(
-                        f"{where} refers to outcome {n!r}, but {len(outcomes)} are written before it"
-                    )
-                row = [*row[:_OUTCOME_AT], *outcomes[n]]
-            else:
+            if type(row) is not list or len(row) not in (width, _OUTCOME_AT + 1):
                 raise CorruptRecord(
                     f"{where} is not a row of the header's {width} values or of "
                     f"{_OUTCOME_AT + 1} that refers to an outcome: {row!r}"
@@ -269,8 +270,23 @@ class StoredRun:
             kind = row[0]
             if type(kind) is not int or not 0 <= kind < len(ENGAGEMENT_KINDS):
                 raise CorruptRecord(f"{where} kind {kind!r} is not an index into the header's kinds")
+            for name, value in zip(ENGAGEMENT_COLUMNS[1:_OUTCOME_AT], row[1:_OUTCOME_AT]):
+                if type(value) is not int or value < 0:
+                    raise CorruptRecord(f"{where} {name} {value!r} is not a non-negative int")
             if half_step is None:
                 raise CorruptRecord(f"{where} is a row before any population line")
+            if len(row) == width:
+                for name, value in zip(outcome_names, row[_OUTCOME_AT:]):
+                    if not _JSON_CHECKS["float"](value):
+                        raise CorruptRecord(f"{where} {name} {value!r} is not a JSON number")
+                outcomes.append(row[_OUTCOME_AT:])
+            else:
+                n = row[_OUTCOME_AT]
+                if type(n) is not int or not 0 <= n < len(outcomes):
+                    raise CorruptRecord(
+                        f"{where} refers to outcome {n!r}, but {len(outcomes)} are written before it"
+                    )
+                row = [*row[:_OUTCOME_AT], *outcomes[n]]
             yield {
                 **half_step,
                 **dict(zip(ENGAGEMENT_COLUMNS, [ENGAGEMENT_KINDS[kind], *row[1:]])),
@@ -360,7 +376,6 @@ class ResultsStore:
                             "generation": cohort.generation,
                             "phase": cohort.phase,
                             "genotypes": [encode_genotype(m.codons, width) for m in cohort.members],
-                            "sentences": [s.text if s else None for s in cohort.strategies],
                             "replaced": cohort.replaced,
                         }
                     )

@@ -9,8 +9,9 @@ of sibling-seeded rows of one block, pre-scanned events and a bitmask,
 for the ddos simulator a fresh route for every task on every tick instead
 of a route table kept on the scenario, and ring routes by recursion instead
 of an explicit stack, for the engagement log a reader of the
-raw file that decodes each genotype with int.from_bytes and puts the
-genotypes and sentences back on every record, for
+raw file that decodes each genotype with int.from_bytes, derives its
+sentence with the mapping oracle and puts the genotypes and sentences back on
+every record, for
 keyed random streams numpy's own encoding of a list of ints instead of an
 array of 32-bit words, and for the engine's draws numpy's own Generator,
 drawing a tournament's entrants and a genotype's codons as one array each,
@@ -50,7 +51,7 @@ from coevarena.envs.ddos import (
     bfs_route,
     flood,
 )
-from coevarena.grammar import CONSUME_ON_CHOICE, Genotype, Grammar, MappingConfig, Strategy
+from coevarena.grammar import CONSUME_ON_CHOICE, Genotype, Grammar, MappingConfig, Strategy, load_grammar
 
 ORACLE_FAILED = "failed"
 
@@ -244,6 +245,7 @@ def oracle_run_alternating(cfg, attack_grammar: Grammar, defense_grammar: Gramma
                 for i, child in enumerate(children)
             ]
             strategies = [derive(role, child) for child in children]
+            unmapped = sum(1 for strategy in strategies if strategy is None)
             cohort = Cohort(generation, role, list(children), list(strategies))
             cohorts.append(cohort)
 
@@ -315,6 +317,7 @@ def oracle_run_alternating(cfg, attack_grammar: Grammar, defense_grammar: Gramma
                     best_genotype=members[best],
                     best_sentence=strategies[best].sentence if strategies[best] else None,
                     best_cost=statistics.fmean(best_costs) if best_costs else None,
+                    invalid_count=unmapped,
                 )
             )
 
@@ -645,13 +648,33 @@ def decode_genotype(text: str, width: int) -> list[int]:
     return [int.from_bytes(packed[i: i + width], "little") for i in range(0, len(packed), width)]
 
 
+def stored_sentence(run_dir):
+    """A function of (role, a stored genotype's codons) giving the genotype's
+    sentence as text, or None if it fails to map: oracle_map under the run
+    directory's grammar copy of the role and the manifest's mapping settings."""
+    run_dir = Path(run_dir)
+    config = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["config"]
+    mapping = MappingConfig(
+        **{key: config[key] for key in ("max_wraps", "codon_policy", "max_derivation_steps")}
+    )
+    copies = {"attacker": "attack.bnf", "defender": "defense.bnf"}
+    grammars = {role: load_grammar(run_dir / name) for role, name in copies.items()}
+
+    def sentence(role, codons):
+        mapped = oracle_map(Genotype(tuple(codons)), grammars[role], mapping)
+        return None if mapped == ORACLE_FAILED else " ".join(mapped[0])
+
+    return sentence
+
+
 def v1_engagements(run_dir) -> list[dict]:
     """The engagement records of a stored run as format 1 wrote them, less run.
 
-    The rows of the stored format 4 log get back their kind's name from the
+    The rows of the stored format 5 log get back their kind's name from the
     header's kinds, a row that refers to an outcome gets back the values of
     the row that first wrote them, and each row gets back its costs and
-    telemetry dicts from the header's keys, and each genotype its codon list.
+    telemetry dicts from the header's keys, and each genotype its codon list
+    and the sentence ``stored_sentence`` derives from it.
     Each record gets back both individuals' genotype and sentence. A candidate
     row's own individual comes from its half-step's population line, an
     incumbent row's from the role's population before the half-step, and the
@@ -659,6 +682,7 @@ def v1_engagements(run_dir) -> list[dict]:
     rows, its incumbent takes the replaced slot of its population.
     """
     lines = (Path(run_dir) / "engagements.jsonl").read_text(encoding="utf-8").splitlines()
+    sentence = stored_sentence(run_dir)
     header = json.loads(lines[0])
     columns, costs, telemetry = header["columns"], header["cost_keys"], header["telemetry_keys"]
     costs_at, telemetry_at = len(columns), len(columns) + len(costs)
@@ -686,7 +710,7 @@ def v1_engagements(run_dir) -> list[dict]:
         role = population["phase"]
         other = "defender" if role == "attacker" else "attacker"
         genotypes = [decode_genotype(text, header["codon_bytes"]) for text in population["genotypes"]]
-        bred = list(zip(genotypes, population["sentences"]))
+        bred = [(genotype, sentence(role, genotype)) for genotype in genotypes]
         before = latest.get(role)
         incumbent = None
         for row in rows:

@@ -320,7 +320,7 @@ class TestInvalidIndividuals:
 
 # sha256 of every run_alternating output over GOLDEN_GRID. A change to any
 # cohort, engagement, half-step or champion changes it.
-GOLDEN_LOOP_DIGEST = "b49b6ccfba41b3c09ffb2406c510ca7a06e32eb8164c49aeb849d9ee9f5c9a1a"
+GOLDEN_LOOP_DIGEST = "9e5ee912edb2e4743e5683dad6c5ef85d1439f003631800f58e1ca8f52522f4f"
 
 # sha256 of what the GOLDEN_GRID runs decide, read back through the store:
 # engagement ids, kinds, scores and costs, half-step bests and champions. It

@@ -35,7 +35,7 @@ from coevarena.store import (
 )
 
 from conftest import SMALL_DDOS_SCENARIO, ScriptedEnvironment, write_experiment_config
-from oracles import decode_genotype, v1_engagements
+from oracles import decode_genotype, stored_sentence, v1_engagements
 
 
 def run_cli(*argv):
@@ -473,7 +473,7 @@ class TestCmdInspect:
         manifest_path = store_with_run / store.entries()[0]["dir"] / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest_path.write_text(json.dumps({**manifest, "format_version": 1}))
-        message = r"format_version 1, but this coevarena reads format_version 4; re-run its config"
+        message = r"format_version 1, but this coevarena reads format_version 5; re-run its config"
         with pytest.raises(CorruptRecord, match=message):
             store.load_all()
 
@@ -487,7 +487,7 @@ class TestCmdInspect:
         assert run_cli(command, "--store", store_with_run, *args) == 1
         assert assert_one_error_line(capsys) == (
             f"error: CorruptRecord: {run_dir}: stored in format_version 2, but this coevarena "
-            "reads format_version 4; re-run its config to store it again\n"
+            "reads format_version 5; re-run its config to store it again\n"
         )
 
     def test_load_by_run_id(self, store_with_run):
@@ -1021,12 +1021,12 @@ class TestShippedData:
         # change to the log format must update these digests in the same change.
         expected = {
             ("ddos_smoke.cfg", 11): (
-                "f407c128c8af971c4c8815707624d4a7caea2c78d9dc3693d5e95e482ecb3e78",
-                "88c172c6526ddf872a701d33a2200e7bb0ddc7f2217341cc5c7d1a76a17384f6",
+                "0e38c50140f6fb03d5832ebcf2da36a14a7c5123ac9bc1a03f68f8fdf26203f0",
+                "497771ec8632ec42b1e33443e8f92f5ccbe4465f2b1d8f99fdd380c9ee4ad5f5",
             ),
             ("contagion_star.cfg", 7): (
-                "9f13870af0c370a3e1e8b6df3a42e7d62456c17248dee9371bc03e6c5c7c0891",
-                "02f96e1b8733441c80d57c8c96b9658a3cd38cad57a22d7955c7772e6185639e",
+                "25814a5b1d8967358b173ffd1ea781cd52c1ff1bbb59a93fcd104b29de319da5",
+                "db9a201212dc89cc2c9e4e97e4877ef838a994f6bd8af794d340cb3f4c6ef310",
             ),
         }
         for key, digests in expected.items():
@@ -1040,8 +1040,9 @@ class TestShippedData:
         # sha256 of the format 1 engagement records of both shipped configs,
         # with run and the telemetry keys cleanses, mean_delay,
         # mission_duration, trials, tasks_total, node_cost and message_cost
-        # removed. The format 4 log, with kind names, referred outcomes,
-        # costs, telemetry, genotypes and sentences put back, must match.
+        # removed. The format 5 log, with kind names, referred outcomes,
+        # costs, telemetry and genotypes put back, and each sentence derived
+        # from its genotype, must match.
         expected = {
             ("ddos_smoke.cfg", 11): "de421434855e3d612605ea4fec0e44f6ae1a6bf0cd65a805430cde2946458b4b",
             ("contagion_star.cfg", 7): "dff4af542356fd7b856594708e36899baf8ef1b083f3bad49118202b955df7f3",
@@ -1080,6 +1081,9 @@ class TestShippedData:
                 if type(line) is dict and line["record"] == "population"
             ]
             assert genotypes == [[list(m.codons) for m in cohort.members] for cohort in record.cohorts], key
+            assert {
+                tuple(sorted(line)) for line in lines[1:] if type(line) is dict
+            } == {("generation", "genotypes", "phase", "record", "replaced")}, key
 
     def test_each_distinct_outcome_is_written_once(self, shipped_records):
         run_dir, record = shipped_records["ddos_smoke.cfg", 11]
@@ -1098,15 +1102,35 @@ class TestShippedData:
         assert Counter(map(len, rows)) == {11: len(distinct), 5: len(rows) - len(distinct)}
 
     def test_inspect_totals_are_the_pinned_work_counts(self, shipped_runs, capsys):
-        # tests/test_work_counts.py pins these counts on each run in memory.
+        # tests/test_work_counts.py pins these counts on each run in memory;
+        # its map_failures also count generation 0, which has none here.
         expected = {
-            ("ddos_smoke.cfg", 11): "engagements 2360 (1200 candidate, 1160 incumbent)",
-            ("contagion_star.cfg", 7): "engagements 300 (156 candidate, 144 incumbent)",
+            ("ddos_smoke.cfg", 11): [
+                "engagements 2360 (1200 candidate, 1160 incumbent)",
+                "invalid     0 bred individuals failed to map",
+            ],
+            ("contagion_star.cfg", 7): [
+                "engagements 300 (156 candidate, 144 incumbent)",
+                "invalid     4 bred individuals failed to map",
+            ],
         }
-        for key, line in expected.items():
+        for key, lines in expected.items():
             run_dir = shipped_runs[key]
             assert run_cli("inspect", run_dir.name, "--store", run_dir.parent) == 0
-            assert line in capsys.readouterr().out.splitlines(), key
+            out = capsys.readouterr().out.splitlines()
+            assert all(line in out for line in lines), (key, out)
+
+    def test_inspect_refuses_a_row_of_values_of_the_wrong_types(self, shipped_runs, tmp_path, capsys):
+        run_dir = shipped_runs["ddos_smoke.cfg", 11]
+        store_dir = Path(shutil.copytree(run_dir.parent, tmp_path / "store"))
+        log = store_dir / run_dir.name / "engagements.jsonl"
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write('[0,"x",null,99,"a","b",{},[],1,2,3]\n')
+        number = len(log.read_text(encoding="utf-8").splitlines())
+        assert run_cli("inspect", run_dir.name, "--store", store_dir) == 1
+        assert assert_one_error_line(capsys) == (
+            f"error: CorruptRecord: {log} line {number} pair_index 'x' is not a non-negative int\n"
+        )
 
 
 class TestEngagementLogFormat:
@@ -1201,6 +1225,37 @@ class TestEngagementLogFormat:
         with pytest.raises(CorruptRecord, match=re.escape(message)):
             list(records)
 
+    @pytest.mark.parametrize("at, name", [(1, "pair_index"), (2, "attacker_id"), (3, "defender_id")])
+    @pytest.mark.parametrize("value", [-1, 0.0, "0", True, None])
+    @pytest.mark.parametrize("shape", ["values", "reference"])
+    def test_id_that_is_not_a_non_negative_int_is_one_corrupt_record(self, tmp_path, at, name, value, shape):
+        def edit(lines):
+            row = json.loads(lines[4]) if shape == "values" else [0, 0, 0, 0, 0]
+            row[at] = value
+            return [*lines, json.dumps(row)]
+
+        log, records = edited_records(tmp_path, edit)
+        number = len(log.read_text().splitlines())
+        message = f"{log} line {number} {name} {value!r} is not a non-negative int"
+        with pytest.raises(CorruptRecord, match=re.escape(message)):
+            list(records)
+
+    @pytest.mark.parametrize("at", [4, 5, 6, 10])
+    @pytest.mark.parametrize("value", ["0.5", True, None, [], {}])
+    def test_outcome_value_that_is_not_a_number_is_one_corrupt_record(self, tmp_path, at, value):
+        def edit(lines):
+            row = json.loads(lines[4])
+            row[at] = value
+            return [*lines, json.dumps(row)]
+
+        log, records = edited_records(tmp_path, edit)
+        header = json.loads(log.read_text().splitlines()[0])
+        name = [*header["columns"][4:], *header["cost_keys"], *header["telemetry_keys"]][at - 4]
+        number = len(log.read_text().splitlines())
+        message = f"{log} line {number} {name} {value!r} is not a JSON number"
+        with pytest.raises(CorruptRecord, match=re.escape(message)):
+            list(records)
+
     @pytest.mark.parametrize(
         "edit, number, message",
         [
@@ -1239,6 +1294,13 @@ class TestEngagementLogFormat:
     def test_format_3_log_is_one_corrupt_record(self, tmp_path):
         log, records = edited_records(tmp_path, format_3_log)
         assert '"format_version":3' in log.read_text().splitlines()[0]
+        with pytest.raises(CorruptRecord, match=re.escape(f"{log} line 1 is not this run's header")):
+            list(records)
+
+    def test_format_4_log_is_one_corrupt_record(self, tmp_path):
+        log, records = edited_records(tmp_path, format_4_log)
+        lines = log.read_text().splitlines()
+        assert '"format_version":4' in lines[0] and '"sentences":[' in lines[1]
         with pytest.raises(CorruptRecord, match=re.escape(f"{log} line 1 is not this run's header")):
             list(records)
 
@@ -1328,10 +1390,27 @@ def edited_records(tmp_path: Path, edit):
     return log, ResultsStore(store_dir).load(run_dir).engagement_records()
 
 
-def format_3_log(lines: list[str]) -> list[str]:
-    """The lines of a format 4 engagement log as format 3 wrote them: no kinds
-    in the header, each kind by name and each outcome's values in every row."""
+_dump_line = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+def format_4_log(lines: list[str]) -> list[str]:
+    """The lines of a small ddos store's format 5 engagement log as format 4
+    wrote them: each population line with its genotypes' sentences."""
+    _, store_dir, run_dir, _ = small_ddos_store()
+    sentence = stored_sentence(store_dir / run_dir)
     header, *items = map(json.loads, lines)
+    for item in items:
+        if type(item) is dict:
+            genotypes = (decode_genotype(text, header["codon_bytes"]) for text in item["genotypes"])
+            item["sentences"] = [sentence(item["phase"], codons) for codons in genotypes]
+    return [_dump_line({**header, "format_version": 4}), *map(_dump_line, items)]
+
+
+def format_3_log(lines: list[str]) -> list[str]:
+    """The lines of a small ddos store's format 5 engagement log as format 3
+    wrote them: format 4's, with no kinds in the header, each kind by name and
+    each outcome's values in every row."""
+    header, *items = map(json.loads, format_4_log(lines))
     kinds = header.pop("kinds")
     outcomes = []
     for i, item in enumerate(items):
@@ -1341,8 +1420,7 @@ def format_3_log(lines: list[str]) -> list[str]:
             else:
                 outcomes.append(item[4:])
             items[i] = [kinds[item[0]], *item[1:]]
-    dump = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
-    return [dump({**header, "format_version": 3}), *map(dump, items)]
+    return [_dump_line({**header, "format_version": 3}), *map(_dump_line, items)]
 
 
 def store_file(store_dir: Path, run_dir: str, name: str) -> Path:
