@@ -230,3 +230,12 @@ done
 expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
   --store "$RUNNER_TEMP/store-badvalues"
 grep -q "engagements.jsonl line [0-9]* pair_index 'x' is not a non-negative int" "$RUNNER_TEMP/bad.err"
+# And a row whose ids are well typed but name a member outside the
+# population the config echo sizes (20 a side in ddos_smoke).
+cp -r "$RUNNER_TEMP/store-ddos_smoke" "$RUNNER_TEMP/store-outsider"
+for log in "$RUNNER_TEMP"/store-outsider/*/engagements.jsonl; do
+  echo '[0,0,0,99,0]' >> "$log"
+done
+expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
+  --store "$RUNNER_TEMP/store-outsider"
+grep -q "engagements.jsonl line [0-9]* defender_id 99 is not below the population size 20" "$RUNNER_TEMP/bad.err"

@@ -17,8 +17,9 @@ child i of the engagement key's SeedSequence. One engagement draws all its
 trials as one block, a row per trial: the children's PCG64 states come from
 ``Key.sibling_states`` at once, and each row is one ``random`` call,
 which yields the same numbers as drawing the trial tick by tick. The block
-is then scanned with numpy for each tick's spread, cross and tap events, so
-the tick loop only visits events that can happen.
+is then scanned with numpy into one event int per trial and tick, a bit per
+spread, cross, tap or attack hit. The tick loop acts on the hits of infected
+slots and enclaves (``live``) and on attack hits; a quiet tick only adds delay.
 """
 
 from __future__ import annotations
@@ -199,12 +200,12 @@ def _attack_windows(attack: ContagionAttack, horizon: int):
 
 
 def _bitmasks(hits: np.ndarray) -> list[int]:
-    """Each row of the 2-d bool array ``hits`` as an int, bit j set where
-    the row is True at j. Rows pack into little-endian 64-bit words, and a
-    row longer than 64 joins its words into one int."""
-    packed = np.packbits(hits, axis=1, bitorder="little")
-    words = max(1, -(-packed.shape[1] // 8))
-    padded = np.zeros((len(hits), 8 * words), dtype=np.uint8)
+    """Each row of the bool array ``hits``, its last axis a multiple of 8 long,
+    as an int, bit j set where the row is True at j. Rows pack into little-endian
+    64-bit words, and a row longer than 64 joins its words into one int."""
+    packed = np.packbits(hits, bitorder="little").reshape(-1, hits.shape[-1] // 8)
+    words = -(-packed.shape[1] // 8)
+    padded = np.zeros((len(packed), 8 * words), dtype=np.uint8)
     padded[:, : packed.shape[1]] = packed
     parts = padded.view("<u8")
     masks = parts[:, 0].tolist()
@@ -226,20 +227,20 @@ def simulate_trials(
     The trials' draws are one ``(trials, total_draws)`` block: row i is
     filled by ``rng.fill_random`` from child i's PCG64 state, which
     ``key.sibling_states`` gives. Before the tick loop, the block gives each
-    trial and tick one event int: a bit per slot whose spread draw hits, per
-    directed link whose cross draw hits and per tap whose draw is below its
-    sensitivity, so the loop tests the tap rule ``u < s * (c / size)`` with c
-    infected slots only for those taps.
+    trial and tick one event int: a bit per spread, cross, tap and attack
+    draw below its rate, sensitivity or strength. So the loop tests the tap
+    rule ``u < s * (c / size)`` with c infected slots only for those taps.
 
     The loop holds the infected slots of the whole network in one int,
     enclave e from bit ``sum(sizes[:e])``, and each enclave's susceptible
     slots in a sorted list, so "the k-th susceptible slot" is a list pop.
-    Spread walks the set bits of the tick's spread hits and the slots
-    infected before it; cross walks the set bits of the cross hits. An
-    offline enclave has no infected slot and an empty susceptible list until
-    it is back online, so nothing reaches it. A tick with no infection and no
-    scheduled attack changes nothing and is skipped; its draws stay in the
-    block, so every later offset is unchanged.
+    ``live`` holds the link and tap bits of infected enclaves, ``full`` the
+    slot, inward link and attack bits of enclaves with no room. A tick whose
+    event has no bit of ``(infected | live | attacks) & ~full`` is quiet: it
+    only adds the delay term of the last tick that acted. An offline enclave
+    has no infected slot and an empty susceptible list until it is back
+    online, so nothing reaches it. Every tick's draws stay in the block, so
+    the draw offsets never depend on the trial's state.
     """
     sizes = network.enclave_sizes
     n = len(sizes)
@@ -249,32 +250,49 @@ def simulate_trials(
     slots = first_slot[-1]
     enclave_masks = [((1 << size) - 1) << first for size, first in zip(sizes, first_slot)]
     enclave_of = [e for e, size in enumerate(sizes) for _ in range(size)]
-    mission_count = [0] * n
-    for enclave in defense.mission_placement:
-        mission_count[enclave] += 1
+    all_slots = [list(range(size)) for size in sizes]
+    mission_count = [defense.mission_placement.count(e) for e in range(n)]
     # mission devices occupy the lowest slots of their enclave
-    mission_mask = 0
-    for count, first in zip(mission_count, first_slot):
-        mission_mask |= ((1 << count) - 1) << first
+    mission_mask = sum(((1 << count) - 1) << first for count, first in zip(mission_count, first_slot))
     directed = [pair for a, b in network.links for pair in ((a, b), (b, a))]
-    cross_links = [(enclave_masks[src], dst) for src, dst in directed]
     sensitivity = defense.tap_sensitivity
     tapped = [e for e in range(n) if sensitivity[e] > 0]  # a zero tap never trips
-    # an event int holds the spread hits in bits [0, slots), the cross hits
-    # in [slots, taps_from) and the taps that could trip from taps_from on
-    cross_mask = (1 << len(directed)) - 1
+    # an event int holds the spread hits in bits [0, slots), the cross hits in
+    # [slots, taps_from), the taps that could trip in [taps_from, hits_from) and
+    # then the attack hits, each attack in a lane of its enclave
     taps_from = slots + len(directed)
+    hits_from = taps_from + len(tapped)
+    cross_mask = ((1 << len(directed)) - 1) << slots
+    live_bits = [0] * n  # enclave e's outward links and tap, which act while e is infected
+    fill_bits = [*enclave_masks]  # and its slots, inward links and lanes, idle while e is full
+    for bit, (source, target) in enumerate(directed, slots):
+        live_bits[source] |= 1 << bit
+        fill_bits[target] |= 1 << bit
+    for bit, e in enumerate(tapped, taps_from):
+        live_bits[e] |= 1 << bit
 
-    # per tick: the draw offset of its attacks, and of its spread block,
-    # which the cross draws and then the tap draws follow
+    # per tick: its attacks as (enclave, lane, draw offset of the pick), and the draw
+    # offsets of its spread block, which the cross draws and then the tap draws follow
     schedule = []
     spread_at = []
+    attack_draws = []  # (tick, lane, draw offset, strength) of every attack
+    lane_of = {}  # (e, j) -> the lane of a tick's (j + 1)-th attack on enclave e
     offset = 0
     for t, attacks in enumerate(_attack_windows(attack, horizon)):
         spread = offset + 2 * len(attacks)
-        schedule.append((t, attacks, offset, spread + 1, spread + 2 * slots + 1, spread + 2 * taps_from))
+        aims = []
+        targets = []  # the tick's attacked enclaves so far
+        for at, (e, strength) in zip(range(offset, spread, 2), attacks):
+            lane = lane_of.setdefault((e, targets.count(e)), len(lane_of))
+            targets.append(e)
+            fill_bits[e] |= 1 << hits_from + lane
+            aims.append((e, lane, at + 1))
+            attack_draws.append((t, lane, at, strength))
+        schedule.append((t, aims, spread + 1, spread + 2 * slots + 1, spread + 2 * taps_from))
         spread_at.append(spread)
         offset = spread + 2 * taps_from + n
+    lanes = len(lane_of)
+    hits_mask = ((1 << lanes) - 1) << hits_from
 
     block = np.empty((trials, offset))
     fill_random(block, key.sibling_states(range(trials)))
@@ -282,8 +300,16 @@ def simulate_trials(
     columns = [*range(0, 2 * taps_from, 2), *(2 * taps_from + e for e in tapped)]
     limits = [network.spread_rate] * slots + [network.cross_rate] * len(directed)
     limits += [sensitivity[e] for e in tapped]
-    drawn = block[:, np.array(spread_at)[:, None] + np.array(columns, dtype=np.int64)]
-    events = _bitmasks((drawn < np.array(limits)).reshape(trials * horizon, len(columns)))
+    # each draw's limit, 0.0 for draws that are no event (picks, zero taps); and
+    # each tick's event draws, unused lanes and byte padding reading a pick draw
+    ceiling = np.zeros(offset)
+    pad = [1] * (-(len(columns) + lanes) % 8 + lanes)
+    index = np.array(spread_at)[:, None] + np.array(columns + pad, dtype=np.int64)
+    ceiling[index[:, : len(columns)]] = limits
+    for t, lane, at, strength in attack_draws:
+        index[t, len(columns) + lane] = at
+        ceiling[at] = strength
+    events = _bitmasks(np.take(block < ceiling, index, axis=1))
 
     rest = 1 + network.cleanse_duration
     per_infected_tick = mc.delay_per_infected_tick
@@ -292,27 +318,30 @@ def simulate_trials(
     delays, detections = [], []
     for trial, row in enumerate(block):
         draws = row.data
-        infected = 0
-        full = 0  # the slots of every enclave with no susceptible slot left
-        susceptible = [list(range(size)) for size in sizes]
+        infected = live = 0  # live: the live bits of every enclave with an infected slot
+        full = 0  # the fill bits of every enclave with no susceptible slot left
+        watch = hits_mask  # the event bits that can change the trial
+        susceptible = [*map(list.copy, all_slots)]
         offline: list[tuple[int, int]] = []  # (back-online tick, enclave), oldest first
-        delay = 0.0
+        delay = term = 0.0  # term: the infected-mission delay of one tick
         detected = 0
-        ticks = zip(schedule, events[trial * horizon : (trial + 1) * horizon])
-        for (t, attacks, at, spread_pick, cross_pick, tap_at), event in ticks:
-            if not attacks and not infected:
+        for step, event in zip(schedule, events[trial * horizon : (trial + 1) * horizon]):
+            if not event & watch:
+                delay += term
                 continue
+            t, aims, spread_pick, cross_pick, tap_at = step
             while offline and offline[0][0] <= t:
                 e = offline.pop(0)[1]
-                susceptible[e] = list(range(sizes[e]))
-            # 1. scheduled attacks attempt initial compromise
-            for e, strength in attacks:
-                free = susceptible[e]
-                if free and draws[at] < strength:
-                    infected |= 1 << first_slot[e] + free.pop(int(draws[at + 1] * len(free)))
-                    if not free:
-                        full |= enclave_masks[e]
-                at += 2
+                susceptible[e] = all_slots[e].copy()
+            # 1. scheduled attacks that hit attempt initial compromise
+            if hits := event >> hits_from:
+                for e, lane, pick in aims:
+                    free = susceptible[e]
+                    if hits >> lane & 1 and free:
+                        infected |= 1 << first_slot[e] + free.pop(int(draws[pick] * len(free)))
+                        live |= live_bits[e]
+                        if not free:
+                            full |= fill_bits[e]
             # 2. intra-enclave spread from the slots infected before it, in
             # enclaves with a susceptible slot left (pick draws indexed by slot)
             spreading = infected & event & ~full
@@ -325,41 +354,46 @@ def simulate_trials(
                 pick = draws[spread_pick + 2 * slot]
                 infected |= 1 << first_slot[e] + free.pop(int(pick * len(free)))
                 if not free:
-                    full |= enclave_masks[e]
+                    full |= fill_bits[e]
                     spreading &= ~full
-            # 3. cross-enclave seeding, one chance per link direction
-            crossing = event >> slots & cross_mask
-            while crossing:
-                low = crossing & -crossing
-                crossing ^= low
-                link = low.bit_length() - 1
-                source, e = cross_links[link]
-                free = susceptible[e]
-                if infected & source and free:
-                    pick = draws[cross_pick + 2 * link]
-                    infected |= 1 << first_slot[e] + free.pop(int(pick * len(free)))
-                    if not free:
-                        full |= enclave_masks[e]
-            # 4. detection and cleansing; a tap reads only its own enclave,
-            # so each one cleanses as soon as it trips
-            tapping = event >> taps_from
             cleanse = 0  # added after the infected-tick term, as sum() would add it
-            while tapping:
-                low = tapping & -tapping
-                tapping ^= low
-                e = tapped[low.bit_length() - 1]
-                count = (infected & enclave_masks[e]).bit_count()
-                if draws[tap_at + e] < sensitivity[e] * (count / sizes[e]):
-                    infected &= ~enclave_masks[e]
-                    full &= ~enclave_masks[e]
-                    susceptible[e] = []
-                    offline.append((t + rest, e))
-                    detected += 1
-                    if mission_count[e]:
-                        cleanse += per_cleanse
+            if event & live:  # else no link seeds and no tap trips
+                # 3. cross-enclave seeding, one chance per link direction
+                pending = event & cross_mask
+                while crossing := pending & live & ~full:
+                    low = crossing & -crossing
+                    pending &= -(low << 1)  # the links after this one
+                    link = low.bit_length() - 1 - slots
+                    e = directed[link][1]
+                    free = susceptible[e]
+                    if free:
+                        pick = draws[cross_pick + 2 * link]
+                        infected |= 1 << first_slot[e] + free.pop(int(pick * len(free)))
+                        live |= live_bits[e]
+                        if not free:
+                            full |= fill_bits[e]
+                # 4. detection and cleansing; a tap reads only its own
+                # enclave, so each one cleanses as soon as it trips
+                tapping = (event & live) >> taps_from
+                while tapping:
+                    low = tapping & -tapping
+                    tapping ^= low
+                    e = tapped[low.bit_length() - 1]
+                    count = (infected & enclave_masks[e]).bit_count()
+                    if draws[tap_at + e] < sensitivity[e] * (count / sizes[e]):
+                        infected &= ~enclave_masks[e]
+                        full &= ~fill_bits[e]
+                        live &= ~live_bits[e]
+                        susceptible[e] = []
+                        offline.append((t + rest, e))
+                        detected += 1
+                        if mission_count[e]:
+                            cleanse += per_cleanse
             # 5. delay accrual
-            delay += (infected & mission_mask).bit_count() * per_infected_tick
+            term = (infected & mission_mask).bit_count() * per_infected_tick
+            delay += term
             delay += cleanse
+            watch = (infected | live | hits_mask) & ~full
         delays.append(delay)
         detections.append(detected)
     return delays, detections

@@ -240,7 +240,8 @@ class StoredRun:
         holds what _ENGAGEMENTS_HEADER describes; each population line holds what
         _POPULATION describes and comes before the rows; and each row holds a kind
         index into ENGAGEMENT_KINDS, a pair index and two ids that are
-        non-negative ints, and either the header's full width of values, each
+        non-negative ints, each id below its role's population size in the
+        config echo, and either the header's full width of values, each
         outcome value a JSON number, or 5, the last the index of outcome
         values already written."""
         path = self.run_dir / "engagements.jsonl"
@@ -256,6 +257,8 @@ class StoredRun:
         width = telemetry_at + len(telemetry_keys)
         outcome_names = [*ENGAGEMENT_COLUMNS[_OUTCOME_AT:], *cost_keys, *telemetry_keys]
         outcomes: list[list] = []  # each distinct outcome's values, in order of first appearance
+        # the bounds of a row's pair index and ids: each id indexes its role's population
+        bounds = (float("inf"), self.config.attacker_population, self.config.defender_population)
         half_step = None
         for where, row in lines:
             if type(row) is dict:
@@ -270,9 +273,11 @@ class StoredRun:
             kind = row[0]
             if type(kind) is not int or not 0 <= kind < len(ENGAGEMENT_KINDS):
                 raise CorruptRecord(f"{where} kind {kind!r} is not an index into the header's kinds")
-            for name, value in zip(ENGAGEMENT_COLUMNS[1:_OUTCOME_AT], row[1:_OUTCOME_AT]):
+            for name, value, bound in zip(ENGAGEMENT_COLUMNS[1:_OUTCOME_AT], row[1:_OUTCOME_AT], bounds):
                 if type(value) is not int or value < 0:
                     raise CorruptRecord(f"{where} {name} {value!r} is not a non-negative int")
+                if value >= bound:
+                    raise CorruptRecord(f"{where} {name} {value} is not below the population size {bound}")
             if half_step is None:
                 raise CorruptRecord(f"{where} is a row before any population line")
             if len(row) == width:

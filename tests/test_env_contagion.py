@@ -352,6 +352,65 @@ class TestAgainstOracle:
         assert digest == "f9d04ad5fd950ddd90a6fb0309558671a34efdfd9958e197ae5841f28fde4d32"
 
 
+def matches_oracle(attack, shields, network, mc, seed=0):
+    """simulate_trials' result, once it is checked to equal the oracle's."""
+    fast = simulate_trials(attack, shields, network, mc, Key(seed))
+    assert fast == oracle_simulate_trials(attack, shields, network, mc, Key(seed).seed_sequence())
+    return fast
+
+
+class TestEventGating:
+    """Ticks where the loop's view of which events can act changes within
+    the tick, and a long run of ticks where none can."""
+
+    @pytest.mark.parametrize("links, delay", [(((1, 2), (0, 1)), 18.0), (((0, 1), (1, 2)), 22.0)])
+    def test_a_source_infected_by_a_cross_hit_fires_only_later_links(self, links, delay):
+        # Every cross draw hits. With 1-2 listed first, enclave 1 is infected
+        # by link 0->1 after its link 1->2 had its turn, so 2 waits a tick:
+        # 3, 7 and 8 slots infected at the ends of ticks 0, 1 and 2. Listed
+        # last, 1->2 and then 2->1 fire in tick 0: 5, 8 and 9.
+        network = SegmentedNetwork((3, 3, 3), links, spread_rate=0.0, cross_rate=1.0, cleanse_duration=1)
+        mc = MonteCarloConfig(trials=4, horizon=3, delay_per_infected_tick=1.0, delay_per_cleanse=0.0)
+        attack = ContagionAttack((plan(enclave=0, strength=1.0, duration=1),))
+        shields = defense(placement=(0, 0, 0, 1, 1, 1, 2, 2, 2))
+        assert matches_oracle(attack, shields, network, mc) == ([delay] * 4, [0] * 4)
+
+    def test_tap_reads_an_enclave_a_cross_hit_seeded_in_the_same_tick(self):
+        # Enclave 1 is seeded from 0 at ticks 0 and 3 and its full tap trips
+        # each time, so its mission device is never infected at a tick's end.
+        network = SegmentedNetwork((3, 1), ((0, 1),), spread_rate=0.0, cross_rate=1.0, cleanse_duration=2)
+        mc = MonteCarloConfig(trials=4, horizon=4, delay_per_infected_tick=1.0, delay_per_cleanse=5.0)
+        attack = ContagionAttack((plan(enclave=0, strength=1.0, duration=1),))
+        shields = defense(placement=(1,), sensitivity=(0.0, 1.0), n_enclaves=2)
+        assert matches_oracle(attack, shields, network, mc) == ([10.0] * 4, [2] * 4)
+
+    def test_attacks_on_a_filled_and_on_an_offline_enclave_change_nothing(self):
+        # Two plans hit the 1-slot enclave 0 every tick: the first fills it,
+        # the second finds no room, and its full tap takes it offline until
+        # tick 3. Two more plans share ticks on enclave 1.
+        network = SegmentedNetwork((1, 2), ((0, 1),), spread_rate=0.0, cross_rate=0.0, cleanse_duration=2)
+        mc = MonteCarloConfig(trials=20, horizon=5, delay_per_infected_tick=1.0, delay_per_cleanse=0.5)
+        attack = ContagionAttack(
+            (plan(enclave=0, duration=5), plan(enclave=1, strength=0.5, duration=3, count=2),
+             plan(enclave=0, duration=5), plan(enclave=1, strength=0.5, duration=2))
+        )
+        shields = defense(placement=(0, 1, 1), sensitivity=(1.0, 0.0), n_enclaves=2)
+        _, detections = matches_oracle(attack, shields, network, mc, seed=3)
+        assert detections == [2] * 20
+
+    def test_quiet_ticks_add_the_delay_one_tick_at_a_time(self):
+        # one infected mission device for 41 ticks: 40 of them quiet
+        network = SegmentedNetwork((1, 1), ((0, 1),), spread_rate=0.0, cross_rate=0.0, cleanse_duration=1)
+        mc = MonteCarloConfig(trials=3, horizon=41, delay_per_infected_tick=0.1, delay_per_cleanse=0.0)
+        attack = ContagionAttack((plan(enclave=0, strength=1.0, duration=1),))
+        delays, _ = matches_oracle(attack, defense(placement=(0,), n_enclaves=2), network, mc)
+        expected = 0.0
+        for _ in range(41):
+            expected += 0.1
+        assert expected != 41 * 0.1
+        assert delays == [expected] * 3
+
+
 class TestEngageOutcome:
     def test_scores_are_negatives(self):
         scenario = small_contagion(trials=10)

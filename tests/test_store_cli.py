@@ -1133,6 +1133,21 @@ class TestShippedData:
         )
 
 
+    def test_inspect_refuses_a_row_naming_a_member_outside_the_population(
+        self, shipped_runs, tmp_path, capsys
+    ):
+        run_dir = shipped_runs["ddos_smoke.cfg", 11]
+        store_dir = Path(shutil.copytree(run_dir.parent, tmp_path / "store"))
+        log = store_dir / run_dir.name / "engagements.jsonl"
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write("[0,0,0,99,0]\n")
+        number = len(log.read_text(encoding="utf-8").splitlines())
+        assert run_cli("inspect", run_dir.name, "--store", store_dir) == 1
+        assert assert_one_error_line(capsys) == (
+            f"error: CorruptRecord: {log} line {number} defender_id 99 is not below the population size 20\n"
+        )
+
+
 class TestEngagementLogFormat:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), codon_max=st.sampled_from([1, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**63]))
@@ -1237,6 +1252,22 @@ class TestEngagementLogFormat:
         log, records = edited_records(tmp_path, edit)
         number = len(log.read_text().splitlines())
         message = f"{log} line {number} {name} {value!r} is not a non-negative int"
+        with pytest.raises(CorruptRecord, match=re.escape(message)):
+            list(records)
+
+    @pytest.mark.parametrize("at, name", [(2, "attacker_id"), (3, "defender_id")])
+    @pytest.mark.parametrize("value", [4, 99])
+    @pytest.mark.parametrize("shape", ["values", "reference"])
+    def test_id_outside_the_population_is_one_corrupt_record(self, tmp_path, at, name, value, shape):
+        # the small store's populations are 4 a side, so ids 0 to 3
+        def edit(lines):
+            row = json.loads(lines[4]) if shape == "values" else [0, 0, 0, 0, 0]
+            row[at] = value
+            return [*lines, json.dumps(row)]
+
+        log, records = edited_records(tmp_path, edit)
+        number = len(log.read_text().splitlines())
+        message = f"{log} line {number} {name} {value} is not below the population size 4"
         with pytest.raises(CorruptRecord, match=re.escape(message)):
             list(records)
 
