@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The installed command, end to end: run both shipped configs into stores,
-# inspect them and rank them with establo, load every shipped scenario and
-# grammar, then check that each bad input or corrupt stored record is one
-# "error: " line and exit status 1, never a traceback.
+# inspect them and rank them with establo, check that their logs do not depend
+# on the hash seed, load every shipped scenario and grammar, then check that
+# each bad input or corrupt stored record is one "error: " line and exit
+# status 1, never a traceback.
 #
 # It changes to the repository root first. The command under
 # test is COEVARENA_COMMAND, "coevarena" by default, for example
@@ -25,6 +26,19 @@ for name in ddos_smoke contagion_star; do
     out="$RUNNER_TEMP/reports-$name-$filter"
     coevarena establo --store "$store" --filter "$filter" --out "$out" --quiet
     test -s "$out/summary.txt"
+  done
+done
+# The ddos route table and the memos are keyed by frozensets and
+# dataclasses, whose hashes change with the hash seed; the logs must not.
+for name in ddos_smoke contagion_star; do
+  for hashseed in 1 2; do
+    PYTHONHASHSEED=$hashseed coevarena run --config "src/coevarena/data/configs/$name.cfg" \
+      --store "$RUNNER_TEMP/hashseed-$hashseed-$name" > "$RUNNER_TEMP/hashseed-$hashseed-$name.out"
+  done
+  run="$(head -n 1 "$RUNNER_TEMP/hashseed-1-$name.out")"
+  test "$run" = "$(head -n 1 "$RUNNER_TEMP/hashseed-2-$name.out")"
+  for log in engagements.jsonl halfsteps.jsonl; do
+    cmp "$RUNNER_TEMP/hashseed-1-$name/$run/$log" "$RUNNER_TEMP/hashseed-2-$name/$run/$log"
   done
 done
 # Every shipped scenario and grammar file loads through the readers.
@@ -239,3 +253,12 @@ done
 expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
   --store "$RUNNER_TEMP/store-outsider"
 grep -q "engagements.jsonl line [0-9]* defender_id 99 is not below the population size 20" "$RUNNER_TEMP/bad.err"
+# And a row naming a job that does not exist: a candidate pair index past
+# the 20 pairs of a one-vs-one half-step.
+cp -r "$RUNNER_TEMP/store-ddos_smoke" "$RUNNER_TEMP/store-nojob"
+for log in "$RUNNER_TEMP"/store-nojob/*/engagements.jsonl; do
+  echo '[0,99999,0,0,0]' >> "$log"
+done
+expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
+  --store "$RUNNER_TEMP/store-nojob"
+grep -q "engagements.jsonl line [0-9]* pair_index 99999 is not below the pair count 20" "$RUNNER_TEMP/bad.err"

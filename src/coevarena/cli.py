@@ -6,8 +6,6 @@ from --store, else the COEVARENA_STORE environment variable, else the config
 file's [experiment] store entry.
 """
 
-from __future__ import annotations
-
 import argparse
 import configparser
 import hashlib
@@ -360,11 +358,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # Call main from the imported module, not from this copy. runpy can run
-    # this file without making it sys.modules["__main__"], as
-    # ``python -m cProfile -m coevarena.cli`` does; this copy's dataclasses
-    # then look their string annotations, InitVar included, up in that other
-    # module and fail.
-    from coevarena.cli import main as imported_main
-
-    sys.exit(imported_main())
+    sys.exit(main())

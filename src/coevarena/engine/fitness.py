@@ -35,15 +35,6 @@ def population_variance(values: Sequence[float]) -> float:
     return (n * sum(x * x for x in scaled) - total * total) / (n * n * scale * scale)
 
 
-def aggregate(values: Sequence[float], aggregation: str) -> float:
-    return float(_AGGREGATORS[aggregation](values))
-
-
-def effective_score(outcome: EngagementOutcome, role: str, weight: float) -> float:
-    """The role's own score minus weight times the role's own cost."""
-    return outcome.score_for(role) - weight * outcome.cost_for(role)
-
-
 def assign_fitness(
     outcomes: Mapping[int, Sequence[EngagementOutcome]],
     aggregation: str,
@@ -54,12 +45,14 @@ def assign_fitness(
     """Aggregate each individual's effective scores into one fitness value.
 
     outcomes maps an individual's index to the engagements it took part in,
-    on the side of ``role``; the result has the same keys.
+    on the side of ``role``; the result has the same keys. An engagement o's
+    effective score is ``o.score_for(role) - secondary_weight * o.cost_for(role)``.
     """
     if aggregation not in _AGGREGATORS:
         raise ValueError(f"unknown aggregation {aggregation!r}")
+    aggregate = _AGGREGATORS[aggregation]
     return {
-        index: aggregate([effective_score(o, role, secondary_weight) for o in own], aggregation)
+        index: float(aggregate([o.score_for(role) - secondary_weight * o.cost_for(role) for o in own]))
         for index, own in outcomes.items()
     }
 

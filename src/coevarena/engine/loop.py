@@ -120,10 +120,6 @@ class RunRecord:
     cohorts: list[Cohort] = field(default_factory=list)
 
 
-def _worst_index(fitness: dict[int, float], n: int) -> int:
-    return min(range(n), key=lambda i: (fitness[i], i))
-
-
 def _oriented(role: str, own, opponent):
     """Put an (own, opponent) pair in (attacker, defender) order, or back again."""
     return (own, opponent) if role == ATTACKER else (opponent, own)
@@ -250,7 +246,7 @@ class _AlternatingRun:
         fitness = {i: scored[CANDIDATE].get(i, cfg.invalid_fitness) for i in range(n)}
         candidates.fitness, candidates.outcomes = fitness, outcomes[CANDIDATE]
         incumbent_fitness = scored[INCUMBENT].get(incumbent)
-        worst = _worst_index(fitness, n)
+        worst = min(range(n), key=lambda i: (fitness[i], i))
         if incumbent_fitness is not None and incumbent_fitness > fitness[worst]:
             cohort.replaced = worst
             candidates.members[worst] = own.members[incumbent]

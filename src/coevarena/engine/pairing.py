@@ -24,18 +24,24 @@ def _round_one_vs_one(n_att: int, n_def: int, rng: Stream) -> list[tuple[int, in
     return list(zip(column(n_att), column(n_def)))
 
 
+def pair_count(structure: CompetitionStructure, n_att: int, n_def: int) -> int:
+    """How many pairs ``pair`` returns: one-vs-one max(N_att, N_def); all-vs-all
+    N_att * N_def; tournament(r) r * max(N_att, N_def); spatial(M, c) M^2 * c^2."""
+    if structure.kind == "all-vs-all":
+        return n_att * n_def
+    if structure.kind == "spatial":
+        return structure.grid_side**2 * structure.neighborhood**2
+    return (structure.rounds if structure.kind == "tournament" else 1) * max(n_att, n_def)
+
+
 def pair(
     structure: CompetitionStructure,
     n_att: int,
     n_def: int,
     rng: Stream,
 ) -> list[tuple[int, int]]:
-    """Return the (attacker index, defender index) pairs for one half-generation.
-
-    n_att and n_def are the sizes of the attacker and defender populations.
-    Exact pair counts: one-vs-one max(N_att, N_def); all-vs-all N_att * N_def;
-    tournament(r) r * max(N_att, N_def); spatial(M, c) M^2 * c^2.
-    """
+    """The (attacker index, defender index) pairs of one half-generation, ``pair_count``
+    of them; n_att and n_def are the sizes of the attacker and defender populations."""
     if structure.kind in ("one-vs-one", "tournament"):  # one-vs-one is one round
         pairs: list[tuple[int, int]] = []
         for _ in range(structure.rounds if structure.kind == "tournament" else 1):

@@ -188,17 +188,6 @@ def interpret_defense(
     )
 
 
-def _attack_windows(attack: ContagionAttack, horizon: int):
-    """Per-tick list of (enclave, strength) attack instances, evenly spaced."""
-    per_tick: list[list[tuple[int, float]]] = [[] for _ in range(horizon)]
-    for plan in attack.plans:
-        for instance in range(plan.count):
-            start = (instance * horizon) // plan.count
-            for t in range(start, min(start + plan.duration, horizon)):
-                per_tick[t].append((plan.enclave, plan.strength))
-    return per_tick
-
-
 def _bitmasks(hits: np.ndarray) -> list[int]:
     """Each row of the bool array ``hits``, its last axis a multiple of 8 long,
     as an int, bit j set where the row is True at j. Rows pack into little-endian
@@ -271,6 +260,13 @@ def simulate_trials(
     for bit, e in enumerate(tapped, taps_from):
         live_bits[e] |= 1 << bit
 
+    # each tick's attacks as (enclave, strength), each plan's instances evenly spaced
+    windows: list[list[tuple[int, float]]] = [[] for _ in range(horizon)]
+    for plan in attack.plans:
+        for instance in range(plan.count):
+            start = (instance * horizon) // plan.count
+            for t in range(start, min(start + plan.duration, horizon)):
+                windows[t].append((plan.enclave, plan.strength))
     # per tick: its attacks as (enclave, lane, draw offset of the pick), and the draw
     # offsets of its spread block, which the cross draws and then the tap draws follow
     schedule = []
@@ -278,7 +274,7 @@ def simulate_trials(
     attack_draws = []  # (tick, lane, draw offset, strength) of every attack
     lane_of = {}  # (e, j) -> the lane of a tick's (j + 1)-th attack on enclave e
     offset = 0
-    for t, attacks in enumerate(_attack_windows(attack, horizon)):
+    for t, attacks in enumerate(windows):
         spread = offset + 2 * len(attacks)
         aims = []
         targets = []  # the tick's attacked enclaves so far

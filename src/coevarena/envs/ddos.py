@@ -83,7 +83,11 @@ class NetworkScenario:
     # What engage reads on every call, each built once; engage fills the route table.
     @cached_property
     def adjacency(self) -> dict[str, list[str]]:
-        return adjacency_map(self.nodes, self.edges)
+        adjacency: dict[str, list[str]] = {node: [] for node in self.nodes}
+        for a, b in self.edges:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        return adjacency
 
     @cached_property
     def active_tasks(self) -> list[list[int]]:
@@ -132,14 +136,6 @@ class DdosDefense:
             raise ValueError(f"unknown routing protocol {self.routing!r}")
         if self.ring_successors < 1:
             raise ValueError("ring successor count must be >= 1")
-
-
-def adjacency_map(nodes, edges) -> dict[str, list[str]]:
-    adjacency: dict[str, list[str]] = {node: [] for node in nodes}
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    return adjacency
 
 
 def _task(line: str) -> Task:
@@ -212,13 +208,6 @@ def distances(adjacency, enabled, source) -> dict[str, int]:
     return distance
 
 
-def bfs_route(adjacency, enabled, source, destination) -> int | None:
-    """Hop count of a shortest path over enabled nodes, or None."""
-    if source not in enabled:
-        return None
-    return distances(adjacency, enabled, source).get(destination)
-
-
 def flood(adjacency, enabled, source, destination) -> tuple[bool, int]:
     """Flood the source's enabled component.
 
@@ -275,7 +264,8 @@ def _route(
         delivered, flooded = flood(scenario.adjacency, enabled, task.source, task.destination)
         return delivered, flooded * scenario.message_cost
     if defense.routing == "shortest-path":
-        hops = bfs_route(scenario.adjacency, enabled, task.source, task.destination)
+        reached = distances(scenario.adjacency, enabled, task.source) if task.source in enabled else {}
+        hops = reached.get(task.destination)
     else:
         hops = ring_route(
             sorted(scenario.nodes), enabled, task.source, task.destination, defense.ring_successors

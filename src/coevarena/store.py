@@ -67,8 +67,9 @@ from pathlib import Path
 from typing import Iterator
 
 from .engagement import EngagementOutcome
-from .engine.config import ATTACKER, DEFENDER, EvolutionConfig
+from .engine.config import ATTACKER, DEFENDER, EvolutionConfig, opposite
 from .engine.loop import CANDIDATE, INCUMBENT, Engagement, HalfStepStats, RunRecord
+from .engine.pairing import pair_count
 
 FORMAT_VERSION = 5
 
@@ -239,11 +240,11 @@ class StoredRun:
         is this run's, in this format, with the config echo's codon width, and
         holds what _ENGAGEMENTS_HEADER describes; each population line holds what
         _POPULATION describes and comes before the rows; and each row holds a kind
-        index into ENGAGEMENT_KINDS, a pair index and two ids that are
-        non-negative ints, each id below its role's population size in the
-        config echo, and either the header's full width of values, each
-        outcome value a JSON number, or 5, the last the index of outcome
-        values already written."""
+        index into ENGAGEMENT_KINDS, a pair index and two ids that are non-negative
+        ints, each id below its role's population size in the config echo, the pair
+        index below the echo's ``pair_count`` and, in an incumbent row, equal to the
+        opponent's id, and either the header's full width of values, each outcome
+        value a JSON number, or 5, the last the index of outcome values already written."""
         path = self.run_dir / "engagements.jsonl"
         lines = _lines(path)
         where, header = next(lines, (f"{path} line 1", None))
@@ -257,13 +258,16 @@ class StoredRun:
         width = telemetry_at + len(telemetry_keys)
         outcome_names = [*ENGAGEMENT_COLUMNS[_OUTCOME_AT:], *cost_keys, *telemetry_keys]
         outcomes: list[list] = []  # each distinct outcome's values, in order of first appearance
-        # the bounds of a row's pair index and ids: each id indexes its role's population
-        bounds = (float("inf"), self.config.attacker_population, self.config.defender_population)
+        # a row's pair index numbers a half-step's jobs; each id indexes its role's population
+        sizes = (self.config.attacker_population, self.config.defender_population)
+        pairs = pair_count(self.config.structure, *sizes)
+        bounds = ((pairs, "pair count"), *((size, "population size") for size in sizes))
         half_step = None
         for where, row in lines:
             if type(row) is dict:
                 _check(row, _POPULATION, where)
                 half_step = {"generation": row["generation"], "phase": row["phase"]}
+                opponent = ENGAGEMENT_COLUMNS.index(f"{opposite(row['phase'])}_id")
                 continue
             if type(row) is not list or len(row) not in (width, _OUTCOME_AT + 1):
                 raise CorruptRecord(
@@ -273,13 +277,16 @@ class StoredRun:
             kind = row[0]
             if type(kind) is not int or not 0 <= kind < len(ENGAGEMENT_KINDS):
                 raise CorruptRecord(f"{where} kind {kind!r} is not an index into the header's kinds")
-            for name, value, bound in zip(ENGAGEMENT_COLUMNS[1:_OUTCOME_AT], row[1:_OUTCOME_AT], bounds):
+            for name, value, (bound, what) in zip(ENGAGEMENT_COLUMNS[1:], row[1:_OUTCOME_AT], bounds):
                 if type(value) is not int or value < 0:
                     raise CorruptRecord(f"{where} {name} {value!r} is not a non-negative int")
                 if value >= bound:
-                    raise CorruptRecord(f"{where} {name} {value} is not below the population size {bound}")
+                    raise CorruptRecord(f"{where} {name} {value} is not below the {what} {bound}")
             if half_step is None:
                 raise CorruptRecord(f"{where} is a row before any population line")
+            if ENGAGEMENT_KINDS[kind] == INCUMBENT and row[1] != row[opponent]:
+                opponent_id = f"{ENGAGEMENT_COLUMNS[opponent]} {row[opponent]}"
+                raise CorruptRecord(f"{where} incumbent pair_index {row[1]} is not its {opponent_id}")
             if len(row) == width:
                 for name, value in zip(outcome_names, row[_OUTCOME_AT:]):
                     if not _JSON_CHECKS["float"](value):

@@ -1,23 +1,34 @@
 """Independent reference implementations the test suite checks against.
 
 These deliberately re-derive results with different algorithms and data
-structures than the package: list-rewriting instead of a stack for grammar
-mapping, union-find instead of BFS for connectivity, full pairwise scans for
-dominance and best responses, for the contagion Monte Carlo one generator
-per spawned child, one draw call per tick and sets of infected slots instead
-of sibling-seeded rows of one block, pre-scanned events and a bitmask,
-for the ddos simulator a fresh route for every task on every tick instead
-of a route table kept on the scenario, and ring routes by recursion instead
-of an explicit stack, for the engagement log a reader of the
-raw file that decodes each genotype with int.from_bytes, derives its
-sentence with the mapping oracle and puts the genotypes and sentences back on
-every record, for
-keyed random streams numpy's own encoding of a list of ints instead of an
-array of 32-bit words, and for the engine's draws numpy's own Generator,
-drawing a tournament's entrants and a genotype's codons as one array each,
-with the one draw it lacks, ``hits``, as a loop of ``random`` calls. The
-reference loop, ``oracle_run_alternating``, builds every stream from its own
-full key and keeps each role's population as plain lists.
+structures than the package:
+
+- grammar mapping: list-rewriting instead of a stack;
+- connectivity: union-find instead of BFS;
+- dominance and best responses: full pairwise scans;
+- the contagion Monte Carlo: one generator per spawned child, one draw call
+  per tick and sets of infected slots, instead of sibling-seeded rows of one
+  block, pre-scanned events and a bitmask. It writes each tick's attacks out
+  from the plans itself: instance i of a plan of count c covers the plan's
+  duration from tick ``i * horizon // c``, cut at the horizon;
+- the ddos simulator: a fresh route for every task on every tick instead of a
+  route table kept on the scenario, over neighbour sets it builds itself.
+  Shortest paths grow one level of frontier sets at a time instead of walking
+  a BFS queue, a flood is the source's union-find component at one message
+  per edge inside it, and ring routes go by recursion instead of an explicit
+  stack. Both simulator oracles take only the dataclasses from the modules
+  they check;
+- the engagement log: a reader of the raw file that decodes each genotype
+  with int.from_bytes, derives its sentence with the mapping oracle and puts
+  the genotypes and sentences back on every record;
+- keyed random streams: numpy's own encoding of a list of ints instead of an
+  array of 32-bit words;
+- the engine's draws: numpy's own Generator, drawing a tournament's entrants
+  and a genotype's codons as one array each, with the one draw it lacks,
+  ``hits``, as a loop of ``random`` calls.
+
+The reference loop, ``oracle_run_alternating``, builds every stream from its
+own full key and keeps each role's population as plain lists.
 """
 
 from __future__ import annotations
@@ -36,21 +47,8 @@ from coevarena.engine.config import SelectionScheme
 from coevarena.engine.loop import Champion, Cohort, Engagement, HalfStepStats
 from coevarena.engine.pairing import pair
 from coevarena.engine.variation import crossover, mutate
-from coevarena.envs.contagion import (
-    ContagionAttack,
-    ContagionDefense,
-    MonteCarloConfig,
-    SegmentedNetwork,
-    _attack_windows,
-)
-from coevarena.envs.ddos import (
-    DdosAttack,
-    DdosDefense,
-    NetworkScenario,
-    adjacency_map,
-    bfs_route,
-    flood,
-)
+from coevarena.envs.contagion import ContagionAttack, ContagionDefense, MonteCarloConfig, SegmentedNetwork
+from coevarena.envs.ddos import DdosAttack, DdosDefense, NetworkScenario
 from coevarena.grammar import CONSUME_ON_CHOICE, Genotype, Grammar, MappingConfig, Strategy, load_grammar
 
 ORACLE_FAILED = "failed"
@@ -451,7 +449,21 @@ def oracle_simulate_trials(
     mission_count = [0] * n
     for enclave in defense.mission_placement:
         mission_count[enclave] += 1
-    per_tick_attacks = _attack_windows(attack, mc.horizon)
+
+    def covers(plan, instance, t):
+        # instance i of a plan of count c starts at tick i * horizon // c
+        start = instance * mc.horizon // plan.count
+        return start <= t < start + plan.duration
+
+    per_tick_attacks = [
+        [
+            (plan.enclave, plan.strength)
+            for plan in attack.plans
+            for instance in range(plan.count)
+            if covers(plan, instance, t)
+        ]
+        for t in range(mc.horizon)
+    ]
     total_devices = sum(sizes)
     draws_per_tick = [
         2 * len(per_tick_attacks[t]) + 2 * total_devices + 4 * len(network.links) + n
@@ -569,6 +581,30 @@ def oracle_ring_route(ring_order, enabled, source, destination, successors) -> i
     return search(source)
 
 
+def oracle_neighbours(nodes, edges) -> dict[str, set[str]]:
+    """Each node's set of neighbours over the undirected edges."""
+    neighbours = {node: set() for node in nodes}
+    for a, b in edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    return neighbours
+
+
+def oracle_hops(neighbours, enabled, source, destination) -> int | None:
+    """Hop count of a shortest path over enabled nodes, found by growing the
+    set of nodes reached one level at a time, or None."""
+    if source not in enabled:
+        return None
+    reached, frontier, hops = {source}, {source}, 0
+    while destination not in frontier:
+        frontier = {n for node in frontier for n in neighbours[node] if n in enabled} - reached
+        if not frontier:
+            return None
+        reached |= frontier
+        hops += 1
+    return hops
+
+
 def oracle_ddos_engage(
     attack: DdosAttack,
     defense: DdosDefense,
@@ -576,7 +612,9 @@ def oracle_ddos_engage(
 ) -> EngagementOutcome:
     """Simulate the mission, routing every active task afresh on every tick.
 
-    Adjacency, ring order and the flood cost bound are rebuilt on every call.
+    Neighbour sets, ring order and the flood cost bound are rebuilt on every
+    call. A shortest path is ``oracle_hops``; a flood reaches the source's
+    union-find component and costs one message per edge inside it.
     """
     horizon = scenario.horizon
     disabled_at: list[set[str]] = [set() for _ in range(horizon)]
@@ -584,7 +622,7 @@ def oracle_ddos_engage(
         for t in range(action.start, min(action.start + action.duration, horizon)):
             disabled_at[t].add(action.node)
 
-    adjacency = adjacency_map(scenario.nodes, scenario.edges)
+    neighbours = oracle_neighbours(scenario.nodes, scenario.edges)
     ring_order = sorted(scenario.nodes)
     all_nodes = set(scenario.nodes)
 
@@ -601,12 +639,15 @@ def oracle_ddos_engage(
                 continue
             attempts += 1
             if defense.routing == "shortest-path":
-                hops = bfs_route(adjacency, enabled, task.source, task.destination)
+                hops = oracle_hops(neighbours, enabled, task.source, task.destination)
                 success = hops is not None
                 cost = hops * scenario.message_cost if success else 0.0
             elif defense.routing == "flooding":
-                success, flooded = flood(adjacency, enabled, task.source, task.destination)
-                cost = flooded * scenario.message_cost
+                components = components_by_union_find(scenario.nodes, scenario.edges, enabled)
+                flooded = next((group for group in components if task.source in group), frozenset())
+                success = task.destination in flooded
+                count = sum(1 for a, b in scenario.edges if a in flooded and b in flooded)
+                cost = count * scenario.message_cost
             else:
                 hops = oracle_ring_route(
                     ring_order, enabled, task.source, task.destination, defense.ring_successors
@@ -631,7 +672,7 @@ def oracle_ddos_engage(
         attacker_score=attacker_score,
         defender_score=1.0 - attacker_score,
         costs={
-            "attacker_cost": attack.total_duration() / scenario.attack_budget,
+            "attacker_cost": sum(action.duration for action in attack.actions) / scenario.attack_budget,
             "defender_cost": message_cost_total / flood_upper if flood_upper > 0 else 0.0,
         },
         telemetry={

@@ -29,7 +29,7 @@ from coevarena.envs.contagion import (
     SegmentedNetwork,
     simulate_trials,
 )
-from coevarena.envs.ddos import DdosAction, DdosAttack, DdosDefense, adjacency_map
+from coevarena.envs.ddos import DdosAction, DdosAttack, DdosDefense
 from coevarena.envs.ddos import engage as ddos_engage
 from coevarena.envs.ddos import flood
 from coevarena.establo import PayoffMatrix, pure_nash_pairs, rank
@@ -48,6 +48,7 @@ from oracles import (
     components_by_union_find,
     nash_oracle,
     oracle_map,
+    oracle_neighbours,
     pareto_oracle,
     random_grammar_text,
 )
@@ -212,7 +213,7 @@ def test_criterion_6_ddos_degenerate_cases():
             a, b = (int(x) for x in rng.integers(0, n, size=2))
             if a != b:
                 edges.add((nodes[min(a, b)], nodes[max(a, b)]))
-        adjacency = adjacency_map(nodes, tuple(edges))
+        adjacency = oracle_neighbours(nodes, edges)
         enabled = {node for node in nodes if rng.random() >= 0.35}
         components = components_by_union_find(nodes, tuple(edges), enabled)
         for source in nodes:

@@ -19,6 +19,7 @@ from coevarena import (
 )
 from coevarena.engagement import EngagementOutcome
 from coevarena.engine.fitness import population_variance
+from coevarena.engine.pairing import pair_count
 from coevarena.grammar import Genotype, GenotypeLimits
 
 from oracles import OracleGenerator, pareto_oracle
@@ -105,6 +106,22 @@ class TestPair:
     def test_pairing_is_seed_deterministic(self):
         args = (CompetitionStructure("one-vs-one"), 8, 8)
         assert pair(*args, np.random.default_rng(5)) == pair(*args, np.random.default_rng(5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["one-vs-one", "all-vs-all", "tournament", "spatial"]),
+        rounds=st.integers(1, 4),
+        side=st.integers(1, 5),
+        hood=st.sampled_from([1, 3, 5, 7]),
+        sizes=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pair_count_is_the_number_of_pairs(self, kind, rounds, side, hood, sizes, seed):
+        structure = CompetitionStructure(kind, rounds=rounds, grid_side=side, neighborhood=hood)
+        if kind == "spatial":
+            sizes = (side * side, side * side)
+        pairs = pair(structure, *sizes, np.random.default_rng(seed))
+        assert len(pairs) == pair_count(structure, *sizes)
 
 
 class TestAssignFitness:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coevarena.engagement import InterpretError, ScenarioError
@@ -16,8 +16,7 @@ from coevarena.envs.ddos import (
     DdosEnvironment,
     NetworkScenario,
     Task,
-    adjacency_map,
-    bfs_route,
+    distances,
     engage,
     flood,
     interpret_attack,
@@ -28,7 +27,7 @@ from coevarena.envs.ddos import (
 from coevarena.grammar import Strategy
 
 from conftest import path_scenario
-from oracles import components_by_union_find, oracle_ddos_engage, oracle_ring_route
+from oracles import components_by_union_find, oracle_ddos_engage, oracle_neighbours, oracle_ring_route
 
 
 def strategy(text: str) -> Strategy:
@@ -99,16 +98,24 @@ class TestInterpretDefense:
 
 
 class TestRouting:
-    ADJ = adjacency_map(SCENARIO.nodes, SCENARIO.edges)
+    ADJ = SCENARIO.adjacency
     ALL = set(SCENARIO.nodes)
 
-    def test_bfs_route_hops(self):
-        assert bfs_route(self.ADJ, self.ALL, "n0", "n4") == 4
-        assert bfs_route(self.ADJ, self.ALL, "n0", "n0") == 0
+    def test_distances_hops(self):
+        assert distances(self.ADJ, self.ALL, "n0") == {"n0": 0, "n1": 1, "n2": 2, "n3": 3, "n4": 4}
+        assert distances(self.ADJ, self.ALL, "n2") == {"n0": 2, "n1": 1, "n2": 0, "n3": 1, "n4": 2}
 
-    def test_bfs_route_blocked(self):
-        assert bfs_route(self.ADJ, self.ALL - {"n2"}, "n0", "n4") is None
-        assert bfs_route(self.ADJ, self.ALL - {"n0"}, "n0", "n4") is None
+    def test_distances_blocked(self):
+        assert distances(self.ADJ, self.ALL - {"n2"}, "n0") == {"n0": 0, "n1": 1}
+        assert distances(self.ADJ, self.ALL - {"n1", "n3"}, "n2") == {"n2": 0}
+
+    def test_disabled_source_has_no_shortest_path(self):
+        shortest = DdosDefense("shortest-path")
+        enabled = frozenset(self.ALL - {"n0"})
+        for destination in ("n4", "n0"):
+            task = Task("n0", destination, 0, 0, 1)
+            assert ddos._route(shortest, SCENARIO, enabled, task) == (False, 0.0)
+        assert ddos._route(shortest, SCENARIO, enabled, Task("n1", "n4", 0, 0, 1)) == (True, 3.0)
 
     def test_flood_cost_counts_component_edges(self):
         delivered, edges = flood(self.ADJ, self.ALL, "n0", "n4")
@@ -223,7 +230,7 @@ class TestEngage:
                 if a != b:
                     edge = (nodes[min(a, b)], nodes[max(a, b)])
                     edges.add(edge)
-            adjacency = adjacency_map(nodes, tuple(edges))
+            adjacency = oracle_neighbours(nodes, edges)
             disabled = {node for node in nodes if rng.random() < 0.3}
             enabled = set(nodes) - disabled
             components = components_by_union_find(nodes, tuple(edges), enabled)
@@ -321,9 +328,21 @@ def warm_cases(draw):
     return scenario, draw(st.lists(pairs, min_size=8, max_size=16))
 
 
+# A five-node cycle in which a depth-first walk from n0 reaches n2 the long way round.
+CYCLE = NetworkScenario(
+    nodes=("n0", "n1", "n2", "n3", "n4"),
+    edges=(("n0", "n1"), ("n1", "n2"), ("n2", "n3"), ("n0", "n4"), ("n4", "n3")),
+    tasks=(Task("n0", "n2", 0, 0, 1),),
+    horizon=1,
+    message_cost=1.0,
+    attack_budget=1,
+)
+
+
 class TestFastSimulator:
     @settings(max_examples=400, deadline=None)
     @given(ddos_cases())
+    @example((DdosAttack(()), DdosDefense("shortest-path"), CYCLE))
     def test_equals_per_tick_oracle(self, case):
         attack, defense, scenario = case
         outcome = engage(attack, defense, scenario)

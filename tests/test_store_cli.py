@@ -1147,6 +1147,27 @@ class TestShippedData:
             f"error: CorruptRecord: {log} line {number} defender_id 99 is not below the population size 20\n"
         )
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            # a candidate job past the 20 pairs of a one-vs-one half-step
+            ("[0,99999,0,0,0]", "pair_index 99999 is not below the pair count 20"),
+            # the last half-step is the defender's: incumbent job j plays attacker j
+            ("[1,5,3,0,0]", "incumbent pair_index 5 is not its attacker_id 3"),
+        ],
+    )
+    def test_inspect_refuses_a_row_naming_a_job_that_does_not_exist(
+        self, shipped_runs, tmp_path, capsys, row, message
+    ):
+        run_dir = shipped_runs["ddos_smoke.cfg", 11]
+        store_dir = Path(shutil.copytree(run_dir.parent, tmp_path / "store"))
+        log = store_dir / run_dir.name / "engagements.jsonl"
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write(row + "\n")
+        number = len(log.read_text(encoding="utf-8").splitlines())
+        assert run_cli("inspect", run_dir.name, "--store", store_dir) == 1
+        assert assert_one_error_line(capsys) == f"error: CorruptRecord: {log} line {number} {message}\n"
+
 
 class TestEngagementLogFormat:
     @settings(max_examples=200, deadline=None)
@@ -1268,6 +1289,40 @@ class TestEngagementLogFormat:
         log, records = edited_records(tmp_path, edit)
         number = len(log.read_text().splitlines())
         message = f"{log} line {number} {name} {value} is not below the population size 4"
+        with pytest.raises(CorruptRecord, match=re.escape(message)):
+            list(records)
+
+    @pytest.mark.parametrize("shape", ["values", "reference"])
+    def test_candidate_pair_index_past_the_pair_count_is_one_corrupt_record(self, tmp_path, shape):
+        # the small store's one-vs-one half-steps have 4 pairs, so pair indices 0 to 3
+        def edit(lines):
+            row = json.loads(lines[4]) if shape == "values" else [0, 0, 0, 0, 0]
+            return [*lines, json.dumps([0, 4, *row[2:]])]
+
+        log, records = edited_records(tmp_path, edit)
+        number = len(log.read_text().splitlines())
+        message = f"{log} line {number} pair_index 4 is not below the pair count 4"
+        with pytest.raises(CorruptRecord, match=re.escape(message)):
+            list(records)
+
+    @pytest.mark.parametrize("phase, opponent", [("attacker", "defender_id"), ("defender", "attacker_id")])
+    def test_incumbent_pair_index_other_than_its_opponent_id_is_one_corrupt_record(
+        self, tmp_path, phase, opponent
+    ):
+        # Incumbent job j plays opponent j. After the phase's last population line
+        # (line `population`), job 2 against opponent 2 loads; against opponent 1 it does not.
+        def incumbent_row(theirs):
+            return json.dumps([1, 2, 0, theirs, 0] if phase == "attacker" else [1, 2, theirs, 0, 0])
+
+        population = None
+
+        def edit(lines):
+            nonlocal population
+            population = max(i for i, line in enumerate(lines) if f'"phase":"{phase}"' in line) + 1
+            return [*lines[:population], incumbent_row(2), incumbent_row(1), *lines[population:]]
+
+        log, records = edited_records(tmp_path, edit)
+        message = f"{log} line {population + 2} incumbent pair_index 2 is not its {opponent} 1"
         with pytest.raises(CorruptRecord, match=re.escape(message)):
             list(records)
 
