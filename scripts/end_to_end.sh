@@ -8,13 +8,17 @@
 # It changes to the repository root first. The command under
 # test is COEVARENA_COMMAND, "coevarena" by default, for example
 #   COEVARENA_COMMAND="python -m coevarena.cli" PYTHONPATH=src scripts/end_to_end.sh
-# Files go to RUNNER_TEMP, a fresh temporary directory by default.
+# Files go to RUNNER_TEMP, or else to a fresh temporary directory that is
+# removed when the script exits.
 set -e
 cd "$(dirname "$0")/.."
 read -r -a under_test <<< "${COEVARENA_COMMAND:-coevarena}"
 # "command" skips this function, so the default "coevarena" runs the one on PATH.
 coevarena() { command "${under_test[@]}" "$@"; }
-RUNNER_TEMP="${RUNNER_TEMP:-$(mktemp -d)}"
+if [ -z "${RUNNER_TEMP:-}" ]; then
+  RUNNER_TEMP="$(mktemp -d)"
+  trap 'rm -rf "$RUNNER_TEMP"' EXIT
+fi
 
 for name in ddos_smoke contagion_star; do
   store="$RUNNER_TEMP/store-$name"
@@ -239,7 +243,7 @@ grep -q 'engagements.jsonl line 5 kind 2 is not an index' "$RUNNER_TEMP/bad.err"
 # types: each row's columns are checked, not only its kind and reference.
 cp -r "$RUNNER_TEMP/store-ddos_smoke" "$RUNNER_TEMP/store-badvalues"
 for log in "$RUNNER_TEMP"/store-badvalues/*/engagements.jsonl; do
-  echo '[0,"x",null,99,"a","b",{},[],1,2,3]' >> "$log"
+  echo '[0,"x",null,99,"a",{},[],1,2,3]' >> "$log"
 done
 expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
   --store "$RUNNER_TEMP/store-badvalues"
@@ -262,3 +266,14 @@ done
 expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
   --store "$RUNNER_TEMP/store-nojob"
 grep -q "engagements.jsonl line [0-9]* pair_index 99999 is not below the pair count 20" "$RUNNER_TEMP/bad.err"
+# And a population line out of order: generation 2 attacker's line says
+# generation 7, so its rows would read back as generation 7's.
+cp -r "$RUNNER_TEMP/store-ddos_smoke" "$RUNNER_TEMP/store-generation7"
+for log in "$RUNNER_TEMP"/store-generation7/*/engagements.jsonl; do
+  sed -i 's/^\["attacker",2,/["attacker",7,/' "$log"
+  grep -q '^\["attacker",7,' "$log"
+done
+expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
+  --store "$RUNNER_TEMP/store-generation7"
+grep -q "engagements.jsonl line [0-9]* is the population line of generation 7 attacker, not of generation 2 attacker" \
+  "$RUNNER_TEMP/bad.err"

@@ -57,7 +57,10 @@ class EngagementEnvironment(Protocol):
     several engagements, so callers copy costs and telemetry to change them.
     Every outcome an environment returns carries the same costs keys and the
     same telemetry keys: the results store writes them once per run, and
-    refuses a run whose outcomes differ in them.
+    refuses a run whose outcomes differ in them. Its defender scores are all
+    one rule of the attacker's, bit for bit: ``-attacker_score`` or
+    ``1.0 - attacker_score`` (``coevarena.store.SCORE_RULES``); the store
+    writes only the attacker's and refuses a run that keeps neither.
     """
 
     environment_id: str

@@ -10,32 +10,38 @@ Layout::
 
 engagements.jsonl starts with a header object that carries ``run``,
 ``format_version``, ``columns`` (the fixed fields of a row: kind, pair index,
-the two ids and the two scores), ``kinds`` (the engagement kinds a row's kind
-indexes), ``cost_keys`` and ``telemetry_keys`` (the sorted keys of the run's
-first outcome's costs and telemetry) and ``codon_bytes`` (2, 4 or 8, the
-fewest that hold every codon below the run's ``codon_max``; the log states it
-so that its genotypes decode without the manifest, and loading checks it
-against the config echo). Then come the two initial populations (generation
-0) and, for each half-step, its population line followed by its engagement
-rows. A population line is an object with ``record`` ("population"),
-``generation``, ``phase``, ``genotypes`` (each one base64 string of its codons
-as little-endian unsigned integers of ``codon_bytes`` bytes) and ``replaced``
-(the slot the incumbent took in the elitism swap, or null). It holds the
-population the half-step bred, before the swap. It holds no sentences: an
-individual's sentence is its genotype mapped under the run directory's grammar
-copy (``StoredRun.input_path``) and the config echo's mapping settings, and a
+the two ids and the attacker's score), ``kinds`` (the engagement kinds a row's
+kind indexes), ``cost_keys`` and ``telemetry_keys`` (the sorted keys of the
+run's first outcome's costs and telemetry), ``defender_score`` (the name of
+the SCORE_RULES rule that gives every defender score of the run from its
+attacker score) and ``codon_bytes`` (2, 4 or 8, the fewest that hold every
+codon below the run's ``codon_max``; the log states it so that its genotypes
+decode without the manifest, and loading checks it against the config echo).
+Then come the two initial populations (generation 0, attacker first) and, for
+each half-step of generations 1 to the config's, attacker before defender, its
+population line followed by its engagement rows. A population line is a
+JSON array whose first value is a string: ``[phase, generation, replaced,
+*genotypes]``, replaced the slot the incumbent took in the elitism swap, or
+null, and each genotype one base64 string of its codons as little-endian
+unsigned integers of ``codon_bytes`` bytes. It holds the population the
+half-step bred, before the swap. It holds no sentences: an individual's
+sentence is its genotype mapped under the run directory's grammar copy
+(``StoredRun.input_path``) and the config echo's mapping settings, and a
 half-step line's ``invalid_count`` says how many of its cohort failed to map
 (generation 0 has no half-step line, so its failures show only by mapping).
-An engagement row is a JSON array of values only: the kind's index in
-``kinds``, the pair index and the two ids, then its outcome. The first row
-with given outcome values writes them: the two scores, the costs in
-``cost_keys`` order, then the telemetry in ``telemetry_keys`` order, so the
-row has the header's full width. A later row with the same
-values writes only n, the 0-based order in which those values first appeared
-in the run, so the row has 5 values. Its ids index the populations as
-``coevarena.engine.loop.Engagement`` describes, and it takes its generation
-and phase from the population line before it. Every outcome of a run has the
-header's keys; add_run refuses a run with one that does not.
+An engagement row is a JSON array of values only whose first value is an int:
+the kind's index in ``kinds``, the pair index and the two ids, then its
+outcome. The first row with given outcome values writes them: the attacker's
+score, the costs in ``cost_keys`` order, then the telemetry in
+``telemetry_keys`` order, so the row has the header's full width. A later row
+with the same values writes only n, the 0-based order in which those values
+first appeared in the run, so the row has 5 values; an outcome of the
+attacker's score alone is written in every row, as n would be as wide. Its
+ids index the populations as ``coevarena.engine.loop.Engagement`` describes,
+and it takes its generation and phase from the population line before it.
+Every outcome of a run has the header's keys, and its defender score is the
+header's rule of its attacker score, bit for bit; add_run refuses a run with
+one that does not.
 
 Runs only ever append. add_run writes a run into ``<root>/<dir>.partial/``,
 renames it to ``<dir>`` and only then appends its index line, so a failed
@@ -43,7 +49,7 @@ write leaves neither a run directory nor an index line. The engagement log
 and halfsteps files are free of timestamps, so identical config and seed
 reproduce them byte for byte; the manifest carries the only timestamp.
 
-A run stored in format 1, 2, 3 or 4 does not load: its manifest, or its log's
+A run stored in format 1, 2, 3, 4 or 5 does not load: its manifest, or its log's
 header, names another format_version.
 
 Loading a run checks each record (index line, manifest, half-step line) once,
@@ -71,20 +77,20 @@ from .engine.config import ATTACKER, DEFENDER, EvolutionConfig, opposite
 from .engine.loop import CANDIDATE, INCUMBENT, Engagement, HalfStepStats, RunRecord
 from .engine.pairing import pair_count
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 # The fixed fields of an engagement row: the Engagement's but its outcome, then
-# the outcome's scores. Its costs and telemetry follow, keyed by the header.
-ENGAGEMENT_COLUMNS = (
-    *(name for name in Engagement._fields if name != "outcome"),
-    "attacker_score",
-    "defender_score",
-)
+# the attacker's score. Its costs and telemetry follow, keyed by the header.
+ENGAGEMENT_COLUMNS = (*(name for name in Engagement._fields if name != "outcome"), "attacker_score")
 # Where a row's outcome starts: its values, or n, the order in which they first appeared.
 _OUTCOME_AT = len(Engagement._fields) - 1
 
 # The engagement kinds, in the order a row's kind indexes them.
 ENGAGEMENT_KINDS = (CANDIDATE, INCUMBENT)
+
+# Each rule that gives a defender score from its attacker score, by the name a
+# log's header gives it: contagion's (and any zero-sum environment's) and ddos's.
+SCORE_RULES = {"negated": lambda score: -score, "one_minus": lambda score: 1.0 - score}
 
 # The struct code of a little-endian unsigned codon of each stored width in bytes.
 _CODON_FORMATS = {2: "H", 4: "I", 8: "Q"}
@@ -107,7 +113,7 @@ _JSON_CHECKS = {
     "Genotype": lambda v: type(v) is list and v != [] and all(type(c) is int and c >= 0 for c in v),
     "tuple[str, ...] | None": lambda v: v is None or type(v) is list and all(type(w) is str for w in v),
     "'halfstep'": lambda v: v == "halfstep",
-    "'population'": lambda v: v == "population",
+    "'negated' | 'one_minus'": lambda v: type(v) is str and v in SCORE_RULES,
     "list[str]": lambda v: type(v) is list and all(type(w) is str for w in v),
 }
 
@@ -124,8 +130,11 @@ _MANIFEST = {
     **{key: {"sha256": "str"} for key in STORED_INPUTS},
 }
 _HALFSTEP = {"record": "'halfstep'", **{f.name: f.type for f in fields(HalfStepStats)}}
-_ENGAGEMENTS_HEADER = {"cost_keys": "list[str]", "telemetry_keys": "list[str]"}
-_POPULATION = {"record": "'population'", "generation": "int", "phase": "str"}
+_ENGAGEMENTS_HEADER = {
+    "cost_keys": "list[str]",
+    "telemetry_keys": "list[str]",
+    "defender_score": "'negated' | 'one_minus'",
+}
 
 
 class CorruptRecord(Exception):
@@ -189,6 +198,11 @@ def encode_genotype(codons, width: int) -> str:
     return base64.b64encode(packed).decode("ascii")
 
 
+def _derives(rule, outcome: EngagementOutcome) -> bool:
+    """Whether rule gives outcome's defender score from its attacker score, bit for bit."""
+    return float(rule(outcome.attacker_score)).hex() == float(outcome.defender_score).hex()
+
+
 def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -234,40 +248,75 @@ class StoredRun:
         return path
 
     def engagement_records(self) -> Iterator[dict]:
-        """Each engagement row as a dict of its columns, costs, telemetry, generation
-        and phase, its kind named and its outcome's values read from the row that
-        first wrote them. Raises CorruptRecord naming the line unless the header
-        is this run's, in this format, with the config echo's codon width, and
-        holds what _ENGAGEMENTS_HEADER describes; each population line holds what
-        _POPULATION describes and comes before the rows; and each row holds a kind
-        index into ENGAGEMENT_KINDS, a pair index and two ids that are non-negative
-        ints, each id below its role's population size in the config echo, the pair
-        index below the echo's ``pair_count`` and, in an incumbent row, equal to the
-        opponent's id, and either the header's full width of values, each outcome
-        value a JSON number, or 5, the last the index of outcome values already written."""
+        """Each engagement row as a dict of its columns, defender score, costs,
+        telemetry, generation and phase, its kind named, its outcome's values read
+        from the row that first wrote them and its defender score the header's rule
+        of its attacker score. Raises CorruptRecord naming the line unless the
+        header is this run's, in this format, with the config echo's codon width,
+        and holds what _ENGAGEMENTS_HEADER describes; each population line holds a
+        role, an int generation, a replaced slot that is null or an id, and a
+        string genotype for each member of the role's population, and the lines
+        are generation 0's and then those of generations 1 to the config echo's,
+        in order, each attacker before defender (a log that ends before the last
+        is one CorruptRecord naming the file); and each row comes after a
+        population line and holds a kind index into ENGAGEMENT_KINDS, a pair index
+        and two ids that are non-negative ints, each id below its role's
+        population size in the config echo, the pair index below the echo's
+        ``pair_count`` and, in an incumbent row, equal to the opponent's id, and
+        either the header's full width of values, each outcome value a JSON
+        number, or 5, the last the index of outcome values already written."""
         path = self.run_dir / "engagements.jsonl"
         lines = _lines(path)
         where, header = next(lines, (f"{path} line 1", None))
-        _check(header, _ENGAGEMENTS_HEADER, where)
         own = _engagements_header(self.manifest["run_id"], codon_bytes(self.config.limits.codon_max))
-        if {key: header.get(key) for key in own} != own:
+        if type(header) is not dict or {key: header.get(key) for key in own} != own:
             raise CorruptRecord(f"{where} is not this run's header {own!r}: {header!r}")
+        _check(header, _ENGAGEMENTS_HEADER, where)
         cost_keys, telemetry_keys = header["cost_keys"], header["telemetry_keys"]
-        costs_at = len(ENGAGEMENT_COLUMNS)
-        telemetry_at = costs_at + len(cost_keys)
-        width = telemetry_at + len(telemetry_keys)
+        defender_score = SCORE_RULES[header["defender_score"]]
+        width = len(ENGAGEMENT_COLUMNS) + len(cost_keys) + len(telemetry_keys)
+        telemetry_at = 2 + len(cost_keys)  # in an outcome's values, after both scores and the costs
         outcome_names = [*ENGAGEMENT_COLUMNS[_OUTCOME_AT:], *cost_keys, *telemetry_keys]
-        outcomes: list[list] = []  # each distinct outcome's values, in order of first appearance
+        # each distinct outcome's scores, costs and telemetry, in order of first appearance
+        outcomes: list[list] = []
         # a row's pair index numbers a half-step's jobs; each id indexes its role's population
-        sizes = (self.config.attacker_population, self.config.defender_population)
-        pairs = pair_count(self.config.structure, *sizes)
-        bounds = ((pairs, "pair count"), *((size, "population size") for size in sizes))
+        sizes = {ATTACKER: self.config.attacker_population, DEFENDER: self.config.defender_population}
+        pairs = pair_count(self.config.structure, *sizes.values())
+        bounds = ((pairs, "pair count"), *((size, "population size") for size in sizes.values()))
+        generations = self.config.generations
+        order = ((g, role) for g in range(generations + 1) for role in (ATTACKER, DEFENDER))
         half_step = None
         for where, row in lines:
-            if type(row) is dict:
-                _check(row, _POPULATION, where)
-                half_step = {"generation": row["generation"], "phase": row["phase"]}
-                opponent = ENGAGEMENT_COLUMNS.index(f"{opposite(row['phase'])}_id")
+            if type(row) is list and row and type(row[0]) is str:
+                phase, *rest = row
+                if phase not in sizes:
+                    raise CorruptRecord(f"{where} phase {phase!r} is not a role")
+                size = sizes[phase]
+                if len(rest) != 2 + size:
+                    raise CorruptRecord(
+                        f"{where} is not a population line of phase, generation, replaced "
+                        f"and {size} genotypes"
+                    )
+                generation, replaced, *genotypes = rest
+                if type(generation) is not int:
+                    raise CorruptRecord(f"{where} generation {generation!r} is not an int")
+                if replaced is not None and (type(replaced) is not int or not 0 <= replaced < size):
+                    raise CorruptRecord(f"{where} replaced {replaced!r} is not null or an id below {size}")
+                for genotype in genotypes:
+                    if type(genotype) is not str:
+                        raise CorruptRecord(f"{where} genotype {genotype!r} is not a string")
+                expected = next(order, None)
+                if expected is None:
+                    raise CorruptRecord(
+                        f"{where} is a population line past the config echo's {generations} generations"
+                    )
+                if (generation, phase) != expected:
+                    raise CorruptRecord(
+                        f"{where} is the population line of generation {generation} {phase}, "
+                        f"not of generation {expected[0]} {expected[1]}"
+                    )
+                half_step = {"generation": generation, "phase": phase}
+                opponent = ENGAGEMENT_COLUMNS.index(f"{opposite(phase)}_id")
                 continue
             if type(row) is not list or len(row) not in (width, _OUTCOME_AT + 1):
                 raise CorruptRecord(
@@ -291,20 +340,32 @@ class StoredRun:
                 for name, value in zip(outcome_names, row[_OUTCOME_AT:]):
                     if not _JSON_CHECKS["float"](value):
                         raise CorruptRecord(f"{where} {name} {value!r} is not a JSON number")
-                outcomes.append(row[_OUTCOME_AT:])
+                attacker_score = row[_OUTCOME_AT]
+                try:
+                    outcomes.append([attacker_score, defender_score(attacker_score), *row[_OUTCOME_AT + 1 :]])
+                except OverflowError as exc:
+                    message = f"{where} attacker_score {attacker_score!r} is beyond a float"
+                    raise CorruptRecord(message) from exc
+                values = outcomes[-1]
             else:
                 n = row[_OUTCOME_AT]
                 if type(n) is not int or not 0 <= n < len(outcomes):
                     raise CorruptRecord(
                         f"{where} refers to outcome {n!r}, but {len(outcomes)} are written before it"
                     )
-                row = [*row[:_OUTCOME_AT], *outcomes[n]]
+                values = outcomes[n]
             yield {
                 **half_step,
-                **dict(zip(ENGAGEMENT_COLUMNS, [ENGAGEMENT_KINDS[kind], *row[1:]])),
-                "costs": dict(zip(cost_keys, row[costs_at:telemetry_at])),
-                "telemetry": dict(zip(telemetry_keys, row[telemetry_at:])),
+                **dict(zip(ENGAGEMENT_COLUMNS, [ENGAGEMENT_KINDS[kind], *row[1:_OUTCOME_AT]])),
+                "attacker_score": values[0],
+                "defender_score": values[1],
+                "costs": dict(zip(cost_keys, values[2:telemetry_at])),
+                "telemetry": dict(zip(telemetry_keys, values[telemetry_at:])),
             }
+        missing = next(order, None)
+        if missing is not None:
+            generation, phase = missing
+            raise CorruptRecord(f"{path} ends before the population line of generation {generation} {phase}")
 
 
 class ResultsStore:
@@ -367,13 +428,19 @@ class ResultsStore:
         )
 
         outcomes = (e.outcome for cohort in record.cohorts for e in cohort.engagements)
-        first = next(outcomes, EngagementOutcome(0.0, 0.0))
+        # A run with no engagement takes the first rule.
+        first = next(outcomes, EngagementOutcome(0.0, -0.0))
         cost_keys, telemetry_keys = sorted(first.costs), sorted(first.telemetry)
+        rule = next((name for name, derive in SCORE_RULES.items() if _derives(derive, first)), None)
+        derive = SCORE_RULES.get(rule)
+        # An outcome of one value is written in every row: n would be as wide.
+        refers = bool(cost_keys or telemetry_keys)
         width = codon_bytes(record.config.limits.codon_max)
         header = {
             **_engagements_header(record.run_id, width),
             "cost_keys": cost_keys,
             "telemetry_keys": telemetry_keys,
+            "defender_score": rule,
         }
         kind_index = {kind: i for i, kind in enumerate(ENGAGEMENT_KINDS)}
         with (run_dir / "engagements.jsonl").open("w", encoding="utf-8") as handle:
@@ -381,33 +448,32 @@ class ResultsStore:
             encoded: dict[int, str] = {}  # id(outcome) -> its values, encoded
             written: dict[str, int] = {}  # encoded values -> the order they first appeared in
             for cohort in record.cohorts:
-                handle.write(
-                    _dump(
-                        {
-                            "record": "population",
-                            "generation": cohort.generation,
-                            "phase": cohort.phase,
-                            "genotypes": [encode_genotype(m.codons, width) for m in cohort.members],
-                            "replaced": cohort.replaced,
-                        }
-                    )
-                    + "\n"
-                )
+                genotypes = (encode_genotype(m.codons, width) for m in cohort.members)
+                handle.write(_dump([cohort.phase, cohort.generation, cohort.replaced, *genotypes]) + "\n")
                 for kind, k, a, d, outcome in cohort.engagements:
                     # An environment may return one outcome for many engagements,
                     # so each is checked and encoded once.
                     if id(outcome) not in encoded:
                         costs, telemetry = outcome.costs, outcome.telemetry
-                        if sorted(costs) != cost_keys or sorted(telemetry) != telemetry_keys:
-                            raise ValueError(
+                        keyed = sorted(costs) == cost_keys and sorted(telemetry) == telemetry_keys
+                        if not keyed or derive is None or not _derives(derive, outcome):
+                            engagement = (
                                 f"generation {cohort.generation} {cohort.phase} {kind} engagement {k} "
-                                f"(attacker {a}, defender {d}) has cost keys {sorted(costs)} and "
-                                f"telemetry keys {sorted(telemetry)}, not the run's {cost_keys} and "
-                                f"{telemetry_keys}"
+                                f"(attacker {a}, defender {d})"
+                            )
+                            if not keyed:
+                                raise ValueError(
+                                    f"{engagement} has cost keys {sorted(costs)} and telemetry keys "
+                                    f"{sorted(telemetry)}, not the run's {cost_keys} and {telemetry_keys}"
+                                )
+                            rules = " or ".join(map(repr, [rule] if rule else SCORE_RULES))
+                            raise ValueError(
+                                f"{engagement} has defender score {outcome.defender_score!r}, which is "
+                                f"not {rules} of its attacker score {outcome.attacker_score!r}, bit for "
+                                "bit: every outcome of a run follows the rule its first outcome follows"
                             )
                         values = (
                             outcome.attacker_score,
-                            outcome.defender_score,
                             *(costs[key] for key in cost_keys),
                             *(telemetry[key] for key in telemetry_keys),
                         )
@@ -416,6 +482,7 @@ class ResultsStore:
                     n = written.get(values)
                     if n is None:
                         written[values] = len(written)
+                    if n is None or not refers:
                         handle.write(f"[{kind_index[kind]},{k},{a},{d},{values}]\n")
                     else:
                         handle.write(f"[{kind_index[kind]},{k},{a},{d},{n}]\n")

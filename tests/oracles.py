@@ -711,16 +711,18 @@ def stored_sentence(run_dir):
 def v1_engagements(run_dir) -> list[dict]:
     """The engagement records of a stored run as format 1 wrote them, less run.
 
-    The rows of the stored format 5 log get back their kind's name from the
+    The rows of the stored format 6 log get back their kind's name from the
     header's kinds, a row that refers to an outcome gets back the values of
-    the row that first wrote them, and each row gets back its costs and
-    telemetry dicts from the header's keys, and each genotype its codon list
-    and the sentence ``stored_sentence`` derives from it.
+    the row that first wrote them, and each row gets back its defender score
+    by the header's rule, its costs and telemetry dicts from the header's keys,
+    and each genotype its codon list and the sentence ``stored_sentence``
+    derives from it.
     Each record gets back both individuals' genotype and sentence. A candidate
-    row's own individual comes from its half-step's population line, an
-    incumbent row's from the role's population before the half-step, and the
-    opponent from the other role's latest population. After a half-step's
-    rows, its incumbent takes the replaced slot of its population.
+    row's own individual comes from its half-step's population line
+    (``[phase, generation, replaced, *genotypes]``), an incumbent row's from
+    the role's population before the half-step, and the opponent from the
+    other role's latest population. After a half-step's rows, its incumbent
+    takes the replaced slot of its population.
     """
     lines = (Path(run_dir) / "engagements.jsonl").read_text(encoding="utf-8").splitlines()
     sentence = stored_sentence(run_dir)
@@ -728,20 +730,24 @@ def v1_engagements(run_dir) -> list[dict]:
     columns, costs, telemetry = header["columns"], header["cost_keys"], header["telemetry_keys"]
     costs_at, telemetry_at = len(columns), len(columns) + len(costs)
     outcome_at = columns.index("attacker_score")
+    defender_score = {"negated": lambda a: -a, "one_minus": lambda a: 1.0 - a}[header["defender_score"]]
     outcomes = []  # the outcome values of each row that wrote them, in order
     half_steps = []
     for line in lines[1:]:
         item = json.loads(line)
-        if isinstance(item, dict):
-            half_steps.append((item, []))
+        if isinstance(item[0], str):
+            phase, generation, replaced, *genotypes = item
+            population = {"phase": phase, "generation": generation, "replaced": replaced, "genotypes": genotypes}
+            half_steps.append((population, []))
         else:
-            if len(item) == outcome_at + 1:
+            if len(item) == outcome_at + 1 and len(item) != telemetry_at + len(telemetry):
                 item = item[:outcome_at] + outcomes[item[outcome_at]]
             else:
                 assert len(item) == telemetry_at + len(telemetry)
                 outcomes.append(item[outcome_at:])
             item[0] = header["kinds"][item[0]]
             row = dict(zip(columns, item))
+            row["defender_score"] = defender_score(row["attacker_score"])
             row["costs"] = dict(zip(costs, item[costs_at:telemetry_at]))
             row["telemetry"] = dict(zip(telemetry, item[telemetry_at:]))
             half_steps[-1][1].append(row)

@@ -251,16 +251,41 @@ class TestEngage:
         assert 0.0 <= first.costs["defender_cost"] <= 1.0
 
 
+def add_links(draw, nodes, edges, most):
+    """edges with up to most more links between nodes drawn, none repeated."""
+    n = len(nodes)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=most)):
+        if a != b and (nodes[b], nodes[a]) not in edges:
+            edges.add((nodes[a], nodes[b]))
+    return edges
+
+
 @st.composite
 def scenarios(draw):
-    """A connected scenario."""
+    """A connected scenario: a tree with up to n more links."""
     n = draw(st.integers(2, 7))
     # listed out of id order, so the ring order differs from the node order
     nodes = tuple(draw(st.permutations([f"n{i}" for i in range(n)])))
     edges = {(nodes[draw(st.integers(0, i - 1))], nodes[i]) for i in range(1, n)}
-    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
-        if a != b and (nodes[b], nodes[a]) not in edges:
-            edges.add((nodes[a], nodes[b]))
+    return draw(scenarios_on(nodes, add_links(draw, nodes, edges, n)))
+
+
+@st.composite
+def chorded_cycles(draw):
+    """A connected scenario: a cycle of 5 to 12 nodes with up to 3 chords.
+
+    Most pairs of nodes are joined by paths of several lengths, so a route
+    search that does not visit nodes nearest first finds a longer one.
+    """
+    n = draw(st.integers(5, 12))
+    nodes = tuple(draw(st.permutations([f"n{i}" for i in range(n)])))
+    edges = {(nodes[i], nodes[(i + 1) % n]) for i in range(n)}
+    return draw(scenarios_on(nodes, add_links(draw, nodes, edges, 3)))
+
+
+@st.composite
+def scenarios_on(draw, nodes, edges):
+    """A scenario on the graph of nodes and edges, with its tasks, horizon and costs drawn."""
     horizon = draw(st.integers(1, 14))
     tasks = []
     for _ in range(draw(st.integers(1, 4))):
@@ -309,7 +334,7 @@ def defenses(draw, scenario):
 @st.composite
 def ddos_cases(draw):
     """A connected scenario, an interpreted attack and a defense for it."""
-    scenario = draw(scenarios())
+    scenario = draw(scenarios() | chorded_cycles())
     return draw(attacks(scenario)), draw(defenses(scenario)), scenario
 
 
@@ -321,7 +346,7 @@ def warm_cases(draw):
     route table rows that earlier ones filled, under the same and under other
     defenses.
     """
-    scenario = draw(scenarios())
+    scenario = draw(scenarios() | chorded_cycles())
     attack_pool = draw(st.lists(attacks(scenario), min_size=1, max_size=4))
     defense_pool = draw(st.lists(defenses(scenario), min_size=1, max_size=4))
     pairs = st.tuples(st.sampled_from(attack_pool), st.sampled_from(defense_pool))

@@ -24,9 +24,11 @@ import coevarena.store as store_module
 from coevarena import CompetitionStructure, EvolutionConfig, SelectionScheme
 from coevarena.cli import ConfigError, load_experiment_config, main
 from coevarena.data import data_path
+from coevarena.engagement import EngagementOutcome
 from coevarena.engine.config import cast_entries
 from coevarena.grammar import GenotypeLimits, MappingConfig
 from coevarena.store import (
+    FORMAT_VERSION,
     CorruptRecord,
     ResultsStore,
     UnknownRun,
@@ -55,6 +57,11 @@ def assert_one_error_line(capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     assert "Traceback" not in err
     return err
+
+
+def population_line(phase="attacker", generation=3, replaced=None, genotypes=("AAAA",) * 4) -> str:
+    """A format 6 population line, by default one past the small ddos store's generations."""
+    return json.dumps([phase, generation, replaced, *genotypes])
 
 
 def replay_best_fitness(records, config):
@@ -473,7 +480,7 @@ class TestCmdInspect:
         manifest_path = store_with_run / store.entries()[0]["dir"] / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest_path.write_text(json.dumps({**manifest, "format_version": 1}))
-        message = r"format_version 1, but this coevarena reads format_version 5; re-run its config"
+        message = rf"format_version 1, but this coevarena reads format_version {FORMAT_VERSION}; re-run its config"
         with pytest.raises(CorruptRecord, match=message):
             store.load_all()
 
@@ -487,7 +494,7 @@ class TestCmdInspect:
         assert run_cli(command, "--store", store_with_run, *args) == 1
         assert assert_one_error_line(capsys) == (
             f"error: CorruptRecord: {run_dir}: stored in format_version 2, but this coevarena "
-            "reads format_version 5; re-run its config to store it again\n"
+            f"reads format_version {FORMAT_VERSION}; re-run its config to store it again\n"
         )
 
     def test_load_by_run_id(self, store_with_run):
@@ -1021,12 +1028,12 @@ class TestShippedData:
         # change to the log format must update these digests in the same change.
         expected = {
             ("ddos_smoke.cfg", 11): (
-                "0e38c50140f6fb03d5832ebcf2da36a14a7c5123ac9bc1a03f68f8fdf26203f0",
-                "497771ec8632ec42b1e33443e8f92f5ccbe4465f2b1d8f99fdd380c9ee4ad5f5",
+                "a8fb0351d5638a5d079ca188045e9e0306e42f50cba2f1f2eed9bbc49d797434",
+                "efd6398029007896953f13c0b89009aab1fe231c610fb7ebca01a918e05afaa4",
             ),
             ("contagion_star.cfg", 7): (
-                "25814a5b1d8967358b173ffd1ea781cd52c1ff1bbb59a93fcd104b29de319da5",
-                "db9a201212dc89cc2c9e4e97e4877ef838a994f6bd8af794d340cb3f4c6ef310",
+                "ac4ba0f46f829c2f1922732bd281f800d2c31cc8260dadb78017e9d4950356bb",
+                "ecdb84b0f1318cf5ac1c9112cdaec626a0ca814c0e9db23df7b16d0b10fb5788",
             ),
         }
         for key, digests in expected.items():
@@ -1040,9 +1047,9 @@ class TestShippedData:
         # sha256 of the format 1 engagement records of both shipped configs,
         # with run and the telemetry keys cleanses, mean_delay,
         # mission_duration, trials, tasks_total, node_cost and message_cost
-        # removed. The format 5 log, with kind names, referred outcomes,
-        # costs, telemetry and genotypes put back, and each sentence derived
-        # from its genotype, must match.
+        # removed. The format 6 log, with kind names, referred outcomes,
+        # defender scores, costs, telemetry and genotypes put back, and each
+        # sentence derived from its genotype, must match.
         expected = {
             ("ddos_smoke.cfg", 11): "de421434855e3d612605ea4fec0e44f6ae1a6bf0cd65a805430cde2946458b4b",
             ("contagion_star.cfg", 7): "dff4af542356fd7b856594708e36899baf8ef1b083f3bad49118202b955df7f3",
@@ -1075,15 +1082,12 @@ class TestShippedData:
             assert list(stored.engagement_records()) == expected, key
             lines = [json.loads(line) for line in (run_dir / "engagements.jsonl").read_text().splitlines()]
             assert lines[0]["codon_bytes"] == 2
-            genotypes = [
-                [decode_genotype(text, 2) for text in line["genotypes"]]
-                for line in lines
-                if type(line) is dict and line["record"] == "population"
-            ]
+            populations = [line for line in lines[1:] if type(line[0]) is str]
+            genotypes = [[decode_genotype(text, 2) for text in line[3:]] for line in populations]
             assert genotypes == [[list(m.codons) for m in cohort.members] for cohort in record.cohorts], key
-            assert {
-                tuple(sorted(line)) for line in lines[1:] if type(line) is dict
-            } == {("generation", "genotypes", "phase", "record", "replaced")}, key
+            assert [line[:3] for line in populations] == [
+                [cohort.phase, cohort.generation, cohort.replaced] for cohort in record.cohorts
+            ], key
 
     def test_each_distinct_outcome_is_written_once(self, shipped_records):
         run_dir, record = shipped_records["ddos_smoke.cfg", 11]
@@ -1098,8 +1102,8 @@ class TestShippedData:
             for *_, o in cohort.engagements
         }
         lines = (run_dir / "engagements.jsonl").read_text(encoding="utf-8").splitlines()
-        rows = [row for row in map(json.loads, lines) if type(row) is list]
-        assert Counter(map(len, rows)) == {11: len(distinct), 5: len(rows) - len(distinct)}
+        rows = [row for row in map(json.loads, lines) if type(row) is list and type(row[0]) is int]
+        assert Counter(map(len, rows)) == {10: len(distinct), 5: len(rows) - len(distinct)}
 
     def test_inspect_totals_are_the_pinned_work_counts(self, shipped_runs, capsys):
         # tests/test_work_counts.py pins these counts on each run in memory;
@@ -1125,7 +1129,7 @@ class TestShippedData:
         store_dir = Path(shutil.copytree(run_dir.parent, tmp_path / "store"))
         log = store_dir / run_dir.name / "engagements.jsonl"
         with log.open("a", encoding="utf-8") as handle:
-            handle.write('[0,"x",null,99,"a","b",{},[],1,2,3]\n')
+            handle.write('[0,"x",null,99,"a",{},[],1,2,3]\n')
         number = len(log.read_text(encoding="utf-8").splitlines())
         assert run_cli("inspect", run_dir.name, "--store", store_dir) == 1
         assert assert_one_error_line(capsys) == (
@@ -1215,20 +1219,92 @@ class TestEngagementLogFormat:
         assert [p.name for p in store.root.iterdir()] == []
 
     @pytest.mark.parametrize(
+        "scores, bad",
+        [
+            # the first outcome follows no rule: 0.0 is not -(0.0), bit for bit
+            ({0: (0.0, 0.0)}, 0),
+            ({0: (0.5, 2.0)}, 0),
+            # the first follows 'negated', the third 'one_minus'
+            ({2: (0.25, 0.75)}, 2),
+        ],
+    )
+    def test_outcome_that_follows_no_rule_of_the_run_is_refused_and_nothing_is_left(self, tmp_path, scores, bad):
+        class Scripted(ScriptedEnvironment):
+            """Scores call n as scores says, every other call 0.25 to -0.25; telemetry 'call' n."""
+
+            calls = 0
+
+            def engage(self, attack, defense, key):
+                a, d = scores.get(self.calls, (0.25, -0.25))
+                self.calls += 1
+                return EngagementOutcome(a, d, telemetry={"call": float(self.calls - 1)})
+
+        grammar = coevarena.parse_bnf("<s> ::= a | b")
+        cfg = EvolutionConfig(generations=1, attacker_population=3, defender_population=3)
+        record = coevarena.run_alternating(cfg, grammar, grammar, Scripted())
+        cohort, engagement = next(
+            (cohort, e) for cohort in record.cohorts for e in cohort.engagements if e.outcome.telemetry["call"] == bad
+        )
+        inputs = [tmp_path / name for name in ("a.bnf", "d.bnf", "s.cfg")]
+        for path in inputs:
+            path.write_text("", encoding="utf-8")
+        store = ResultsStore(tmp_path / "store")
+        a, d = scores[bad]
+        rules = "'negated' or 'one_minus'" if bad == 0 else "'negated'"
+        message = (
+            f"generation {cohort.generation} {cohort.phase} {engagement.kind} engagement "
+            f"{engagement.pair_index} (attacker {engagement.attacker_id}, defender {engagement.defender_id}) "
+            f"has defender score {d!r}, which is not {rules} of its attacker score {a!r}, bit for bit"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            store.add_run(record, {}, *inputs)
+        assert [p.name for p in store.root.iterdir()] == []
+
+    def test_outcome_of_one_value_is_written_in_every_row(self, tmp_path):
+        # ScriptedEnvironment scores every engagement 0.0 to -0.0 and charges
+        # nothing. With no cost or telemetry a reference would be as wide as the
+        # attacker's score, so every row writes it; the defender's score reads
+        # back as -0.0, bit for bit.
+        grammar = coevarena.parse_bnf("<s> ::= a | b")
+        cfg = EvolutionConfig(generations=2, attacker_population=3, defender_population=3)
+        record = coevarena.run_alternating(cfg, grammar, grammar, ScriptedEnvironment())
+        inputs = [tmp_path / name for name in ("a.bnf", "d.bnf", "s.cfg")]
+        for path in inputs:
+            path.write_text("<s> ::= a | b\n", encoding="utf-8")
+        manifest = {
+            "format_version": FORMAT_VERSION,
+            "run_id": record.run_id,
+            "seed": cfg.master_seed,
+            "environment": ScriptedEnvironment.environment_id,
+            "algorithm_label": "alternating",
+            "config": record.config.to_dict(),
+            **{key: {"sha256": store_module.sha256_file(p)} for key, p in zip(store_module.STORED_INPUTS, inputs)},
+        }
+        store = ResultsStore(tmp_path / "store")
+        run = store.load(store.add_run(record, manifest, *inputs))
+        header, *items = map(json.loads, (run.run_dir / "engagements.jsonl").read_text().splitlines())
+        assert header["defender_score"] == "negated"
+        rows = [item for item in items if type(item[0]) is int]
+        assert len(rows) == sum(len(cohort.engagements) for cohort in record.cohorts) > 0
+        assert all(row[4:] == [0.0] and type(row[4]) is float for row in rows)
+        scores = {(r["attacker_score"].hex(), r["defender_score"].hex()) for r in run.engagement_records()}
+        assert scores == {("0x0.0p+0", "-0x0.0p+0")}
+
+    @pytest.mark.parametrize(
         "row",
-        ["[]", '["candidate",0,0,0,0.5,0.5]', "[0,0,0,0]", "[0,0,0,0,0,0]", "[0,0,0,0,0,0,0,0,0,0]",
-         "[0,0,0,0,0,0,0,0,0,0,0,0]", "5", '"x"'],
+        ["[]", "[0,0,0,0]", "[0,0,0,0,0,0]", "[0,0,0,0,0,0,0,0,0]", "[0,0,0,0,0,0,0,0,0,0,0]", "5", '"x"',
+         '{"record": "population", "generation": 3, "phase": "attacker"}'],
     )
     def test_row_that_is_not_the_headers_is_one_corrupt_record(self, tmp_path, row):
         log, records = edited_records(tmp_path, lambda lines: [*lines, row])
         number = len(log.read_text().splitlines())
-        with pytest.raises(CorruptRecord, match=re.escape(f"{log} line {number} is not a row of the header's 11 values")):
+        with pytest.raises(CorruptRecord, match=re.escape(f"{log} line {number} is not a row of the header's 10 values")):
             list(records)
 
     @pytest.mark.parametrize("reference", ["next", -1, 0.0, "0", True, None])
     def test_reference_to_no_written_outcome_is_one_corrupt_record(self, tmp_path, reference):
         def edit(lines):
-            written = sum(line.startswith("[") and len(json.loads(line)) == 11 for line in lines)
+            written = sum(type(row[0]) is int and len(row) == 10 for row in map(json.loads, lines[1:]))
             n = written if reference == "next" else reference
             return [*lines, json.dumps([0, 0, 0, 0, n])]
 
@@ -1240,7 +1316,8 @@ class TestEngagementLogFormat:
     def test_first_row_that_refers_to_an_outcome_is_one_corrupt_record(self, tmp_path):
         # Line 5 is the log's first row: no outcome is written before it.
         def edit(lines):
-            assert all(line.startswith("{") for line in lines[:4]) and lines[4].startswith("[")
+            assert all(type(json.loads(line)[0]) is str for line in lines[1:4])
+            assert type(json.loads(lines[4])[0]) is int
             return [*lines[:4], json.dumps([*json.loads(lines[4])[:4], 0]), *lines[5:]]
 
         log, records = edited_records(tmp_path, edit)
@@ -1248,7 +1325,7 @@ class TestEngagementLogFormat:
         with pytest.raises(CorruptRecord, match=re.escape(message)):
             list(records)
 
-    @pytest.mark.parametrize("kind", [2, -1, "candidate", True, None])
+    @pytest.mark.parametrize("kind", [2, -1, 0.5, True, None])
     @pytest.mark.parametrize("shape", ["values", "reference"])
     def test_kind_that_is_not_an_index_into_kinds_is_one_corrupt_record(self, tmp_path, kind, shape):
         def edit(lines):
@@ -1318,7 +1395,7 @@ class TestEngagementLogFormat:
 
         def edit(lines):
             nonlocal population
-            population = max(i for i, line in enumerate(lines) if f'"phase":"{phase}"' in line) + 1
+            population = max(i for i, line in enumerate(lines) if line.startswith(f'["{phase}",')) + 1
             return [*lines[:population], incumbent_row(2), incumbent_row(1), *lines[population:]]
 
         log, records = edited_records(tmp_path, edit)
@@ -1326,7 +1403,7 @@ class TestEngagementLogFormat:
         with pytest.raises(CorruptRecord, match=re.escape(message)):
             list(records)
 
-    @pytest.mark.parametrize("at", [4, 5, 6, 10])
+    @pytest.mark.parametrize("at", [4, 5, 6, 9])
     @pytest.mark.parametrize("value", ["0.5", True, None, [], {}])
     def test_outcome_value_that_is_not_a_number_is_one_corrupt_record(self, tmp_path, at, value):
         def edit(lines):
@@ -1342,13 +1419,42 @@ class TestEngagementLogFormat:
         with pytest.raises(CorruptRecord, match=re.escape(message)):
             list(records)
 
+    def test_attacker_score_beyond_a_float_is_one_corrupt_record(self, tmp_path):
+        # the small store is ddos's: its defender scores are 1.0 - a, and a JSON
+        # int of 400 digits is no float
+        def edit(lines):
+            row = json.loads(lines[4])
+            return [*lines, json.dumps([*row[:4], 10**400, *row[5:]])]
+
+        log, records = edited_records(tmp_path, edit)
+        number = len(log.read_text().splitlines())
+        message = f"{log} line {number} attacker_score {10**400!r} is beyond a float"
+        with pytest.raises(CorruptRecord, match=re.escape(message)):
+            list(records)
+
     @pytest.mark.parametrize(
         "edit, number, message",
         [
-            (lambda lines: [*lines, '{"record": "population"}'], -1, "lacks key 'generation'"),
-            (lambda lines: [*lines, '{"record": "halfstep", "generation": 1, "phase": "attacker"}'], -1,
-             "key 'record' is not 'population'"),
             (lambda lines: [lines[0], *lines[4:]], 2, "is a row before any population line"),
+            # appended: the small store's populations are 4 a side, its generations 0 to 2
+            *(
+                (lambda lines, line=line: [*lines, line], -1, message)
+                for line, message in [
+                    ('["attacker"]', "is not a population line of phase, generation, replaced and 4 genotypes"),
+                    (population_line(genotypes=["AAAA"] * 5), "replaced and 4 genotypes"),
+                    (population_line(phase="candidate"), "phase 'candidate' is not a role"),
+                    *((population_line(generation=g), f"generation {g!r} is not an int") for g in ["3", 3.0, True, None]),
+                    *(
+                        (population_line(replaced=r), f"replaced {r!r} is not null or an id below 4")
+                        for r in ["0", -1, 4, True, 0.5]
+                    ),
+                    *(
+                        (population_line(genotypes=["AAAA", "AAAA", "AAAA", g]), f"genotype {g!r} is not a string")
+                        for g in [5, None, []]
+                    ),
+                    (population_line(), "is a population line past the config echo's 2 generations"),
+                ]
+            ),
         ],
     )
     def test_population_line_out_of_place_is_one_corrupt_record(self, tmp_path, edit, number, message):
@@ -1358,28 +1464,80 @@ class TestEngagementLogFormat:
             list(records)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, at, message",
         [
-            lambda header: {"record": "halfstep"},
-            lambda header: {"format_version": 2},
-            lambda header: {"run": "other-s1"},
-            lambda header: {"codon_bytes": 4},
-            lambda header: {"kinds": ["incumbent", "candidate"]},
-            lambda header: {"columns": header["columns"][::-1]},
+            # blocks[i] is population line i and its rows: generations 0, 1 and 2, attacker first
+            (lambda b: [*b[:4], [b[4][0].replace('["attacker",2,', '["attacker",7,'), *b[4][1:]], *b[5:]], 4,
+             "is the population line of generation 7 attacker, not of generation 2 attacker"),
+            (lambda b: [b[1], b[0], *b[2:]], 0,
+             "is the population line of generation 0 defender, not of generation 0 attacker"),
+            (lambda b: [*b[:4], b[3][:1], *b[4:]], 4,
+             "is the population line of generation 1 defender, not of generation 2 attacker"),
+            (lambda b: [*b[:3], *b[4:]], 3,
+             "is the population line of generation 2 attacker, not of generation 1 defender"),
+            (lambda b: [*b, b[5][:1]], 6, "is a population line past the config echo's 2 generations"),
+            (lambda b: b[:5], None, "ends before the population line of generation 2 defender"),
         ],
     )
-    def test_header_that_is_not_the_runs_is_one_corrupt_record(self, tmp_path, edit):
+    def test_population_lines_out_of_order_are_one_corrupt_record(self, tmp_path, edit, at, message):
+        # A lost, repeated or swapped population line, each with or without its
+        # rows, or one whose generation moved: the reader names the first line
+        # that is not the next population line, or the log that ends before it.
+        def edit_blocks(lines):
+            starts = [i for i, line in enumerate(lines) if line.startswith('["')]
+            blocks = [lines[start:end] for start, end in zip(starts, [*starts[1:], len(lines)])]
+            assert len(blocks) == 6 and all(len(block) == 1 for block in blocks[:2])
+            return [lines[0], *(line for block in edit(blocks) for line in block)]
+
+        log, records = edited_records(tmp_path, edit_blocks)
+        numbers = [n for n, line in enumerate(log.read_text().splitlines(), 1) if line.startswith('["')]
+        where = f"{log} ends" if at is None else f"{log} line {numbers[at]} is"
+        with pytest.raises(CorruptRecord, match=re.escape(where) + " " + re.escape(message.split(" ", 1)[1])):
+            list(records)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            *(
+                (edit, "is not this run's header")
+                for edit in [
+                    lambda header: {"record": "halfstep"},
+                    lambda header: {"format_version": 2},
+                    lambda header: {"run": "other-s1"},
+                    lambda header: {"codon_bytes": 4},
+                    lambda header: {"kinds": ["incumbent", "candidate"]},
+                    lambda header: {"columns": header["columns"][::-1]},
+                    lambda header: {"columns": [*header["columns"], "defender_score"]},
+                ]
+            ),
+            # ... drops the key
+            (lambda header: {"defender_score": ...}, "lacks key 'defender_score'"),
+            *(
+                (lambda header, rule=rule: {"defender_score": rule},
+                 f"key 'defender_score' is not 'negated' | 'one_minus': {rule!r}")
+                for rule in ["minus_one", "", None, 1, ["one_minus"], {}]
+            ),
+        ],
+    )
+    def test_header_that_is_not_the_runs_is_one_corrupt_record(self, tmp_path, edit, message):
         def edit_header(lines):
-            header = json.loads(lines[0])
-            return [json.dumps({**header, **edit(header)}), *lines[1:]]
+            header = {**json.loads(lines[0]), **edit(json.loads(lines[0]))}
+            return [json.dumps({key: value for key, value in header.items() if value is not ...}), *lines[1:]]
 
         log, records = edited_records(tmp_path, edit_header)
-        with pytest.raises(CorruptRecord, match=re.escape(f"{log} line 1 is not this run's header")):
+        with pytest.raises(CorruptRecord, match=re.escape(f"{log} line 1 {message}")):
             list(records)
 
     def test_format_3_log_is_one_corrupt_record(self, tmp_path):
         log, records = edited_records(tmp_path, format_3_log)
         assert '"format_version":3' in log.read_text().splitlines()[0]
+        with pytest.raises(CorruptRecord, match=re.escape(f"{log} line 1 is not this run's header")):
+            list(records)
+
+    def test_format_5_log_is_one_corrupt_record(self, tmp_path):
+        log, records = edited_records(tmp_path, format_5_log)
+        lines = log.read_text().splitlines()
+        assert '"format_version":5' in lines[0] and '"record":"population"' in lines[1]
         with pytest.raises(CorruptRecord, match=re.escape(f"{log} line 1 is not this run's header")):
             list(records)
 
@@ -1440,8 +1598,9 @@ def small_ddos_store():
     the directory when the process exits.
 
     A location is (file name, line index, key path) of one JSON value in the
-    index line, the manifest or a halfsteps.jsonl line; of a list, only its
-    first item is one.
+    index line, the manifest, a halfsteps.jsonl line or an engagements.jsonl
+    line but a row; of a list, only its first item is one, but of a population
+    line its first four: phase, generation, replaced and a genotype.
     """
     holder = tempfile.TemporaryDirectory(prefix="coevarena-small-store-")
     root = Path(holder.name)
@@ -1453,15 +1612,18 @@ def small_ddos_store():
 
     def paths(value, path=()):
         yield path
-        items = value.items() if type(value) is dict else enumerate(value[:1]) if type(value) is list else ()
+        first = 4 if path == () else 1
+        items = value.items() if type(value) is dict else enumerate(value[:first]) if type(value) is list else ()
         for key, item in items:
             yield from paths(item, (*path, key))
 
     run_dir = ResultsStore(store_dir).entries()[0]["dir"]
     locations = []
-    for name in ("index.jsonl", "manifest.json", "halfsteps.jsonl"):
+    for name in ("index.jsonl", "manifest.json", "halfsteps.jsonl", "engagements.jsonl"):
         for number, document in enumerate(json_documents(store_file(store_dir, run_dir, name))):
-            locations.extend((name, number, path) for path in paths(json.loads(document)))
+            value = json.loads(document)
+            if type(value) is not list or type(value[0]) is str:
+                locations.extend((name, number, path) for path in paths(value))
     return holder, store_dir, run_dir, locations
 
 
@@ -1479,12 +1641,32 @@ def edited_records(tmp_path: Path, edit):
 _dump_line = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
+def format_5_log(lines: list[str]) -> list[str]:
+    """The lines of a small ddos store's format 6 engagement log as format 5
+    wrote them: each population line an object, and the defender's score a
+    column of the header and a value after the attacker's in each row that
+    writes its outcome."""
+    header, *items = map(json.loads, lines)
+    assert header.pop("defender_score") == "one_minus"
+    for i, item in enumerate(items):
+        if type(item[0]) is str:
+            phase, generation, replaced, *genotypes = item
+            items[i] = {
+                "record": "population", "generation": generation, "phase": phase,
+                "genotypes": genotypes, "replaced": replaced,
+            }
+        elif len(item) > 5:
+            items[i] = [*item[:5], 1.0 - item[4], *item[5:]]
+    columns = [*header["columns"], "defender_score"]
+    return [_dump_line({**header, "columns": columns, "format_version": 5}), *map(_dump_line, items)]
+
+
 def format_4_log(lines: list[str]) -> list[str]:
-    """The lines of a small ddos store's format 5 engagement log as format 4
-    wrote them: each population line with its genotypes' sentences."""
+    """The lines of a small ddos store's format 6 engagement log as format 4
+    wrote them: format 5's, each population line with its genotypes' sentences."""
     _, store_dir, run_dir, _ = small_ddos_store()
     sentence = stored_sentence(store_dir / run_dir)
-    header, *items = map(json.loads, lines)
+    header, *items = map(json.loads, format_5_log(lines))
     for item in items:
         if type(item) is dict:
             genotypes = (decode_genotype(text, header["codon_bytes"]) for text in item["genotypes"])
@@ -1493,7 +1675,7 @@ def format_4_log(lines: list[str]) -> list[str]:
 
 
 def format_3_log(lines: list[str]) -> list[str]:
-    """The lines of a small ddos store's format 5 engagement log as format 3
+    """The lines of a small ddos store's format 6 engagement log as format 3
     wrote them: format 4's, with no kinds in the header, each kind by name and
     each outcome's values in every row."""
     header, *items = map(json.loads, format_4_log(lines))
@@ -1519,7 +1701,7 @@ def json_documents(path: Path) -> list[str]:
     return [text] if path.name == "manifest.json" else text.splitlines()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=450, deadline=None)
 @given(
     location=st.deferred(lambda: st.sampled_from(small_ddos_store()[3])),
     value=st.one_of(
