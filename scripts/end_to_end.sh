@@ -277,3 +277,22 @@ expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
   --store "$RUNNER_TEMP/store-generation7"
 grep -q "engagements.jsonl line [0-9]* is the population line of generation 7 attacker, not of generation 2 attacker" \
   "$RUNNER_TEMP/bad.err"
+# And a row after a generation-0 population line: generation 0 plays no
+# engagements, so the first row copied to line 3 is one no half-step played.
+cp -r "$RUNNER_TEMP/store-ddos_smoke" "$RUNNER_TEMP/store-generation0row"
+for log in "$RUNNER_TEMP"/store-generation0row/*/engagements.jsonl; do
+  sed -i "2a $(grep -m 1 '^\[[0-9]' "$log")" "$log"
+done
+expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
+  --store "$RUNNER_TEMP/store-generation0row"
+grep -q "engagements.jsonl line 3 is a row of generation 0, which plays no engagements" "$RUNNER_TEMP/bad.err"
+# And a population genotype that is not base64: generation 0's first defender.
+cp -r "$RUNNER_TEMP/store-ddos_smoke" "$RUNNER_TEMP/store-badgenotype"
+for log in "$RUNNER_TEMP"/store-badgenotype/*/engagements.jsonl; do
+  sed -i '3s/^\["defender",0,null,"[^"]*"/["defender",0,null,"!!!"/' "$log"
+  grep -q '^\["defender",0,null,"!!!",' "$log"
+done
+expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
+  --store "$RUNNER_TEMP/store-badgenotype"
+grep -q "engagements.jsonl line 3 genotype '!!!' is not base64 of one or more 2-byte codons below 65536" \
+  "$RUNNER_TEMP/bad.err"

@@ -15,8 +15,11 @@ An environment that wants n sub-streams, the children of
 ``key.seed_sequence().spawn(n)``, can take their PCG64 states at once from
 ``key.sibling_states(range(n))``: the children share every entropy word but
 the last, so numpy's SeedSequence hashes the shared words once and the rest
-runs as numpy arrays across all n. The contagion simulator seeds its trials
-this way.
+runs as numpy arrays across all n; the part of that which depends only on
+the key's word count and the range of children is built once and kept. The
+contagion simulator seeds its trials this way. A single stream, ``generator``,
+runs the same output stage on its key's pool, in place of numpy's
+``generate_state``.
 
 The prefix-child rule: when a key has at least four words, SeedSequence's
 pool size, child i of its SeedSequence is exactly the stream of
@@ -37,7 +40,8 @@ on a Generator as that loop of ``random`` calls. A stream is only its PCG64
 ``(state, inc)``: it takes its words a block of 64 at a time from one shared
 ``PCG64``, set to the stream's state, and then moves its own state past the
 block by a precomputed LCG jump. Setting that state is the module's one
-write to a bit generator, and ``fill_random`` uses it too. numpy's
+write to a bit generator, and ``fill_random`` uses it too; it rewrites one
+module-level state dict rather than building one per block. numpy's
 stream-compatibility policy (NEP 19) promises the bit generators' raw
 streams, not ``Generator``'s distribution algorithms, so
 ``tests/test_rng.py::TestStreamMatchesGenerator`` checks every draw against
@@ -48,6 +52,7 @@ once; separate processes are fine.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from collections.abc import Iterator
@@ -68,10 +73,9 @@ _HASH_INIT_A = 0x43B0D7E5
 _HASH_MULT_A = 0x931E8875
 _HASH_INIT_B = 0x8B51F9DD
 _HASH_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_MIX_MULT_R_COLUMN = np.array([[_MIX_MULT_R]], dtype=np.uint32)
-_OUTPUT_ROWS = [k % _POOL_SIZE for k in range(2 * _POOL_SIZE)]
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_OUTPUT_ROWS = np.array([k % _POOL_SIZE for k in range(2 * _POOL_SIZE)])
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # _BLOCK PCG64 steps as one: state -> state * _JUMP_MULT + inc * _JUMP_INC
 _JUMP_MULT = pow(_PCG64_MULT, _BLOCK, 2**128)
@@ -82,13 +86,15 @@ _BITS = np.random.PCG64(0)
 _RANDOM = np.random.Generator(_BITS).random
 
 
+# The one state dict _seat rewrites: the PCG64 setter only reads it, so no seat needs its own.
+_SEATED = {"state": 0, "inc": 0}
+_SEATING = {"bit_generator": "PCG64", "state": _SEATED, "has_uint32": 0, "uinteger": 0}
+
+
 def _seat(state: int, inc: int) -> None:
-    _BITS.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    _SEATED["state"] = state
+    _SEATED["inc"] = inc
+    _BITS.state = _SEATING
 
 
 def _pcg64_seeded(initstate: int, initseq: int) -> tuple[int, int]:
@@ -110,14 +116,40 @@ def _int_words(part: int) -> list[int]:
 
 
 def _constants(start: int, mult: int, count: int) -> np.ndarray:
-    """start, start*mult, ..., start*mult**count (mod 2**32) as a uint32 column."""
+    """start, start*mult, ..., start*mult**count (mod 2**32) as a uint32 array."""
     values = [start]
     for _ in range(count):
         values.append(values[-1] * mult & _WORD_MASK)
-    return np.array(values, dtype=np.uint32)[:, None]
+    return np.array(values, dtype=np.uint32)
 
 
 _OUTPUT_CONSTS = _constants(_HASH_INIT_B, _HASH_MULT_B, len(_OUTPUT_ROWS))
+_OUTPUT_XOR, _OUTPUT_MULT = _OUTPUT_CONSTS[:-1], _OUTPUT_CONSTS[1:]
+
+
+def _pool_states(pools: np.ndarray) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` seeded from each row of a (..., 4) uint32 array
+    of SeedSequence pools: ``generate_state(4, np.uint64)``'s eight words,
+    cycling through the pool, joined little-endian as numpy joins them."""
+    out = (pools.take(_OUTPUT_ROWS, axis=-1) ^ _OUTPUT_XOR) * _OUTPUT_MULT
+    out ^= out >> 16
+    words = out.astype("<u4", copy=False).view("<u8").reshape(-1, 4).tolist()
+    return [_pcg64_seeded(w0 << 64 | w1, w2 << 64 | w3) for w0, w1, w2, w3 in words]
+
+
+@functools.lru_cache(maxsize=64)
+def _spawn_term(rounds: int, children: range) -> np.ndarray:
+    """The child-index half of the spawn mix, ``_MIX_MULT_R`` times each index
+    hashed from the constant ``rounds`` hashmix calls leave, as a read-only
+    (child, pool word) uint32 array. Keys of one word count share rounds."""
+    const = _HASH_INIT_A * pow(_HASH_MULT_A, rounds, 2**32) & _WORD_MASK
+    consts = _constants(const, _HASH_MULT_A, _POOL_SIZE)
+    indices = np.arange(children.start, children.stop, children.step, dtype=np.uint32)[:, None]
+    value = (indices ^ consts[:-1]) * consts[1:]
+    value ^= value >> 16
+    term = value * _MIX_MULT_R
+    term.flags.writeable = False
+    return term
 
 
 class Key:
@@ -181,32 +213,18 @@ class Key:
         least sixteen, which fixes the hash constant i starts from. i's four
         mixing rounds and the eight output words run once for all children,
         as uint32 arrays that wrap as SeedSequence's arithmetic does, and
-        PCG64's two-step seeding last, on Python ints. A ``PCG64`` given child
-        i's state draws what ``np.random.PCG64(child_i)`` draws, for i below
-        2**32; ``tests/test_rng.py`` checks it.
+        PCG64's two-step seeding last, on Python ints. The half of each mixing
+        round that depends only on i is built once per word count and range,
+        and kept for the next call (64 of them at most); the pool part is
+        added per key. A ``PCG64`` given child i's state draws what
+        ``np.random.PCG64(child_i)`` draws, for i below 2**32;
+        ``tests/test_rng.py`` checks it.
         """
-        pool = np.random.SeedSequence(np.array(self.words, dtype=np.uint32)).pool.tolist()
-        rounds = 4 * max(len(self.words), _POOL_SIZE)
-        const = _HASH_INIT_A * pow(_HASH_MULT_A, rounds, 2**32) & _WORD_MASK
-        # the spawn index: one hashmix per pool word, as (pool word, child) arrays
-        consts = _constants(const, _HASH_MULT_A, _POOL_SIZE)
-        indices = np.arange(children.start, children.stop, children.step, dtype=np.uint32)
-        value = (indices ^ consts[:-1]) * consts[1:]
-        value ^= value >> 16
-        mixed = np.array([_MIX_MULT_L * x & _WORD_MASK for x in pool], dtype=np.uint32)[:, None]
-        mixed = mixed - _MIX_MULT_R_COLUMN * value
+        pool = np.random.SeedSequence(np.array(self.words, dtype=np.uint32)).pool
+        # the spawn index: one hashmix per pool word, as (child, pool word) arrays
+        mixed = pool * _MIX_MULT_L - _spawn_term(4 * max(len(self.words), _POOL_SIZE), children)
         mixed ^= mixed >> 16
-        # generate_state(4, uint64): eight words, cycling through the pool
-        out = (mixed[_OUTPUT_ROWS] ^ _OUTPUT_CONSTS[:-1]) * _OUTPUT_CONSTS[1:]
-        out ^= out >> 16
-        # each child's four uint64 words, as its (initstate, initseq) pair
-        return [
-            _pcg64_seeded(
-                w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2],
-                w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6],
-            )
-            for w in out.T.tolist()
-        ]
+        return _pool_states(mixed)
 
 
 class Stream:
@@ -233,7 +251,9 @@ class Stream:
 
     def _refill(self) -> None:
         _seat(self._state, self._inc)
-        self._words.extend(_BITS.random_raw(_BLOCK)[::-1].tolist())
+        words = _BITS.random_raw(_BLOCK).tolist()
+        words.reverse()
+        self._words.extend(words)
         self._state = (self._state * _JUMP_MULT + self._inc * _JUMP_INC) & _MASK_128
 
     def _word(self) -> int:
@@ -315,9 +335,8 @@ class Stream:
 def generator(master_seed: int, *key) -> Stream:
     """The stream of ``Key(master_seed, *key)``: the Generator over
     ``np.random.PCG64(Key(master_seed, *key).seed_sequence())``."""
-    seeded = Key(master_seed, *key).seed_sequence().generate_state(4, np.uint64).tolist()
-    high0, low0, high1, low1 = seeded
-    return Stream(*_pcg64_seeded(high0 << 64 | low0, high1 << 64 | low1))
+    (seeded,) = _pool_states(Key(master_seed, *key).seed_sequence().pool)
+    return Stream(*seeded)
 
 
 def siblings(master_seed: int, *prefix, children: range) -> list[Stream]:

@@ -38,7 +38,8 @@ with the same values writes only n, the 0-based order in which those values
 first appeared in the run, so the row has 5 values; an outcome of the
 attacker's score alone is written in every row, as n would be as wide. Its
 ids index the populations as ``coevarena.engine.loop.Engagement`` describes,
-and it takes its generation and phase from the population line before it.
+and it takes its generation and phase from the population line before it,
+which is of generation 1 or later: generation 0 plays no engagements.
 Every outcome of a run has the header's keys, and its defender score is the
 header's rule of its attacker score, bit for bit; add_run refuses a run with
 one that does not.
@@ -258,8 +259,10 @@ class StoredRun:
         string genotype for each member of the role's population, and the lines
         are generation 0's and then those of generations 1 to the config echo's,
         in order, each attacker before defender (a log that ends before the last
-        is one CorruptRecord naming the file); and each row comes after a
-        population line and holds a kind index into ENGAGEMENT_KINDS, a pair index
+        is one CorruptRecord naming the file), each genotype the base64 of one or
+        more codons of the header's width, each below the echo's ``codon_max``;
+        and each row comes after a population line of generation 1 or later and
+        holds a kind index into ENGAGEMENT_KINDS, a pair index
         and two ids that are non-negative ints, each id below its role's
         population size in the config echo, the pair index below the echo's
         ``pair_count`` and, in an incumbent row, equal to the opponent's id, and
@@ -268,7 +271,10 @@ class StoredRun:
         path = self.run_dir / "engagements.jsonl"
         lines = _lines(path)
         where, header = next(lines, (f"{path} line 1", None))
-        own = _engagements_header(self.manifest["run_id"], codon_bytes(self.config.limits.codon_max))
+        codon_max = self.config.limits.codon_max
+        codon_width = codon_bytes(codon_max)
+        codon_format = _CODON_FORMATS[codon_width]
+        own = _engagements_header(self.manifest["run_id"], codon_width)
         if type(header) is not dict or {key: header.get(key) for key in own} != own:
             raise CorruptRecord(f"{where} is not this run's header {own!r}: {header!r}")
         _check(header, _ENGAGEMENTS_HEADER, where)
@@ -315,6 +321,17 @@ class StoredRun:
                         f"{where} is the population line of generation {generation} {phase}, "
                         f"not of generation {expected[0]} {expected[1]}"
                     )
+                for genotype in genotypes:
+                    try:
+                        packed = base64.b64decode(genotype, validate=True)
+                    except ValueError:  # binascii.Error, or a character outside ASCII
+                        packed = b""
+                    count, extra = divmod(len(packed), codon_width)
+                    if not count or extra or max(struct.unpack(f"<{count}{codon_format}", packed)) >= codon_max:
+                        raise CorruptRecord(
+                            f"{where} genotype {genotype!r} is not base64 of one or more "
+                            f"{codon_width}-byte codons below {codon_max}"
+                        )
                 half_step = {"generation": generation, "phase": phase}
                 opponent = ENGAGEMENT_COLUMNS.index(f"{opposite(phase)}_id")
                 continue
@@ -333,6 +350,8 @@ class StoredRun:
                     raise CorruptRecord(f"{where} {name} {value} is not below the {what} {bound}")
             if half_step is None:
                 raise CorruptRecord(f"{where} is a row before any population line")
+            if half_step["generation"] == 0:
+                raise CorruptRecord(f"{where} is a row of generation 0, which plays no engagements")
             if ENGAGEMENT_KINDS[kind] == INCUMBENT and row[1] != row[opponent]:
                 opponent_id = f"{ENGAGEMENT_COLUMNS[opponent]} {row[opponent]}"
                 raise CorruptRecord(f"{where} incumbent pair_index {row[1]} is not its {opponent_id}")

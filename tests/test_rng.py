@@ -69,6 +69,16 @@ class TestSiblingStates:
         expected = [np.random.PCG64(child).state["state"] for child in key.seed_sequence().spawn(n)]
         assert [{"state": state, "inc": inc} for state, inc in key.sibling_states(range(n))] == expected
 
+    def test_ranges_of_one_length_keep_their_own_indices(self):
+        """The index half of the mix is kept per word count and range: ranges
+        of one length but another start or step, and the first again, each
+        give their own children."""
+        key = Key(11, "mutate", 2, "defender")
+        children = key.seed_sequence().spawn(20)
+        for indices in (range(0, 10), range(10, 20), range(0, 20, 2), range(0, 10)):
+            expected = [np.random.PCG64(children[i]).state["state"] for i in indices]
+            assert [{"state": s, "inc": inc} for s, inc in key.sibling_states(indices)] == expected, indices
+
 
 KEYS = st.builds(lambda seed, parts: Key(seed, *parts), WIDE_INTS, KEY_PARTS)
 # span edges: one value draws nothing, 2**32 - 1 and 2**32 sit either side of

@@ -1172,6 +1172,35 @@ class TestShippedData:
         assert run_cli("inspect", run_dir.name, "--store", store_dir) == 1
         assert assert_one_error_line(capsys) == f"error: CorruptRecord: {log} line {number} {message}\n"
 
+    def test_inspect_refuses_a_row_after_a_generation_0_population_line(self, shipped_runs, tmp_path, capsys):
+        # generation 0 is evaluated by no engagement: its rows would be counted
+        # as engagements no half-step played
+        run_dir = shipped_runs["ddos_smoke.cfg", 11]
+        store_dir = Path(shutil.copytree(run_dir.parent, tmp_path / "store"))
+        log = store_dir / run_dir.name / "engagements.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines()
+        first_row = next(line for line in lines if line.startswith("[") and not line.startswith('["'))
+        log.write_text("\n".join([*lines[:2], first_row, *lines[2:]]) + "\n", encoding="utf-8")
+        assert run_cli("inspect", run_dir.name, "--store", store_dir) == 1
+        assert assert_one_error_line(capsys) == (
+            f"error: CorruptRecord: {log} line 3 is a row of generation 0, which plays no engagements\n"
+        )
+
+    def test_inspect_refuses_a_genotype_that_does_not_decode(self, shipped_runs, tmp_path, capsys):
+        run_dir = shipped_runs["ddos_smoke.cfg", 11]
+        store_dir = Path(shutil.copytree(run_dir.parent, tmp_path / "store"))
+        log = store_dir / run_dir.name / "engagements.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines()
+        defenders = json.loads(lines[2])
+        assert defenders[:3] == ["defender", 0, None]
+        defenders[3] = "!!!"
+        log.write_text("\n".join([*lines[:2], json.dumps(defenders), *lines[3:]]) + "\n", encoding="utf-8")
+        assert run_cli("inspect", run_dir.name, "--store", store_dir) == 1
+        assert assert_one_error_line(capsys) == (
+            f"error: CorruptRecord: {log} line 3 genotype '!!!' is not base64 of one or more "
+            "2-byte codons below 65536\n"
+        )
+
 
 class TestEngagementLogFormat:
     @settings(max_examples=200, deadline=None)
@@ -1461,6 +1490,39 @@ class TestEngagementLogFormat:
         log, records = edited_records(tmp_path, edit)
         number = number if number > 0 else len(log.read_text().splitlines())
         with pytest.raises(CorruptRecord, match=re.escape(f"{log} line {number} ") + ".*" + re.escape(message)):
+            list(records)
+
+    # not base64; 0 bytes; 3 and 1 bytes, no whole number of 2-byte codons;
+    # a character outside ASCII; a line break, which validate=True refuses
+    @pytest.mark.parametrize("genotype", ["!!!", "AAA", "", "AAAA", "AA==", "\u00e9AA=", "AAA=\n"])
+    def test_genotype_that_does_not_decode_is_one_corrupt_record(self, tmp_path, genotype):
+        def edit(lines):
+            defenders = json.loads(lines[2])  # generation 0's, in place
+            defenders[3] = genotype
+            return [*lines[:2], json.dumps(defenders), *lines[3:]]
+
+        log, records = edited_records(tmp_path, edit)
+        message = f"{log} line 3 genotype {genotype!r} is not base64 of one or more 2-byte codons below 65536"
+        with pytest.raises(CorruptRecord, match=re.escape(message)):
+            list(records)
+
+    def test_genotype_of_a_codon_at_or_above_codon_max_is_one_corrupt_record(self, tmp_path):
+        # the echo's codon_max cut to 1000 keeps the 2-byte width; the run's
+        # codons were drawn below 65536
+        def edit(lines):
+            attackers = json.loads(lines[1])
+            attackers[3] = encode_genotype([999, 999], 2)
+            attackers[4] = encode_genotype([0, 1000], 2)
+            return [lines[0], json.dumps(attackers), *lines[2:]]
+
+        log, _ = edited_records(tmp_path, edit)
+        manifest_path = log.parent / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps({**manifest, "config": {**manifest["config"], "codon_max": 1000}}))
+        records = ResultsStore(log.parent.parent).load(log.parent.name).engagement_records()
+        genotype = encode_genotype([0, 1000], 2)
+        message = f"{log} line 2 genotype {genotype!r} is not base64 of one or more 2-byte codons below 1000"
+        with pytest.raises(CorruptRecord, match=re.escape(message)):
             list(records)
 
     @pytest.mark.parametrize(
