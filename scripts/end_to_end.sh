@@ -296,3 +296,20 @@ expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
   --store "$RUNNER_TEMP/store-badgenotype"
 grep -q "engagements.jsonl line 3 genotype '!!!' is not base64 of one or more 2-byte codons below 65536" \
   "$RUNNER_TEMP/bad.err"
+# And a population genotype of one codon, below ddos_smoke's min_length 8.
+cp -r "$RUNNER_TEMP/store-ddos_smoke" "$RUNNER_TEMP/store-shortgenotype"
+for log in "$RUNNER_TEMP"/store-shortgenotype/*/engagements.jsonl; do
+  sed -i '3s/^\["defender",0,null,"[^"]*"/["defender",0,null,"AAA="/' "$log"
+  grep -q '^\["defender",0,null,"AAA=",' "$log"
+done
+expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
+  --store "$RUNNER_TEMP/store-shortgenotype"
+grep -q "engagements.jsonl line 3 genotype 'AAA=' is not of 8 to 64 codons: it holds 1" "$RUNNER_TEMP/bad.err"
+# And a half-step line whose invalid_count is negative: the last line's.
+cp -r "$RUNNER_TEMP/store-ddos_smoke" "$RUNNER_TEMP/store-badinvalid"
+for log in "$RUNNER_TEMP"/store-badinvalid/*/halfsteps.jsonl; do
+  sed -i '$ s/"invalid_count":[0-9]*/"invalid_count":-500/' "$log"
+  tail -n 1 "$log" | grep -q '"invalid_count":-500'
+done
+expect_error coevarena establo --store "$RUNNER_TEMP/store-badinvalid" --out "$RUNNER_TEMP/reports-bad"
+grep -q "halfsteps.jsonl line [0-9]* key 'invalid_count' -500 is not from 0 to 20" "$RUNNER_TEMP/bad.err"

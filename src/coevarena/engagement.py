@@ -18,7 +18,7 @@ import re
 from configparser import ConfigParser
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar
 
 from .grammar import Strategy
 
@@ -44,7 +44,6 @@ class EngagementOutcome:
         return float(self.costs.get(f"{role}_cost", 0.0))
 
 
-@runtime_checkable
 class EngagementEnvironment(Protocol):
     """What the engine needs from an engagement simulator.
 

@@ -1,9 +1,6 @@
 """Run configuration for the alternating coevolutionary loop."""
 
-from __future__ import annotations
-
 import math
-import sys
 from dataclasses import KW_ONLY, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -197,15 +194,8 @@ _PARSERS = {
 
 
 def _settable(schema: type) -> list[tuple[str, Callable]]:
-    """(name, parser) of each field of schema that is set by name; nested dataclasses are not.
-
-    Only the fields' annotations are resolved, in the schema's module: an
-    InitVar's may not resolve (typing.get_type_hints rejects InitVar[Path] on
-    Python 3.10).
-    """
-    namespace = vars(sys.modules[schema.__module__])
-    hints = {f.name: eval(f.type, namespace) if isinstance(f.type, str) else f.type for f in fields(schema)}
-    return [(name, _PARSERS[hint]) for name, hint in hints.items() if hint in _PARSERS]
+    """(name, parser) of each field of schema that is set by name; nested dataclasses are not."""
+    return [(f.name, _PARSERS[f.type]) for f in fields(schema) if f.type in _PARSERS]
 
 
 def cast_entries(schema: type, entries: Mapping[str, object]) -> dict:

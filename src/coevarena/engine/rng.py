@@ -8,7 +8,7 @@ sequential execution agree and whole runs reproducible bit for bit.
 A ``Key`` names a stream without building it. The engine hands each
 engagement a key, and an environment that draws random numbers builds the
 stream with ``key.seed_sequence()``; a deterministic one never pays for it.
-A key's words are the 32-bit words numpy would make of the list
+A key is a tuple of 32-bit words, the ones numpy would make of the list
 ``[master_seed, *parts]``, so its stream is the one that list seeds.
 
 An environment that wants n sub-streams, the children of
@@ -152,19 +152,19 @@ def _spawn_term(rounds: int, children: range) -> np.ndarray:
     return term
 
 
-class Key:
-    """The seed material of one random stream: master seed plus key parts.
+class Key(tuple):
+    """The seed material of one random stream: the tuple of 32-bit words of
+    its master seed and key parts.
 
     An int part becomes its little-endian 32-bit words (0 becomes one zero
     word) and a str part its crc32. Any other part, a bool included, raises
-    TypeError and a negative int ValueError, at construction.
+    TypeError and a negative int ValueError, at construction. Keys of the
+    same words are equal and hash alike.
     """
 
-    __slots__ = ("words",)
+    __slots__ = ()
 
-    words: tuple[int, ...]
-
-    def __init__(self, master_seed: int, *parts):
+    def __new__(cls, master_seed: int, *parts):
         words = []
         for part in (master_seed, *parts):
             if type(part) is int and 0 <= part <= _WORD_MASK:
@@ -177,14 +177,12 @@ class Key:
                 words.extend(_int_words(part))
             else:
                 raise TypeError(f"cannot key a random stream on {type(part).__name__}")
-        object.__setattr__(self, "words", tuple(words))
+        return super().__new__(cls, words)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Key is immutable")
+    def __getnewargs__(self):
+        return tuple(self)  # each word, as an int part, encodes as itself
 
-    def __reduce__(self):
-        # Each word, as an int part, encodes as itself; __setattr__ blocks slot restore.
-        return Key, self.words
+    words = property(tuple)  # the words as a plain tuple, read-only
 
     def __repr__(self):
         return f"Key(words={self.words})"
@@ -195,13 +193,11 @@ class Key:
             raise TypeError(f"a child index must be an int, not {type(i).__name__}")
         if not 0 <= i <= _WORD_MASK:
             raise ValueError(f"child index {i} is not in [0, 2**32)")
-        key = object.__new__(Key)
-        object.__setattr__(key, "words", (*self.words, i))
-        return key
+        return tuple.__new__(Key, (*self, i))
 
     def seed_sequence(self) -> np.random.SeedSequence:
         """A fresh, unspawned SeedSequence for this stream."""
-        return np.random.SeedSequence(np.array(self.words, dtype=np.uint32))
+        return np.random.SeedSequence(np.array(self, dtype=np.uint32))
 
     def sibling_states(self, children: range) -> list[tuple[int, int]]:
         """PCG64 ``(state, inc)`` of each child i in ``children``, a range: the
@@ -220,9 +216,9 @@ class Key:
         ``np.random.PCG64(child_i)`` draws, for i below 2**32;
         ``tests/test_rng.py`` checks it.
         """
-        pool = np.random.SeedSequence(np.array(self.words, dtype=np.uint32)).pool
+        pool = np.random.SeedSequence(np.array(self, dtype=np.uint32)).pool
         # the spawn index: one hashmix per pool word, as (child, pool word) arrays
-        mixed = pool * _MIX_MULT_L - _spawn_term(4 * max(len(self.words), _POOL_SIZE), children)
+        mixed = pool * _MIX_MULT_L - _spawn_term(4 * max(len(self), _POOL_SIZE), children)
         mixed ^= mixed >> 16
         return _pool_states(mixed)
 
@@ -343,10 +339,8 @@ def siblings(master_seed: int, *prefix, children: range) -> list[Stream]:
     """The streams of ``Key(master_seed, *prefix, i)`` for i in ``children``, seeded
     as one block by the prefix-child rule; the prefix needs four words or more."""
     key = Key(master_seed, *prefix)
-    if len(key.words) < _POOL_SIZE:
-        raise ValueError(
-            f"a sibling prefix needs at least {_POOL_SIZE} words, not {len(key.words)}"
-        )
+    if len(key) < _POOL_SIZE:
+        raise ValueError(f"a sibling prefix needs at least {_POOL_SIZE} words, not {len(key)}")
     return [Stream(state, inc) for state, inc in key.sibling_states(children)]
 
 

@@ -29,8 +29,6 @@ The codon cursor wraps back to the start of the genotype when exhausted, a
 bounded number of times.
 """
 
-from __future__ import annotations
-
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -294,7 +292,7 @@ def map_genotype(genotype: Genotype, grammar: Grammar, cfg: MappingConfig = Mapp
     return Strategy(tuple(sentence), codons_used=wraps * len(codons) + cursor, wraps_used=wraps)
 
 
-def random_genotype(rng: Stream, min_length: int, max_length: int, codon_max: int) -> Genotype:
+def random_genotype(rng: "Stream", min_length: int, max_length: int, codon_max: int) -> Genotype:
     """Uniform random genotype: length in [min_length, max_length], codons in [0, codon_max)."""
     if not 1 <= min_length <= max_length:
         raise ValueError("need 1 <= min_length <= max_length")

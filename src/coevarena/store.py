@@ -69,7 +69,7 @@ import itertools
 import json
 import shutil
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -259,19 +259,19 @@ class StoredRun:
         string genotype for each member of the role's population, and the lines
         are generation 0's and then those of generations 1 to the config echo's,
         in order, each attacker before defender (a log that ends before the last
-        is one CorruptRecord naming the file), each genotype the base64 of one or
-        more codons of the header's width, each below the echo's ``codon_max``;
-        and each row comes after a population line of generation 1 or later and
-        holds a kind index into ENGAGEMENT_KINDS, a pair index
-        and two ids that are non-negative ints, each id below its role's
-        population size in the config echo, the pair index below the echo's
-        ``pair_count`` and, in an incumbent row, equal to the opponent's id, and
-        either the header's full width of values, each outcome value a JSON
-        number, or 5, the last the index of outcome values already written."""
+        is one CorruptRecord naming the file), each genotype the base64 of the
+        echo's ``min_length`` to ``max_length`` codons of the header's width, each
+        below its ``codon_max``; and each row comes after a population line of
+        generation 1 or later and holds a kind index into ENGAGEMENT_KINDS, a
+        pair index and two ids that are non-negative ints, each id below its
+        role's population size in the config echo, the pair index below the
+        echo's ``pair_count`` and, in an incumbent row, equal to the opponent's
+        id, and either the header's full width of values, each outcome value a
+        JSON number, or 5, the last the index of outcome values already written."""
         path = self.run_dir / "engagements.jsonl"
         lines = _lines(path)
         where, header = next(lines, (f"{path} line 1", None))
-        codon_max = self.config.limits.codon_max
+        min_length, max_length, codon_max = astuple(self.config.limits)
         codon_width = codon_bytes(codon_max)
         codon_format = _CODON_FORMATS[codon_width]
         own = _engagements_header(self.manifest["run_id"], codon_width)
@@ -332,6 +332,9 @@ class StoredRun:
                             f"{where} genotype {genotype!r} is not base64 of one or more "
                             f"{codon_width}-byte codons below {codon_max}"
                         )
+                    if not min_length <= count <= max_length:
+                        message = f"is not of {min_length} to {max_length} codons: it holds {count}"
+                        raise CorruptRecord(f"{where} genotype {genotype!r} {message}")
                 half_step = {"generation": generation, "phase": phase}
                 opponent = ENGAGEMENT_COLUMNS.index(f"{opposite(phase)}_id")
                 continue
@@ -534,7 +537,8 @@ class ResultsStore:
         _MANIFEST describes and a config echo that loads, and halfsteps.jsonl,
         read by the one line reader _lines, starts with the manifest run's
         header and holds only half-steps after it, each as _HALFSTEP says, of
-        generations 1 to the config echo's in order, attacker before defender."""
+        generations 1 to the config echo's in order, attacker before defender,
+        with a best_genotype, best_id and invalid_count within the echo's limits."""
         run_dir = self.root / dir_name
         manifest_path = run_dir / "manifest.json"
         halfsteps_path = run_dir / "halfsteps.jsonl"
@@ -558,10 +562,19 @@ class ResultsStore:
         where, first = next(lines, (f"{halfsteps_path} line 1", None))
         if first != header:
             raise CorruptRecord(f"{where} is not this run's header {header!r}: {first!r}")
-        half_steps = [_check(step, _HALFSTEP, where) for where, step in lines]
+        steps = {where: _check(step, _HALFSTEP, where) for where, step in lines}
         # At most one more expected half-step than found: a huge echo builds no huge list.
-        found = [(step["generation"], step["phase"]) for step in half_steps]
+        found = [(step["generation"], step["phase"]) for step in steps.values()]
         order = ((g, role) for g in range(1, config.generations + 1) for role in (ATTACKER, DEFENDER))
         if found != list(itertools.islice(order, len(found) + 1)):
             raise CorruptRecord(f"{halfsteps_path} is not generations 1 to {config.generations} in order")
-        return StoredRun(run_dir, manifest, config, half_steps)
+        min_length, max_length, codon_max = astuple(config.limits)
+        for where, step in steps.items():
+            codons, size = step["best_genotype"], config.population_size(step["phase"])
+            if not min_length <= len(codons) <= max_length or max(codons) >= codon_max:
+                limits = f"of {min_length} to {max_length} codons below {codon_max}"
+                raise CorruptRecord(f"{where} key 'best_genotype' is not {limits}")
+            for key, top in (("best_id", size - 1), ("invalid_count", size)):
+                if not 0 <= step[key] <= top:
+                    raise CorruptRecord(f"{where} key {key!r} {step[key]} is not from 0 to {top}")
+        return StoredRun(run_dir, manifest, config, list(steps.values()))

@@ -116,12 +116,13 @@ class TestBuildCompendium:
         # The same two points as above, as the only usable defender half-steps
         # of a stored run: A "route flooding" (codon 1), B "route shortest" (0).
         store = ResultsStore(ddos_store)
-        run_dir = store.load_all()[0].run_dir
+        run = store.load_all()[0]
+        run_dir, length = run.run_dir, run.config.limits.min_length
         halfsteps = run_dir / "halfsteps.jsonl"
         header, *steps = [json.loads(line) for line in halfsteps.read_text().splitlines()]
         a, b, *rest = [s for s in steps if s["phase"] == "defender"]
-        a.update(best_genotype=[1], best_sentence=["route", "flooding"], best_fitness=1.0, best_cost=None)
-        b.update(best_genotype=[0], best_sentence=["route", "shortest"], best_fitness=0.5, best_cost=0.5)
+        a.update(best_genotype=[1] * length, best_sentence=["route", "flooding"], best_fitness=1.0, best_cost=None)
+        b.update(best_genotype=[0] * length, best_sentence=["route", "shortest"], best_fitness=0.5, best_cost=0.5)
         for step in rest:
             step["best_sentence"] = None
         halfsteps.write_text("".join(json.dumps(line) + "\n" for line in (header, *steps)))
@@ -156,10 +157,11 @@ class TestBuildCompendium:
         # Codon 1 picks <actions> and then "<action> <actions>" at every
         # choice, so the attack grammar never finishes and wrapping runs out.
         store = ResultsStore(ddos_store)
-        halfsteps = store.load_all()[0].run_dir / "halfsteps.jsonl"
+        run = store.load_all()[0]
+        halfsteps = run.run_dir / "halfsteps.jsonl"
         header, *steps = [json.loads(line) for line in halfsteps.read_text().splitlines()]
         step = next(s for s in steps if s["phase"] == "attacker" and s["best_sentence"])
-        step["best_genotype"] = [1]
+        step["best_genotype"] = [1] * run.config.limits.min_length
         halfsteps.write_text("".join(json.dumps(line) + "\n" for line in (header, *steps)))
         with pytest.raises(GrammarMismatch, match="recorded genotype no longer maps"):
             build_compendium(store.load_all(), "best-per-generation", stride=1)

@@ -403,6 +403,36 @@ class TestKeyValidation:
             assert twin.seed_sequence().entropy.tolist() == key.seed_sequence().entropy.tolist()
 
 
+class TestKeyIsAValue:
+    """A key is the words it names: keys of the same words are one value."""
+
+    PARTS = (3, "engage", 1, "attacker")
+
+    def test_same_parts_are_equal_and_hash_alike(self):
+        first, second = Key(*self.PARTS), Key(*self.PARTS)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    @pytest.mark.parametrize(
+        "parts",
+        [(4, "engage", 1, "attacker"), (3, "engage", 1, "defender"), (3, "engage", 1), (3, "engage", 1, "attacker", 0)],
+    )
+    def test_different_parts_differ(self, parts):
+        assert Key(*parts) != Key(*self.PARTS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=KEY_PARTS, i=WORDS)
+    def test_child_is_the_key_of_its_parts_and_index(self, parts, i):
+        assert Key(7, *parts).child(i) == Key(7, *parts, i)
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=KEYS)
+    def test_pickled_or_copied_key_equals_its_source(self, key):
+        for twin in (pickle.loads(pickle.dumps(key)), copy.copy(key), copy.deepcopy(key)):
+            assert twin == key and hash(twin) == hash(key)
+
+
 def shipped_run(config_name: str, **changes):
     cfg = load_experiment_config(data_path("configs", config_name))
     return run_alternating(

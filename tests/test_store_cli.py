@@ -37,7 +37,7 @@ from coevarena.store import (
 )
 
 from conftest import SMALL_DDOS_SCENARIO, ScriptedEnvironment, write_experiment_config
-from oracles import decode_genotype, stored_sentence, v1_engagements
+from oracles import decode_genotype, v1_engagements
 
 
 def run_cli(*argv):
@@ -689,6 +689,32 @@ class TestCmdEstablo:
 
     @pytest.mark.parametrize("command", ["establo", "inspect"])
     @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            # the populated store's genotypes hold 6 to 24 codons below 65536, its populations 4
+            *(
+                ("best_genotype", codons, "is not of 6 to 24 codons below 65536")
+                for codons in ([0] * 5, [0] * 25, [0] * 5 + [65536])
+            ),
+            *(("best_id", value, f"{value} is not from 0 to 3") for value in (-1, 4, 999)),
+            *(("invalid_count", value, f"{value} is not from 0 to 4") for value in (-500, 5)),
+        ],
+    )
+    def test_halfstep_value_outside_the_config_echo_is_one_error_line(
+        self, populated_store, tmp_path, capsys, command, key, value, reason
+    ):
+        run_dir = populated_store / ResultsStore(populated_store).entries()[0]["dir"]
+        halfsteps = run_dir / "halfsteps.jsonl"
+        lines = halfsteps.read_text().splitlines()
+        lines[-1] = json.dumps({**json.loads(lines[-1]), key: value})
+        halfsteps.write_text("\n".join(lines) + "\n")
+        args = ["--out", tmp_path / "out"] if command == "establo" else [run_dir.name]
+        assert run_cli(command, "--store", populated_store, *args) == 1
+        err = assert_one_error_line(capsys)
+        assert err == f"error: CorruptRecord: {halfsteps} line {len(lines)} key {key!r} {reason}\n"
+
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
+    @pytest.mark.parametrize(
         "edit, reason",
         [
             (lambda last: {**last, "record": 5}, "key 'record' is not 'halfstep': 5"),
@@ -1202,6 +1228,21 @@ class TestShippedData:
         )
 
 
+    def test_inspect_refuses_a_genotype_of_too_few_codons(self, shipped_runs, tmp_path, capsys):
+        run_dir = shipped_runs["ddos_smoke.cfg", 11]
+        store_dir = Path(shutil.copytree(run_dir.parent, tmp_path / "store"))
+        log = store_dir / run_dir.name / "engagements.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines()
+        defenders = json.loads(lines[2])
+        assert defenders[:3] == ["defender", 0, None]
+        defenders[3] = encode_genotype([0], 2)
+        log.write_text("\n".join([*lines[:2], json.dumps(defenders), *lines[3:]]) + "\n", encoding="utf-8")
+        assert run_cli("inspect", run_dir.name, "--store", store_dir) == 1
+        assert assert_one_error_line(capsys) == (
+            f"error: CorruptRecord: {log} line 3 genotype 'AAA=' is not of 8 to 64 codons: it holds 1\n"
+        )
+
+
 class TestEngagementLogFormat:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), codon_max=st.sampled_from([1, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**63]))
@@ -1506,21 +1547,42 @@ class TestEngagementLogFormat:
         with pytest.raises(CorruptRecord, match=re.escape(message)):
             list(records)
 
-    def test_genotype_of_a_codon_at_or_above_codon_max_is_one_corrupt_record(self, tmp_path):
-        # the echo's codon_max cut to 1000 keeps the 2-byte width; the run's
-        # codons were drawn below 65536
+    # the small store's genotypes hold 6 to 24 codons
+    @pytest.mark.parametrize("length", [5, 25])
+    def test_genotype_of_a_length_outside_the_limits_is_one_corrupt_record(self, tmp_path, length):
+        genotype = encode_genotype([7] * length, 2)
+
         def edit(lines):
             attackers = json.loads(lines[1])
-            attackers[3] = encode_genotype([999, 999], 2)
-            attackers[4] = encode_genotype([0, 1000], 2)
+            attackers[3] = genotype
+            return [lines[0], json.dumps(attackers), *lines[2:]]
+
+        log, records = edited_records(tmp_path, edit)
+        message = f"{log} line 2 genotype {genotype!r} is not of 6 to 24 codons: it holds {length}"
+        with pytest.raises(CorruptRecord, match=re.escape(message)):
+            list(records)
+
+    def test_genotype_of_a_codon_at_or_above_codon_max_is_one_corrupt_record(self, tmp_path):
+        # the echo's codon_max cut to 1000 keeps the 2-byte width; the run's
+        # codons were drawn below 65536, so the half-steps' best genotypes are
+        # cut below 1000 too, and the small store's genotypes hold 6 codons or more
+        def edit(lines):
+            attackers = json.loads(lines[1])
+            attackers[3] = encode_genotype([999] * 6, 2)
+            attackers[4] = encode_genotype([0] * 5 + [1000], 2)
             return [lines[0], json.dumps(attackers), *lines[2:]]
 
         log, _ = edited_records(tmp_path, edit)
         manifest_path = log.parent / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest_path.write_text(json.dumps({**manifest, "config": {**manifest["config"], "codon_max": 1000}}))
+        halfsteps = log.parent / "halfsteps.jsonl"
+        header, *steps = map(json.loads, halfsteps.read_text().splitlines())
+        for step in steps:
+            step["best_genotype"] = [codon % 1000 for codon in step["best_genotype"]]
+        halfsteps.write_text("".join(json.dumps(line) + "\n" for line in (header, *steps)))
         records = ResultsStore(log.parent.parent).load(log.parent.name).engagement_records()
-        genotype = encode_genotype([0, 1000], 2)
+        genotype = encode_genotype([0] * 5 + [1000], 2)
         message = f"{log} line 2 genotype {genotype!r} is not base64 of one or more 2-byte codons below 1000"
         with pytest.raises(CorruptRecord, match=re.escape(message)):
             list(records)
@@ -1590,26 +1652,6 @@ class TestEngagementLogFormat:
         with pytest.raises(CorruptRecord, match=re.escape(f"{log} line 1 {message}")):
             list(records)
 
-    def test_format_3_log_is_one_corrupt_record(self, tmp_path):
-        log, records = edited_records(tmp_path, format_3_log)
-        assert '"format_version":3' in log.read_text().splitlines()[0]
-        with pytest.raises(CorruptRecord, match=re.escape(f"{log} line 1 is not this run's header")):
-            list(records)
-
-    def test_format_5_log_is_one_corrupt_record(self, tmp_path):
-        log, records = edited_records(tmp_path, format_5_log)
-        lines = log.read_text().splitlines()
-        assert '"format_version":5' in lines[0] and '"record":"population"' in lines[1]
-        with pytest.raises(CorruptRecord, match=re.escape(f"{log} line 1 is not this run's header")):
-            list(records)
-
-    def test_format_4_log_is_one_corrupt_record(self, tmp_path):
-        log, records = edited_records(tmp_path, format_4_log)
-        lines = log.read_text().splitlines()
-        assert '"format_version":4' in lines[0] and '"sentences":[' in lines[1]
-        with pytest.raises(CorruptRecord, match=re.escape(f"{log} line 1 is not this run's header")):
-            list(records)
-
     def test_another_runs_log_is_one_corrupt_record(self, tmp_path, ddos_scenario_file):
         config = write_experiment_config(tmp_path, "ddos", ddos_scenario_file, repetitions=2)
         store_dir = tmp_path / "store"
@@ -1650,7 +1692,6 @@ def shipped_records(tmp_path_factory):
 def shipped_runs(shipped_records):
     """The run directory of each shipped config at its pinned seed."""
     return {key: run_dir for key, (run_dir, _) in shipped_records.items()}
-
 
 
 @functools.cache
@@ -1698,59 +1739,6 @@ def edited_records(tmp_path: Path, edit):
     lines = edit(log.read_text(encoding="utf-8").splitlines())
     log.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return log, ResultsStore(store_dir).load(run_dir).engagement_records()
-
-
-_dump_line = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
-
-
-def format_5_log(lines: list[str]) -> list[str]:
-    """The lines of a small ddos store's format 6 engagement log as format 5
-    wrote them: each population line an object, and the defender's score a
-    column of the header and a value after the attacker's in each row that
-    writes its outcome."""
-    header, *items = map(json.loads, lines)
-    assert header.pop("defender_score") == "one_minus"
-    for i, item in enumerate(items):
-        if type(item[0]) is str:
-            phase, generation, replaced, *genotypes = item
-            items[i] = {
-                "record": "population", "generation": generation, "phase": phase,
-                "genotypes": genotypes, "replaced": replaced,
-            }
-        elif len(item) > 5:
-            items[i] = [*item[:5], 1.0 - item[4], *item[5:]]
-    columns = [*header["columns"], "defender_score"]
-    return [_dump_line({**header, "columns": columns, "format_version": 5}), *map(_dump_line, items)]
-
-
-def format_4_log(lines: list[str]) -> list[str]:
-    """The lines of a small ddos store's format 6 engagement log as format 4
-    wrote them: format 5's, each population line with its genotypes' sentences."""
-    _, store_dir, run_dir, _ = small_ddos_store()
-    sentence = stored_sentence(store_dir / run_dir)
-    header, *items = map(json.loads, format_5_log(lines))
-    for item in items:
-        if type(item) is dict:
-            genotypes = (decode_genotype(text, header["codon_bytes"]) for text in item["genotypes"])
-            item["sentences"] = [sentence(item["phase"], codons) for codons in genotypes]
-    return [_dump_line({**header, "format_version": 4}), *map(_dump_line, items)]
-
-
-def format_3_log(lines: list[str]) -> list[str]:
-    """The lines of a small ddos store's format 6 engagement log as format 3
-    wrote them: format 4's, with no kinds in the header, each kind by name and
-    each outcome's values in every row."""
-    header, *items = map(json.loads, format_4_log(lines))
-    kinds = header.pop("kinds")
-    outcomes = []
-    for i, item in enumerate(items):
-        if type(item) is list:
-            if len(item) == 5:
-                item = item[:4] + outcomes[item[4]]
-            else:
-                outcomes.append(item[4:])
-            items[i] = [kinds[item[0]], *item[1:]]
-    return [_dump_line({**header, "format_version": 3}), *map(_dump_line, items)]
 
 
 def store_file(store_dir: Path, run_dir: str, name: str) -> Path:
