@@ -313,3 +313,23 @@ for log in "$RUNNER_TEMP"/store-badinvalid/*/halfsteps.jsonl; do
 done
 expect_error coevarena establo --store "$RUNNER_TEMP/store-badinvalid" --out "$RUNNER_TEMP/reports-bad"
 grep -q "halfsteps.jsonl line [0-9]* key 'invalid_count' -500 is not from 0 to 20" "$RUNNER_TEMP/bad.err"
+# And a half-step line whose best_fitness is NaN, which Python's JSON reader
+# takes: every stored number must be one a float holds.
+cp -r "$RUNNER_TEMP/store-ddos_smoke" "$RUNNER_TEMP/store-nanfitness"
+for log in "$RUNNER_TEMP"/store-nanfitness/*/halfsteps.jsonl; do
+  sed -i '$ s/"best_fitness":[^,]*/"best_fitness":NaN/' "$log"
+  tail -n 1 "$log" | grep -q '"best_fitness":NaN,'
+done
+expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
+  --store "$RUNNER_TEMP/store-nanfitness"
+grep -q "halfsteps.jsonl line [0-9]* key 'best_fitness' is not float: nan" "$RUNNER_TEMP/bad.err"
+# And a generation-1 population line with a replaced slot: no incumbent
+# precedes generation 2, so no elitism swap can come before it.
+cp -r "$RUNNER_TEMP/store-ddos_smoke" "$RUNNER_TEMP/store-earlyswap"
+for log in "$RUNNER_TEMP"/store-earlyswap/*/engagements.jsonl; do
+  sed -i 's/^\["attacker",1,null,/["attacker",1,3,/' "$log"
+  grep -q '^\["attacker",1,3,' "$log"
+done
+expect_error coevarena inspect "$(head -n 1 "$RUNNER_TEMP/ddos_smoke.out")" \
+  --store "$RUNNER_TEMP/store-earlyswap"
+grep -q "engagements.jsonl line [0-9]* replaced 3 is set, but generation 1 has no incumbent" "$RUNNER_TEMP/bad.err"

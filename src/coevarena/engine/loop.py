@@ -55,7 +55,6 @@ class Champion:
     genotype: Genotype
     sentence: tuple[str, ...] | None
     fitness: float
-    concept: str
     concept_score: float
 
 
@@ -97,15 +96,14 @@ class Engagement(NamedTuple):
 class Cohort:
     """The population one half-step bred, before the elitism swap, and its engagements.
 
-    Generation 0 holds an initial population, which plays no engagement.
-    replaced is the slot the incumbent took in the elitism swap, or None.
-    members and strategies share their genotypes and strategies with the run.
+    It holds what one population line of the engagement log and its rows hold.
+    Generation 0 holds an initial population, which plays no engagement. replaced is
+    the slot the incumbent took in the elitism swap, or None; members shares the run's genotypes.
     """
 
     generation: int
     phase: str
     members: list[Genotype]
-    strategies: list[Strategy | None]
     engagements: list[Engagement] = field(default_factory=list)
     replaced: int | None = None
 
@@ -164,14 +162,14 @@ class _AlternatingRun:
             self.sides[role], _ = self._breed(0, role, members)
 
     def _breed(self, generation: int, role: str, members: list[Genotype]) -> tuple[_Side, Cohort]:
-        """Map members to strategies and log them as the half-step's cohort."""
+        """Map members to strategies and log the members as the half-step's cohort."""
         strategies = []
         for member in members:
             try:
                 strategies.append(map_genotype(member, self.grammars[role], self.cfg.mapping))
             except MappingFailure:
                 strategies.append(None)
-        cohort = Cohort(generation, role, list(members), list(strategies))
+        cohort = Cohort(generation, role, list(members))
         self.cohorts.append(cohort)
         return _Side(members, strategies), cohort
 
@@ -207,6 +205,7 @@ class _AlternatingRun:
             parents = select(own.members, own.fitness, cfg.selection, select_rng)
         children = self._variation(generation, role, parents)
         candidates, cohort = self._breed(generation, role, children)
+        invalid_count = candidates.strategies.count(None)
 
         # Job list, as (kind, k, attacker id, defender id): the candidate pairs,
         # then the incumbent against every frozen opponent.
@@ -275,7 +274,7 @@ class _AlternatingRun:
                 best_genotype=candidates.members[best],
                 best_sentence=best_sentence,
                 best_cost=best_cost,
-                invalid_count=cohort.strategies.count(None),
+                invalid_count=invalid_count,
             )
         )
 
@@ -312,7 +311,6 @@ class _AlternatingRun:
             genotype=side.members[index],
             sentence=strategy.sentence if strategy else None,
             fitness=side.fitness[index],
-            concept=cfg.solution_concept,
             concept_score=score,
         )
 

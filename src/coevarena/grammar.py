@@ -143,11 +143,9 @@ class MappingConfig:
 
 @dataclass(frozen=True)
 class Strategy:
-    """A derived sentence plus the bookkeeping of how it was derived."""
+    """A derived sentence: the terminals of a genotype's derivation, in order."""
 
     sentence: tuple[str, ...]
-    codons_used: int
-    wraps_used: int
 
     @property
     def text(self) -> str:
@@ -289,7 +287,7 @@ def map_genotype(genotype: Genotype, grammar: Grammar, cfg: MappingConfig = Mapp
             choice = codons[cursor] % len(alternatives)
             cursor += 1
         stack.extend(reversed(alternatives[choice]))
-    return Strategy(tuple(sentence), codons_used=wraps * len(codons) + cursor, wraps_used=wraps)
+    return Strategy(tuple(sentence))
 
 
 def random_genotype(rng: "Stream", min_length: int, max_length: int, codon_max: int) -> Genotype:

@@ -22,9 +22,10 @@ each half-step of generations 1 to the config's, attacker before defender, its
 population line followed by its engagement rows. A population line is a
 JSON array whose first value is a string: ``[phase, generation, replaced,
 *genotypes]``, replaced the slot the incumbent took in the elitism swap, or
-null, and each genotype one base64 string of its codons as little-endian
-unsigned integers of ``codon_bytes`` bytes. It holds the population the
-half-step bred, before the swap. It holds no sentences: an individual's
+null (always before generation 2, which no incumbent precedes), and each
+genotype one base64 string of its codons as little-endian unsigned integers
+of ``codon_bytes`` bytes. It holds the population the half-step bred, before
+the swap. It holds no sentences: an individual's
 sentence is its genotype mapped under the run directory's grammar copy
 (``StoredRun.input_path``) and the config echo's mapping settings, and a
 half-step line's ``invalid_count`` says how many of its cohort failed to map
@@ -42,7 +43,8 @@ and it takes its generation and phase from the population line before it,
 which is of generation 1 or later: generation 0 plays no engagements.
 Every outcome of a run has the header's keys, and its defender score is the
 header's rule of its attacker score, bit for bit; add_run refuses a run with
-one that does not.
+one that does not, and a run holding a NaN or infinite value, which its reader
+would refuse.
 
 Runs only ever append. add_run writes a run into ``<root>/<dir>.partial/``,
 renames it to ``<dir>`` and only then appends its index line, so a failed
@@ -69,6 +71,7 @@ import itertools
 import json
 import shutil
 import struct
+import sys
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterator
@@ -105,12 +108,14 @@ STORED_INPUTS = {
 }
 
 # The JSON values each type in a record description admits, 'halfstep' only that
-# string; a bool is no number.
+# string; a bool is no number, and a float is finite: no NaN, no infinity and no
+# int beyond a float's range (an int compares with a float without overflow).
+_FLOAT_MAX = sys.float_info.max
 _JSON_CHECKS = {
     "int": lambda v: type(v) is int,
     "str": lambda v: type(v) is str,
-    "float": lambda v: type(v) in (int, float),
-    "float | None": lambda v: v is None or type(v) in (int, float),
+    "float": lambda v: type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX,
+    "float | None": lambda v: v is None or _JSON_CHECKS["float"](v),
     "Genotype": lambda v: type(v) is list and v != [] and all(type(c) is int and c >= 0 for c in v),
     "tuple[str, ...] | None": lambda v: v is None or type(v) is list and all(type(w) is str for w in v),
     "'halfstep'": lambda v: v == "halfstep",
@@ -208,7 +213,8 @@ def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# Refuses NaN and infinity, which the reader refuses too.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
 def _check(value, description: dict, where: str):
@@ -255,8 +261,9 @@ class StoredRun:
         of its attacker score. Raises CorruptRecord naming the line unless the
         header is this run's, in this format, with the config echo's codon width,
         and holds what _ENGAGEMENTS_HEADER describes; each population line holds a
-        role, an int generation, a replaced slot that is null or an id, and a
-        string genotype for each member of the role's population, and the lines
+        role, an int generation, a replaced slot that is null or an id (null
+        before generation 2, which no incumbent precedes), and a string genotype
+        for each member of the role's population, and the lines
         are generation 0's and then those of generations 1 to the config echo's,
         in order, each attacker before defender (a log that ends before the last
         is one CorruptRecord naming the file), each genotype the base64 of the
@@ -265,9 +272,10 @@ class StoredRun:
         generation 1 or later and holds a kind index into ENGAGEMENT_KINDS, a
         pair index and two ids that are non-negative ints, each id below its
         role's population size in the config echo, the pair index below the
-        echo's ``pair_count`` and, in an incumbent row, equal to the opponent's
-        id, and either the header's full width of values, each outcome value a
-        JSON number, or 5, the last the index of outcome values already written."""
+        echo's ``pair_count`` and, in an incumbent row, of generation 2 or
+        later, equal to the opponent's id, and either the header's full width of
+        values, each outcome value a finite JSON number, or 5, the last the index
+        of outcome values already written."""
         path = self.run_dir / "engagements.jsonl"
         lines = _lines(path)
         where, header = next(lines, (f"{path} line 1", None))
@@ -321,6 +329,9 @@ class StoredRun:
                         f"{where} is the population line of generation {generation} {phase}, "
                         f"not of generation {expected[0]} {expected[1]}"
                     )
+                if replaced is not None and generation < 2:
+                    message = f"replaced {replaced} is set, but generation {generation} has no incumbent"
+                    raise CorruptRecord(f"{where} {message}")
                 for genotype in genotypes:
                     try:
                         packed = base64.b64decode(genotype, validate=True)
@@ -355,6 +366,8 @@ class StoredRun:
                 raise CorruptRecord(f"{where} is a row before any population line")
             if half_step["generation"] == 0:
                 raise CorruptRecord(f"{where} is a row of generation 0, which plays no engagements")
+            if ENGAGEMENT_KINDS[kind] == INCUMBENT and half_step["generation"] == 1:
+                raise CorruptRecord(f"{where} is an incumbent row of generation 1, which has no incumbent")
             if ENGAGEMENT_KINDS[kind] == INCUMBENT and row[1] != row[opponent]:
                 opponent_id = f"{ENGAGEMENT_COLUMNS[opponent]} {row[opponent]}"
                 raise CorruptRecord(f"{where} incumbent pair_index {row[1]} is not its {opponent_id}")
@@ -363,11 +376,7 @@ class StoredRun:
                     if not _JSON_CHECKS["float"](value):
                         raise CorruptRecord(f"{where} {name} {value!r} is not a JSON number")
                 attacker_score = row[_OUTCOME_AT]
-                try:
-                    outcomes.append([attacker_score, defender_score(attacker_score), *row[_OUTCOME_AT + 1 :]])
-                except OverflowError as exc:
-                    message = f"{where} attacker_score {attacker_score!r} is beyond a float"
-                    raise CorruptRecord(message) from exc
+                outcomes.append([attacker_score, defender_score(attacker_score), *row[_OUTCOME_AT + 1 :]])
                 values = outcomes[-1]
             else:
                 n = row[_OUTCOME_AT]
@@ -538,7 +547,8 @@ class ResultsStore:
         read by the one line reader _lines, starts with the manifest run's
         header and holds only half-steps after it, each as _HALFSTEP says, of
         generations 1 to the config echo's in order, attacker before defender,
-        with a best_genotype, best_id and invalid_count within the echo's limits."""
+        with a best_genotype, best_id and invalid_count within the echo's limits
+        and, in generation 1, a null incumbent_fitness."""
         run_dir = self.root / dir_name
         manifest_path = run_dir / "manifest.json"
         halfsteps_path = run_dir / "halfsteps.jsonl"
@@ -577,4 +587,7 @@ class ResultsStore:
             for key, top in (("best_id", size - 1), ("invalid_count", size)):
                 if not 0 <= step[key] <= top:
                     raise CorruptRecord(f"{where} key {key!r} {step[key]} is not from 0 to {top}")
+            if step["generation"] == 1 and step["incumbent_fitness"] is not None:
+                message = f"{step['incumbent_fitness']!r} is set, but generation 1 has no incumbent"
+                raise CorruptRecord(f"{where} key 'incumbent_fitness' {message}")
         return StoredRun(run_dir, manifest, config, list(steps.values()))

@@ -180,7 +180,7 @@ def oracle_run_alternating(cfg, attack_grammar: Grammar, defense_grammar: Gramma
 
     def derive(role, genotype):
         mapped = oracle_map(genotype, grammars[role], cfg.mapping)
-        return None if mapped == ORACLE_FAILED else Strategy(*mapped[:3])
+        return None if mapped == ORACLE_FAILED else Strategy(mapped[0])
 
     def score(outcome, role):
         return outcome.attacker_score if role == "attacker" else outcome.defender_score
@@ -208,7 +208,7 @@ def oracle_run_alternating(cfg, attack_grammar: Grammar, defense_grammar: Gramma
             for i in range(cfg.population_size(role))
         ]
         strategies = [derive(role, member) for member in members]
-        cohorts.append(Cohort(0, role, list(members), list(strategies)))
+        cohorts.append(Cohort(0, role, list(members)))
         latest[role] = {"members": members, "strategies": strategies, "fitness": None, "outcomes": {}}
 
     half_steps = []
@@ -244,7 +244,7 @@ def oracle_run_alternating(cfg, attack_grammar: Grammar, defense_grammar: Gramma
             ]
             strategies = [derive(role, child) for child in children]
             unmapped = sum(1 for strategy in strategies if strategy is None)
-            cohort = Cohort(generation, role, list(children), list(strategies))
+            cohort = Cohort(generation, role, list(children))
             cohorts.append(cohort)
 
             # job list: the candidate pairs, then the incumbent against each opponent
@@ -347,7 +347,6 @@ def oracle_run_alternating(cfg, attack_grammar: Grammar, defense_grammar: Gramma
             genotype=side["members"][index],
             sentence=strategy.sentence if strategy else None,
             fitness=side["fitness"][index],
-            concept=cfg.solution_concept,
             concept_score=concept_score,
         )
 

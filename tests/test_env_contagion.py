@@ -29,7 +29,7 @@ from oracles import oracle_simulate_trials
 
 
 def strategy(text: str) -> Strategy:
-    return Strategy(tuple(text.split()), 0, 0)
+    return Strategy(tuple(text.split()))
 
 
 def plan(enclave=0, strength=1.0, duration=5, count=1):

@@ -31,7 +31,7 @@ from oracles import components_by_union_find, oracle_ddos_engage, oracle_neighbo
 
 
 def strategy(text: str) -> Strategy:
-    return Strategy(tuple(text.split()), 0, 0)
+    return Strategy(tuple(text.split()))
 
 
 SCENARIO = path_scenario()

@@ -43,7 +43,7 @@ def entry(role, name, sentence_text, algorithm="alternating", generation=1):
         run_id="synthetic",
         algorithm=algorithm,
         generation=generation,
-        strategy=Strategy(tuple(sentence_text.split()), 0, 0),
+        strategy=Strategy(tuple(sentence_text.split())),
     )
 
 

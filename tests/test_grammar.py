@@ -134,12 +134,13 @@ class TestMapping:
         assert map_genotype(Genotype((1,)), grammar).sentence == ("b",)
 
     def test_hand_traced_expression(self):
-        # <e> -> <e> + <e> (codon 0), leftmost <e> -> x (1), last <e> -> x (1)
+        # <e> -> <e> + <e> (codon 0), leftmost <e> -> x (1), last <e> -> x (1):
+        # it reads three codons, so two fail without a wrap
         grammar = parse_bnf("<e> ::= <e> + <e> | x")
-        strategy = map_genotype(Genotype((0, 1, 1)), grammar)
-        assert strategy.sentence == ("x", "+", "x")
-        assert strategy.codons_used == 3
-        assert strategy.wraps_used == 0
+        no_wraps = MappingConfig(max_wraps=0)
+        assert map_genotype(Genotype((0, 1, 1)), grammar, no_wraps).sentence == ("x", "+", "x")
+        with pytest.raises(MappingFailure):
+            map_genotype(Genotype((0, 1)), grammar, no_wraps)
 
     def test_wrap_exhaustion_fails(self):
         grammar = parse_bnf("<e> ::= <e> <e> | x")
@@ -150,19 +151,20 @@ class TestMapping:
         # [0,1,1]: <s> expands, <a> -> u, <s> -> <a>, then the cursor wraps
         # and codon 0 resolves the last <a> to t.
         grammar = parse_bnf("<s> ::= <a> <s> | <a>\n<a> ::= t | u")
-        strategy = map_genotype(Genotype((0, 1, 1)), grammar, MappingConfig(max_wraps=2))
-        assert strategy.sentence == ("u", "t")
-        assert strategy.wraps_used == 1
-        assert strategy.codons_used == 4
+        genotype = Genotype((0, 1, 1))
+        assert map_genotype(genotype, grammar, MappingConfig(max_wraps=1)).sentence == ("u", "t")
+        with pytest.raises(MappingFailure):  # the fourth codon needs the wrap
+            map_genotype(genotype, grammar, MappingConfig(max_wraps=0))
 
     def test_unit_production_consumes_no_codon_on_choice_policy(self):
+        # without wraps one codon suffices on choice; always spends one more on the unit rule
         grammar = parse_bnf("<s> ::= <t>\n<t> ::= a | b")
-        lazy = map_genotype(Genotype((1,)), grammar, MappingConfig(codon_policy="consume-on-choice"))
-        assert lazy.sentence == ("b",)
-        assert lazy.codons_used == 1
-        eager = map_genotype(Genotype((1, 0)), grammar, MappingConfig(codon_policy=CONSUME_ALWAYS))
-        assert eager.sentence == ("a",)  # first codon spent on the unit rule
-        assert eager.codons_used == 2
+        lazy = MappingConfig(max_wraps=0, codon_policy="consume-on-choice")
+        eager = MappingConfig(max_wraps=0, codon_policy=CONSUME_ALWAYS)
+        assert map_genotype(Genotype((1,)), grammar, lazy).sentence == ("b",)
+        with pytest.raises(MappingFailure):
+            map_genotype(Genotype((1,)), grammar, eager)
+        assert map_genotype(Genotype((1, 0)), grammar, eager).sentence == ("a",)
 
     def test_step_budget_fails(self):
         grammar = parse_bnf("<e> ::= <e> <e> | x")
@@ -189,11 +191,7 @@ class TestAgainstOracle:
                 with pytest.raises(MappingFailure):
                     map_genotype(genotype, grammar, cfg)
             else:
-                sentence, used, wraps, _ = expected
-                strategy = map_genotype(genotype, grammar, cfg)
-                assert strategy.sentence == sentence
-                assert strategy.codons_used == used
-                assert strategy.wraps_used == wraps
+                assert map_genotype(genotype, grammar, cfg).sentence == expected[0]
 
     def test_mod_rule_shifting_codon_by_alternative_count(self):
         # Raising a consumed codon by a multiple of its decision's alternative
@@ -248,19 +246,20 @@ class TestProperties:
             base = map_genotype(genotype, PROPERTY_GRAMMAR, cfg)
         except MappingFailure:
             return
-        assert base.wraps_used == 0
         extended = Genotype(genotype.codons + tuple(suffix))
         assert map_genotype(extended, PROPERTY_GRAMMAR, cfg).sentence == base.sentence
 
-    @given(genotypes())
+    @given(genotypes(), st.integers(0, 3))
     @settings(max_examples=150, deadline=None)
-    def test_codon_usage_bound(self, genotype):
-        cfg = MappingConfig(max_wraps=3, max_derivation_steps=300)
+    def test_larger_wrap_budget_keeps_the_sentence(self, genotype, wraps):
+        # a derivation that maps within a wrap budget reads no codon past it
+        cfg = MappingConfig(max_wraps=wraps, max_derivation_steps=300)
         try:
             strategy = map_genotype(genotype, PROPERTY_GRAMMAR, cfg)
         except MappingFailure:
             return
-        assert strategy.codons_used <= len(genotype) * (strategy.wraps_used + 1)
+        larger = MappingConfig(max_wraps=wraps + 1, max_derivation_steps=300)
+        assert map_genotype(genotype, PROPERTY_GRAMMAR, larger) == strategy
         assert set(strategy.sentence) <= PROPERTY_GRAMMAR.terminals
 
 
@@ -304,5 +303,5 @@ class TestRandomGenotype:
             random_genotype(np.random.default_rng(0), 3, 2, 10)
 
     def test_strategy_text_joins_tokens(self):
-        strategy = Strategy(("a", "b"), 1, 0)
+        strategy = Strategy(("a", "b"))
         assert strategy.text == "a b"

@@ -494,7 +494,7 @@ def compendium_entry(role: str, name: str, text: str) -> CompendiumEntry:
         run_id="synthetic",
         algorithm="alternating",
         generation=0,
-        strategy=Strategy(tuple(text.split()), 0, 0),
+        strategy=Strategy(tuple(text.split())),
     )
 
 

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter, defaultdict
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass, fields, replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +26,7 @@ from coevarena.cli import ConfigError, load_experiment_config, main
 from coevarena.data import data_path
 from coevarena.engagement import EngagementOutcome
 from coevarena.engine.config import cast_entries
+from coevarena.engine.loop import Cohort
 from coevarena.grammar import GenotypeLimits, MappingConfig
 from coevarena.store import (
     FORMAT_VERSION,
@@ -689,6 +690,37 @@ class TestCmdEstablo:
 
     @pytest.mark.parametrize("command", ["establo", "inspect"])
     @pytest.mark.parametrize(
+        "key, annotation",
+        [
+            ("best_fitness", "float"),
+            ("mean_fitness", "float"),
+            ("fitness_variance", "float"),
+            ("incumbent_fitness", "float | None"),
+            ("best_cost", "float | None"),
+        ],
+    )
+    # Python's JSON reader takes NaN and Infinity, 1e999 as infinity and an int
+    # of any size; none of them is a number a float holds.
+    @pytest.mark.parametrize(
+        "text", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400], ids=["NaN", "Infinity", "-Infinity", "1e999", "10**400"]
+    )
+    def test_halfstep_value_that_is_not_a_finite_float_is_one_error_line(
+        self, populated_store, tmp_path, capsys, command, key, annotation, text
+    ):
+        run_dir = populated_store / ResultsStore(populated_store).entries()[0]["dir"]
+        halfsteps = run_dir / "halfsteps.jsonl"
+        lines = halfsteps.read_text().splitlines()
+        lines[-1] = json.dumps({**json.loads(lines[-1]), key: "@"}).replace('"@"', text)
+        halfsteps.write_text("\n".join(lines) + "\n")
+        args = ["--out", tmp_path / "out"] if command == "establo" else [run_dir.name]
+        assert run_cli(command, "--store", populated_store, *args) == 1
+        assert assert_one_error_line(capsys) == (
+            f"error: CorruptRecord: {halfsteps} line {len(lines)} key {key!r} is not {annotation}: "
+            f"{json.loads(text)!r}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["establo", "inspect"])
+    @pytest.mark.parametrize(
         "key, value, reason",
         [
             # the populated store's genotypes hold 6 to 24 codons below 65536, its populations 4
@@ -1114,6 +1146,8 @@ class TestShippedData:
             assert [line[:3] for line in populations] == [
                 [cohort.phase, cohort.generation, cohort.replaced] for cohort in record.cohorts
             ], key
+        # Each Cohort field is compared above, so a field the log does not hold fails here.
+        assert [f.name for f in fields(Cohort)] == ["generation", "phase", "members", "engagements", "replaced"]
 
     def test_each_distinct_outcome_is_written_once(self, shipped_records):
         run_dir, record = shipped_records["ddos_smoke.cfg", 11]
@@ -1241,6 +1275,52 @@ class TestShippedData:
         assert assert_one_error_line(capsys) == (
             f"error: CorruptRecord: {log} line 3 genotype 'AAA=' is not of 8 to 64 codons: it holds 1\n"
         )
+
+
+    @pytest.mark.parametrize(
+        "name, find, change, message",
+        [
+            *(
+                (
+                    "engagements.jsonl",
+                    lambda lines, g=g: next(i for i, line in enumerate(lines) if line.startswith(f'["attacker",{g},')),
+                    lambda line, g=g: line.replace(f'["attacker",{g},null,', f'["attacker",{g},3,'),
+                    f"replaced 3 is set, but generation {g} has no incumbent",
+                )
+                for g in (0, 1)
+            ),
+            # generation 1's first row, an attacker's, made an incumbent row
+            # whose pair index is its defender id
+            (
+                "engagements.jsonl",
+                lambda lines: next(i for i, line in enumerate(lines) if line.startswith('["attacker",1,')) + 1,
+                lambda line: json.dumps([1, json.loads(line)[3], *json.loads(line)[2:]]),
+                "is an incumbent row of generation 1, which has no incumbent",
+            ),
+            (
+                "halfsteps.jsonl",
+                lambda lines: 1,
+                lambda line: json.dumps({**json.loads(line), "incumbent_fitness": 0.5}),
+                "key 'incumbent_fitness' 0.5 is set, but generation 1 has no incumbent",
+            ),
+        ],
+        ids=["replaced-generation-0", "replaced-generation-1", "incumbent-row", "incumbent-fitness"],
+    )
+    def test_inspect_refuses_elitism_before_generation_2(
+        self, shipped_runs, tmp_path, capsys, name, find, change, message
+    ):
+        # A role has no incumbent before its second half-step, so generations 0
+        # and 1 hold no swap, incumbent row or incumbent fitness.
+        run_dir = shipped_runs["ddos_smoke.cfg", 11]
+        store_dir = Path(shutil.copytree(run_dir.parent, tmp_path / "store"))
+        path = store_dir / run_dir.name / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        at = find(lines)
+        edited = change(lines[at])
+        assert edited != lines[at]
+        path.write_text("\n".join([*lines[:at], edited, *lines[at + 1 :]]) + "\n", encoding="utf-8")
+        assert run_cli("inspect", run_dir.name, "--store", store_dir) == 1
+        assert assert_one_error_line(capsys) == f"error: CorruptRecord: {path} line {at + 1} {message}\n"
 
 
 class TestEngagementLogFormat:
@@ -1474,7 +1554,8 @@ class TestEngagementLogFormat:
             list(records)
 
     @pytest.mark.parametrize("at", [4, 5, 6, 9])
-    @pytest.mark.parametrize("value", ["0.5", True, None, [], {}])
+    # json.dumps writes NaN and the infinities as NaN, Infinity and -Infinity, which json.loads reads
+    @pytest.mark.parametrize("value", ["0.5", True, None, [], {}, math.nan, math.inf, -math.inf])
     def test_outcome_value_that_is_not_a_number_is_one_corrupt_record(self, tmp_path, at, value):
         def edit(lines):
             row = json.loads(lines[4])
@@ -1498,9 +1579,25 @@ class TestEngagementLogFormat:
 
         log, records = edited_records(tmp_path, edit)
         number = len(log.read_text().splitlines())
-        message = f"{log} line {number} attacker_score {10**400!r} is beyond a float"
+        message = f"{log} line {number} attacker_score {10**400!r} is not a JSON number"
         with pytest.raises(CorruptRecord, match=re.escape(message)):
             list(records)
+
+    def test_run_holding_a_non_finite_value_is_refused_and_nothing_is_left(self, tmp_path):
+        # An infinite attacker cost is a row value, and with a secondary weight
+        # it gives a -inf fitness: the reader would refuse both.
+        grammar = coevarena.parse_bnf("<s> ::= a | b")
+        cfg = EvolutionConfig(generations=1, attacker_population=3, defender_population=3, secondary_weight=0.5)
+        environment = ScriptedEnvironment(cost_fn=lambda attack, defense: (math.inf, 0.0))
+        record = coevarena.run_alternating(cfg, grammar, grammar, environment)
+        assert record.half_steps[0].best_fitness == -math.inf
+        inputs = [tmp_path / name for name in ("a.bnf", "d.bnf", "s.cfg")]
+        for path in inputs:
+            path.write_text("", encoding="utf-8")
+        store = ResultsStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            store.add_run(record, {}, *inputs)
+        assert [p.name for p in store.root.iterdir()] == []
 
     @pytest.mark.parametrize(
         "edit, number, message",
